@@ -186,10 +186,12 @@ def classify_query(
     """
     if len(groups) < 2:
         raise ValidationError("classification needs at least two candidate groups")
-    best = min(
-        ((group_distance(model, query, g, use_t=use_t).upper, g.name) for g in groups),
-    )
-    return best[1]
+    return _closest([group_distance(model, query, g, use_t=use_t) for g in groups])
+
+
+def _closest(results: Sequence[GroupDistanceResult]) -> str:
+    """Group with minimal CI upper bound; ties break lexicographically by name."""
+    return min((r.upper, r.group) for r in results)[1]
 
 
 def auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
@@ -265,9 +267,10 @@ def evaluate_classification(
                 f"query '{query.image_id}' label '{truth}' outside task categories"
             )
         truths.append(truth)
-        for g in candidate_groups:
-            neg_distance[g.name].append(-group_distance(model, query, g, use_t=use_t).upper)
-        predicted = classify_query(model, query, candidate_groups, use_t=use_t)
+        results = [group_distance(model, query, g, use_t=use_t) for g in candidate_groups]
+        for r in results:
+            neg_distance[r.group].append(-r.upper)
+        predicted = _closest(results)
         confusion[(truth, predicted)] = confusion.get((truth, predicted), 0) + 1
 
     n = len(queries)

@@ -172,7 +172,13 @@ class DatasetPartition:
     @classmethod
     def load(cls, path) -> "DatasetPartition":
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"partition file {path} is not valid JSON: {exc}") from exc
+        for key in ("mode", "seed", "ratios", "train", "val", "test"):
+            if not isinstance(payload, dict) or key not in payload:
+                raise FormatError(f"partition file {path} is missing field '{key}'")
         return cls(
             mode=payload["mode"],
             seed=payload["seed"],

@@ -10,9 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from .corpus import EmbeddingTable, TripletSample
 from .errors import EvaluationError
-from .metric import ProjectionModel, similarity_score
+from .metric import ProjectionModel, rowwise_cosine
 
 
 @dataclass(frozen=True)
@@ -35,19 +37,17 @@ def eval_triplets(
     )
     if not retained:
         raise EvaluationError("no consistent samples to evaluate")
-    records = []
-    for sample in retained:
-        ref = table[sample.ref_id]
-        sim = similarity_score(model, ref, table[sample.chosen_id()])
-        dissim = similarity_score(model, ref, table[sample.other_id()])
-        records.append(
-            PairRecord(
-                triplet_id=sample.triplet_id,
-                sim_pair_score=sim,
-                dissim_pair_score=dissim,
-                correct=sim > dissim,
-            )
-        )
+
+    def projected(ids):
+        return model.project_block(np.array([table[i].vector for i in ids]), ids)
+
+    ref = projected([s.ref_id for s in retained])
+    sim = rowwise_cosine(ref, projected([s.chosen_id() for s in retained])).tolist()
+    dissim = rowwise_cosine(ref, projected([s.other_id() for s in retained])).tolist()
+    records = [
+        PairRecord(triplet_id=s.triplet_id, sim_pair_score=a, dissim_pair_score=b, correct=a > b)
+        for s, a, b in zip(retained, sim, dissim)
+    ]
     accuracy = sum(r.correct for r in records) / len(records)
     return accuracy, records
 

@@ -8,6 +8,7 @@ under the untrained model equals base-embedding cosine similarity exactly.
 from __future__ import annotations
 
 import json
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +45,16 @@ class ProjectionModel:
     def with_weight(self, weight: np.ndarray) -> "ProjectionModel":
         return ProjectionModel(weight, version=self.version)
 
+    def project_block(self, block: np.ndarray, ids: Sequence[str]) -> np.ndarray:
+        """Project an (n, d) block of rows, row i holding the vector of record ids[i]."""
+        if block.ndim != 2 or block.shape[1] != self.dim:
+            raise ValidationError(f"block has shape {block.shape}, model expects (n, {self.dim})")
+        projected = block @ self._weight.T
+        zero = np.flatnonzero(np.linalg.norm(projected, axis=1) == 0.0)
+        if zero.size:
+            raise DegenerateVectorError(f"projection of record '{ids[zero[0]]}' has zero norm")
+        return projected
+
     def save(self, path) -> None:
         payload = {
             "version": self.version,
@@ -65,7 +76,16 @@ class ProjectionModel:
             if key not in payload:
                 raise FormatError(f"model file {path} is missing field '{key}'")
         dim = payload["dim"]
-        weight = np.asarray(payload["weight"], dtype=np.float64)
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise FormatError(
+                f"model file {path}: dim must be a positive integer, got {dim!r}"
+            )
+        try:
+            weight = np.asarray(payload["weight"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(
+                f"model file {path}: weight must be a list of numbers ({exc})"
+            ) from exc
         if weight.size != dim * dim:
             raise FormatError(
                 f"model file {path} declares dim={dim} but carries {weight.size} weights"
@@ -104,6 +124,17 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
         return 1.0  # exact self-similarity regardless of rounding
     value = float(np.dot(u, v)) / (nu * nv)
     return min(1.0, max(-1.0, value))
+
+
+def rowwise_cosine(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cosine of each row of u with the same row of v, for rows of nonzero norm.
+
+    Clamped into [-1, 1]; equal rows score exactly 1.0.
+    """
+    value = np.sum(u * v, axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+    value = np.clip(value, -1.0, 1.0)
+    value[(u == v).all(axis=1)] = 1.0
+    return value
 
 
 def distance(u: np.ndarray, v: np.ndarray) -> float:

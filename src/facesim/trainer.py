@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import evaluator
 from .corpus import EmbeddingTable, TripletSample
 from .errors import DegenerateVectorError, DivergenceError, ValidationError
-from .metric import ProjectionModel, cosine, project
+from .metric import ProjectionModel, cosine
 
 
 @dataclass
@@ -64,36 +64,31 @@ def triplet_loss(x: np.ndarray, x_plus: np.ndarray, x_minus: np.ndarray, margin:
     return max(0.0, cosine(x, x_minus) - cosine(x, x_plus) + margin)
 
 
-def _cosine_value_and_grad(
-    weight: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> Tuple[float, np.ndarray]:
-    """cos(Wa, Wb) and its gradient with respect to W."""
-    u = weight @ a
-    v = weight @ b
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
+def _hinge_and_grad(weight, ref, pos, neg, margin: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-triplet hinge of stacked (B, d) rows and its gradient summed over the batch.
+
+    d cos(Wa, Wb)/dW = ga aᵀ + gb bᵀ with ga = Wb/(|Wa||Wb|) - cos(Wa, Wb) Wa/|Wa|², gb alike.
+    """
+    u, v, w = ref @ weight.T, pos @ weight.T, neg @ weight.T
+    nu, nv, nw = (np.linalg.norm(x, axis=1, keepdims=True) for x in (u, v, w))
+    if not (nu.all() and nv.all() and nw.all()):
         raise DegenerateVectorError("projected vector has zero norm")
-    c = float(np.dot(u, v)) / (nu * nv)
-    gu = v / (nu * nv) - (c / (nu * nu)) * u
-    gv = u / (nu * nv) - (c / (nv * nv)) * v
-    grad = np.outer(gu, a) + np.outer(gv, b)
-    return c, grad
-
-
-def _triplet_loss_and_grad(
-    weight: np.ndarray,
-    ref: np.ndarray,
-    pos: np.ndarray,
-    neg: np.ndarray,
-    margin: float,
-) -> Tuple[float, np.ndarray, bool]:
-    cos_neg, grad_neg = _cosine_value_and_grad(weight, ref, neg)
-    cos_pos, grad_pos = _cosine_value_and_grad(weight, ref, pos)
+    cos_pos = np.sum(u * v, axis=1, keepdims=True) / (nu * nv)
+    cos_neg = np.sum(u * w, axis=1, keepdims=True) / (nu * nw)
     hinge = cos_neg - cos_pos + margin
-    if hinge <= 0.0:
-        return 0.0, np.zeros_like(weight), False
-    return hinge, grad_neg - grad_pos, True
+    inactive = hinge <= 0.0  # a NaN hinge stays active, so divergence reaches the caller
+    hinge[inactive] = 0.0
+    active = ~inactive
+    g_ref = active * (w / (nu * nw) - v / (nu * nv) - (cos_neg - cos_pos) / (nu * nu) * u)
+    g_pos = active * (cos_pos / (nv * nv) * v - u / (nu * nv))
+    g_neg = active * (u / (nu * nw) - cos_neg / (nw * nw) * w)
+    return hinge[:, 0], g_ref.T @ ref + g_pos.T @ pos + g_neg.T @ neg
+
+
+def _stack(samples: Sequence[TripletSample], table: EmbeddingTable) -> Tuple[np.ndarray, ...]:
+    """Reference, chosen and other vectors of the samples as three (n, d) arrays."""
+    ids = zip(*((s.ref_id, s.chosen_id(), s.other_id()) for s in samples))
+    return tuple(np.array([table[i].vector for i in role]) for role in ids)
 
 
 def batch_loss_and_gradient(
@@ -105,18 +100,8 @@ def batch_loss_and_gradient(
     """Mean hinge loss over the batch and its analytic gradient."""
     if not batch:
         raise ValidationError("batch must be nonempty")
-    weight = model.weight
-    total = 0.0
-    grad = np.zeros_like(weight)
-    for sample in batch:
-        ref = table[sample.ref_id].vector
-        pos = table[sample.chosen_id()].vector
-        neg = table[sample.other_id()].vector
-        loss, g, _ = _triplet_loss_and_grad(weight, ref, pos, neg, margin)
-        total += loss
-        grad += g
-    n = len(batch)
-    return total / n, grad / n
+    losses, grad = _hinge_and_grad(model.weight, *_stack(batch, table), margin)
+    return float(losses.mean()), grad / len(batch)
 
 
 def gradient_check(
@@ -131,15 +116,10 @@ def gradient_check(
     if step <= 0:
         raise ValidationError("step must be > 0")
     weight = model.weight
-    _, analytic, _ = _triplet_loss_and_grad(weight, ref, pos, neg, margin)
+    _, analytic = _hinge_and_grad(weight, ref[None], pos[None], neg[None], margin)
 
     def loss_at(w):
-        return (
-            max(
-                0.0,
-                cosine(w @ ref, w @ neg) - cosine(w @ ref, w @ pos) + margin,
-            )
-        )
+        return triplet_loss(w @ ref, w @ pos, w @ neg, margin)
 
     max_err = 0.0
     d = weight.shape[0]
@@ -165,7 +145,13 @@ def train(
     """Shuffled mini-batch SGD with momentum; deterministic given the seed."""
     if not train_samples:
         raise ValidationError("training set is empty")
-    order = list(train_samples)
+    if model.dim != table.dim:
+        raise ValidationError(
+            f"model dimension {model.dim} does not match embedding dimension {table.dim}"
+        )
+    ref, pos, neg = _stack(train_samples, table)
+    consistent_val = [s for s in val_samples if s.admitted and s.consistent]
+    order = list(range(len(train_samples)))
     rng = random.Random(config.seed)
     weight = model.weight.copy()
     velocity = np.zeros_like(weight)
@@ -176,43 +162,26 @@ def train(
             rng.shuffle(order)
         epoch_loss = 0.0
         active = 0
-        n_batches = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            current = ProjectionModel(weight)
-            loss, grad = batch_loss_and_gradient(current, batch, table, config.margin)
-            if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-                raise DivergenceError(
-                    f"non-finite loss/gradient at epoch {epoch + 1}, batch {n_batches + 1}",
-                    epoch=epoch + 1,
-                    batch=n_batches + 1,
+        with np.errstate(all="ignore"):  # overflow surfaces as non-finite values, checked below
+            for batch, start in enumerate(range(0, len(order), config.batch_size), start=1):
+                rows = order[start : start + config.batch_size]
+                losses, grad = _hinge_and_grad(
+                    weight, ref[rows], pos[rows], neg[rows], config.margin
                 )
-            velocity = config.momentum * velocity - config.learning_rate * (
-                grad + config.weight_decay * weight
-            )
-            weight = weight + velocity
-            if not np.all(np.isfinite(weight)):
-                raise DivergenceError(
-                    f"non-finite weights at epoch {epoch + 1}, batch {n_batches + 1}",
-                    epoch=epoch + 1,
-                    batch=n_batches + 1,
+                velocity = config.momentum * velocity - config.learning_rate * (
+                    grad / len(rows) + config.weight_decay * weight
                 )
-            epoch_loss += loss * len(batch)
-            active += sum(
-                1
-                for s in batch
-                if triplet_loss(
-                    weight @ table[s.ref_id].vector,
-                    weight @ table[s.chosen_id()].vector,
-                    weight @ table[s.other_id()].vector,
-                    config.margin,
-                )
-                > 0
-            )
-            n_batches += 1
+                weight = weight + velocity
+                if not (np.all(np.isfinite(losses)) and np.all(np.isfinite(weight))):
+                    raise DivergenceError(
+                        f"non-finite loss or weights at epoch {epoch + 1}, batch {batch}",
+                        epoch=epoch + 1,
+                        batch=batch,
+                    )
+                epoch_loss += float(losses.sum())
+                active += int(np.count_nonzero(losses))
         history.mean_loss.append(epoch_loss / len(order))
         history.active_fraction.append(active / len(order))
-        consistent_val = [s for s in val_samples if s.admitted and s.consistent]
         if consistent_val:
             acc, _ = evaluator.eval_triplets(ProjectionModel(weight), consistent_val, table)
             history.val_accuracy.append(acc)

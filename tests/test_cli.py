@@ -184,6 +184,38 @@ class TestExitCodes:
         assert code == 4
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"mode": "i", "ratios": [0.7, 0.1, 0.2], "train": [], "val": [], "test": []}',
+            '{"mode": "i", "seed": ',
+        ],
+        ids=["missing-seed", "invalid-json"],
+    )
+    def test_bad_partition_is_3(self, planted_dir, tmp_path, capsys, text):
+        partition = tmp_path / "p.json"
+        partition.write_text(text)
+        code = cli.run(["train", *corpus_args(planted_dir), "--partition", str(partition),
+                        "--epochs", "1", "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        assert str(partition) in capsys.readouterr().err
+
+    def test_non_numeric_model_weight_is_3(self, planted_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"version": "v", "dim": 8, "weight": ["a"] * 64}))
+        code = cli.run(["train", *corpus_args(planted_dir), "--model", str(model),
+                        "--epochs", "1", "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        assert str(model) in capsys.readouterr().err
+
+    def test_model_dimension_mismatch_is_3(self, planted_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        ProjectionModel.identity(4).save(model)
+        code = cli.run(["train", *corpus_args(planted_dir), "--model", str(model),
+                        "--epochs", "1", "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        assert "dimension" in capsys.readouterr().err
+
     def test_infeasible_split_is_5(self, tmp_path, capsys):
         # a single distinct target makes source-knowledge splitting impossible
         single = tmp_path / "single"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from facesim import corpus, evaluator
-from facesim.errors import EvaluationError
+from facesim.errors import DegenerateVectorError, EvaluationError
 from facesim.metric import ProjectionModel
 
 from conftest import make_record
@@ -55,6 +55,21 @@ def test_tied_scores_count_incorrect():
     )
     assert rec.sim_pair_score == rec.dissim_pair_score
     assert not rec.correct and accuracy == 0.0
+
+
+def test_zero_projection_names_record():
+    records = [
+        make_record("i0c", [1.0, 1.0, 0.0]),
+        make_record("i0a", [1.0, 0.0, 1.0]),
+        make_record("i0b", [0.0, 1.0, 1.0]),
+        make_record("i1c", [0.0, 1.0, 0.0]),
+        make_record("i1a", [0.0, 0.0, 2.0]),
+        make_record("i1b", [1.0, 0.0, 0.0]),
+    ]
+    table = corpus.EmbeddingTable(records)
+    model = ProjectionModel(np.diag([1.0, 1.0, 0.0]))  # maps only i1a to zero
+    with pytest.raises(DegenerateVectorError, match="'i1a'"):
+        evaluator.eval_triplets(model, [make_sample(0), make_sample(1)], table)
 
 
 def test_inconsistent_samples_filtered(aligned_corpus):

@@ -127,6 +127,24 @@ def test_model_load_rejects_bad_payload(tmp_path):
         ProjectionModel.load(path)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"version": "x", "dim": 2, "weight": [[1, 0], [0]]}',
+        '{"version": "x", "dim": 2, "weight": [1, "a", 0, 1]}',
+        '{"version": "x", "dim": "2", "weight": [1, 0, 0, 1]}',
+        '{"version": "x", "dim": 2.0, "weight": [1, 0, 0, 1]}',
+        '{"version": "x", "dim": true, "weight": [1]}',
+    ],
+    ids=["ragged", "non-numeric", "string-dim", "float-dim", "bool-dim"],
+)
+def test_model_load_rejects_malformed_fields(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    with pytest.raises(FormatError, match="bad.json"):
+        ProjectionModel.load(path)
+
+
 def test_model_rejects_nonfinite_weight():
     with pytest.raises(ValidationError):
         ProjectionModel(np.array([[1.0, float("nan")], [0.0, 1.0]]))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,28 @@ class TestGradients:
         loss_rev, _ = trainer.batch_loss_and_gradient(model, samples[::-1], table, 0.4)
         assert loss_fwd == pytest.approx(loss_rev, abs=1e-12)
 
+    def test_mixed_batch_matches_per_triplet_reference(self):
+        rng = np.random.default_rng(12)
+        rows = [tuple(rng.normal(size=5) for _ in range(3)) for _ in range(12)]
+        table, samples = build_triplet_corpus(rows, ["A", "B"] * 6, dim=5)
+        model = ProjectionModel(np.eye(5) + 0.1 * rng.normal(size=(5, 5)))
+        margin = 0.2
+        w = model.weight
+        losses = [
+            trainer.triplet_loss(
+                w @ table[s.ref_id].vector, w @ table[s.chosen_id()].vector,
+                w @ table[s.other_id()].vector, margin,
+            )
+            for s in samples
+        ]
+        assert 0 < sum(l > 0 for l in losses) < len(losses)
+        loss, grad = trainer.batch_loss_and_gradient(model, samples, table, margin)
+        singles = [
+            trainer.batch_loss_and_gradient(model, [s], table, margin)[1] for s in samples
+        ]
+        assert loss == pytest.approx(np.mean(losses), abs=1e-12)
+        np.testing.assert_allclose(grad, np.mean(singles, axis=0), rtol=0, atol=1e-12)
+
     def test_gradient_check_active(self):
         rng = np.random.default_rng(8)
         model = ProjectionModel(np.eye(6) + 0.1 * rng.normal(size=(6, 6)))
@@ -242,7 +266,8 @@ class TestTrain:
 
     def test_divergent_learning_rate_raises(self):
         table, samples = self._corpus(n=20)
-        with pytest.raises(DivergenceError) as err:
+        with warnings.catch_warnings(), pytest.raises(DivergenceError) as err:
+            warnings.simplefilter("error", RuntimeWarning)
             trainer.train(
                 ProjectionModel.identity(6), samples, [], table,
                 trainer.TrainConfig(epochs=50, learning_rate=1e18, weight_decay=1e18),
