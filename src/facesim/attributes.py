@@ -8,9 +8,11 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .corpus import EmbeddingRecord
 from .errors import EvaluationError, IntegrityError, ValidationError
-from .metric import ProjectionModel, distance, project
+from .metric import ProjectionModel, project_records, rowwise_cosine
 
 INTERSECTION_GROUPS = ("older_female", "older_male", "young_female", "young_male")
 UNION_GROUPS = ("female", "male", "older", "young")
@@ -123,6 +125,31 @@ def build_groups(
     return groups
 
 
+def project_group(model: ProjectionModel, group: AttributeGroup) -> np.ndarray:
+    """The projected rows of a group's members, in member order."""
+    if len(group) == 0:
+        raise ValidationError(f"attribute group '{group.name}' is empty")
+    return project_records(model, group.members)
+
+
+def _group_result(
+    group: AttributeGroup,
+    rows: np.ndarray,
+    query: EmbeddingRecord,
+    q_row: np.ndarray,
+    use_t: bool,
+) -> GroupDistanceResult:
+    """`group_distance` from the projected rows of the group and of the query."""
+    # a query never measures its own candidate entry
+    keep = [m.image_id != query.image_id for m in group.members]
+    if not any(keep):
+        raise ValidationError(
+            f"group '{group.name}' holds only the query image '{query.image_id}'"
+        )
+    ds = 1.0 - rowwise_cosine(q_row[None], rows[keep])
+    return summarize_distances(group.name, ds.tolist(), use_t=use_t)
+
+
 def group_distance(
     model: ProjectionModel,
     query: EmbeddingRecord,
@@ -135,19 +162,21 @@ def group_distance(
     sd = 0 and upper = the single distance. `use_t` swaps the z critical
     value for Student-t, for small groups.
     """
-    if len(group) == 0:
-        raise ValidationError(f"attribute group '{group.name}' is empty")
-    q = project(model, query.vector)
-    ds = []
-    for member in group.members:
-        if member.image_id == query.image_id:
-            continue  # a query never measures its own candidate entry
-        ds.append(distance(q, project(model, member.vector)))
-    if not ds:
-        raise ValidationError(
-            f"group '{group.name}' holds only the query image '{query.image_id}'"
-        )
-    return summarize_distances(group.name, ds, use_t=use_t)
+    return group_distances(model, [query], [group], use_t=use_t)[0][0]
+
+
+def group_distances(
+    model: ProjectionModel,
+    queries: Sequence[EmbeddingRecord],
+    groups: Sequence[AttributeGroup],
+    use_t: bool = False,
+) -> List[List[GroupDistanceResult]]:
+    """`group_distance` of each query to each group, projecting every record once."""
+    rows = [project_group(model, g) for g in groups]
+    return [
+        [_group_result(g, r, query, q_row, use_t) for g, r in zip(groups, rows)]
+        for query, q_row in zip(queries, project_records(model, queries))
+    ]
 
 
 def summarize_distances(
@@ -186,7 +215,20 @@ def classify_query(
     """
     if len(groups) < 2:
         raise ValidationError("classification needs at least two candidate groups")
-    return _closest([group_distance(model, query, g, use_t=use_t) for g in groups])
+    return _closest(group_distances(model, [query], groups, use_t=use_t)[0])
+
+
+def classify_projected(
+    query: EmbeddingRecord,
+    q_row: np.ndarray,
+    groups: Sequence[AttributeGroup],
+    rows: Sequence[np.ndarray],
+    use_t: bool = False,
+) -> str:
+    """`classify_query` from projected rows: q_row for the query, rows[i] for groups[i]."""
+    return _closest(
+        [_group_result(g, r, query, q_row, use_t) for g, r in zip(groups, rows)]
+    )
 
 
 def _closest(results: Sequence[GroupDistanceResult]) -> str:
@@ -257,8 +299,6 @@ def evaluate_classification(
         raise EvaluationError("no query records")
     candidate_groups = [groups[c] for c in categories]
 
-    confusion: Dict[Tuple[str, str], int] = {}
-    neg_distance: Dict[str, List[float]] = {c: [] for c in categories}
     truths: List[str] = []
     for query in queries:
         truth = _true_category(query, task)
@@ -267,7 +307,11 @@ def evaluate_classification(
                 f"query '{query.image_id}' label '{truth}' outside task categories"
             )
         truths.append(truth)
-        results = [group_distance(model, query, g, use_t=use_t) for g in candidate_groups]
+
+    confusion: Dict[Tuple[str, str], int] = {}
+    neg_distance: Dict[str, List[float]] = {c: [] for c in categories}
+    table = group_distances(model, queries, candidate_groups, use_t=use_t)
+    for truth, results in zip(truths, table):
         for r in results:
             neg_distance[r.group].append(-r.upper)
         predicted = _closest(results)

@@ -18,7 +18,13 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__, attributes, corpus, evaluator, selector, synth, trainer
-from .errors import DataError, DivergenceError, FacesimError, InfeasibleSplitError
+from .errors import (
+    DataError,
+    DivergenceError,
+    FacesimError,
+    InfeasibleSplitError,
+    IntegrityError,
+)
 from .metric import ProjectionModel
 
 EXIT_OK = 0
@@ -53,12 +59,22 @@ def _load_samples(args) -> tuple:
     return table, samples
 
 
-def _select_split(samples, partition_path: Optional[str], split: str):
-    if partition_path is None:
-        return samples
-    partition = corpus.DatasetPartition.load(partition_path)
+def _load_partition(path: str, samples) -> corpus.DatasetPartition:
+    """The partition at `path`, checked to name only triplets of the corpus."""
+    partition = corpus.DatasetPartition.load(path)
+    known = {s.triplet_id for s in samples}
+    for split in ("train", "val", "test"):
+        unknown = next((t for t in getattr(partition, split) if t not in known), None)
+        if unknown is not None:
+            raise IntegrityError(
+                f"partition file {path}: {split} id '{unknown}' is not a triplet of the corpus"
+            )
+    return partition
+
+
+def _in_split(pool, partition: corpus.DatasetPartition, split: str):
     wanted = set(getattr(partition, split))
-    return [s for s in samples if s.triplet_id in wanted]
+    return [s for s in pool if s.triplet_id in wanted]
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +122,11 @@ def cmd_train(args) -> int:
     table, samples = _load_samples(args)
     datasets = corpus.build_datasets(samples)
     pool = datasets[args.dataset]
-    train_samples = _select_split(pool, args.partition, "train")
-    val_samples = _select_split(pool, args.partition, "val") if args.partition else []
+    train_samples, val_samples = pool, []
+    if args.partition:
+        partition = _load_partition(args.partition, samples)
+        train_samples = _in_split(pool, partition, "train")
+        val_samples = _in_split(pool, partition, "val")
     if args.model:
         model = ProjectionModel.load(args.model)
     else:
@@ -135,7 +154,9 @@ def cmd_train(args) -> int:
 def cmd_eval_triplets(args) -> int:
     table, samples = _load_samples(args)
     datasets = corpus.build_datasets(samples)
-    pool = _select_split(datasets["D2"], args.partition, args.split)
+    pool = datasets["D2"]
+    if args.partition:
+        pool = _in_split(pool, _load_partition(args.partition, samples), args.split)
     accuracies = []
     per_model = []
     records = None
@@ -171,11 +192,13 @@ def cmd_eval_attributes(args) -> int:
     if args.distances:
         with open(args.distances, "w", encoding="utf-8", newline="") as fh:
             fh.write("query_id,group,n,mean_d,sd_d,upper\n")
-            for query in queries:
-                for name in attributes.ALL_GROUPS:
-                    r = attributes.group_distance(model, query, groups[name])
+            table = attributes.group_distances(
+                model, queries, [groups[name] for name in attributes.ALL_GROUPS]
+            )
+            for query, results in zip(queries, table):
+                for r in results:
                     fh.write(
-                        f"{query.image_id},{name},{r.n},{r.mean_d!r},{r.sd_d!r},{r.upper!r}\n"
+                        f"{query.image_id},{r.group},{r.n},{r.mean_d!r},{r.sd_d!r},{r.upper!r}\n"
                     )
     print(f"{args.task} accuracy {report.accuracy:.3f} over {len(queries)} queries")
     return EXIT_OK
@@ -192,21 +215,19 @@ def cmd_select(args) -> int:
     groups = attributes.build_groups(
         list(candidates), per_intersection=args.per_group, seed=args.seed
     )
-    results = []
-    rankings = []
-    for query in queries:
-        rec = selector.recommend(model, query, groups, k=args.k, group_mode=args.group_mode)
-        results.append(rec.to_json())
-        for cand in selector.rank_candidates(model, query, groups[rec.selected_group]):
-            rankings.append((query.image_id, rec.selected_group, cand))
-    _write_report(args.out, args, {"recommendations": results})
+    results = selector.recommend_batch(
+        model, queries, groups, k=args.k, group_mode=args.group_mode
+    )
+    _write_report(args.out, args, {"recommendations": [rec.to_json() for rec, _ in results]})
     if args.ranking:
         with open(args.ranking, "w", encoding="utf-8", newline="") as fh:
             fh.write("query_id,group,rank,image_id,similarity\n")
-            for query_id, group_name, cand in rankings:
-                fh.write(
-                    f"{query_id},{group_name},{cand.rank},{cand.image_id},{cand.similarity!r}\n"
-                )
+            for rec, ranking in results:
+                for cand in ranking:
+                    fh.write(
+                        f"{rec.query_id},{rec.selected_group},{cand.rank},"
+                        f"{cand.image_id},{cand.similarity!r}\n"
+                    )
     print(f"recommended {args.k} source candidates for {len(queries)} queries -> {args.out}")
     return EXIT_OK
 

@@ -179,6 +179,12 @@ class DatasetPartition:
         for key in ("mode", "seed", "ratios", "train", "val", "test"):
             if not isinstance(payload, dict) or key not in payload:
                 raise FormatError(f"partition file {path} is missing field '{key}'")
+        for key in ("train", "val", "test"):
+            ids = payload[key]
+            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                raise FormatError(
+                    f"partition file {path}: '{key}' must be a list of triplet ids"
+                )
         return cls(
             mode=payload["mode"],
             seed=payload["seed"],

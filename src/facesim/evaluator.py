@@ -10,11 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from .corpus import EmbeddingTable, TripletSample
 from .errors import EvaluationError
-from .metric import ProjectionModel, rowwise_cosine
+from .metric import ProjectionModel, project_records, rowwise_cosine
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,7 @@ def eval_triplets(
         raise EvaluationError("no consistent samples to evaluate")
 
     def projected(ids):
-        return model.project_block(np.array([table[i].vector for i in ids]), ids)
+        return project_records(model, [table[i] for i in ids])
 
     ref = projected([s.ref_id for s in retained])
     sim = rowwise_cosine(ref, projected([s.chosen_id() for s in retained])).tolist()

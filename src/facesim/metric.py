@@ -46,11 +46,16 @@ class ProjectionModel:
         return ProjectionModel(weight, version=self.version)
 
     def project_block(self, block: np.ndarray, ids: Sequence[str]) -> np.ndarray:
-        """Project an (n, d) block of rows, row i holding the vector of record ids[i]."""
+        """Project an (n, d) block of rows, row i holding the vector of record ids[i].
+
+        Each row gets its own (1, d) @ (d, d) product, so a record's projected
+        row is bit-identical whatever block, subset or order it comes in; one
+        (n, d) @ (d, d) product would round some rows differently.
+        """
         if block.ndim != 2 or block.shape[1] != self.dim:
             raise ValidationError(f"block has shape {block.shape}, model expects (n, {self.dim})")
-        projected = block @ self._weight.T
-        zero = np.flatnonzero(np.linalg.norm(projected, axis=1) == 0.0)
+        projected = np.matmul(block[:, None, :], self._weight.T)[:, 0, :]
+        zero = np.flatnonzero(~projected.any(axis=1))
         if zero.size:
             raise DegenerateVectorError(f"projection of record '{ids[zero[0]]}' has zero norm")
         return projected
@@ -90,6 +95,11 @@ class ProjectionModel:
             raise FormatError(
                 f"model file {path} declares dim={dim} but carries {weight.size} weights"
             )
+        if payload["version"] != MODEL_FORMAT_VERSION:
+            raise FormatError(
+                f"model file {path} has unknown format version {payload['version']!r},"
+                f" expected {MODEL_FORMAT_VERSION!r}"
+            )
         return cls(weight.reshape(dim, dim), version=payload["version"])
 
     def __eq__(self, other):
@@ -112,26 +122,45 @@ def project(model: ProjectionModel, v: np.ndarray) -> np.ndarray:
     return model.weight @ v
 
 
+def project_records(model: ProjectionModel, records: Sequence) -> np.ndarray:
+    """Projected rows of embedding records, row i for records[i] (see `project_block`)."""
+    try:
+        block = np.array([r.vector for r in records], dtype=np.float64)
+        block = block.reshape(len(records), model.dim)
+    except ValueError:
+        raise ValidationError(f"records do not all have the model dimension {model.dim}") from None
+    return model.project_block(block, [r.image_id for r in records])
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, clamped into [-1, 1] against rounding."""
+    """Cosine similarity, clamped into [-1, 1] against rounding.
+
+    Each vector is scaled by its largest absolute component first, so tiny
+    and huge components neither underflow nor overflow.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
+    if not (u.any() and v.any()):
         raise DegenerateVectorError("cosine similarity is undefined for zero-norm vectors")
     if np.array_equal(u, v):
         return 1.0  # exact self-similarity regardless of rounding
-    value = float(np.dot(u, v)) / (nu * nv)
+    u = u / np.max(np.abs(u))
+    v = v / np.max(np.abs(v))
+    value = float(np.dot(u, v)) / (float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
     return min(1.0, max(-1.0, value))
 
 
 def rowwise_cosine(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cosine of each row of u with the same row of v, for rows of nonzero norm.
+    """Cosine of each row of u with the same row of v, for rows that are not all zero.
 
-    Clamped into [-1, 1]; equal rows score exactly 1.0.
+    Either side may be a single row, broadcast against every row of the other.
+    Rows are scaled by their largest absolute component first, like `cosine`,
+    and each row is reduced on its own, so a row's value never depends on the
+    other rows of the block. Clamped into [-1, 1]; equal rows score exactly 1.0.
     """
-    value = np.sum(u * v, axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+    su = u / np.abs(u).max(axis=1, keepdims=True)
+    sv = v / np.abs(v).max(axis=1, keepdims=True)
+    value = np.sum(su * sv, axis=1) / (np.linalg.norm(su, axis=1) * np.linalg.norm(sv, axis=1))
     value = np.clip(value, -1.0, 1.0)
     value[(u == v).all(axis=1)] = 1.0
     return value
@@ -143,11 +172,10 @@ def distance(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def similarity_score(model: ProjectionModel, a, b) -> float:
-    """Cosine similarity of two embedding records under the projection."""
-    pa = project(model, a.vector)
-    pb = project(model, b.vector)
-    if float(np.linalg.norm(pa)) == 0.0:
-        raise DegenerateVectorError(f"projection of record '{a.image_id}' has zero norm")
-    if float(np.linalg.norm(pb)) == 0.0:
-        raise DegenerateVectorError(f"projection of record '{b.image_id}' has zero norm")
-    return cosine(pa, pb)
+    """Cosine similarity of two embedding records under the projection.
+
+    Computed like every block path (`project_records`, then `rowwise_cosine`),
+    so it agrees with them bit for bit.
+    """
+    rows = project_records(model, [a, b])
+    return float(rowwise_cosine(rows[:1], rows[1:])[0])

@@ -12,8 +12,8 @@ from facesim.attributes import (
     group_distance,
     summarize_distances,
 )
-from facesim.errors import EvaluationError, ValidationError
-from facesim.metric import ProjectionModel
+from facesim.errors import DegenerateVectorError, EvaluationError, ValidationError
+from facesim.metric import ProjectionModel, distance, project
 
 from conftest import make_record
 
@@ -144,6 +144,47 @@ class TestGroupDistance:
         )
         via_parts = group_distance(model, query, concat)
         assert direct == via_parts
+
+
+    def test_matches_scalar_oracle(self):
+        rng = np.random.default_rng(21)
+        for trial in range(20):
+            dim = int(rng.integers(2, 24))
+            model = ProjectionModel(np.eye(dim) + 0.3 * rng.normal(size=(dim, dim)))
+            members = tuple(
+                labeled(f"m{j}", rng.normal(size=dim), "male", "young")
+                for j in range(int(rng.integers(1, 40)))
+            )
+            # every third trial queries with a member, which is left out
+            query = members[0] if trial % 3 == 0 and len(members) > 1 else labeled(
+                "q", rng.normal(size=dim), "male", "young"
+            )
+            q = project(model, query.vector)
+            oracle = summarize_distances(
+                "male",
+                [
+                    distance(q, project(model, m.vector))
+                    for m in members
+                    if m.image_id != query.image_id
+                ],
+            )
+            res = group_distance(model, query, AttributeGroup("male", members))
+            assert res.n == oracle.n
+            for field in ("mean_d", "sd_d", "upper"):
+                assert getattr(res, field) == pytest.approx(
+                    getattr(oracle, field), abs=1e-12
+                )
+
+    def test_zero_projection_member_is_named(self):
+        model = ProjectionModel(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        group = AttributeGroup(
+            "male",
+            (labeled("fine", [1.0, 1.0], "male", "young"),
+             labeled("flat", [0.0, 2.0], "male", "young")),
+        )
+        query = labeled("q", [1.0, 0.0], "male", "young")
+        with pytest.raises(DegenerateVectorError, match="flat"):
+            group_distance(model, query, group)
 
 
 class TestClassifyQuery:

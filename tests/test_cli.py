@@ -1,8 +1,10 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
-from facesim import cli, synth
+from facesim import attributes, cli, corpus, synth
 from facesim.metric import ProjectionModel
 
 
@@ -129,6 +131,53 @@ class TestPipeline:
         sims = [c["similarity"] for c in first["candidates"]]
         assert sims == sorted(sims)
 
+    def test_ranking_csv_ends_in_recommendations(self, clustered_dir, tmp_path):
+        model = tmp_path / "identity.json"
+        ProjectionModel.identity(8).save(model)
+        out, ranking = tmp_path / "select.json", tmp_path / "ranking.csv"
+        assert cli.run(["select", "--model", str(model),
+                        "--candidates", str(clustered_dir / "candidates.csv"),
+                        "--query", str(clustered_dir / "queries.csv"), "--k", "4",
+                        "--group-mode", "all", "--out", str(out),
+                        "--ranking", str(ranking)]) == 0
+        with open(ranking) as fh:
+            rows = list(csv.DictReader(fh))
+        recommendations = json.loads(out.read_text())["recommendations"]
+        assert len(recommendations) == 12
+        for rec in recommendations:
+            own = [r for r in rows if r["query_id"] == rec["query_id"]]
+            assert {r["group"] for r in own} == {rec["selected_group"]}
+            assert [int(r["rank"]) for r in own] == list(range(1, len(own) + 1))
+            bottom = [
+                {"image_id": r["image_id"], "similarity": float(r["similarity"]),
+                 "rank": int(r["rank"])}
+                for r in reversed(own[-4:])
+            ]
+            assert bottom == rec["candidates"]
+
+    def test_distances_csv_equals_group_distance(self, clustered_dir, tmp_path):
+        model_path = tmp_path / "model.json"
+        rng = np.random.default_rng(8)
+        ProjectionModel(np.eye(8) + 0.1 * rng.normal(size=(8, 8))).save(model_path)
+        distances = tmp_path / "distances.csv"
+        assert cli.run(["eval-attributes", "--model", str(model_path),
+                        "--candidates", str(clustered_dir / "candidates.csv"),
+                        "--queries", str(clustered_dir / "queries.csv"),
+                        "--report", str(tmp_path / "attr.json"),
+                        "--distances", str(distances)]) == 0
+        model = ProjectionModel.load(model_path)
+        groups = attributes.build_groups(
+            list(corpus.load_embeddings(clustered_dir / "candidates.csv"))
+        )
+        queries = {q.image_id: q for q in corpus.load_embeddings(clustered_dir / "queries.csv")}
+        with open(distances) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(queries) * len(attributes.ALL_GROUPS)
+        for row in rows:
+            r = attributes.group_distance(model, queries[row["query_id"]], groups[row["group"]])
+            assert (int(row["n"]), float(row["mean_d"]), float(row["sd_d"]),
+                    float(row["upper"])) == (r.n, r.mean_d, r.sd_d, r.upper)
+
     def test_select_single_query_id(self, clustered_dir, tmp_path):
         model = tmp_path / "identity.json"
         ProjectionModel.identity(8).save(model)
@@ -199,6 +248,61 @@ class TestExitCodes:
                         "--epochs", "1", "--out", str(tmp_path / "m.json")])
         assert code == 3
         assert str(partition) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval-triplets"])
+    def test_non_list_partition_ids_are_3(self, planted_dir, tmp_path, capsys, command):
+        partition = tmp_path / "p.json"
+        partition.write_text(json.dumps(
+            {"mode": "i", "seed": 0, "ratios": [0.7, 0.1, 0.2],
+             "train": 5, "val": [], "test": []}
+        ))
+        code = cli.run(self._partition_argv(command, planted_dir, tmp_path, partition))
+        assert code == 3
+        assert f"{partition}: 'train'" in capsys.readouterr().err
+
+    @staticmethod
+    def _partition_argv(command, planted_dir, tmp_path, partition):
+        argv = [command, *corpus_args(planted_dir), "--partition", str(partition)]
+        if command == "train":
+            return argv + ["--epochs", "1", "--out", str(tmp_path / "m.json")]
+        model = tmp_path / "identity.json"
+        ProjectionModel.identity(8).save(model)
+        return argv + ["--model", str(model), "--report", str(tmp_path / "r.json")]
+
+    @pytest.mark.parametrize(
+        "command, split, ids",
+        [
+            ("train", "train", ["nope"]),
+            ("eval-triplets", "test", ["nope"]),
+            ("train", "val", "mixed"),
+            ("eval-triplets", "test", "mixed"),
+        ],
+        ids=["train-unknown", "test-unknown", "val-mixed", "test-mixed"],
+    )
+    def test_unknown_partition_ids_are_3(
+        self, planted_dir, tmp_path, capsys, command, split, ids
+    ):
+        partition = tmp_path / "p.json"
+        assert cli.run(["split", *corpus_args(planted_dir), "--mode", "i",
+                        "--out", str(partition)]) == 0
+        payload = json.loads(partition.read_text())
+        payload[split] = (
+            ids if ids != "mixed" else payload[split][:2] + ["nope"] + payload[split][2:]
+        )
+        partition.write_text(json.dumps(payload))
+        code = cli.run(self._partition_argv(command, planted_dir, tmp_path, partition))
+        assert code == 3
+        assert f"{split} id 'nope'" in capsys.readouterr().err
+
+    def test_unknown_model_version_is_3(self, planted_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(
+            {"version": "facesim-projection-9", "dim": 8, "weight": [0.0] * 64}
+        ))
+        code = cli.run(["eval-triplets", *corpus_args(planted_dir), "--model", str(model),
+                        "--report", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "facesim-projection-9" in capsys.readouterr().err
 
     def test_non_numeric_model_weight_is_3(self, planted_dir, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from facesim.errors import DegenerateVectorError, FormatError, ValidationError
-from facesim.metric import ProjectionModel, cosine, distance, project, similarity_score
+from facesim.metric import (
+    ProjectionModel,
+    cosine,
+    distance,
+    project,
+    rowwise_cosine,
+    similarity_score,
+)
 
 from conftest import make_record
 
@@ -88,11 +95,51 @@ def test_similarity_score_degenerate_projection_names_record():
     st.floats(1e-3, 1e3),
     st.floats(1e-3, 1e3),
 )
+@example([1e-156, 0.0, 0.0], [1.0, 1.0, 0.0], 1e-3, 1.0)
 def test_cosine_scale_invariance(u, v, alpha, beta):
     u, v = np.array(u), np.array(v)
     if np.linalg.norm(u) == 0 or np.linalg.norm(v) == 0:
         return
     assert cosine(alpha * u, beta * v) == pytest.approx(cosine(u, v), abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-159, 1.0, 1e150, 1e300])
+def test_cosine_tiny_and_huge_components(scale):
+    u = scale * np.array([[1.0, 0.0, 0.0], [3.0, -4.0, 0.0]])
+    v = np.array([[1.0, 1.0, 0.0], [3.0, 4.0, 12.0]])
+    expected = [1.0 / math.sqrt(2.0), -7.0 / 65.0]
+    np.testing.assert_allclose(rowwise_cosine(u, v), expected, rtol=0, atol=1e-15)
+    assert [cosine(a, b) for a, b in zip(u, v)] == pytest.approx(expected, abs=1e-15)
+
+
+def test_rowwise_cosine_equal_rows_score_exactly_one():
+    rows = np.random.default_rng(4).normal(size=(5, 7))
+    assert rowwise_cosine(rows, rows).tolist() == [1.0] * 5
+    assert rowwise_cosine(rows[2:3], rows)[2] == 1.0
+
+
+@given(
+    st.integers(2, 40),
+    st.integers(1, 60),
+    st.integers(0, 2**32 - 1),
+)
+def test_project_block_rows_do_not_depend_on_the_block(dim, n, seed):
+    rng = np.random.default_rng(seed)
+    model = ProjectionModel(rng.normal(size=(dim, dim)))
+    block = rng.normal(size=(n, dim))
+    ids = [f"r{i}" for i in range(n)]
+    whole = model.project_block(block, ids)
+    subset = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    part = model.project_block(block[subset], [ids[i] for i in subset])
+    for j, i in enumerate(subset):
+        alone = model.project_block(block[i : i + 1], [ids[i]])[0]
+        assert np.array_equal(whole[i], alone) and np.array_equal(part[j], alone)
+
+
+def test_project_block_zero_projection_names_record():
+    model = ProjectionModel(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(DegenerateVectorError, match="flat"):
+        model.project_block(np.array([[1.0, 2.0], [0.0, 3.0]]), ["fine", "flat"])
 
 
 @given(
@@ -142,6 +189,14 @@ def test_model_load_rejects_malformed_fields(tmp_path, payload):
     path = tmp_path / "bad.json"
     path.write_text(payload)
     with pytest.raises(FormatError, match="bad.json"):
+        ProjectionModel.load(path)
+
+
+@pytest.mark.parametrize("version", ['"facesim-projection-9"', "5"])
+def test_model_load_rejects_unknown_version(tmp_path, version):
+    path = tmp_path / "future.json"
+    path.write_text(f'{{"version": {version}, "dim": 2, "weight": [1, 0, 0, 1]}}')
+    with pytest.raises(FormatError, match="future.json.*version"):
         ProjectionModel.load(path)
 
 

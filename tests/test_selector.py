@@ -3,8 +3,8 @@ import pytest
 
 from facesim import attributes, selector
 from facesim.attributes import AttributeGroup, build_groups
-from facesim.errors import ValidationError
-from facesim.metric import ProjectionModel, similarity_score
+from facesim.errors import DegenerateVectorError, ValidationError
+from facesim.metric import ProjectionModel, cosine, project, similarity_score
 
 from conftest import make_record
 
@@ -60,6 +60,33 @@ class TestRankCandidates:
         )
         assert [c.image_id for c in ranking] == [image_id for _, image_id in oracle]
         assert sorted(c.rank for c in ranking) == list(range(1, 101))
+
+    def test_similarities_match_scalar_oracle(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            dim = int(rng.integers(2, 24))
+            model = ProjectionModel(np.eye(dim) + 0.3 * rng.normal(size=(dim, dim)))
+            members = tuple(
+                candidate(f"m{i:02d}", rng.normal(size=dim))
+                for i in range(int(rng.integers(1, 40)))
+            )
+            query = make_record("q", rng.normal(size=dim), role="target", target_id=None)
+            q = project(model, query.vector)
+            oracle = {m.image_id: cosine(q, project(model, m.vector)) for m in members}
+            ranking = selector.rank_candidates(
+                model, query, AttributeGroup("young_male", members)
+            )
+            assert len(ranking) == len(members)
+            for c in ranking:
+                assert c.similarity == pytest.approx(oracle[c.image_id], abs=1e-12)
+
+    def test_zero_projection_member_is_named(self):
+        model = ProjectionModel(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        group = AttributeGroup(
+            "young_male", (candidate("fine", [1.0, 1.0]), candidate("flat", [0.0, 2.0]))
+        )
+        with pytest.raises(DegenerateVectorError, match="flat"):
+            selector.rank_candidates(model, QUERY, group)
 
     def test_query_and_identity_excluded(self):
         group = AttributeGroup(
@@ -152,6 +179,16 @@ class TestRecommend:
         )
         assert rec.selected_group == "young_male"
         assert len(rec.candidates) == 3
+
+    def test_batch_equals_one_query_calls(self, clustered):
+        groups = build_groups(list(clustered.candidates))
+        rng = np.random.default_rng(16)
+        model = ProjectionModel(np.eye(16) + 0.1 * rng.normal(size=(16, 16)))
+        queries = list(clustered.queries)[:8]
+        batch = selector.recommend_batch(model, queries, groups, k=3, group_mode="all")
+        for q, (rec, ranking) in zip(queries, batch):
+            assert rec == selector.recommend(model, q, groups, k=3, group_mode="all")
+            assert ranking == selector.rank_candidates(model, q, groups[rec.selected_group])
 
     def test_composition_consistency(self, clustered):
         groups = build_groups(list(clustered.candidates))
