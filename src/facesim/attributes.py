@@ -240,24 +240,14 @@ def auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
     """Mann-Whitney AUC: P(score_pos > score_neg), ties credited 0.5."""
     if len(scores) != len(labels):
         raise ValidationError("scores and labels must have equal length")
-    n_pos = sum(1 for l in labels if l)
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    pos, neg = scores[labels], np.sort(scores[~labels])
+    if pos.size == 0 or neg.size == 0:
         raise EvaluationError("AUC is undefined without both classes")
-    order = sorted(range(len(scores)), key=lambda i: scores[i])
-    ranks = [0.0] * len(scores)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        avg_rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg_rank
-        i = j + 1
-    rank_sum_pos = sum(r for r, l in zip(ranks, labels) if l)
-    u = rank_sum_pos - n_pos * (n_pos + 1) / 2
-    return u / (n_pos * n_neg)
+    # twice the Mann-Whitney U: each negative below a positive counts 2, each tie 1
+    twice_u = np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum()
+    return float(twice_u) / 2 / (pos.size * neg.size)
 
 
 def _true_category(record: EmbeddingRecord, task: str) -> str:

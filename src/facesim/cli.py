@@ -10,7 +10,6 @@ divergence, 5 infeasible split.
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 from typing import List, Optional
@@ -43,9 +42,7 @@ def _run_config(args: argparse.Namespace) -> dict:
 def _write_report(path, args, body: dict) -> None:
     report = {"run_config": _run_config(args)}
     report.update(body)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    corpus.write_json(path, report, indent=2)
 
 
 def _load_samples(args) -> tuple:
@@ -190,16 +187,18 @@ def cmd_eval_attributes(args) -> int:
     )
     _write_report(args.report, args, report.to_json())
     if args.distances:
-        with open(args.distances, "w", encoding="utf-8", newline="") as fh:
-            fh.write("query_id,group,n,mean_d,sd_d,upper\n")
-            table = attributes.group_distances(
-                model, queries, [groups[name] for name in attributes.ALL_GROUPS]
-            )
-            for query, results in zip(queries, table):
-                for r in results:
-                    fh.write(
-                        f"{query.image_id},{r.group},{r.n},{r.mean_d!r},{r.sd_d!r},{r.upper!r}\n"
-                    )
+        table = attributes.group_distances(
+            model, queries, [groups[name] for name in attributes.ALL_GROUPS],
+            use_t=args.student_t,
+        )
+        rows = (
+            [query.image_id, r.group, r.n, r.mean_d, r.sd_d, r.upper]
+            for query, results in zip(queries, table)
+            for r in results
+        )
+        corpus.write_csv(
+            args.distances, ["query_id", "group", "n", "mean_d", "sd_d", "upper"], rows
+        )
     print(f"{args.task} accuracy {report.accuracy:.3f} over {len(queries)} queries")
     return EXIT_OK
 
@@ -220,14 +219,14 @@ def cmd_select(args) -> int:
     )
     _write_report(args.out, args, {"recommendations": [rec.to_json() for rec, _ in results]})
     if args.ranking:
-        with open(args.ranking, "w", encoding="utf-8", newline="") as fh:
-            fh.write("query_id,group,rank,image_id,similarity\n")
-            for rec, ranking in results:
-                for cand in ranking:
-                    fh.write(
-                        f"{rec.query_id},{rec.selected_group},{cand.rank},"
-                        f"{cand.image_id},{cand.similarity!r}\n"
-                    )
+        rows = (
+            [rec.query_id, rec.selected_group, cand.rank, cand.image_id, cand.similarity]
+            for rec, ranking in results
+            for cand in ranking
+        )
+        corpus.write_csv(
+            args.ranking, ["query_id", "group", "rank", "image_id", "similarity"], rows
+        )
     print(f"recommended {args.k} source candidates for {len(queries)} queries -> {args.out}")
     return EXIT_OK
 
@@ -397,10 +396,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FacesimError as exc:
+    except (FacesimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

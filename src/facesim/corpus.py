@@ -1,8 +1,8 @@
 """Ingestion and curation of embedding tables and triplet annotations.
 
-Covers CSV parsing, dummy-sample annotator screening, majority-vote
-aggregation, the all-data / consistent-only training sets, and the
-source/target-aware evaluation splits with an independent audit.
+Covers the CSV and JSON file formats, dummy-sample annotator screening,
+majority-vote aggregation, the all-data / consistent-only training sets, and
+the source/target-aware evaluation splits with an independent audit.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class EmbeddingRecord:
         vec = np.asarray(self.vector, dtype=np.float64)
         if not np.all(np.isfinite(vec)):
             raise ValidationError(f"record '{self.image_id}': non-finite vector component")
-        if float(np.linalg.norm(vec)) == 0.0:
+        if not vec.any():
             raise ValidationError(f"record '{self.image_id}': zero vector")
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
@@ -165,26 +165,19 @@ class DatasetPartition:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json(), indent=2)
 
     @classmethod
     def load(cls, path) -> "DatasetPartition":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"partition file {path} is not valid JSON: {exc}") from exc
-        for key in ("mode", "seed", "ratios", "train", "val", "test"):
-            if not isinstance(payload, dict) or key not in payload:
-                raise FormatError(f"partition file {path} is missing field '{key}'")
+        payload = read_json(path, "partition", ("mode", "seed", "ratios", "train", "val", "test"))
         for key in ("train", "val", "test"):
             ids = payload[key]
             if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
                 raise FormatError(
                     f"partition file {path}: '{key}' must be a list of triplet ids"
                 )
+        if not isinstance(payload["ratios"], list):
+            raise FormatError(f"partition file {path}: 'ratios' must be a list")
         return cls(
             mode=payload["mode"],
             seed=payload["seed"],
@@ -196,23 +189,73 @@ class DatasetPartition:
 
 
 # ---------------------------------------------------------------------------
-# CSV loading
+# File formats: every file facesim reads or writes goes through these four helpers
 
 
-def _read_rows(path) -> Tuple[List[str], List[Tuple[int, List[str]]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
+def read_csv(path) -> Tuple[List[str], List[Tuple[int, List[str]]]]:
+    """Header and (line number, fields) rows of a UTF-8 CSV file, blank lines skipped.
+
+    A row whose width differs from the header's, malformed CSV and non-UTF-8
+    bytes raise `FormatError` naming the path, and the line where it is exact.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file")
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise FormatError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields,"
+                        f" got {len(row)}"
+                    )
+                rows.append((reader.line_num, row))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
     return header, rows
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Floats are written in shortest round-trip form; fields are quoted only when needed."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_json(path, kind: str, fields: Sequence[str]) -> dict:
+    """The JSON object in a `kind` file ("model", "partition"), holding every one of `fields`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{kind} file {path} is not valid UTF-8 ({exc.reason})") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise FormatError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(
+            f"{kind} file {path} must hold a JSON object, got {type(payload).__name__}"
+        )
+    for key in fields:
+        if key not in payload:
+            raise FormatError(f"{kind} file {path} is missing field '{key}'")
+    return payload
+
+
+def write_json(path, payload: dict, indent: Optional[int] = None) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=indent) + "\n")
 
 
 def load_embeddings(path) -> EmbeddingTable:
     """Parse an embedding CSV into a validated table."""
-    header, rows = _read_rows(path)
+    header, rows = read_csv(path)
     if header[: len(EMBEDDING_FIXED_COLUMNS)] != EMBEDDING_FIXED_COLUMNS:
         raise FormatError(
             f"{path}: header must start with {','.join(EMBEDDING_FIXED_COLUMNS)}"
@@ -225,10 +268,6 @@ def load_embeddings(path) -> EmbeddingTable:
 
     records = []
     for lineno, row in rows:
-        if len(row) != len(header):
-            raise FormatError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
         image_id, identity_id, role, target_id, gender, age_group = row[:6]
         try:
             vector = np.array([float(x) for x in row[6:]], dtype=np.float64)
@@ -252,33 +291,20 @@ def load_embeddings(path) -> EmbeddingTable:
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim or 0)])
-        for rec in table:
-            writer.writerow(
-                [
-                    rec.image_id,
-                    rec.identity_id,
-                    rec.role,
-                    rec.target_id or "",
-                    rec.gender,
-                    rec.age_group,
-                ]
-                + [repr(float(x)) for x in rec.vector]
-            )
+    rows = (
+        [rec.image_id, rec.identity_id, rec.role, rec.target_id or "", rec.gender,
+         rec.age_group, *rec.vector.tolist()]
+        for rec in table
+    )
+    write_csv(path, EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim or 0)], rows)
 
 
 def load_annotations(path) -> List[RawAnnotation]:
-    header, rows = _read_rows(path)
+    header, rows = read_csv(path)
     if header != ANNOTATION_COLUMNS:
         raise FormatError(f"{path}: header must be {','.join(ANNOTATION_COLUMNS)}")
     annotations = []
     for lineno, row in rows:
-        if len(row) != len(header):
-            raise FormatError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
         annotator_id, triplet_id, choice, is_dummy, dummy_answer = row
         if is_dummy.lower() not in ("true", "false", "0", "1"):
             raise FormatError(f"{path}:{lineno}: is_dummy must be boolean, got '{is_dummy}'")
@@ -298,30 +324,21 @@ def load_annotations(path) -> List[RawAnnotation]:
 
 
 def save_annotations(annotations: Sequence[RawAnnotation], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ANNOTATION_COLUMNS)
-        for ann in annotations:
-            writer.writerow(
-                [
-                    ann.annotator_id,
-                    ann.triplet_id,
-                    ann.choice,
-                    "true" if ann.is_dummy else "false",
-                    ann.dummy_answer or "",
-                ]
-            )
+    rows = (
+        [ann.annotator_id, ann.triplet_id, ann.choice, "true" if ann.is_dummy else "false",
+         ann.dummy_answer or ""]
+        for ann in annotations
+    )
+    write_csv(path, ANNOTATION_COLUMNS, rows)
 
 
 def load_manifest(path) -> Dict[str, Tuple[str, str, str]]:
     """Triplet manifest: triplet_id -> (ref_id, option_a_id, option_b_id)."""
-    header, rows = _read_rows(path)
+    header, rows = read_csv(path)
     if header != MANIFEST_COLUMNS:
         raise FormatError(f"{path}: header must be {','.join(MANIFEST_COLUMNS)}")
     manifest: Dict[str, Tuple[str, str, str]] = {}
     for lineno, row in rows:
-        if len(row) != 4:
-            raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
         triplet_id, ref_id, a_id, b_id = row
         if triplet_id in manifest:
             raise ValidationError(f"{path}:{lineno}: duplicate triplet_id '{triplet_id}'")
@@ -330,11 +347,7 @@ def load_manifest(path) -> Dict[str, Tuple[str, str, str]]:
 
 
 def save_manifest(manifest: Dict[str, Tuple[str, str, str]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        for triplet_id, (ref_id, a_id, b_id) in manifest.items():
-            writer.writerow([triplet_id, ref_id, a_id, b_id])
+    write_csv(path, MANIFEST_COLUMNS, ([t, *ids] for t, ids in manifest.items()))
 
 
 # ---------------------------------------------------------------------------

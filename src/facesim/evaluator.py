@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .corpus import EmbeddingTable, TripletSample
+from .corpus import EmbeddingTable, TripletSample, write_csv
 from .errors import EvaluationError
 from .metric import ProjectionModel, project_records, rowwise_cosine
 
@@ -54,10 +54,8 @@ def export_scatter(records: Sequence[PairRecord], path) -> None:
     """CSV of (similar, dissimilar) score pairs; x > y rows are the correct ones."""
     if not records:
         raise EvaluationError("no pair records to export")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("triplet_id,sim_pair_score,dissim_pair_score,correct\n")
-        for r in records:
-            fh.write(
-                f"{r.triplet_id},{r.sim_pair_score!r},{r.dissim_pair_score!r},"
-                f"{'true' if r.correct else 'false'}\n"
-            )
+    rows = (
+        [r.triplet_id, r.sim_pair_score, r.dissim_pair_score, "true" if r.correct else "false"]
+        for r in records
+    )
+    write_csv(path, ["triplet_id", "sim_pair_score", "dissim_pair_score", "correct"], rows)

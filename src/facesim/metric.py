@@ -7,11 +7,11 @@ under the untrained model equals base-embedding cosine similarity exactly.
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 import numpy as np
 
+from .corpus import read_json, write_json
 from .errors import DegenerateVectorError, FormatError, ValidationError
 
 MODEL_FORMAT_VERSION = "facesim-projection-1"
@@ -66,20 +66,11 @@ class ProjectionModel:
             "dim": self.dim,
             "weight": [float(x) for x in self._weight.reshape(-1)],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        write_json(path, payload)
 
     @classmethod
     def load(cls, path) -> "ProjectionModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"model file {path} is not valid JSON: {exc}") from exc
-        for key in ("version", "dim", "weight"):
-            if key not in payload:
-                raise FormatError(f"model file {path} is missing field '{key}'")
+        payload = read_json(path, "model", ("version", "dim", "weight"))
         dim = payload["dim"]
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise FormatError(
@@ -87,7 +78,7 @@ class ProjectionModel:
             )
         try:
             weight = np.asarray(payload["weight"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(
                 f"model file {path}: weight must be a list of numbers ({exc})"
             ) from exc

@@ -6,6 +6,7 @@ gap between the reference/minority cosine and the reference/majority cosine.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
@@ -13,7 +14,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import evaluator
-from .corpus import EmbeddingTable, TripletSample
+from .corpus import EmbeddingTable, TripletSample, write_csv
 from .errors import DegenerateVectorError, DivergenceError, ValidationError
 from .metric import ProjectionModel, cosine
 
@@ -51,12 +52,11 @@ class TrainHistory:
     active_fraction: List[float] = field(default_factory=list)
 
     def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("epoch,mean_loss,val_accuracy,active_fraction\n")
-            for i, (loss, acc, frac) in enumerate(
-                zip(self.mean_loss, self.val_accuracy, self.active_fraction), start=1
-            ):
-                fh.write(f"{i},{loss!r},{acc!r},{frac!r}\n")
+        write_csv(
+            path,
+            ["epoch", "mean_loss", "val_accuracy", "active_fraction"],
+            zip(itertools.count(1), self.mean_loss, self.val_accuracy, self.active_fraction),
+        )
 
 
 def triplet_loss(x: np.ndarray, x_plus: np.ndarray, x_minus: np.ndarray, margin: float) -> float:

@@ -156,6 +156,13 @@ class TestPipeline:
             assert bottom == rec["candidates"]
 
     def test_distances_csv_equals_group_distance(self, clustered_dir, tmp_path):
+        self._check_distances_csv(clustered_dir, tmp_path, use_t=False)
+
+    def test_distances_csv_honours_student_t(self, clustered_dir, tmp_path):
+        self._check_distances_csv(clustered_dir, tmp_path, use_t=True)
+
+    @staticmethod
+    def _check_distances_csv(clustered_dir, tmp_path, use_t):
         model_path = tmp_path / "model.json"
         rng = np.random.default_rng(8)
         ProjectionModel(np.eye(8) + 0.1 * rng.normal(size=(8, 8))).save(model_path)
@@ -164,7 +171,8 @@ class TestPipeline:
                         "--candidates", str(clustered_dir / "candidates.csv"),
                         "--queries", str(clustered_dir / "queries.csv"),
                         "--report", str(tmp_path / "attr.json"),
-                        "--distances", str(distances)]) == 0
+                        "--distances", str(distances)]
+                       + (["--student-t"] if use_t else [])) == 0
         model = ProjectionModel.load(model_path)
         groups = attributes.build_groups(
             list(corpus.load_embeddings(clustered_dir / "candidates.csv"))
@@ -174,7 +182,9 @@ class TestPipeline:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(queries) * len(attributes.ALL_GROUPS)
         for row in rows:
-            r = attributes.group_distance(model, queries[row["query_id"]], groups[row["group"]])
+            r = attributes.group_distance(
+                model, queries[row["query_id"]], groups[row["group"]], use_t=use_t
+            )
             assert (int(row["n"]), float(row["mean_d"]), float(row["sd_d"]),
                     float(row["upper"])) == (r.n, r.mean_d, r.sd_d, r.upper)
 
@@ -190,6 +200,75 @@ class TestPipeline:
                         "--query-id", query_id, "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert [r["query_id"] for r in payload["recommendations"]] == [query_id]
+
+
+def _invalid_utf8(data: bytes) -> bytes:
+    return data[:40] + b"\xff\xfe" + data[40:]
+
+
+def _oversized_field(data: bytes) -> bytes:
+    """The first row's first field replaced by one over the csv module's field limit."""
+    header, rest = data.split(b"\n", 1)
+    return header + b"\n" + b"x" * 200_000 + rest[rest.index(b","):]
+
+
+def _rewrite_ids(path, columns, suffix):
+    """Append `suffix` to every value of `columns` in the CSV at `path`."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+        fields = list(rows[0])
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows({k: v + suffix if k in columns else v for k, v in r.items()}
+                         for r in rows)
+
+
+class TestCsvQuoting:
+    SUFFIX = ',"x'
+
+    def _rows(self, path, id_column):
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            rows = list(reader)
+        assert rows and all(len(r) == len(header) for r in rows)
+        ids = [r[header.index(id_column)] for r in rows]
+        assert all(i.endswith(self.SUFFIX) for i in ids)
+        return ids
+
+    def test_ids_with_comma_and_quote_stay_one_field(self, tmp_path):
+        planted = tmp_path / "planted"
+        synth.planted(seed=21, n_triplets=60, dim=8, data_subspace=6, truth_rank=2).write(planted)
+        for name in ("manifest.csv", "annotations.csv"):
+            _rewrite_ids(planted / name, {"triplet_id"}, self.SUFFIX)
+        clustered = tmp_path / "clustered"
+        synth.clustered_attributes(seed=6, per_cluster=20, n_queries=6, dim=8).write(clustered)
+        for name in ("candidates.csv", "queries.csv"):
+            _rewrite_ids(clustered / name, {"image_id"}, self.SUFFIX)
+        model = tmp_path / "identity.json"
+        ProjectionModel.identity(8).save(model)
+
+        scatter = tmp_path / "scatter.csv"
+        assert cli.run(["eval-triplets", *corpus_args(planted), "--model", str(model),
+                        "--report", str(tmp_path / "eval.json"),
+                        "--scatter", str(scatter)]) == 0
+        manifest = corpus.load_manifest(planted / "manifest.csv")
+        assert set(self._rows(scatter, "triplet_id")) <= set(manifest)
+
+        common = ["--model", str(model), "--candidates", str(clustered / "candidates.csv")]
+        distances, ranking = tmp_path / "distances.csv", tmp_path / "ranking.csv"
+        assert cli.run(["eval-attributes", *common, "--queries", str(clustered / "queries.csv"),
+                        "--report", str(tmp_path / "attr.json"),
+                        "--distances", str(distances)]) == 0
+        assert cli.run(["select", *common, "--query", str(clustered / "queries.csv"),
+                        "--out", str(tmp_path / "select.json"),
+                        "--ranking", str(ranking)]) == 0
+        queries = {q.image_id for q in corpus.load_embeddings(clustered / "queries.csv")}
+        candidates = {c.image_id for c in corpus.load_embeddings(clustered / "candidates.csv")}
+        assert set(self._rows(distances, "query_id")) == queries
+        assert set(self._rows(ranking, "query_id")) == queries
+        assert set(self._rows(ranking, "image_id")) <= candidates
 
 
 class TestDeterminism:
@@ -225,6 +304,35 @@ class TestExitCodes:
         bad.write_text("image_id,identity_id\nx,y\n")
         assert cli.run(["ingest", "--embeddings", str(bad)]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "arg, mutate",
+        [
+            ("model", lambda data: b"5\n"),
+            ("model", lambda data: b"[" * 100_000),
+            ("model", _invalid_utf8),
+            ("partition", _invalid_utf8),
+            ("embeddings", _invalid_utf8),
+            ("annotations", _invalid_utf8),
+            ("embeddings", _oversized_field),
+        ],
+        ids=["model-not-object", "model-nested-too-deep", "model-not-utf8", "partition-not-utf8",
+             "embeddings-not-utf8", "annotations-not-utf8", "oversized-field"],
+    )
+    def test_unreadable_input_is_3(self, planted_dir, tmp_path, capsys, arg, mutate):
+        files = {name: planted_dir / f"{name}.csv"
+                 for name in ("embeddings", "manifest", "annotations")}
+        files["model"], files["partition"] = tmp_path / "model.json", tmp_path / "partition.json"
+        ProjectionModel.identity(8).save(files["model"])
+        assert cli.run(["split", *corpus_args(planted_dir), "--mode", "i",
+                        "--out", str(files["partition"])]) == 0
+        bad = tmp_path / f"bad{files[arg].suffix}"
+        bad.write_bytes(mutate(files[arg].read_bytes()))
+        files[arg] = bad
+        code = cli.run(["train", *(f"--{k}={v}" for k, v in files.items()),
+                        "--epochs", "1", "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        assert str(bad) in capsys.readouterr().err
 
     def test_divergence_is_4(self, planted_dir, tmp_path, capsys):
         code = cli.run(["train", *corpus_args(planted_dir), "--epochs", "50",

@@ -14,26 +14,29 @@ from facesim.errors import (
 from conftest import make_annotation, make_record
 
 
-def write_embeddings(path, rows, dim=4):
+def write_embeddings(path, rows, dim=4, newline="\n"):
     header = ",".join(corpus.EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(dim)])
-    path.write_text(header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
+    path.write_bytes(newline.join([header, *rows, ""]).encode("utf-8"))
 
 
 class TestLoadEmbeddings:
     def test_parses_rows(self, tmp_path):
         path = tmp_path / "emb.csv"
-        write_embeddings(
-            path,
-            [
-                "s01,idA,swapped,t1,male,young,1,0,0,0",
-                "s02,idB,swapped,t1,female,older,0,1,0,0",
-                "s03,idC,source,,male,young,0,0,1,0",
-            ],
-        )
-        table = corpus.load_embeddings(path)
-        assert len(table) == 3 and table.dim == 4
-        assert table["s01"].identity_id == "idA"
-        assert table["s03"].target_id is None
+        # "\r\n" line ends are what earlier releases wrote
+        for newline in ("\n", "\r\n"):
+            write_embeddings(
+                path,
+                [
+                    "s01,idA,swapped,t1,male,young,1,0,0,0",
+                    "s02,idB,swapped,t1,female,older,0,1,0,0",
+                    "s03,idC,source,,male,young,0,0,1,0",
+                ],
+                newline=newline,
+            )
+            table = corpus.load_embeddings(path)
+            assert len(table) == 3 and table.dim == 4
+            assert table["s01"].identity_id == "idA"
+            assert table["s03"].target_id is None
 
     def test_dimension_mismatch_reports_line(self, tmp_path):
         path = tmp_path / "emb.csv"
