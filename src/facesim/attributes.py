@@ -17,6 +17,11 @@ from .metric import ProjectionModel, project_records, rowwise_cosine
 INTERSECTION_GROUPS = ("older_female", "older_male", "young_female", "young_male")
 UNION_GROUPS = ("female", "male", "older", "young")
 ALL_GROUPS = INTERSECTION_GROUPS + UNION_GROUPS
+TASK_CATEGORIES = {
+    "gender": ("female", "male"),
+    "age": ("older", "young"),
+    "four-way": INTERSECTION_GROUPS,
+}
 
 Z_95 = 1.96
 
@@ -125,29 +130,37 @@ def build_groups(
     return groups
 
 
-def project_group(model: ProjectionModel, group: AttributeGroup) -> np.ndarray:
-    """The projected rows of a group's members, in member order."""
-    if len(group) == 0:
-        raise ValidationError(f"attribute group '{group.name}' is empty")
-    return project_records(model, group.members)
+def similarity_table(
+    model: ProjectionModel,
+    queries: Sequence[EmbeddingRecord],
+    groups: Sequence[AttributeGroup],
+) -> List[List[np.ndarray]]:
+    """Cosine similarity of each query to each group's members: table[q][g][m].
+
+    Every group and every query is projected once. Cosines are row-local, so
+    an entry does not depend on the other queries or groups in the call.
+    """
+    for group in groups:
+        if len(group) == 0:
+            raise ValidationError(f"attribute group '{group.name}' is empty")
+    rows = [project_records(model, g.members) for g in groups]
+    return [
+        [rowwise_cosine(q_row[None], r) for r in rows]
+        for q_row in project_records(model, queries)
+    ]
 
 
 def _group_result(
-    group: AttributeGroup,
-    rows: np.ndarray,
-    query: EmbeddingRecord,
-    q_row: np.ndarray,
-    use_t: bool,
+    group: AttributeGroup, sims: np.ndarray, query: EmbeddingRecord, use_t: bool
 ) -> GroupDistanceResult:
-    """`group_distance` from the projected rows of the group and of the query."""
+    """`group_distance` from the query's similarities to the group's members."""
     # a query never measures its own candidate entry
     keep = [m.image_id != query.image_id for m in group.members]
     if not any(keep):
         raise ValidationError(
             f"group '{group.name}' holds only the query image '{query.image_id}'"
         )
-    ds = 1.0 - rowwise_cosine(q_row[None], rows[keep])
-    return summarize_distances(group.name, ds.tolist(), use_t=use_t)
+    return summarize_distances(group.name, (1.0 - sims[keep]).tolist(), use_t=use_t)
 
 
 def group_distance(
@@ -171,11 +184,10 @@ def group_distances(
     groups: Sequence[AttributeGroup],
     use_t: bool = False,
 ) -> List[List[GroupDistanceResult]]:
-    """`group_distance` of each query to each group, projecting every record once."""
-    rows = [project_group(model, g) for g in groups]
+    """`group_distance` of each query to each group, from one `similarity_table`."""
     return [
-        [_group_result(g, r, query, q_row, use_t) for g, r in zip(groups, rows)]
-        for query, q_row in zip(queries, project_records(model, queries))
+        [_group_result(g, sims, query, use_t) for g, sims in zip(groups, row)]
+        for query, row in zip(queries, similarity_table(model, queries, groups))
     ]
 
 
@@ -218,19 +230,6 @@ def classify_query(
     return _closest(group_distances(model, [query], groups, use_t=use_t)[0])
 
 
-def classify_projected(
-    query: EmbeddingRecord,
-    q_row: np.ndarray,
-    groups: Sequence[AttributeGroup],
-    rows: Sequence[np.ndarray],
-    use_t: bool = False,
-) -> str:
-    """`classify_query` from projected rows: q_row for the query, rows[i] for groups[i]."""
-    return _closest(
-        [_group_result(g, r, query, q_row, use_t) for g, r in zip(groups, rows)]
-    )
-
-
 def _closest(results: Sequence[GroupDistanceResult]) -> str:
     """Group with minimal CI upper bound; ties break lexicographically by name."""
     return min((r.upper, r.group) for r in results)[1]
@@ -264,6 +263,13 @@ def _true_category(record: EmbeddingRecord, task: str) -> str:
     raise ValidationError(f"unknown task '{task}'")
 
 
+def task_categories(task: str) -> List[str]:
+    """The groups an attribute task classifies among."""
+    if task not in TASK_CATEGORIES:
+        raise ValidationError(f"unknown task '{task}'")
+    return list(TASK_CATEGORIES[task])
+
+
 def evaluate_classification(
     model: ProjectionModel,
     queries: Sequence[EmbeddingRecord],
@@ -277,17 +283,23 @@ def evaluate_classification(
     intersection groups. The AUC score for a category is the negated
     CI-upper-bound distance to that category's group.
     """
-    if task == "gender":
-        categories = ["female", "male"]
-    elif task == "age":
-        categories = ["older", "young"]
-    elif task == "four-way":
-        categories = list(INTERSECTION_GROUPS)
-    else:
-        raise ValidationError(f"unknown task '{task}'")
+    candidates = [groups[c] for c in task_categories(task)]
+    table = group_distances(model, queries, candidates, use_t=use_t)
+    return classification_report(task, queries, table)
+
+
+def classification_report(
+    task: str,
+    queries: Sequence[EmbeddingRecord],
+    table: Sequence[Sequence[GroupDistanceResult]],
+) -> ClassificationReport:
+    """The `evaluate_classification` report from the queries' `group_distances` table.
+
+    Groups in the table outside the task's categories are ignored.
+    """
+    categories = task_categories(task)
     if not queries:
         raise EvaluationError("no query records")
-    candidate_groups = [groups[c] for c in categories]
 
     truths: List[str] = []
     for query in queries:
@@ -300,8 +312,8 @@ def evaluate_classification(
 
     confusion: Dict[Tuple[str, str], int] = {}
     neg_distance: Dict[str, List[float]] = {c: [] for c in categories}
-    table = group_distances(model, queries, candidate_groups, use_t=use_t)
     for truth, results in zip(truths, table):
+        results = [r for r in results if r.group in neg_distance]
         for r in results:
             neg_distance[r.group].append(-r.upper)
         predicted = _closest(results)

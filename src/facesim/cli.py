@@ -10,6 +10,7 @@ divergence, 5 infeasible split.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import statistics
 import sys
 from typing import List, Optional
@@ -50,9 +51,7 @@ def _load_samples(args) -> tuple:
     manifest = corpus.load_manifest(args.manifest)
     annotations = corpus.load_annotations(args.annotations)
     valid = corpus.validate_annotators(annotations)
-    samples = corpus.aggregate_triplets(
-        manifest, annotations, valid, min_votes=getattr(args, "min_votes", 3)
-    )
+    samples = corpus.aggregate_triplets(manifest, annotations, valid, min_votes=args.min_votes)
     return table, samples
 
 
@@ -129,14 +128,7 @@ def cmd_train(args) -> int:
     else:
         model = ProjectionModel.identity(table.dim)
     config = trainer.TrainConfig(
-        learning_rate=args.learning_rate,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        margin=args.margin,
-        epochs=args.epochs,
-        seed=args.seed,
-        shuffle=not args.no_shuffle,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(trainer.TrainConfig)}
     )
     trained, history = trainer.train(model, train_samples, val_samples, table, config)
     trained.save(args.out)
@@ -182,15 +174,13 @@ def cmd_eval_attributes(args) -> int:
     groups = attributes.build_groups(
         list(candidates), per_intersection=args.per_group, seed=args.seed
     )
-    report = attributes.evaluate_classification(
-        model, queries, groups, args.task, use_t=args.student_t
+    names = attributes.ALL_GROUPS if args.distances else attributes.task_categories(args.task)
+    table = attributes.group_distances(
+        model, queries, [groups[name] for name in names], use_t=args.student_t
     )
+    report = attributes.classification_report(args.task, queries, table)
     _write_report(args.report, args, report.to_json())
     if args.distances:
-        table = attributes.group_distances(
-            model, queries, [groups[name] for name in attributes.ALL_GROUPS],
-            use_t=args.student_t,
-        )
         rows = (
             [query.image_id, r.group, r.n, r.mean_d, r.sd_d, r.upper]
             for query, results in zip(queries, table)
@@ -282,12 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"facesim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    train_defaults = trainer.TrainConfig()
 
     def add_corpus_inputs(p):
         p.add_argument("--embeddings", required=True)
         p.add_argument("--manifest", required=True)
         p.add_argument("--annotations", required=True)
-        p.add_argument("--min-votes", type=int, default=3, dest="min_votes")
+        p.add_argument("--min-votes", type=int, default=corpus.MIN_VALID_VOTES, dest="min_votes")
 
     p = sub.add_parser("ingest", help="parse and validate an embedding table")
     p.add_argument("--embeddings", required=True)
@@ -302,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="build a source/target-aware evaluation split")
     add_corpus_inputs(p)
     p.add_argument("--mode", required=True, choices=["i", "ii", "iii"])
-    p.add_argument("--ratios", type=float, nargs=3, default=[0.7, 0.1, 0.2])
+    p.add_argument("--ratios", type=float, nargs=3, default=corpus.DEFAULT_SPLIT_RATIOS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
@@ -314,14 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="initial model (default: identity)")
     p.add_argument("--out", required=True)
     p.add_argument("--history", help="per-epoch CSV")
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=5e-4)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--margin", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-shuffle", action="store_true")
+    p.add_argument("--learning-rate", type=float, default=train_defaults.learning_rate)
+    p.add_argument("--momentum", type=float, default=train_defaults.momentum)
+    p.add_argument("--weight-decay", type=float, default=train_defaults.weight_decay)
+    p.add_argument("--batch-size", type=int, default=train_defaults.batch_size)
+    p.add_argument("--margin", type=float, default=train_defaults.margin)
+    p.add_argument("--epochs", type=int, default=train_defaults.epochs)
+    p.add_argument("--seed", type=int, default=train_defaults.seed)
+    p.add_argument("--no-shuffle", action="store_false", dest="shuffle")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval-triplets", help="pair accuracy on consistent samples")
@@ -366,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference audit of the loss gradient")
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--probes", type=int, default=20)
-    p.add_argument("--margin", type=float, default=0.1)
+    p.add_argument("--margin", type=float, default=train_defaults.margin)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)

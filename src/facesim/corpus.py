@@ -266,28 +266,30 @@ def load_embeddings(path) -> EmbeddingTable:
     if dim == 0 or vector_cols != expected:
         raise FormatError(f"{path}: vector columns must be v0..v{{d-1}}, got {vector_cols}")
 
-    records = []
-    for lineno, row in rows:
-        image_id, identity_id, role, target_id, gender, age_group = row[:6]
-        try:
-            vector = np.array([float(x) for x in row[6:]], dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad vector component ({exc})") from exc
-        try:
-            records.append(
-                EmbeddingRecord(
-                    image_id=image_id,
-                    identity_id=identity_id,
-                    role=role,
-                    target_id=target_id or None,
-                    gender=gender or "unknown",
-                    age_group=age_group or "unknown",
-                    vector=vector,
-                )
+    lineno = 0
+
+    def records():
+        nonlocal lineno
+        for lineno, row in rows:
+            image_id, identity_id, role, target_id, gender, age_group = row[:6]
+            try:
+                vector = np.array([float(x) for x in row[6:]], dtype=np.float64)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: bad vector component ({exc})") from exc
+            yield EmbeddingRecord(
+                image_id=image_id,
+                identity_id=identity_id,
+                role=role,
+                target_id=target_id or None,
+                gender=gender or "unknown",
+                age_group=age_group or "unknown",
+                vector=vector,
             )
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return EmbeddingTable(records)
+
+    try:
+        return EmbeddingTable(records())
+    except ValidationError as exc:  # an invalid or duplicate record, on the line last read
+        raise ValidationError(f"{path}:{lineno}: {exc}") from exc
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
@@ -482,12 +484,11 @@ def split_eval(
     rng = random.Random(seed)
 
     if mode in ("i", "ii"):
-        partition = _split_by_target(admitted, keys, mode, ratios, rng)
+        splits = _split_by_target(admitted, keys, mode, ratios, rng)
     else:
-        partition = _split_mode_iii(admitted, keys, ratios, rng)
-    partition.mode = mode
-    partition.seed = seed
-    partition.ratios = tuple(ratios)
+        splits = _split_mode_iii(admitted, keys, ratios, rng)
+    train, val, test = (sorted(s.triplet_id for s in split) for split in splits)
+    partition = DatasetPartition(mode, seed, tuple(ratios), train, val, test)
 
     violations = audit_partition(admitted, table, partition)
     if violations:
@@ -497,7 +498,7 @@ def split_eval(
     return partition
 
 
-def _split_by_target(admitted, keys, mode, ratios, rng) -> DatasetPartition:
+def _split_by_target(admitted, keys, mode, ratios, rng) -> Tuple[List[TripletSample], ...]:
     by_target: Dict[str, List[TripletSample]] = {}
     for s in admitted:
         by_target.setdefault(keys[s.triplet_id][0], []).append(s)
@@ -540,17 +541,10 @@ def _split_by_target(admitted, keys, mode, ratios, rng) -> DatasetPartition:
             raise InfeasibleSplitError(
                 "mode [ii]: no candidate test triplet has all its source identities in train"
             )
-    return DatasetPartition(
-        mode=mode,
-        seed=0,
-        ratios=tuple(ratios),
-        train=sorted(s.triplet_id for s in train),
-        val=sorted(s.triplet_id for s in val),
-        test=sorted(s.triplet_id for s in test),
-    )
+    return train, val, test
 
 
-def _split_mode_iii(admitted, keys, ratios, rng) -> DatasetPartition:
+def _split_mode_iii(admitted, keys, ratios, rng) -> Tuple[List[TripletSample], ...]:
     targets = {keys[s.triplet_id][0] for s in admitted}
     if len(targets) < 2:
         raise InfeasibleSplitError(
@@ -612,14 +606,7 @@ def _split_mode_iii(admitted, keys, ratios, rng) -> DatasetPartition:
                 covered[t] -= 1
         else:
             remaining.append(s)
-    return DatasetPartition(
-        mode="iii",
-        seed=0,
-        ratios=tuple(ratios),
-        train=sorted(s.triplet_id for s in remaining),
-        val=sorted(s.triplet_id for s in val),
-        test=sorted(s.triplet_id for s in test),
-    )
+    return remaining, val, test
 
 
 def audit_partition(

@@ -20,7 +20,7 @@ MODEL_FORMAT_VERSION = "facesim-projection-1"
 class ProjectionModel:
     """Immutable d x d linear map over base embeddings."""
 
-    def __init__(self, weight: np.ndarray, version: str = MODEL_FORMAT_VERSION):
+    def __init__(self, weight: np.ndarray):
         weight = np.asarray(weight, dtype=np.float64)
         if weight.ndim != 2 or weight.shape[0] != weight.shape[1]:
             raise ValidationError(f"projection weight must be square, got shape {weight.shape}")
@@ -28,7 +28,6 @@ class ProjectionModel:
             raise ValidationError("projection weight contains non-finite entries")
         self._weight = weight.copy()
         self._weight.setflags(write=False)
-        self.version = version
 
     @property
     def weight(self) -> np.ndarray:
@@ -41,9 +40,6 @@ class ProjectionModel:
     @classmethod
     def identity(cls, dim: int) -> "ProjectionModel":
         return cls(np.eye(dim))
-
-    def with_weight(self, weight: np.ndarray) -> "ProjectionModel":
-        return ProjectionModel(weight, version=self.version)
 
     def project_block(self, block: np.ndarray, ids: Sequence[str]) -> np.ndarray:
         """Project an (n, d) block of rows, row i holding the vector of record ids[i].
@@ -62,7 +58,7 @@ class ProjectionModel:
 
     def save(self, path) -> None:
         payload = {
-            "version": self.version,
+            "version": MODEL_FORMAT_VERSION,
             "dim": self.dim,
             "weight": [float(x) for x in self._weight.reshape(-1)],
         }
@@ -91,14 +87,10 @@ class ProjectionModel:
                 f"model file {path} has unknown format version {payload['version']!r},"
                 f" expected {MODEL_FORMAT_VERSION!r}"
             )
-        return cls(weight.reshape(dim, dim), version=payload["version"])
+        return cls(weight.reshape(dim, dim))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ProjectionModel)
-            and self.version == other.version
-            and np.array_equal(self._weight, other._weight)
-        )
+        return isinstance(other, ProjectionModel) and np.array_equal(self._weight, other._weight)
 
 
 def project(model: ProjectionModel, v: np.ndarray) -> np.ndarray:

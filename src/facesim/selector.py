@@ -12,13 +12,14 @@ from .attributes import (
     ALL_GROUPS,
     INTERSECTION_GROUPS,
     AttributeGroup,
-    classify_projected,
+    _closest,
+    _group_result,
     classify_query,
-    project_group,
+    similarity_table,
 )
 from .corpus import EmbeddingRecord
 from .errors import ValidationError
-from .metric import ProjectionModel, project_records, rowwise_cosine
+from .metric import ProjectionModel
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,9 @@ def select_group(
 
 
 def _rank(
-    query: EmbeddingRecord, q_row: np.ndarray, group: AttributeGroup, rows: np.ndarray
+    query: EmbeddingRecord, group: AttributeGroup, sims: np.ndarray
 ) -> List[RankedCandidate]:
-    """`rank_candidates` from the projected rows of the query and of the group."""
+    """`rank_candidates` from the query's similarities to the group's members."""
     eligible = [
         i
         for i, m in enumerate(group.members)
@@ -85,9 +86,8 @@ def _rank(
             f"group '{group.name}' has no candidates distinct from query"
             f" '{query.image_id}'"
         )
-    sims = rowwise_cosine(q_row[None], rows[eligible]).tolist()
     scored = sorted(
-        zip(sims, (group.members[i].image_id for i in eligible)),
+        zip(sims[eligible].tolist(), (group.members[i].image_id for i in eligible)),
         key=lambda pair: (-pair[0], pair[1]),
     )
     return [
@@ -106,7 +106,7 @@ def rank_candidates(
     The query's own image and any candidate sharing its identity are excluded
     from candidacy. Ties order by image_id.
     """
-    return _rank(query, project_records(model, [query])[0], group, project_group(model, group))
+    return _rank(query, group, similarity_table(model, [query], [group])[0][0])
 
 
 def recommend_batch(
@@ -118,16 +118,17 @@ def recommend_batch(
 ) -> List[Tuple[Recommendation, List[RankedCandidate]]]:
     """Each query's `recommend` result and the full ranking of its selected group.
 
-    Every candidate group and every query is projected once.
+    One `similarity_table` row per query serves both the group choice and the
+    ranking of the chosen group.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     candidates = _mode_groups(groups, group_mode)
-    rows = {g.name: project_group(model, g) for g in candidates}
     results = []
-    for query, q_row in zip(queries, project_records(model, queries)):
-        selected = classify_projected(query, q_row, candidates, list(rows.values()))
-        ranking = _rank(query, q_row, groups[selected], rows[selected])
+    for query, row in zip(queries, similarity_table(model, queries, candidates)):
+        sims = {g.name: s for g, s in zip(candidates, row)}
+        selected = _closest([_group_result(g, sims[g.name], query, False) for g in candidates])
+        ranking = _rank(query, groups[selected], sims[selected])
         recommendation = Recommendation(
             query_id=query.image_id,
             selected_group=selected,

@@ -26,6 +26,10 @@ from .errors import ValidationError
 from .metric import ProjectionModel
 
 ANNOTATORS = ("p1", "p2", "p3")
+LABEL_GAP = 0.25  # least hidden-cosine gap between a planted triplet's two options
+PRIVATE_POOL = 8  # source identities owned by each planted target
+SHARED_POOL = 24  # source identities every planted target draws from
+CLUSTER_SPREAD = 0.12  # per-component SD of a clustered-attributes sample around its mean
 
 
 @dataclass
@@ -61,10 +65,7 @@ def planted(
     dim: int = 32,
     data_subspace: int = 12,
     truth_rank: int = 2,
-    label_gap: float = 0.25,
     n_targets: int = 8,
-    private_pool: int = 8,
-    shared_pool: int = 24,
     noise_fraction: float = 0.0,
 ) -> PlantedCorpus:
     """Triplets over random vectors, labeled by a hidden low-rank metric.
@@ -73,7 +74,7 @@ def planted(
     hidden metric is a rank-`truth_rank` map inside it, so the planted ordering
     is recoverable from a few hundred triplets while agreeing with the base
     cosine ordering only weakly. Triplets whose two options are closer than
-    `label_gap` under the hidden metric are resampled, keeping labels
+    `LABEL_GAP` under the hidden metric are resampled, keeping labels
     unambiguous.
 
     Each target owns a private source pool and also draws from one shared pool,
@@ -84,8 +85,6 @@ def planted(
         raise ValidationError("invalid planted-corpus sizes")
     if not 0.0 <= noise_fraction <= 1.0:
         raise ValidationError("noise_fraction must be in [0, 1]")
-    if not 0.0 <= label_gap < 2.0:
-        raise ValidationError("label_gap must be in [0, 2)")
     rng = np.random.default_rng(seed)
 
     basis, _ = np.linalg.qr(rng.normal(size=(dim, data_subspace)))
@@ -93,8 +92,8 @@ def planted(
     truth[:truth_rank, :] = rng.normal(size=(truth_rank, data_subspace)) @ basis.T
 
     targets = [f"t{i:03d}" for i in range(n_targets)]
-    shared = [f"shared{i:03d}" for i in range(shared_pool)]
-    private = {t: [f"{t}_src{i:02d}" for i in range(private_pool)] for t in targets}
+    shared = [f"shared{i:03d}" for i in range(SHARED_POOL)]
+    private = {t: [f"{t}_src{i:02d}" for i in range(PRIVATE_POOL)] for t in targets}
 
     records: List[EmbeddingRecord] = []
     manifest: Dict[str, Tuple[str, str, str]] = {}
@@ -115,7 +114,7 @@ def planted(
             vectors = [basis @ rng.normal(size=data_subspace) for _ in range(3)]
             sim_a = hidden_cos(vectors[0], vectors[1])
             sim_b = hidden_cos(vectors[0], vectors[2])
-            if abs(sim_a - sim_b) >= label_gap:
+            if abs(sim_a - sim_b) >= LABEL_GAP:
                 break
         image_ids = []
         for part, source, vec in zip(("c", "a", "b"), sources, vectors):
@@ -185,7 +184,6 @@ def clustered_attributes(
     per_cluster: int = 100,
     n_queries: int = 200,
     dim: int = 32,
-    spread: float = 0.12,
 ) -> ClusteredCorpus:
     """Four well-separated Gaussian clusters, one per intersection attribute."""
     if per_cluster < 1 or n_queries < 4 or dim < 4:
@@ -195,7 +193,7 @@ def clustered_attributes(
     means = basis.T  # 4 orthonormal mean directions
 
     def sample(mean):
-        return mean + spread * rng.normal(size=dim)
+        return mean + CLUSTER_SPREAD * rng.normal(size=dim)
 
     candidates = []
     for c, (age, gender) in enumerate(_CLUSTER_LABELS):

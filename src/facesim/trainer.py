@@ -188,5 +188,5 @@ def train(
         else:
             history.val_accuracy.append(float("nan"))
 
-    final = model if config.epochs == 0 else ProjectionModel(weight, version=model.version)
+    final = model if config.epochs == 0 else ProjectionModel(weight)
     return final, history

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from facesim import attributes, cli, corpus, synth
+from facesim import attributes, cli, corpus, synth, trainer
 from facesim.metric import ProjectionModel
 
 
@@ -188,6 +189,37 @@ class TestPipeline:
             assert (int(row["n"]), float(row["mean_d"]), float(row["sd_d"]),
                     float(row["upper"])) == (r.n, r.mean_d, r.sd_d, r.upper)
 
+    def test_distances_score_each_query_against_each_group_once(
+        self, clustered_dir, tmp_path, monkeypatch
+    ):
+        scored, projected = [], []
+
+        def counting(fn, log):
+            def wrapper(*args):
+                result = fn(*args)
+                log.append(len(result))
+                return result
+            return wrapper
+
+        monkeypatch.setattr(attributes, "rowwise_cosine",
+                            counting(attributes.rowwise_cosine, scored))
+        monkeypatch.setattr(attributes, "project_records",
+                            counting(attributes.project_records, projected))
+        model = tmp_path / "identity.json"
+        ProjectionModel.identity(8).save(model)
+        assert cli.run(["eval-attributes", "--model", str(model),
+                        "--candidates", str(clustered_dir / "candidates.csv"),
+                        "--queries", str(clustered_dir / "queries.csv"),
+                        "--report", str(tmp_path / "attr.json"),
+                        "--distances", str(tmp_path / "distances.csv")]) == 0
+        groups = attributes.build_groups(
+            list(corpus.load_embeddings(clustered_dir / "candidates.csv"))
+        )
+        sizes = [len(groups[name]) for name in attributes.ALL_GROUPS]
+        n_queries = len(corpus.load_embeddings(clustered_dir / "queries.csv"))
+        assert scored == sizes * n_queries
+        assert projected == sizes + [n_queries]
+
     def test_select_single_query_id(self, clustered_dir, tmp_path):
         model = tmp_path / "identity.json"
         ProjectionModel.identity(8).save(model)
@@ -269,6 +301,20 @@ class TestCsvQuoting:
         assert set(self._rows(distances, "query_id")) == queries
         assert set(self._rows(ranking, "query_id")) == queries
         assert set(self._rows(ranking, "image_id")) <= candidates
+
+
+class TestDefaults:
+    def test_parser_defaults_come_from_the_library(self):
+        parser = cli.build_parser()
+        inputs = ["--embeddings", "e.csv", "--manifest", "m.csv", "--annotations", "a.csv",
+                  "--out", "out.json"]
+        train = parser.parse_args(["train", *inputs])
+        assert trainer.TrainConfig(**{
+            f.name: getattr(train, f.name) for f in dataclasses.fields(trainer.TrainConfig)
+        }) == trainer.TrainConfig()
+        split = parser.parse_args(["split", *inputs, "--mode", "i"])
+        assert tuple(split.ratios) == corpus.DEFAULT_SPLIT_RATIOS
+        assert train.min_votes == split.min_votes == corpus.MIN_VALID_VOTES
 
 
 class TestDeterminism:

@@ -53,7 +53,7 @@ class TestLoadEmbeddings:
             path,
             ["s01,idA,swapped,t1,male,young,1,0,0,0", "s01,idB,swapped,t1,male,young,0,1,0,0"],
         )
-        with pytest.raises(ValidationError, match="s01"):
+        with pytest.raises(ValidationError, match=r"emb\.csv:3: duplicate image_id 's01'"):
             corpus.load_embeddings(path)
 
     def test_zero_vector_rejected(self, tmp_path):

@@ -1,9 +1,10 @@
 """The file formats live in one module, and no malformed input file escapes the CLI.
 
 `corpus.read_csv`, `write_csv`, `read_json` and `write_json` are the only
-code in the package that opens files or uses `csv`/`json`; the fuzz test
-mutates valid corpus, partition and model files and requires `cli.run` to
-answer every mutation with a documented exit code instead of an exception.
+code in the package that opens files or uses `csv`/`json`; the fuzz tests
+mutate valid corpus, partition, model, candidate and query files and require
+`cli.run` to answer every mutation with a documented exit code instead of an
+exception.
 """
 
 import ast
@@ -150,3 +151,39 @@ def test_mutated_inputs_exit_with_a_documented_code(valid_inputs, data):
                     "--out", str(work / "trained.json")]) in DOCUMENTED_EXITS
     assert cli.run(["eval-triplets", *common,
                     "--report", str(work / "report.json")]) in DOCUMENTED_EXITS
+
+
+CLUSTERED_FILES = ("candidates.csv", "queries.csv", "model.json")
+
+
+@pytest.fixture(scope="module")
+def clustered_inputs(tmp_path_factory):
+    """Valid candidate, query and model files of `eval-attributes` and `select`, as bytes."""
+    src = tmp_path_factory.mktemp("clustered")
+    synth.clustered_attributes(seed=5, per_cluster=6, n_queries=8, dim=4).write(src)
+    ProjectionModel.identity(4).save(src / "model.json")
+    files = {name: (src / name).read_bytes() for name in CLUSTERED_FILES}
+    return files, tmp_path_factory.mktemp("fuzz-clustered")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_attribute_inputs_exit_with_a_documented_code(clustered_inputs, data):
+    files, work = clustered_inputs
+    target = data.draw(st.sampled_from(CLUSTERED_FILES), label="file")
+    for name, content in files.items():
+        if name == target:
+            mutate = _mutated_csv if name.endswith(".csv") else _mutated_json
+            content = data.draw(mutate(content), label="mutated")
+        (work / name).write_bytes(content)
+    common = ["--model", str(work / "model.json"), "--candidates", str(work / "candidates.csv")]
+    queries = str(work / "queries.csv")
+    report = str(work / "report.json")
+    for argv in (
+        ["eval-attributes", "--queries", queries, "--distances", str(work / "distances.csv")],
+        ["eval-attributes", "--queries", queries, "--task", "gender", "--student-t"],
+        ["select", "--query", queries, "--group-mode", "all", "--ranking",
+         str(work / "ranking.csv")],
+    ):
+        out = ["--out" if argv[0] == "select" else "--report", report]
+        assert cli.run([*argv, *common, *out]) in DOCUMENTED_EXITS
