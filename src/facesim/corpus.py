@@ -8,6 +8,7 @@ the source/target-aware evaluation splits with an independent audit.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import random
@@ -59,47 +60,79 @@ class EmbeddingRecord:
             )
         if self.role == "swapped" and not self.target_id:
             raise ValidationError(f"swapped record '{self.image_id}' is missing target_id")
-        vec = np.asarray(self.vector, dtype=np.float64)
-        if not np.all(np.isfinite(vec)):
-            raise ValidationError(f"record '{self.image_id}': non-finite vector component")
-        if not vec.any():
-            raise ValidationError(f"record '{self.image_id}': zero vector")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
 
 
 class EmbeddingTable:
-    """Dimension-consistent, duplicate-free collection of embedding records."""
+    """Duplicate-free embedding records over one read-only (n, d) float64 `matrix`.
+
+    Row i of `matrix` holds the vector of the i-th record, and a record that
+    joins a table has its `vector` rebound to a view of its row, so the table
+    keeps one copy of the vectors. Finite, non-zero rows are checked once over
+    the whole matrix.
+    """
 
     def __init__(self, records: Iterable[EmbeddingRecord]):
-        self._records: Dict[str, EmbeddingRecord] = {}
-        self.dim: Optional[int] = None
-        for rec in records:
-            if rec.image_id in self._records:
-                raise ValidationError(f"duplicate image_id '{rec.image_id}'")
-            if self.dim is None:
-                self.dim = rec.vector.shape[0]
-            elif rec.vector.shape[0] != self.dim:
+        records = list(records)
+        vectors = [np.asarray(rec.vector, dtype=np.float64) for rec in records]
+        dim = vectors[0].shape[0] if vectors else None
+        for rec, vec in zip(records, vectors):
+            if vec.shape != (dim,):
                 raise FormatError(
-                    f"record '{rec.image_id}' has dimension {rec.vector.shape[0]},"
-                    f" table dimension is {self.dim}"
+                    f"record '{rec.image_id}' has dimension {vec.shape[0]},"
+                    f" table dimension is {dim}"
                 )
-            self._records[rec.image_id] = rec
+        matrix = np.array(vectors, dtype=np.float64) if vectors else np.empty((0, 0))
+        self._fill(records, matrix)
+        self.dim = dim
+
+    @classmethod
+    def _of_rows(cls, records: Iterable[EmbeddingRecord], matrix: np.ndarray) -> "EmbeddingTable":
+        """The table of `matrix`, whose row i is the vector of the i-th record yielded."""
+        table = cls.__new__(cls)
+        table._fill(records, matrix)
+        table.dim = matrix.shape[1]
+        return table
+
+    def _fill(self, records: Iterable[EmbeddingRecord], matrix: np.ndarray) -> None:
+        """Index the records, in order, naming the first invalid or duplicate one."""
+        matrix.setflags(write=False)
+        finite = np.isfinite(matrix).all(axis=1)
+        bad = np.flatnonzero(~(finite & matrix.any(axis=1)))
+        first_bad = int(bad[0]) if bad.size else -1
+        self.matrix = matrix
+        self._rows: Dict[str, int] = {}
+        self._records: List[EmbeddingRecord] = []
+        for row, rec in enumerate(records):
+            if row == first_bad:
+                what = "non-finite vector component" if not finite[row] else "zero vector"
+                raise ValidationError(f"record '{rec.image_id}': {what}")
+            if rec.image_id in self._rows:
+                raise ValidationError(f"duplicate image_id '{rec.image_id}'")
+            object.__setattr__(rec, "vector", matrix[row])
+            self._rows[rec.image_id] = row
+            self._records.append(rec)
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self) -> Iterator[EmbeddingRecord]:
-        return iter(self._records.values())
+        return iter(self._records)
 
     def __contains__(self, image_id: str) -> bool:
-        return image_id in self._records
+        return image_id in self._rows
 
-    def __getitem__(self, image_id: str) -> EmbeddingRecord:
+    def _row(self, image_id: str) -> int:
         try:
-            return self._records[image_id]
+            return self._rows[image_id]
         except KeyError:
             raise IntegrityError(f"unknown image_id '{image_id}'") from None
+
+    def __getitem__(self, image_id: str) -> EmbeddingRecord:
+        return self._records[self._row(image_id)]
+
+    def vectors(self, image_ids: Sequence[str]) -> np.ndarray:
+        """The (len(image_ids), d) rows of `matrix` holding these records' vectors."""
+        return self.matrix[[self._row(i) for i in image_ids]]
 
 
 @dataclass(frozen=True)
@@ -253,29 +286,114 @@ def write_json(path, payload: dict, indent: Optional[int] = None) -> None:
         fh.write(json.dumps(payload, indent=indent) + "\n")
 
 
-def load_embeddings(path) -> EmbeddingTable:
-    """Parse an embedding CSV into a validated table."""
-    header, rows = read_csv(path)
+def _embedding_dim(path, header: List[str]) -> int:
+    """The vector width d that an embedding CSV's header declares."""
     if header[: len(EMBEDDING_FIXED_COLUMNS)] != EMBEDDING_FIXED_COLUMNS:
         raise FormatError(
             f"{path}: header must start with {','.join(EMBEDDING_FIXED_COLUMNS)}"
         )
     vector_cols = header[len(EMBEDDING_FIXED_COLUMNS):]
     dim = len(vector_cols)
-    expected = [f"v{i}" for i in range(dim)]
-    if dim == 0 or vector_cols != expected:
+    if dim == 0 or vector_cols != [f"v{i}" for i in range(dim)]:
         raise FormatError(f"{path}: vector columns must be v0..v{{d-1}}, got {vector_cols}")
+    return dim
 
+
+# An embedding CSV parsed: the line number and the six fixed fields of each
+# row, and the (rows, d) matrix of their vectors.
+ParsedEmbeddings = Tuple[List[int], List[List[str]], np.ndarray]
+
+
+def _parse_embeddings_per_cell(path) -> ParsedEmbeddings:
+    """The general parser: `read_csv`, then Python's `float` for each vector cell."""
+    header, rows = read_csv(path)
+    dim = _embedding_dim(path, header)
+    fixed_count = len(EMBEDDING_FIXED_COLUMNS)
+    matrix = np.empty((len(rows), dim), dtype=np.float64)
+    for i, (lineno, row) in enumerate(rows):
+        try:
+            matrix[i] = [float(x) for x in row[fixed_count:]]
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad vector component ({exc})") from exc
+    return [lineno for lineno, _ in rows], [row[:fixed_count] for _, row in rows], matrix
+
+
+class _NeedsCsvReader(Exception):
+    """The file holds something the vector-block parser does not take as it is."""
+
+
+# A quote needs the csv module. numpy strips the other four characters around
+# a number as whitespace, while Python's `float` rejects them.
+_NOT_FOR_BLOCK = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
+    """The vector block parsed by one `np.loadtxt`, or None where `float` must decide.
+
+    Each row is split into its six fixed fields and its vector text, and numpy
+    parses the vector text of all rows at once, to the values Python's `float`
+    gives. A file this cannot take as it is gives None: one that is not UTF-8,
+    has a bad header or a quote, a row of fewer than seven fields, a field over
+    `csv.field_size_limit()`, a cell numpy does not parse, or a row whose width
+    is not the header's.
+    """
+    fixed_count = len(EMBEDDING_FIXED_COLUMNS)
+    limit = csv.field_size_limit()
+    lines: List[int] = []
+    fields: List[List[str]] = []
+
+    def vector_texts(fh) -> Iterator[str]:
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue  # a blank line, as `read_csv` skips it
+            parts = line.split(",", fixed_count)
+            if len(parts) <= fixed_count or any(c in line for c in _NOT_FOR_BLOCK):
+                raise _NeedsCsvReader
+            if len(line) > limit and max(map(len, line.split(","))) > limit:
+                raise _NeedsCsvReader
+            text = parts.pop()
+            if not text:
+                raise _NeedsCsvReader  # numpy would skip the row
+            lines.append(lineno)
+            fields.append(parts)
+            yield text
+
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = fh.readline().rstrip("\r\n")
+            if any(c in header for c in _NOT_FOR_BLOCK):
+                return None
+            dim = _embedding_dim(path, header.split(","))
+            texts = vector_texts(fh)
+            first = next(texts, None)
+            if first is None:
+                matrix = np.empty((0, dim), dtype=np.float64)
+            else:
+                matrix = np.loadtxt(itertools.chain([first], texts), delimiter=",",
+                                    comments=None, dtype=np.float64, ndmin=2)
+    except (UnicodeDecodeError, FormatError, _NeedsCsvReader, ValueError):
+        return None
+    if matrix.shape != (len(lines), dim):
+        return None
+    return lines, fields, matrix
+
+
+def load_embeddings(path) -> EmbeddingTable:
+    """Parse an embedding CSV into a validated table.
+
+    The vector block goes through numpy in one call; a file it cannot take as
+    it is goes through the per-cell parser, which names the line of any error.
+    """
+    parsed = _parse_embedding_block(path)
+    lines, fields, matrix = parsed if parsed is not None else _parse_embeddings_per_cell(path)
     lineno = 0
 
     def records():
         nonlocal lineno
-        for lineno, row in rows:
-            image_id, identity_id, role, target_id, gender, age_group = row[:6]
-            try:
-                vector = np.array([float(x) for x in row[6:]], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad vector component ({exc})") from exc
+        for lineno, (image_id, identity_id, role, target_id, gender, age_group), vector in zip(
+            lines, fields, matrix
+        ):
             yield EmbeddingRecord(
                 image_id=image_id,
                 identity_id=identity_id,
@@ -287,18 +405,31 @@ def load_embeddings(path) -> EmbeddingTable:
             )
 
     try:
-        return EmbeddingTable(records())
+        return EmbeddingTable._of_rows(records(), matrix)
     except ValidationError as exc:  # an invalid or duplicate record, on the line last read
         raise ValidationError(f"{path}:{lineno}: {exc}") from exc
 
 
+class _Echo:
+    """A file whose `write` returns its text, so a `csv.writer` row comes back as a string."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
 def save_embeddings(table: EmbeddingTable, path) -> None:
-    rows = (
-        [rec.image_id, rec.identity_id, rec.role, rec.target_id or "", rec.gender,
-         rec.age_group, *rec.vector.tolist()]
-        for rec in table
-    )
-    write_csv(path, EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim or 0)], rows)
+    """Like `write_csv`: the fixed columns quoted by `csv`, each vector cell in `repr` form."""
+    quoted = csv.writer(_Echo(), lineterminator="\n")
+
+    def lines() -> Iterator[str]:
+        yield quoted.writerow(EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim or 0)])
+        for rec, row in zip(table, table.matrix):
+            fixed = quoted.writerow([rec.image_id, rec.identity_id, rec.role,
+                                     rec.target_id or "", rec.gender, rec.age_group])
+            yield f"{fixed[:-1]},{','.join(map(repr, row.tolist()))}\n"
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines())
 
 
 def load_annotations(path) -> List[RawAnnotation]:

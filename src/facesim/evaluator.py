@@ -12,7 +12,7 @@ from typing import List, Sequence, Tuple
 
 from .corpus import EmbeddingTable, TripletSample, write_csv
 from .errors import EvaluationError
-from .metric import ProjectionModel, project_records, rowwise_cosine
+from .metric import ProjectionModel, rowwise_cosine
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def eval_triplets(
         raise EvaluationError("no consistent samples to evaluate")
 
     def projected(ids):
-        return project_records(model, [table[i] for i in ids])
+        return model.project_block(table.vectors(ids), ids)
 
     ref = projected([s.ref_id for s in retained])
     sim = rowwise_cosine(ref, projected([s.chosen_id() for s in retained])).tolist()

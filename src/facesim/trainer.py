@@ -88,7 +88,7 @@ def _hinge_and_grad(weight, ref, pos, neg, margin: float) -> Tuple[np.ndarray, n
 def _stack(samples: Sequence[TripletSample], table: EmbeddingTable) -> Tuple[np.ndarray, ...]:
     """Reference, chosen and other vectors of the samples as three (n, d) arrays."""
     ids = zip(*((s.ref_id, s.chosen_id(), s.other_id()) for s in samples))
-    return tuple(np.array([table[i].vector for i in role]) for role in ids)
+    return tuple(table.vectors(role) for role in ids)
 
 
 def batch_loss_and_gradient(

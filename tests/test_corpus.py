@@ -82,6 +82,48 @@ class TestLoadEmbeddings:
         for rec in small_planted.table:
             np.testing.assert_array_equal(again[rec.image_id].vector, rec.vector)
 
+    def test_empty_table_keeps_its_width(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        write_embeddings(path, [], dim=2)
+        table = corpus.load_embeddings(path)
+        assert len(table) == 0 and table.dim == 2 and table.matrix.shape == (0, 2)
+        again = tmp_path / "again.csv"
+        corpus.save_embeddings(table, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert corpus.load_embeddings(again).dim == 2
+
+    def test_first_bad_row_is_named_at_its_line(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        write_embeddings(
+            path,
+            [
+                "s01,idA,swapped,t1,male,young,1,0,0,0",
+                "s02,idB,swapped,t1,male,young,1,nan,0,0",
+                "s03,idC,swapped,t1,male,young,0,0,0,0",
+            ],
+        )
+        with pytest.raises(
+            ValidationError, match=r"emb\.csv:3: record 's02': non-finite vector component"
+        ):
+            corpus.load_embeddings(path)
+
+    def test_records_are_views_of_one_read_only_matrix(self, small_planted, tmp_path):
+        path = tmp_path / "emb.csv"
+        corpus.save_embeddings(small_planted.table, path)
+        for table in (small_planted.table, corpus.load_embeddings(path)):
+            matrix = table.matrix
+            assert matrix.shape == (len(table), table.dim) and matrix.dtype == np.float64
+            assert matrix.flags.c_contiguous and not matrix.flags.writeable
+            for row, rec in enumerate(table):
+                assert np.shares_memory(rec.vector, matrix)
+                assert np.array_equal(rec.vector, matrix[row])
+            ids = [rec.image_id for rec in table][::-3]
+            np.testing.assert_array_equal(
+                table.vectors(ids), np.array([table[i].vector for i in ids])
+            )
+        with pytest.raises(IntegrityError, match="nope"):
+            small_planted.table.vectors(["nope"])
+
 
 class TestValidateAnnotators:
     def test_all_dummies_correct_is_valid(self):

@@ -1,34 +1,43 @@
 """The file formats live in one module, and no malformed input file escapes the CLI.
 
-`corpus.read_csv`, `write_csv`, `read_json` and `write_json` are the only
-code in the package that opens files or uses `csv`/`json`; the fuzz tests
+`corpus.py` is the only code in the package that opens files, uses
+`csv`/`json` or calls numpy's file readers and writers; the fuzz tests
 mutate valid corpus, partition, model, candidate and query files and require
 `cli.run` to answer every mutation with a documented exit code instead of an
-exception.
+exception. The embedding CSV's vector-block parser and writer are checked
+against the per-cell parser and the plain `csv` writer.
 """
 
 import ast
+import csv
 import json
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import facesim
-from facesim import cli, synth
+from facesim import cli, corpus, synth
+from facesim.errors import FormatError
 from facesim.metric import ProjectionModel
 
 PACKAGE_DIR = Path(facesim.__file__).resolve().parent
 
 
+# numpy functions and methods that read or write files by path
+NUMPY_FILE_IO = {"loadtxt", "genfromtxt", "fromfile", "savetxt", "tofile"}
+
+
 def _file_access(path: Path):
-    """`open(` calls and `csv`/`json` imports in one module, as (line, what) pairs."""
+    """`open(` and numpy file I/O calls and `csv`/`json` imports in one module, as (line, what)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.Call):
-            func = node.func
-            if getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open":
-                found.append((node.lineno, "open()"))
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "open" or name in NUMPY_FILE_IO:
+                found.append((node.lineno, f"{name}()"))
         elif isinstance(node, ast.Import):
             found += [(node.lineno, a.name) for a in node.names
                       if a.name.split(".")[0] in ("csv", "json")]
@@ -187,3 +196,140 @@ def test_mutated_attribute_inputs_exit_with_a_documented_code(clustered_inputs, 
     ):
         out = ["--out" if argv[0] == "select" else "--report", report]
         assert cli.run([*argv, *common, *out]) in DOCUMENTED_EXITS
+
+
+# ---------------------------------------------------------------------------
+# the embedding CSV: vector-block parser and writer against the per-cell oracles
+
+ODD_CELLS = ("1_0", "１", "٣", "0x10", "1.5#", "#1", "nan", "-nan", "inf", "1e999", "-1e999",
+             "1e-400", "5e-324", "-0.0", "", " 1", "1 ", "1 2", "\t2\x0c", "\x1c1", "1\x1f",
+             "\x00", " 1", "1e", ".", "--1", "+.5")
+ODD_IDS = ("a,b", 'a"b', "a\nb", "a\rb", "a\r\nb", "", " ")
+FIELD_LIMIT = csv.field_size_limit()
+
+
+@st.composite
+def _embedding_csv(draw) -> bytes:
+    """A small embedding CSV, valid or mutated in one to three ways."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 3))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [
+        [f"s{i}", f"id{i}", "source", "", "male", "young",
+         *(repr(draw(floats)) for _ in range(dim))]
+        for i in range(n)
+    ]
+    header = corpus.EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(dim)]
+    quoted = False
+    for _ in range(draw(st.integers(0 if n else 1, 3))):
+        op = draw(st.sampled_from(["cell", "cell", "text-cell", "extra-cell", "missing-cell",
+                                   "id", "quoted-id", "oversized", "header"]))
+        if op == "header":
+            header = draw(st.sampled_from([header[:-1], header + ["v9"],
+                                           ['"image_id"', *header[1:]], []]))
+            continue
+        if not rows:
+            rows.append(["s", "id", "source", "", "", "", *(["1"] * dim)])
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        cell = draw(st.integers(6, len(row) - 1)) if len(row) > 6 else len(row) - 1
+        if op == "cell":
+            row[cell] = draw(st.sampled_from(ODD_CELLS))
+        elif op == "text-cell":
+            row[cell] = draw(st.text(max_size=4))
+        elif op == "extra-cell":
+            row.append("1")
+        elif op == "missing-cell":
+            del row[cell]
+        elif op in ("id", "quoted-id"):
+            row[0] = draw(st.sampled_from(ODD_IDS))
+            quoted = quoted or op == "quoted-id"
+        else:
+            row[draw(st.sampled_from([0, cell]))] = "7" * draw(
+                st.sampled_from([FIELD_LIMIT, FIELD_LIMIT + 1]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    if quoted:  # written by the csv module, so ids holding delimiters are quoted
+        text = "".join(csv.writer(_Echo(), lineterminator=newline).writerow(r)
+                       for r in [header, *rows])
+    else:
+        text = "".join(",".join(r) + newline for r in [header, *rows])
+    lines = text.split(newline)
+    for _ in range(draw(st.integers(0, 2))):  # blank lines
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    return newline.join(lines).encode("utf-8")
+
+
+class _Echo:
+    def write(self, text):
+        return text
+
+
+_HEADER = ",".join(corpus.EMBEDDING_FIXED_COLUMNS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_embedding_csv())
+@example(data=f"{_HEADER},v0\ns,i,source,,,,\x1c1\n".encode())
+@example(data=f"{_HEADER},v0\ns,i,source,,,,1_0\r\n".encode())
+@example(data=f"{_HEADER},v0\ns,i,source,,,,\n".encode())
+@example(data=f'{_HEADER},v0\n"s",i,source,,,,1\n'.encode())
+@example(data=f"{_HEADER},v0\ns,i,source,,,,{'7' * (FIELD_LIMIT + 1)}\n".encode())
+@example(data=f"{_HEADER},v0,v1\ns,i,source,,,,1,2,3\n".encode())
+def test_block_parser_agrees_with_the_per_cell_parser(tmp_path_factory, data):
+    """Bit-equal vectors, the same fixed fields and lines, or the per-cell parser decides."""
+    path = tmp_path_factory.mktemp("block") / "emb.csv"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on a block with no rows
+        block = corpus._parse_embedding_block(path)
+    try:
+        lines, fields, matrix = corpus._parse_embeddings_per_cell(path)
+    except FormatError:
+        assert block is None  # load_embeddings then raises the per-cell parser's error
+        return
+    if block is not None:
+        assert block[0] == lines and block[1] == fields
+        assert block[2].shape == matrix.shape and block[2].tobytes() == matrix.tobytes()
+
+
+def test_block_parser_takes_what_facesim_writes(valid_inputs, clustered_inputs, tmp_path):
+    for files, name in ((valid_inputs[0], "embeddings.csv"),
+                        (clustered_inputs[0], "candidates.csv"),
+                        (clustered_inputs[0], "queries.csv")):
+        path = tmp_path / name
+        path.write_bytes(files[name])
+        lines, fields, matrix = corpus._parse_embedding_block(path)
+        expected = corpus._parse_embeddings_per_cell(path)
+        assert (lines, fields) == expected[:2] and matrix.tobytes() == expected[2].tobytes()
+
+
+def _csv_module_save_embeddings(table, path):
+    """The embedding writer as one `csv.writer` over whole rows, floats included."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(corpus.EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim)])
+        writer.writerows(
+            [rec.image_id, rec.identity_id, rec.role, rec.target_id or "", rec.gender,
+             rec.age_group, *rec.vector.tolist()]
+            for rec in table
+        )
+
+
+@pytest.mark.parametrize("image_id", ["plain", "a,b", 'say "hi"', "two\nlines", "a\r\nb",
+                                      "bare\rreturn"])
+def test_save_embeddings_writes_what_the_csv_module_writes(tmp_path, image_id):
+    table = corpus.EmbeddingTable([
+        corpus.EmbeddingRecord(image_id, "id,1", "swapped", 'target"1', "male", "older",
+                               np.array([5e-324, -0.0, 1e308, 0.1])),
+        corpus.EmbeddingRecord("other", "id2", "source", None, "female", "unknown",
+                               np.array([-1e-300, 2.0, -0.1, 1 / 3])),
+    ])
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    corpus.save_embeddings(table, got)
+    _csv_module_save_embeddings(table, expected)
+    assert got.read_bytes() == expected.read_bytes()
+    if image_id == "bare\rreturn":
+        return  # csv quotes "\n" but not a bare "\r", so this row does not read back
+    again = corpus.load_embeddings(got)
+    assert [r.image_id for r in again] == [image_id, "other"]
+    assert again["other"].target_id is None
+    assert again.matrix.tobytes() == table.matrix.tobytes()
