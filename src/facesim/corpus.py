@@ -81,19 +81,21 @@ class EmbeddingTable:
                     f"record '{rec.image_id}' has dimension {vec.shape[0]},"
                     f" table dimension is {dim}"
                 )
-        matrix = np.array(vectors, dtype=np.float64) if vectors else np.empty((0, 0))
-        self._fill(records, matrix)
-        self.dim = dim
+        self._index(records, np.array(vectors) if vectors else np.empty((0, 0)))
 
     @classmethod
     def _of_rows(cls, records: Iterable[EmbeddingRecord], matrix: np.ndarray) -> "EmbeddingTable":
         """The table of `matrix`, whose row i is the vector of the i-th record yielded."""
         table = cls.__new__(cls)
-        table._fill(records, matrix)
-        table.dim = matrix.shape[1]
+        table._index(records, matrix)
         return table
 
-    def _fill(self, records: Iterable[EmbeddingRecord], matrix: np.ndarray) -> None:
+    @property
+    def dim(self) -> Optional[int]:
+        """The vector width; None for a table built from no records."""
+        return self.matrix.shape[1] or None
+
+    def _index(self, records: Iterable[EmbeddingRecord], matrix: np.ndarray) -> None:
         """Index the records, in order, naming the first invalid or duplicate one."""
         matrix.setflags(write=False)
         finite = np.isfinite(matrix).all(axis=1)
@@ -318,10 +320,6 @@ def _parse_embeddings_per_cell(path) -> ParsedEmbeddings:
     return [lineno for lineno, _ in rows], [row[:fixed_count] for _, row in rows], matrix
 
 
-class _NeedsCsvReader(Exception):
-    """The file holds something the vector-block parser does not take as it is."""
-
-
 # A quote needs the csv module. numpy strips the other four characters around
 # a number as whitespace, while Python's `float` rejects them.
 _NOT_FOR_BLOCK = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
@@ -339,7 +337,7 @@ def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
     """
     fixed_count = len(EMBEDDING_FIXED_COLUMNS)
     limit = csv.field_size_limit()
-    lines: List[int] = []
+    linenos: List[int] = []
     fields: List[List[str]] = []
 
     def vector_texts(fh) -> Iterator[str]:
@@ -349,13 +347,13 @@ def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
                 continue  # a blank line, as `read_csv` skips it
             parts = line.split(",", fixed_count)
             if len(parts) <= fixed_count or any(c in line for c in _NOT_FOR_BLOCK):
-                raise _NeedsCsvReader
+                raise ValueError("not a plain row")
             if len(line) > limit and max(map(len, line.split(","))) > limit:
-                raise _NeedsCsvReader
+                raise ValueError("field over the csv field size limit")
             text = parts.pop()
             if not text:
-                raise _NeedsCsvReader  # numpy would skip the row
-            lines.append(lineno)
+                raise ValueError("no vector text")  # numpy would skip the row
+            linenos.append(lineno)
             fields.append(parts)
             yield text
 
@@ -366,17 +364,16 @@ def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
                 return None
             dim = _embedding_dim(path, header.split(","))
             texts = vector_texts(fh)
-            first = next(texts, None)
-            if first is None:
-                matrix = np.empty((0, dim), dtype=np.float64)
-            else:
-                matrix = np.loadtxt(itertools.chain([first], texts), delimiter=",",
-                                    comments=None, dtype=np.float64, ndmin=2)
-    except (UnicodeDecodeError, FormatError, _NeedsCsvReader, ValueError):
+            first = next(texts, None)  # numpy warns on a block of no rows
+            matrix = np.empty((0, dim)) if first is None else np.loadtxt(
+                itertools.chain([first], texts), delimiter=",", comments=None,
+                dtype=np.float64, ndmin=2,
+            )
+    except (FormatError, ValueError):  # ValueError includes UnicodeDecodeError
         return None
-    if matrix.shape != (len(lines), dim):
+    if matrix.shape != (len(linenos), dim):
         return None
-    return lines, fields, matrix
+    return linenos, fields, matrix
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -386,13 +383,13 @@ def load_embeddings(path) -> EmbeddingTable:
     it is goes through the per-cell parser, which names the line of any error.
     """
     parsed = _parse_embedding_block(path)
-    lines, fields, matrix = parsed if parsed is not None else _parse_embeddings_per_cell(path)
+    linenos, fields, matrix = parsed if parsed is not None else _parse_embeddings_per_cell(path)
     lineno = 0
 
     def records():
         nonlocal lineno
         for lineno, (image_id, identity_id, role, target_id, gender, age_group), vector in zip(
-            lines, fields, matrix
+            linenos, fields, matrix
         ):
             yield EmbeddingRecord(
                 image_id=image_id,

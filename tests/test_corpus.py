@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from facesim import corpus
+from facesim import corpus, synth
 from facesim.errors import (
     FormatError,
     InfeasibleSplitError,
@@ -107,10 +107,11 @@ class TestLoadEmbeddings:
         ):
             corpus.load_embeddings(path)
 
-    def test_records_are_views_of_one_read_only_matrix(self, small_planted, tmp_path):
+    def test_records_are_views_of_one_read_only_matrix(self, tmp_path):
+        built = synth.planted(seed=4, n_triplets=20, dim=8, data_subspace=6, truth_rank=2).table
         path = tmp_path / "emb.csv"
-        corpus.save_embeddings(small_planted.table, path)
-        for table in (small_planted.table, corpus.load_embeddings(path)):
+        corpus.save_embeddings(built, path)
+        for table in (built, corpus.load_embeddings(path)):
             matrix = table.matrix
             assert matrix.shape == (len(table), table.dim) and matrix.dtype == np.float64
             assert matrix.flags.c_contiguous and not matrix.flags.writeable
@@ -122,7 +123,7 @@ class TestLoadEmbeddings:
                 table.vectors(ids), np.array([table[i].vector for i in ids])
             )
         with pytest.raises(IntegrityError, match="nope"):
-            small_planted.table.vectors(["nope"])
+            built.vectors(["nope"])
 
 
 class TestValidateAnnotators:
@@ -248,8 +249,6 @@ class TestBuildDatasets:
 
 @pytest.fixture(scope="module")
 def planted_samples():
-    from facesim import synth
-
     c = synth.planted(seed=21, n_triplets=120, dim=8, data_subspace=6, truth_rank=2)
     samples = corpus.aggregate_triplets(
         c.manifest, c.annotations, corpus.validate_annotators(c.annotations)

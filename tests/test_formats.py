@@ -10,6 +10,7 @@ against the per-cell parser and the plain `csv` writer.
 
 import ast
 import csv
+import io
 import json
 import warnings
 from pathlib import Path
@@ -203,7 +204,7 @@ def test_mutated_attribute_inputs_exit_with_a_documented_code(clustered_inputs, 
 
 ODD_CELLS = ("1_0", "１", "٣", "0x10", "1.5#", "#1", "nan", "-nan", "inf", "1e999", "-1e999",
              "1e-400", "5e-324", "-0.0", "", " 1", "1 ", "1 2", "\t2\x0c", "\x1c1", "1\x1f",
-             "\x00", " 1", "1e", ".", "--1", "+.5")
+             "\x00", "\u20281", "\xa01", "1e", ".", "--1", "+.5")
 ODD_IDS = ("a,b", 'a"b', "a\nb", "a\rb", "a\r\nb", "", " ")
 FIELD_LIMIT = csv.field_size_limit()
 
@@ -248,19 +249,15 @@ def _embedding_csv(draw) -> bytes:
                 st.sampled_from([FIELD_LIMIT, FIELD_LIMIT + 1]))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     if quoted:  # written by the csv module, so ids holding delimiters are quoted
-        text = "".join(csv.writer(_Echo(), lineterminator=newline).writerow(r)
-                       for r in [header, *rows])
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator=newline).writerows([header, *rows])
+        text = buffer.getvalue()
     else:
         text = "".join(",".join(r) + newline for r in [header, *rows])
     lines = text.split(newline)
     for _ in range(draw(st.integers(0, 2))):  # blank lines
         lines.insert(draw(st.integers(1, len(lines))), "")
     return newline.join(lines).encode("utf-8")
-
-
-class _Echo:
-    def write(self, text):
-        return text
 
 
 _HEADER = ",".join(corpus.EMBEDDING_FIXED_COLUMNS)
