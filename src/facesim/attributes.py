@@ -3,6 +3,7 @@ argmin-distance classifier with its precision/recall/accuracy/AUC report."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ import numpy as np
 
 from .corpus import EmbeddingRecord
 from .errors import EvaluationError, IntegrityError, ValidationError
-from .metric import ProjectionModel, project_records, rowwise_cosine
+from .metric import ProjectionModel, project_records, scale_rows, scaled_cosine
 
 INTERSECTION_GROUPS = ("older_female", "older_male", "young_female", "young_male")
 UNION_GROUPS = ("female", "male", "older", "young")
@@ -130,37 +131,82 @@ def build_groups(
     return groups
 
 
+@dataclass(frozen=True)
+class Gallery:
+    """The distinct members of some attribute groups, projected and scaled once.
+
+    Row i holds one member record. A record in several groups (an intersection
+    and its unions, as `build_groups` shares them) is one row, found by object
+    identity, and rows follow first appearance. `members[j]` indexes the rows
+    of the j-th group, in member order.
+    """
+
+    projected: np.ndarray
+    scaled: Tuple[np.ndarray, np.ndarray]  # `scale_rows(projected)`
+    image_ids: np.ndarray  # object arrays, one entry per row
+    identity_ids: np.ndarray
+    members: List[np.ndarray]
+
+
+def _gallery(model: ProjectionModel, groups: Sequence[AttributeGroup]) -> Gallery:
+    members = list(itertools.chain.from_iterable(g.members for g in groups))
+    # a dict keeps each key where it first appeared, so rows follow first appearance
+    records = dict(zip(map(id, members), members))
+    row_of = dict(zip(records, itertools.count()))
+    projected = project_records(model, list(records.values()))
+    return Gallery(
+        projected=projected,
+        scaled=scale_rows(projected),
+        image_ids=np.array([r.image_id for r in records.values()], dtype=object),
+        identity_ids=np.array([r.identity_id for r in records.values()], dtype=object),
+        members=[
+            np.fromiter(map(row_of.__getitem__, map(id, g.members)), np.intp, len(g))
+            for g in groups
+        ],
+    )
+
+
 def similarity_table(
     model: ProjectionModel,
     queries: Sequence[EmbeddingRecord],
     groups: Sequence[AttributeGroup],
-) -> List[List[np.ndarray]]:
-    """Cosine similarity of each query to each group's members: table[q][g][m].
+) -> Tuple[Gallery, np.ndarray]:
+    """The groups' `Gallery`, and the cosine similarity of each query to each of its rows.
 
-    Every group and every query is projected once. Cosines are row-local, so
-    an entry does not depend on the other queries or groups in the call.
+    `sims[q][gallery.members[g]]` are query q's similarities to group g's
+    members. The gallery is projected first, then the queries, each once.
+    Cosines are row-local, so an entry does not depend on the other queries,
+    groups or rows in the call.
     """
     for group in groups:
         if len(group) == 0:
             raise ValidationError(f"attribute group '{group.name}' is empty")
-    rows = [project_records(model, g.members) for g in groups]
-    return [
-        [rowwise_cosine(q_row[None], r) for r in rows]
-        for q_row in project_records(model, queries)
-    ]
+    gallery = _gallery(model, groups)
+    query_rows = project_records(model, queries)
+    sims = np.empty((len(queries), len(gallery.image_ids)))
+    # one query at a time keeps the temporaries to one (n, d) block
+    for i in range(len(queries)):
+        q = query_rows[i : i + 1]
+        sims[i] = scaled_cosine(q, scale_rows(q), gallery.projected, gallery.scaled)
+    return gallery, sims
 
 
 def _group_result(
-    group: AttributeGroup, sims: np.ndarray, query: EmbeddingRecord, use_t: bool
+    name: str,
+    query: EmbeddingRecord,
+    sims: np.ndarray,
+    gallery: Gallery,
+    rows: np.ndarray,
+    use_t: bool,
 ) -> GroupDistanceResult:
-    """`group_distance` from the query's similarities to the group's members."""
+    """`group_distance` from the query's gallery similarities; `rows` are the group's."""
     # a query never measures its own candidate entry
-    keep = [m.image_id != query.image_id for m in group.members]
-    if not any(keep):
+    keep = gallery.image_ids[rows] != query.image_id
+    if not keep.any():
         raise ValidationError(
-            f"group '{group.name}' holds only the query image '{query.image_id}'"
+            f"group '{name}' holds only the query image '{query.image_id}'"
         )
-    return summarize_distances(group.name, (1.0 - sims[keep]).tolist(), use_t=use_t)
+    return summarize_distances(name, (1.0 - sims[rows][keep]).tolist(), use_t=use_t)
 
 
 def group_distance(
@@ -185,9 +231,13 @@ def group_distances(
     use_t: bool = False,
 ) -> List[List[GroupDistanceResult]]:
     """`group_distance` of each query to each group, from one `similarity_table`."""
+    gallery, table = similarity_table(model, queries, groups)
     return [
-        [_group_result(g, sims, query, use_t) for g, sims in zip(groups, row)]
-        for query, row in zip(queries, similarity_table(model, queries, groups))
+        [
+            _group_result(g.name, query, sims, gallery, rows, use_t)
+            for g, rows in zip(groups, gallery.members)
+        ]
+        for query, sims in zip(queries, table)
     ]
 
 

@@ -13,6 +13,7 @@ import json
 import logging
 import random
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -256,12 +257,34 @@ def read_csv(path) -> Tuple[List[str], List[Tuple[int, List[str]]]]:
     return header, rows
 
 
+# rows a CSV write holds as text at once
+_CSV_BLOCK_ROWS = 512
+
+
+def _csv_blocks(rows: Iterable[Sequence]) -> Iterator[List[str]]:
+    """The rows as CSV lines ending in "\\n", in blocks of up to `_CSV_BLOCK_ROWS`.
+
+    `csv` quotes a field holding a character of its line terminator and no
+    other line break, so rows are written with a CR LF end, which quotes a field
+    holding either one, and that end is then swapped for LF.
+    """
+    lines: List[str] = []
+    # the writer makes one `write` call per row
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    rows = iter(rows)
+    while True:
+        writer.writerows(itertools.islice(rows, _CSV_BLOCK_ROWS))
+        if not lines:
+            return
+        yield [line[:-2] + "\n" for line in lines]
+        lines.clear()
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Floats are written in shortest round-trip form; fields are quoted only when needed."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for block in _csv_blocks(itertools.chain([header], rows)):
+            fh.writelines(block)
 
 
 def read_json(path, kind: str, fields: Sequence[str]) -> dict:
@@ -407,26 +430,20 @@ def load_embeddings(path) -> EmbeddingTable:
         raise ValidationError(f"{path}:{lineno}: {exc}") from exc
 
 
-class _Echo:
-    """A file whose `write` returns its text, so a `csv.writer` row comes back as a string."""
-
-    def write(self, text: str) -> str:
-        return text
-
-
 def save_embeddings(table: EmbeddingTable, path) -> None:
     """Like `write_csv`: the fixed columns quoted by `csv`, each vector cell in `repr` form."""
-    quoted = csv.writer(_Echo(), lineterminator="\n")
-
-    def lines() -> Iterator[str]:
-        yield quoted.writerow(EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim or 0)])
-        for rec, row in zip(table, table.matrix):
-            fixed = quoted.writerow([rec.image_id, rec.identity_id, rec.role,
-                                     rec.target_id or "", rec.gender, rec.age_group])
-            yield f"{fixed[:-1]},{','.join(map(repr, row.tolist()))}\n"
-
+    header = EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim or 0)]
+    fixed = (
+        [rec.image_id, rec.identity_id, rec.role, rec.target_id or "", rec.gender, rec.age_group]
+        for rec in table
+    )
+    lines = itertools.chain.from_iterable(_csv_blocks(itertools.chain([header], fixed)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(lines())
+        fh.write(next(lines))
+        fh.writelines(
+            f"{line[:-1]},{','.join(map(repr, row.tolist()))}\n"
+            for line, row in zip(lines, table.matrix)
+        )
 
 
 def load_annotations(path) -> List[RawAnnotation]:

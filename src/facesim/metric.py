@@ -7,7 +7,7 @@ under the untrained model equals base-embedding cosine similarity exactly.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class ProjectionModel:
         payload = {
             "version": MODEL_FORMAT_VERSION,
             "dim": self.dim,
-            "weight": [float(x) for x in self._weight.reshape(-1)],
+            "weight": self._weight.reshape(-1).tolist(),
         }
         write_json(path, payload)
 
@@ -133,20 +133,41 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return min(1.0, max(-1.0, value))
 
 
+def scale_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows divided by their largest absolute component, and the norms of the scaled rows.
+
+    Scaling first, like `cosine`, keeps tiny and huge components from
+    underflowing or overflowing. Each row is scaled and reduced on its own.
+    """
+    scaled = rows / np.abs(rows).max(axis=1, keepdims=True)
+    return scaled, np.linalg.norm(scaled, axis=1)
+
+
+def scaled_cosine(
+    u: np.ndarray,
+    scaled_u: Tuple[np.ndarray, np.ndarray],
+    v: np.ndarray,
+    scaled_v: Tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """`rowwise_cosine(u, v)` given `scale_rows(u)` and `scale_rows(v)`.
+
+    Rows scaled once can be scored against many others without scaling them again.
+    """
+    (su, nu), (sv, nv) = scaled_u, scaled_v
+    value = np.clip(np.sum(su * sv, axis=1) / (nu * nv), -1.0, 1.0)
+    value[(u == v).all(axis=1)] = 1.0
+    return value
+
+
 def rowwise_cosine(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cosine of each row of u with the same row of v, for rows that are not all zero.
 
     Either side may be a single row, broadcast against every row of the other.
-    Rows are scaled by their largest absolute component first, like `cosine`,
+    Rows are scaled by their largest absolute component first (`scale_rows`),
     and each row is reduced on its own, so a row's value never depends on the
     other rows of the block. Clamped into [-1, 1]; equal rows score exactly 1.0.
     """
-    su = u / np.abs(u).max(axis=1, keepdims=True)
-    sv = v / np.abs(v).max(axis=1, keepdims=True)
-    value = np.sum(su * sv, axis=1) / (np.linalg.norm(su, axis=1) * np.linalg.norm(sv, axis=1))
-    value = np.clip(value, -1.0, 1.0)
-    value[(u == v).all(axis=1)] = 1.0
-    return value
+    return scaled_cosine(u, scale_rows(u), v, scale_rows(v))
 
 
 def distance(u: np.ndarray, v: np.ndarray) -> float:

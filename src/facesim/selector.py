@@ -12,6 +12,7 @@ from .attributes import (
     ALL_GROUPS,
     INTERSECTION_GROUPS,
     AttributeGroup,
+    Gallery,
     _closest,
     _group_result,
     classify_query,
@@ -73,26 +74,23 @@ def select_group(
 
 
 def _rank(
-    query: EmbeddingRecord, group: AttributeGroup, sims: np.ndarray
+    name: str, query: EmbeddingRecord, sims: np.ndarray, gallery: Gallery, rows: np.ndarray
 ) -> List[RankedCandidate]:
-    """`rank_candidates` from the query's similarities to the group's members."""
-    eligible = [
-        i
-        for i, m in enumerate(group.members)
-        if m.image_id != query.image_id and m.identity_id != query.identity_id
-    ]
-    if not eligible:
+    """`rank_candidates` from the query's gallery similarities; `rows` are the group's."""
+    image_ids = gallery.image_ids[rows]
+    eligible = (image_ids != query.image_id) & (gallery.identity_ids[rows] != query.identity_id)
+    if not eligible.any():
         raise ValidationError(
-            f"group '{group.name}' has no candidates distinct from query"
-            f" '{query.image_id}'"
+            f"group '{name}' has no candidates distinct from query '{query.image_id}'"
         )
-    scored = sorted(
-        zip(sims[eligible].tolist(), (group.members[i].image_id for i in eligible)),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
+    sims, image_ids = sims[rows][eligible], image_ids[eligible]
+    # -0.0 and 0.0 tie, and ties order by image_id
+    order = np.lexsort((image_ids, -sims))
     return [
         RankedCandidate(image_id=image_id, similarity=sim, rank=i)
-        for i, (sim, image_id) in enumerate(scored, start=1)
+        for i, (sim, image_id) in enumerate(
+            zip(sims[order].tolist(), image_ids[order].tolist()), start=1
+        )
     ]
 
 
@@ -106,7 +104,8 @@ def rank_candidates(
     The query's own image and any candidate sharing its identity are excluded
     from candidacy. Ties order by image_id.
     """
-    return _rank(query, group, similarity_table(model, [query], [group])[0][0])
+    gallery, sims = similarity_table(model, [query], [group])
+    return _rank(group.name, query, sims[0], gallery, gallery.members[0])
 
 
 def recommend_batch(
@@ -124,11 +123,15 @@ def recommend_batch(
     if k < 1:
         raise ValidationError("k must be >= 1")
     candidates = _mode_groups(groups, group_mode)
+    gallery, table = similarity_table(model, queries, candidates)
+    rows_of = {g.name: rows for g, rows in zip(candidates, gallery.members)}
     results = []
-    for query, row in zip(queries, similarity_table(model, queries, candidates)):
-        sims = {g.name: s for g, s in zip(candidates, row)}
-        selected = _closest([_group_result(g, sims[g.name], query, False) for g in candidates])
-        ranking = _rank(query, groups[selected], sims[selected])
+    for query, sims in zip(queries, table):
+        selected = _closest([
+            _group_result(name, query, sims, gallery, rows, False)
+            for name, rows in rows_of.items()
+        ])
+        ranking = _rank(selected, query, sims, gallery, rows_of[selected])
         recommendation = Recommendation(
             query_id=query.image_id,
             selected_group=selected,

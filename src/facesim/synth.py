@@ -101,8 +101,9 @@ def planted(
     triplet_ids: List[str] = []
 
     def hidden_cos(u, v):
-        tu = truth @ u
-        tv = truth @ v
+        # rows past truth_rank are zero and add nothing to the dot product or the norms
+        tu = truth[:truth_rank] @ u
+        tv = truth[:truth_rank] @ v
         return float(tu @ tv / (np.linalg.norm(tu) * np.linalg.norm(tv)))
 
     noisy = set(rng.choice(n_triplets, size=round(noise_fraction * n_triplets), replace=False))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from facesim import attributes
+from facesim import attributes, selector
 from facesim.attributes import (
     AttributeGroup,
     auc,
@@ -10,10 +10,11 @@ from facesim.attributes import (
     classify_query,
     evaluate_classification,
     group_distance,
+    similarity_table,
     summarize_distances,
 )
 from facesim.errors import DegenerateVectorError, EvaluationError, ValidationError
-from facesim.metric import ProjectionModel, distance, project
+from facesim.metric import ProjectionModel, distance, project, project_records, rowwise_cosine
 
 from conftest import make_record
 
@@ -185,6 +186,116 @@ class TestGroupDistance:
         query = labeled("q", [1.0, 0.0], "male", "young")
         with pytest.raises(DegenerateVectorError, match="flat"):
             group_distance(model, query, group)
+
+
+def _pool(rng, dim, per_intersection):
+    """`per_intersection` random labeled records per age x gender cell."""
+    return [
+        labeled(f"{age}_{gender}_{j:02d}", rng.normal(size=dim), gender, age)
+        for gender in ("male", "female")
+        for age in ("young", "older")
+        for j in range(per_intersection)
+    ]
+
+
+class TestGallery:
+    """`similarity_table` against per-group projection and `rowwise_cosine`."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from(["intersection", "all", "unions"]))
+    def test_group_slices_equal_per_group_cosines(self, dim, per, seed, mode):
+        rng = np.random.default_rng(seed)
+        model = ProjectionModel(np.eye(dim) + 0.3 * rng.normal(size=(dim, dim)))
+        pool = _pool(rng, dim, per)
+        groups = build_groups(pool)
+        names = {"intersection": attributes.INTERSECTION_GROUPS,
+                 "all": attributes.ALL_GROUPS,
+                 "unions": attributes.UNION_GROUPS}[mode]
+        chosen = [groups[n] for n in names]
+        # a member equal to the query scores exactly 1.0
+        queries = [labeled("q", rng.normal(size=dim), "male", "young"), pool[-1]]
+        gallery, sims = similarity_table(model, queries, chosen)
+        assert len(gallery.image_ids) == len({id(m) for g in chosen for m in g.members})
+        for q, row in zip(queries, sims):
+            for g, rows in zip(chosen, gallery.members):
+                oracle = rowwise_cosine(project_records(model, [q]),
+                                        project_records(model, g.members))
+                assert np.array_equal(row[rows], oracle)
+                assert gallery.image_ids[rows].tolist() == g.member_ids
+        assert sims[1][gallery.image_ids == pool[-1].image_id].tolist() == [1.0]
+
+    def test_union_rows_are_its_intersections_rows(self, labeled_pool):
+        groups = build_groups(labeled_pool)
+        chosen = [groups[n] for n in attributes.ALL_GROUPS]
+        query = labeled("q", np.arange(1.0, 7.0), "male", "young")
+        gallery, sims = similarity_table(ProjectionModel.identity(6), [query], chosen)
+        assert len(gallery.image_ids) == len(labeled_pool)
+        rows = dict(zip(attributes.ALL_GROUPS, gallery.members))
+        for union, (a, b) in (("male", ("young_male", "older_male")),
+                              ("female", ("young_female", "older_female")),
+                              ("young", ("young_male", "young_female")),
+                              ("older", ("older_male", "older_female"))):
+            assert rows[union].tolist() == rows[a].tolist() + rows[b].tolist()
+            assert np.array_equal(sims[0][rows[union]],
+                                  np.concatenate([sims[0][rows[a]], sims[0][rows[b]]]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.text(min_size=1, max_size=4),
+                      st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0])),
+            min_size=1, max_size=20, unique_by=lambda member: member[0],
+        )
+    )
+    def test_rank_orders_by_similarity_then_image_id(self, members):
+        query = labeled("query", [1.0, 0.0], "male", "young")
+        group = AttributeGroup(
+            "male", tuple(labeled(i, [0.5, 0.5], "male", "young") for i, _ in members)
+        )
+        model = ProjectionModel.identity(2)
+        # equal vectors: image_id alone orders the ranking
+        ranking = selector.rank_candidates(model, query, group)
+        assert [c.image_id for c in ranking] == sorted(group.member_ids)
+        assert [c.rank for c in ranking] == list(range(1, len(members) + 1))
+        # given similarities, signed zeros among them: -0.0 and 0.0 tie
+        gallery, _ = similarity_table(model, [query], [group])
+        sims = np.array([sim for _, sim in members])
+        ranking = selector._rank(group.name, query, sims, gallery, gallery.members[0])
+        oracle = sorted(zip(sims.tolist(), group.member_ids), key=lambda p: (-p[0], p[1]))
+        assert [(c.similarity, c.image_id) for c in ranking] == oracle
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 4), st.sets(st.integers(0, 15), min_size=2, max_size=5),
+           st.integers(0, 2**32 - 1), st.permutations(attributes.ALL_GROUPS), st.integers(2, 8))
+    def test_first_zero_projection_is_named_as_per_group(self, per, zero, seed, names, n_groups):
+        rng = np.random.default_rng(seed)
+        weight = np.eye(4)
+        weight[:, 0] = 0.0  # a vector that is zero past its first component projects to zero
+        model = ProjectionModel(weight)
+        pool = _pool(rng, 4, per)
+        zero = {i % len(pool) for i in zero}
+        pool = [
+            labeled(r.image_id, [r.vector[0], 0.0, 0.0, 0.0], r.gender, r.age_group)
+            if i in zero else r
+            for i, r in enumerate(pool)
+        ]
+        groups = build_groups(pool)
+        chosen = [groups[n] for n in names[:n_groups]]
+        expected = None
+        for g in chosen:  # the groups projected one at a time, in order
+            try:
+                project_records(model, g.members)
+            except DegenerateVectorError as exc:
+                expected = str(exc)
+                break
+        query = labeled("q", np.ones(4), "male", "young")
+        if expected is None:  # no chosen group holds a zero row
+            similarity_table(model, [query], chosen)
+        else:
+            with pytest.raises(DegenerateVectorError) as info:
+                similarity_table(model, [query], chosen)
+            assert str(info.value) == expected
 
 
 class TestClassifyQuery:

@@ -201,8 +201,8 @@ class TestPipeline:
                 return result
             return wrapper
 
-        monkeypatch.setattr(attributes, "rowwise_cosine",
-                            counting(attributes.rowwise_cosine, scored))
+        monkeypatch.setattr(attributes, "scaled_cosine",
+                            counting(attributes.scaled_cosine, scored))
         monkeypatch.setattr(attributes, "project_records",
                             counting(attributes.project_records, projected))
         model = tmp_path / "identity.json"
@@ -212,13 +212,13 @@ class TestPipeline:
                         "--queries", str(clustered_dir / "queries.csv"),
                         "--report", str(tmp_path / "attr.json"),
                         "--distances", str(tmp_path / "distances.csv")]) == 0
-        groups = attributes.build_groups(
-            list(corpus.load_embeddings(clustered_dir / "candidates.csv"))
-        )
-        sizes = [len(groups[name]) for name in attributes.ALL_GROUPS]
+        # each distinct candidate is projected once (the unions reuse their
+        # intersections' rows), then each query; each query is scored once
+        # against all of them
+        n_candidates = len(corpus.load_embeddings(clustered_dir / "candidates.csv"))
         n_queries = len(corpus.load_embeddings(clustered_dir / "queries.csv"))
-        assert scored == sizes * n_queries
-        assert projected == sizes + [n_queries]
+        assert projected == [n_candidates, n_queries] == [80, 12]
+        assert scored == [n_candidates] * n_queries
 
     def test_select_single_query_id(self, clustered_dir, tmp_path):
         model = tmp_path / "identity.json"

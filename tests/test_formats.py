@@ -299,20 +299,31 @@ def test_block_parser_takes_what_facesim_writes(valid_inputs, clustered_inputs, 
         assert (lines, fields) == expected[:2] and matrix.tobytes() == expected[2].tobytes()
 
 
+def _csv_module_lines(rows):
+    """Each row written by its own `csv.writer` ending in "\\r\\n" (so a field holding
+    either line break is quoted), with that ending swapped for "\\n"."""
+    for row in rows:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        yield buffer.getvalue()[:-2] + "\n"
+
+
 def _csv_module_save_embeddings(table, path):
-    """The embedding writer as one `csv.writer` over whole rows, floats included."""
+    """The embedding writer as one `csv.writer` row per record, floats included."""
+    header = corpus.EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim)]
+    rows = (
+        [rec.image_id, rec.identity_id, rec.role, rec.target_id or "", rec.gender,
+         rec.age_group, *rec.vector.tolist()]
+        for rec in table
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(corpus.EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim)])
-        writer.writerows(
-            [rec.image_id, rec.identity_id, rec.role, rec.target_id or "", rec.gender,
-             rec.age_group, *rec.vector.tolist()]
-            for rec in table
-        )
+        fh.writelines(_csv_module_lines([header, *rows]))
 
 
-@pytest.mark.parametrize("image_id", ["plain", "a,b", 'say "hi"', "two\nlines", "a\r\nb",
-                                      "bare\rreturn"])
+AWKWARD_IDS = ["plain", "a,b", 'say "hi"', "two\nlines", "a\r\nb", "bare\rreturn"]
+
+
+@pytest.mark.parametrize("image_id", AWKWARD_IDS)
 def test_save_embeddings_writes_what_the_csv_module_writes(tmp_path, image_id):
     table = corpus.EmbeddingTable([
         corpus.EmbeddingRecord(image_id, "id,1", "swapped", 'target"1', "male", "older",
@@ -324,9 +335,21 @@ def test_save_embeddings_writes_what_the_csv_module_writes(tmp_path, image_id):
     corpus.save_embeddings(table, got)
     _csv_module_save_embeddings(table, expected)
     assert got.read_bytes() == expected.read_bytes()
-    if image_id == "bare\rreturn":
-        return  # csv quotes "\n" but not a bare "\r", so this row does not read back
     again = corpus.load_embeddings(got)
     assert [r.image_id for r in again] == [image_id, "other"]
     assert again["other"].target_id is None
     assert again.matrix.tobytes() == table.matrix.tobytes()
+
+
+@pytest.mark.parametrize("field", AWKWARD_IDS + ["", "trailing\r", "\rleading"])
+def test_write_csv_reads_back(tmp_path, field):
+    path = tmp_path / "rows.csv"
+    rows = [[field, "x", 0.1], ["y", field, -0.0]] * 300  # more rows than one write block
+    corpus.write_csv(path, ["a", "b", "c"], rows)
+    assert path.read_bytes().decode("utf-8") == "".join(
+        _csv_module_lines([["a", "b", "c"], *rows])
+    )
+    header, read = corpus.read_csv(path)
+    assert [header, *(fields for _, fields in read)] == [
+        ["a", "b", "c"], *[[field, "x", "0.1"], ["y", field, "-0.0"]] * 300
+    ]
