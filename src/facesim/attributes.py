@@ -7,7 +7,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -191,24 +191,6 @@ def similarity_table(
     return gallery, sims
 
 
-def _group_result(
-    name: str,
-    query: EmbeddingRecord,
-    sims: np.ndarray,
-    gallery: Gallery,
-    rows: np.ndarray,
-    use_t: bool,
-) -> GroupDistanceResult:
-    """`group_distance` from the query's gallery similarities; `rows` are the group's."""
-    # a query never measures its own candidate entry
-    keep = gallery.image_ids[rows] != query.image_id
-    if not keep.any():
-        raise ValidationError(
-            f"group '{name}' holds only the query image '{query.image_id}'"
-        )
-    return summarize_distances(name, (1.0 - sims[rows][keep]).tolist(), use_t=use_t)
-
-
 def group_distance(
     model: ProjectionModel,
     query: EmbeddingRecord,
@@ -232,13 +214,72 @@ def group_distances(
 ) -> List[List[GroupDistanceResult]]:
     """`group_distance` of each query to each group, from one `similarity_table`."""
     gallery, table = similarity_table(model, queries, groups)
+    names = [g.name for g in groups]
+    stats = _group_stats(queries, gallery, table, use_t)
+    _require_other_members(names, queries, stats.n)
+    # one row of results per query
     return [
-        [
-            _group_result(g.name, query, sims, gallery, rows, use_t)
-            for g, rows in zip(groups, gallery.members)
-        ]
-        for query, sims in zip(queries, table)
+        [GroupDistanceResult(*result) for result in zip(names, *row)]
+        for row in zip(*(column.tolist() for column in stats))
     ]
+
+
+class GroupStats(NamedTuple):
+    """`summarize_distances` of every (query, group) pair, as `(Q, G)` arrays."""
+
+    n: np.ndarray
+    mean: np.ndarray
+    sd: np.ndarray
+    upper: np.ndarray
+
+
+def _group_stats(
+    queries: Sequence[EmbeddingRecord], gallery: Gallery, sims: np.ndarray, use_t: bool
+) -> GroupStats:
+    """`summarize_distances` of each query's kept distances to each gallery group.
+
+    Bit-identical to the scalar oracle: sums run left to right (`cumsum`, as
+    Python's `sum` does; `np.sum` sums pairwise), a zero-spread sample gives its
+    common value, and fewer than two kept distances give sd 0 and upper = mean.
+    A pair whose group holds only the query image gets n = 0 and meaningless
+    statistics (see `_require_other_members`).
+    """
+    # a query never measures its own candidate entry
+    own = gallery.image_ids == np.array([q.image_id for q in queries], dtype=object)[:, None]
+    every_query = np.arange(len(queries))
+    n = np.zeros((len(queries), len(gallery.members)), dtype=np.intp)
+    spread = np.zeros(n.shape, dtype=bool)  # implies n >= 2
+    mean, squares = np.zeros(n.shape), np.zeros(n.shape)
+    for g, rows in enumerate(gallery.members):
+        keep, ds = ~own[:, rows], 1.0 - sims[:, rows]
+        first = ds[every_query, keep.argmax(axis=1)]
+        spread[:, g] = (keep & (ds != first[:, None])).any(axis=1)
+        n[:, g] = keep.sum(axis=1)
+        total = np.cumsum(np.where(keep, ds, 0.0), axis=1)[:, -1]
+        mean[:, g] = np.where(spread[:, g], total / np.maximum(n[:, g], 1), first)
+        dev = np.where(keep, ds - mean[:, g, None], 0.0)
+        squares[:, g] = np.cumsum(dev * dev, axis=1)[:, -1]
+    sd = np.where(spread, np.sqrt(squares / np.maximum(n - 1, 1)), 0.0)
+    crit = Z_95
+    if use_t and spread.any():
+        from scipy import stats
+
+        crit = np.full(n.shape, Z_95)
+        crit[spread] = stats.t.ppf(0.975, n[spread] - 1)
+    upper = np.where(spread, mean + crit * sd / np.sqrt(np.maximum(n, 1)), mean)
+    return GroupStats(n=n, mean=mean, sd=sd, upper=upper)
+
+
+def _require_other_members(
+    names: Sequence[str], queries: Sequence[EmbeddingRecord], n: np.ndarray
+) -> None:
+    """Raise for the first (query, group) pair, query-major, left with no distance."""
+    empty = np.argwhere(n == 0)
+    if empty.size:
+        q, g = empty[0]
+        raise ValidationError(
+            f"group '{names[g]}' holds only the query image '{queries[q].image_id}'"
+        )
 
 
 def summarize_distances(
@@ -251,7 +292,8 @@ def summarize_distances(
     # a zero-spread sample summarizes to its common value exactly
     mean = ds[0] if all(d == ds[0] for d in ds) else sum(ds) / n
     if n >= 2 and any(d != ds[0] for d in ds):
-        sd = math.sqrt(sum((d - mean) ** 2 for d in ds) / (n - 1))
+        # a correctly rounded square; `** 2` goes through libm `pow`
+        sd = math.sqrt(sum((d - mean) * (d - mean) for d in ds) / (n - 1))
         if use_t:
             from scipy import stats
 

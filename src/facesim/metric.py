@@ -155,7 +155,10 @@ def scaled_cosine(
     """
     (su, nu), (sv, nv) = scaled_u, scaled_v
     value = np.clip(np.sum(su * sv, axis=1) / (nu * nv), -1.0, 1.0)
-    value[(u == v).all(axis=1)] = 1.0
+    # equal rows have equal norms (`scale_rows` is row-local): compare only those
+    same = np.flatnonzero(nu == nv)
+    u, v = np.broadcast_arrays(u, v)
+    value[same[(u[same] == v[same]).all(axis=1)]] = 1.0
     return value
 
 

@@ -13,8 +13,8 @@ from .attributes import (
     INTERSECTION_GROUPS,
     AttributeGroup,
     Gallery,
-    _closest,
-    _group_result,
+    _group_stats,
+    _require_other_members,
     classify_query,
     similarity_table,
 )
@@ -124,17 +124,18 @@ def recommend_batch(
         raise ValidationError("k must be >= 1")
     candidates = _mode_groups(groups, group_mode)
     gallery, table = similarity_table(model, queries, candidates)
-    rows_of = {g.name: rows for g, rows in zip(candidates, gallery.members)}
+    names = [g.name for g in candidates]
+    stats = _group_stats(queries, gallery, table, use_t=False)
+    # columns in name order, so that argmin breaks ties as `min((upper, name))` does
+    by_name = np.argsort(names)
+    chosen = by_name[stats.upper[:, by_name].argmin(axis=1)].tolist()
     results = []
-    for query, sims in zip(queries, table):
-        selected = _closest([
-            _group_result(name, query, sims, gallery, rows, False)
-            for name, rows in rows_of.items()
-        ])
-        ranking = _rank(selected, query, sims, gallery, rows_of[selected])
+    for query, sims, n, g in zip(queries, table, stats.n, chosen):
+        _require_other_members(names, [query], n[None])
+        ranking = _rank(names[g], query, sims, gallery, gallery.members[g])
         recommendation = Recommendation(
             query_id=query.image_id,
-            selected_group=selected,
+            selected_group=names[g],
             candidates=tuple(ranking[::-1][:k]),
             k=k,
         )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +12,19 @@ from facesim.attributes import (
     classify_query,
     evaluate_classification,
     group_distance,
+    group_distances,
     similarity_table,
     summarize_distances,
 )
 from facesim.errors import DegenerateVectorError, EvaluationError, ValidationError
-from facesim.metric import ProjectionModel, distance, project, project_records, rowwise_cosine
+from facesim.metric import (
+    ProjectionModel,
+    distance,
+    project,
+    project_records,
+    rowwise_cosine,
+    similarity_score,
+)
 
 from conftest import make_record
 
@@ -106,6 +116,12 @@ class TestGroupDistance:
         res = summarize_distances("g", [0.4])
         assert res.upper == 0.4 and res.sd_d == 0.0
 
+    def test_sd_squares_are_correctly_rounded(self):
+        # libm `pow` rounds this delta ** 2 away from delta * delta, by enough to move the SD
+        delta = 0.3067177786403865
+        res = summarize_distances("g", [0.0, 2 * delta])
+        assert res.sd_d == math.sqrt(2 * (delta * delta))
+
     def test_upper_at_least_mean(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -175,6 +191,53 @@ class TestGroupDistance:
                 assert getattr(res, field) == pytest.approx(
                     getattr(oracle, field), abs=1e-12
                 )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_batch_equals_scalar_oracle_bit_for_bit(self, seed, use_t):
+        """`group_distances` against `summarize_distances` of per-pair distances."""
+        rng = np.random.default_rng(seed)
+        model = ProjectionModel(np.eye(3) + 0.3 * rng.normal(size=(3, 3)))
+        pool = []
+        for gender in ("male", "female"):
+            for age in ("young", "older"):
+                # singletons; past 8 members, np.sum's pairwise order would show
+                size = 1 if rng.random() < 0.3 else int(rng.integers(2, 13))
+                # a zero-spread cell: every member the same vector
+                shared = rng.normal(size=3) if rng.random() < 0.3 else None
+                pool += [
+                    labeled(f"{age}_{gender}_{j}",
+                            rng.normal(size=3) if shared is None else shared, gender, age)
+                    for j in range(size)
+                ]
+        groups = build_groups(pool)
+        names = [str(n) for n in rng.permutation(attributes.ALL_GROUPS)]
+        chosen = [groups[n] for n in names[: int(rng.integers(1, 9))]]
+        # a member as query leaves its own entry out; a singleton's member empties it
+        queries = [labeled("q", rng.normal(size=3), "male", "young"), pool[-1]]
+        queries += [groups[n].members[0] for n in names if len(groups[n]) == 1]
+        expected, empty = [], None
+        for query in queries:
+            results = []
+            for g in chosen:
+                ds = [1.0 - similarity_score(model, query, m)
+                      for m in g.members if m.image_id != query.image_id]
+                if not ds:
+                    empty = empty or f"group '{g.name}' holds only the query image '{query.image_id}'"
+                    continue
+                results.append(summarize_distances(g.name, ds, use_t=use_t))
+            expected.append(results)
+        if empty is not None:
+            with pytest.raises(ValidationError) as info:
+                group_distances(model, queries, chosen, use_t=use_t)
+            assert str(info.value) == empty
+        else:
+            # dataclass equality: == on n, mean_d, sd_d and upper
+            assert group_distances(model, queries, chosen, use_t=use_t) == expected
+
+    def test_no_groups_give_empty_rows(self):
+        queries = [labeled(f"q{i}", [1.0, float(i)], "male", "young") for i in range(3)]
+        assert group_distances(ProjectionModel.identity(2), queries, []) == [[], [], []]
 
     def test_zero_projection_member_is_named(self):
         model = ProjectionModel(np.array([[1.0, 0.0], [0.0, 0.0]]))

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -219,6 +223,30 @@ class TestPipeline:
         n_queries = len(corpus.load_embeddings(clustered_dir / "queries.csv"))
         assert projected == [n_candidates, n_queries] == [80, 12]
         assert scored == [n_candidates] * n_queries
+
+    def test_attribute_commands_leave_scipy_unimported(self, clustered_dir, tmp_path):
+        # importing scipy.stats costs ~1.2 s and ~69 MB; only --student-t needs it
+        model = tmp_path / "identity.json"
+        ProjectionModel.identity(8).save(model)
+        inputs = ["--model", str(model), "--candidates", str(clustered_dir / "candidates.csv")]
+        queries = str(clustered_dir / "queries.csv")
+        commands = [
+            ["eval-attributes", *inputs, "--queries", queries,
+             "--report", str(tmp_path / "attr.json"), "--distances", str(tmp_path / "d.csv")],
+            ["select", *inputs, "--query", queries, "--group-mode", "all",
+             "--out", str(tmp_path / "select.json"), "--ranking", str(tmp_path / "r.csv")],
+        ]
+        script = (
+            "import sys\nfrom facesim import cli\n"
+            f"codes = [cli.run(c) for c in {commands!r}]\n"
+            "print(codes, 'scipy' in sys.modules)"
+        )
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.splitlines()[-1] == "[0, 0] False"
 
     def test_select_single_query_id(self, clustered_dir, tmp_path):
         model = tmp_path / "identity.json"

@@ -190,6 +190,20 @@ class TestRecommend:
             assert rec == selector.recommend(model, q, groups, k=3, group_mode="all")
             assert ranking == selector.rank_candidates(model, q, groups[rec.selected_group])
 
+    def test_all_groups_tied_select_first_name(self):
+        # every member vector equal: all eight upper bounds tie exactly, and
+        # min((upper, name)) picks "female", not ALL_GROUPS' first "older_female"
+        pool = [
+            candidate(f"{age}_{gender}", [1.0, 0.0], gender=gender, age_group=age)
+            for gender in ("male", "female")
+            for age in ("young", "older")
+        ]
+        groups = build_groups(pool)
+        [(rec, _)] = selector.recommend_batch(
+            ProjectionModel.identity(2), [QUERY], groups, k=1, group_mode="all"
+        )
+        assert rec.selected_group == "female"
+
     def test_composition_consistency(self, clustered):
         groups = build_groups(list(clustered.candidates))
         model = ProjectionModel.identity(16)
