@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -95,6 +96,8 @@ def build_groups(
     that many members are sampled per intersection group with the seeded RNG;
     union groups are always the concatenation of their two intersections.
     """
+    if per_intersection is not None and per_intersection < 1:
+        raise ValidationError(f"per-group sample size must be >= 1, got {per_intersection}")
     pools: Dict[str, List[EmbeddingRecord]] = {name: [] for name in INTERSECTION_GROUPS}
     for rec in records:
         if rec.gender == "unknown" or rec.age_group == "unknown":
@@ -191,28 +194,20 @@ def similarity_table(
     return gallery, sims
 
 
-def group_distance(
-    model: ProjectionModel,
-    query: EmbeddingRecord,
-    group: AttributeGroup,
-    use_t: bool = False,
-) -> GroupDistanceResult:
-    """Mean member distance plus a 95% CI upper bound on that mean.
-
-    Sample SD uses the n-1 denominator; a singleton group degenerates to
-    sd = 0 and upper = the single distance. `use_t` swaps the z critical
-    value for Student-t, for small groups.
-    """
-    return group_distances(model, [query], [group], use_t=use_t)[0][0]
-
-
 def group_distances(
     model: ProjectionModel,
     queries: Sequence[EmbeddingRecord],
     groups: Sequence[AttributeGroup],
     use_t: bool = False,
 ) -> List[List[GroupDistanceResult]]:
-    """`group_distance` of each query to each group, from one `similarity_table`."""
+    """Each query's distance to each group, from one `similarity_table`.
+
+    A distance is the mean member distance plus a 95% CI upper bound on that
+    mean. The query's own entry is left out of its groups. Sample SD uses the
+    n-1 denominator; a singleton group degenerates to sd = 0 and upper = the
+    single distance. `use_t` swaps the z critical value for Student-t, for
+    small groups.
+    """
     gallery, table = similarity_table(model, queries, groups)
     names = [g.name for g in groups]
     stats = _group_stats(queries, gallery, table, use_t)
@@ -307,24 +302,13 @@ def summarize_distances(
     return GroupDistanceResult(group=name, n=n, mean_d=mean, sd_d=sd, upper=upper)
 
 
-def classify_query(
-    model: ProjectionModel,
-    query: EmbeddingRecord,
-    groups: Sequence[AttributeGroup],
-    use_t: bool = False,
-) -> str:
-    """Name of the group with minimal CI-upper-bound distance.
+def closest(names: Sequence[str], upper: np.ndarray) -> np.ndarray:
+    """Column of each row's least CI upper bound; ties go to the lexicographically first name.
 
-    Ties break lexicographically by group name.
+    `upper` is `(Q, G)`, column g holding group `names[g]`.
     """
-    if len(groups) < 2:
-        raise ValidationError("classification needs at least two candidate groups")
-    return _closest(group_distances(model, [query], groups, use_t=use_t)[0])
-
-
-def _closest(results: Sequence[GroupDistanceResult]) -> str:
-    """Group with minimal CI upper bound; ties break lexicographically by name."""
-    return min((r.upper, r.group) for r in results)[1]
+    by_name = np.argsort(names)  # argmin keeps the first of equal minima
+    return by_name[upper[:, by_name].argmin(axis=1)]
 
 
 def auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
@@ -387,7 +371,10 @@ def classification_report(
 ) -> ClassificationReport:
     """The `evaluate_classification` report from the queries' `group_distances` table.
 
-    Groups in the table outside the task's categories are ignored.
+    Each query is classified into the `closest` of the task's groups, and a
+    category's AUC scores each query by its negated upper bound to that
+    group. Every row lists the same groups in the same order, as
+    `group_distances` gives them; groups outside the task's categories are ignored.
     """
     categories = task_categories(task)
     if not queries:
@@ -402,19 +389,17 @@ def classification_report(
             )
         truths.append(truth)
 
-    confusion: Dict[Tuple[str, str], int] = {}
-    neg_distance: Dict[str, List[float]] = {c: [] for c in categories}
-    for truth, results in zip(truths, table):
-        results = [r for r in results if r.group in neg_distance]
-        for r in results:
-            neg_distance[r.group].append(-r.upper)
-        predicted = _closest(results)
-        confusion[(truth, predicted)] = confusion.get((truth, predicted), 0) + 1
+    column = {r.group: j for j, r in enumerate(table[0])}
+    if not column.keys() >= set(categories):
+        raise ValidationError(f"the distance table lacks a group of task '{task}'")
+    upper = np.array([[row[column[c]].upper for c in categories] for row in table])
+    predicted = [categories[j] for j in closest(categories, upper).tolist()]
+    confusion = dict(Counter(zip(truths, predicted)))
 
     n = len(queries)
     precision, recall, cat_acc, aucs = {}, {}, {}, {}
     correct = 0
-    for c in categories:
+    for j, c in enumerate(categories):
         tp = confusion.get((c, c), 0)
         fp = sum(v for (t, p), v in confusion.items() if p == c and t != c)
         fn = sum(v for (t, p), v in confusion.items() if t == c and p != c)
@@ -422,7 +407,7 @@ def classification_report(
         precision[c] = tp / (tp + fp) if tp + fp else 0.0
         recall[c] = tp / (tp + fn) if tp + fn else 0.0
         cat_acc[c] = (tp + tn) / n
-        aucs[c] = auc(neg_distance[c], [t == c for t in truths])
+        aucs[c] = auc(-upper[:, j], [t == c for t in truths])
         correct += tp
     return ClassificationReport(
         task=task,

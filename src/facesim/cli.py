@@ -24,6 +24,7 @@ from .errors import (
     FacesimError,
     InfeasibleSplitError,
     IntegrityError,
+    ValidationError,
 )
 from .metric import ProjectionModel
 
@@ -222,6 +223,10 @@ def cmd_select(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.dim < 1 or args.probes < 1:
+        raise ValidationError(
+            f"gradcheck needs --dim and --probes >= 1, got {args.dim} and {args.probes}"
+        )
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.probes):

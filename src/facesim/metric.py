@@ -72,9 +72,13 @@ class ProjectionModel:
             raise FormatError(
                 f"model file {path}: dim must be a positive integer, got {dim!r}"
             )
+        weights = payload["weight"]
+        # JSON numbers only: numpy would also take strings such as "1" and booleans
+        if not isinstance(weights, list) or not set(map(type, weights)) <= {int, float}:
+            raise FormatError(f"model file {path}: weight must be a list of numbers")
         try:
-            weight = np.asarray(payload["weight"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
+            weight = np.asarray(weights, dtype=np.float64)
+        except OverflowError as exc:
             raise FormatError(
                 f"model file {path}: weight must be a list of numbers ({exc})"
             ) from exc

@@ -15,7 +15,7 @@ from .attributes import (
     Gallery,
     _group_stats,
     _require_other_members,
-    classify_query,
+    closest,
     similarity_table,
 )
 from .corpus import EmbeddingRecord
@@ -59,24 +59,15 @@ def _mode_groups(groups: Dict[str, AttributeGroup], group_mode: str) -> List[Att
     return [groups[n] for n in names]
 
 
-def select_group(
-    model: ProjectionModel,
-    query: EmbeddingRecord,
-    groups: Dict[str, AttributeGroup],
-    group_mode: str = "intersection",
-) -> str:
-    """Closest attribute group by CI-upper-bound distance.
-
-    "intersection" classifies among the four age x gender groups (tightest
-    attribute consistency); "all" competes all eight groups.
-    """
-    return classify_query(model, query, _mode_groups(groups, group_mode))
-
-
 def _rank(
     name: str, query: EmbeddingRecord, sims: np.ndarray, gallery: Gallery, rows: np.ndarray
 ) -> List[RankedCandidate]:
-    """`rank_candidates` from the query's gallery similarities; `rows` are the group's."""
+    """The group's eligible members by descending similarity to the query.
+
+    `sims` is the query's row of the `similarity_table`, and `rows` are the
+    group's gallery rows. The query's own image and any candidate sharing its
+    identity are excluded from candidacy. Ties order by image_id.
+    """
     image_ids = gallery.image_ids[rows]
     eligible = (image_ids != query.image_id) & (gallery.identity_ids[rows] != query.identity_id)
     if not eligible.any():
@@ -94,20 +85,6 @@ def _rank(
     ]
 
 
-def rank_candidates(
-    model: ProjectionModel,
-    query: EmbeddingRecord,
-    group: AttributeGroup,
-) -> List[RankedCandidate]:
-    """All eligible group members sorted by descending similarity to the query.
-
-    The query's own image and any candidate sharing its identity are excluded
-    from candidacy. Ties order by image_id.
-    """
-    gallery, sims = similarity_table(model, [query], [group])
-    return _rank(group.name, query, sims[0], gallery, gallery.members[0])
-
-
 def recommend_batch(
     model: ProjectionModel,
     queries: Sequence[EmbeddingRecord],
@@ -117,8 +94,10 @@ def recommend_batch(
 ) -> List[Tuple[Recommendation, List[RankedCandidate]]]:
     """Each query's `recommend` result and the full ranking of its selected group.
 
-    One `similarity_table` row per query serves both the group choice and the
-    ranking of the chosen group.
+    The selected group is the `closest` by CI upper bound: "intersection"
+    classifies among the four age x gender groups (tightest attribute
+    consistency); "all" competes all eight groups. One `similarity_table` row
+    per query serves both the group choice and the ranking of the chosen group.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -126,11 +105,8 @@ def recommend_batch(
     gallery, table = similarity_table(model, queries, candidates)
     names = [g.name for g in candidates]
     stats = _group_stats(queries, gallery, table, use_t=False)
-    # columns in name order, so that argmin breaks ties as `min((upper, name))` does
-    by_name = np.argsort(names)
-    chosen = by_name[stats.upper[:, by_name].argmin(axis=1)].tolist()
     results = []
-    for query, sims, n, g in zip(queries, table, stats.n, chosen):
+    for query, sims, n, g in zip(queries, table, stats.n, closest(names, stats.upper).tolist()):
         _require_other_members(names, [query], n[None])
         ranking = _rank(names[g], query, sims, gallery, gallery.members[g])
         recommendation = Recommendation(

@@ -64,8 +64,10 @@ def triplet_loss(x: np.ndarray, x_plus: np.ndarray, x_minus: np.ndarray, margin:
     return max(0.0, cosine(x, x_minus) - cosine(x, x_plus) + margin)
 
 
-def _hinge_and_grad(weight, ref, pos, neg, margin: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-triplet hinge of stacked (B, d) rows and its gradient summed over the batch.
+def batch_loss_and_gradient(
+    weight: np.ndarray, ref: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-triplet hinge of stacked (B, d) rows, B >= 1, and its batch-mean gradient.
 
     d cos(Wa, Wb)/dW = ga aᵀ + gb bᵀ with ga = Wb/(|Wa||Wb|) - cos(Wa, Wb) Wa/|Wa|², gb alike.
     """
@@ -82,26 +84,13 @@ def _hinge_and_grad(weight, ref, pos, neg, margin: float) -> Tuple[np.ndarray, n
     g_ref = active * (w / (nu * nw) - v / (nu * nv) - (cos_neg - cos_pos) / (nu * nu) * u)
     g_pos = active * (cos_pos / (nv * nv) * v - u / (nu * nv))
     g_neg = active * (u / (nu * nw) - cos_neg / (nw * nw) * w)
-    return hinge[:, 0], g_ref.T @ ref + g_pos.T @ pos + g_neg.T @ neg
+    return hinge[:, 0], (g_ref.T @ ref + g_pos.T @ pos + g_neg.T @ neg) / len(ref)
 
 
 def _stack(samples: Sequence[TripletSample], table: EmbeddingTable) -> Tuple[np.ndarray, ...]:
     """Reference, chosen and other vectors of the samples as three (n, d) arrays."""
     ids = zip(*((s.ref_id, s.chosen_id(), s.other_id()) for s in samples))
     return tuple(table.vectors(role) for role in ids)
-
-
-def batch_loss_and_gradient(
-    model: ProjectionModel,
-    batch: Sequence[TripletSample],
-    table: EmbeddingTable,
-    margin: float,
-) -> Tuple[float, np.ndarray]:
-    """Mean hinge loss over the batch and its analytic gradient."""
-    if not batch:
-        raise ValidationError("batch must be nonempty")
-    losses, grad = _hinge_and_grad(model.weight, *_stack(batch, table), margin)
-    return float(losses.mean()), grad / len(batch)
 
 
 def gradient_check(
@@ -116,7 +105,7 @@ def gradient_check(
     if step <= 0:
         raise ValidationError("step must be > 0")
     weight = model.weight
-    _, analytic = _hinge_and_grad(weight, ref[None], pos[None], neg[None], margin)
+    _, analytic = batch_loss_and_gradient(weight, ref[None], pos[None], neg[None], margin)
 
     def loss_at(w):
         return triplet_loss(w @ ref, w @ pos, w @ neg, margin)
@@ -165,11 +154,11 @@ def train(
         with np.errstate(all="ignore"):  # overflow surfaces as non-finite values, checked below
             for batch, start in enumerate(range(0, len(order), config.batch_size), start=1):
                 rows = order[start : start + config.batch_size]
-                losses, grad = _hinge_and_grad(
+                losses, grad = batch_loss_and_gradient(
                     weight, ref[rows], pos[rows], neg[rows], config.margin
                 )
                 velocity = config.momentum * velocity - config.learning_rate * (
-                    grad / len(rows) + config.weight_decay * weight
+                    grad + config.weight_decay * weight
                 )
                 weight = weight + velocity
                 if not (np.all(np.isfinite(losses)) and np.all(np.isfinite(weight))):

@@ -41,23 +41,13 @@ def test_criterion_01_gradient_fidelity():
     while probes < 100:
         dim = int(rng.integers(3, 9))
         weight = np.eye(dim) + 0.15 * rng.normal(size=(dim, dim))
-        model = ProjectionModel(weight)
         ref, pos, neg = (rng.normal(size=dim) for _ in range(3))
         margin = float(rng.uniform(0.1, 0.6))
         if fd_loss(weight, ref, pos, neg, margin) <= 0.0:
             continue
         probes += 1
-        records = [
-            corpus.EmbeddingRecord("c", "idc", "target", None, "male", "young", tuple(ref)),
-            corpus.EmbeddingRecord("a", "ida", "source", None, "male", "young", tuple(pos)),
-            corpus.EmbeddingRecord("b", "idb", "source", None, "male", "young", tuple(neg)),
-        ]
-        table = corpus.EmbeddingTable(records)
-        sample = corpus.TripletSample(
-            triplet_id="t", ref_id="c", option_a_id="a", option_b_id="b",
-            votes=("A", "A", "A"), majority="A", consistent=True, admitted=True,
-        )
-        _, grad = trainer.batch_loss_and_gradient(model, [sample], table, margin)
+        # the kernel `train` runs, on a batch of one triplet
+        _, grad = trainer.batch_loss_and_gradient(weight, ref[None], pos[None], neg[None], margin)
         step = 1e-5
         fd = np.zeros_like(weight)
         for i in range(dim):
@@ -216,10 +206,9 @@ def test_criterion_08_attribute_classification():
         for name in attributes.INTERSECTION_GROUPS
     }
     agreement = 0
-    for q in queries:
-        predicted = attributes.classify_query(
-            model, q, [groups[n] for n in attributes.INTERSECTION_GROUPS]
-        )
+    choices = selector.recommend_batch(model, queries, groups)
+    for q, (rec, _) in zip(queries, choices):
+        predicted = rec.selected_group
         nearest = min(centroids, key=lambda n: 1.0 - cosine(q.vector, centroids[n]))
         agreement += predicted == nearest
     agree_frac = agreement / len(queries)
@@ -264,7 +253,7 @@ def test_criterion_09_selector_correctness():
             key=lambda p: (p[0], p[1]),
         )[: min(k, len(eligible))]
         got = [(c.similarity, c.image_id) for c in rec.candidates]
-        ranking = selector.rank_candidates(model, query, group)
+        ranking = selector.recommend_batch(model, [query], groups, k=k)[0][1]
         ok = ok and got == oracle
         ok = ok and sorted(c.rank for c in ranking) == list(range(1, len(eligible) + 1))
         ok = ok and all(c.image_id != query.image_id for c in rec.candidates)

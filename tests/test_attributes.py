@@ -9,9 +9,8 @@ from facesim.attributes import (
     AttributeGroup,
     auc,
     build_groups,
-    classify_query,
+    closest,
     evaluate_classification,
-    group_distance,
     group_distances,
     similarity_table,
     summarize_distances,
@@ -100,9 +99,9 @@ class TestGroupDistance:
             labeled(f"m{i}", [np.cos(0.7), s * np.sin(0.7)], "male", "young")
             for i, s in enumerate((1.0, -1.0))
         )
-        res = group_distance(
-            ProjectionModel.identity(2), query, AttributeGroup("male", members)
-        )
+        res = group_distances(
+            ProjectionModel.identity(2), [query], [AttributeGroup("male", members)]
+        )[0][0]
         assert res.sd_d == pytest.approx(0.0, abs=1e-12)
         assert res.upper == pytest.approx(res.mean_d, abs=1e-12)
 
@@ -148,18 +147,18 @@ class TestGroupDistance:
         group = AttributeGroup(
             "male", (query, labeled("other", [0.0, 1.0], "male", "young"))
         )
-        res = group_distance(ProjectionModel.identity(2), query, group)
+        res = group_distances(ProjectionModel.identity(2), [query], [group])[0][0]
         assert res.n == 1 and res.mean_d == pytest.approx(1.0)
 
     def test_union_distance_equals_concatenation(self, labeled_pool):
         groups = build_groups(labeled_pool)
         query = labeled("q", np.arange(1.0, 7.0), "male", "young")
         model = ProjectionModel.identity(6)
-        direct = group_distance(model, query, groups["male"])
+        direct = group_distances(model, [query], [groups["male"]])[0][0]
         concat = AttributeGroup(
             "male", groups["young_male"].members + groups["older_male"].members
         )
-        via_parts = group_distance(model, query, concat)
+        via_parts = group_distances(model, [query], [concat])[0][0]
         assert direct == via_parts
 
 
@@ -185,7 +184,7 @@ class TestGroupDistance:
                     if m.image_id != query.image_id
                 ],
             )
-            res = group_distance(model, query, AttributeGroup("male", members))
+            res = group_distances(model, [query], [AttributeGroup("male", members)])[0][0]
             assert res.n == oracle.n
             for field in ("mean_d", "sd_d", "upper"):
                 assert getattr(res, field) == pytest.approx(
@@ -248,7 +247,7 @@ class TestGroupDistance:
         )
         query = labeled("q", [1.0, 0.0], "male", "young")
         with pytest.raises(DegenerateVectorError, match="flat"):
-            group_distance(model, query, group)
+            group_distances(model, [query], [group])
 
 
 def _pool(rng, dim, per_intersection):
@@ -318,11 +317,11 @@ class TestGallery:
         )
         model = ProjectionModel.identity(2)
         # equal vectors: image_id alone orders the ranking
-        ranking = selector.rank_candidates(model, query, group)
+        gallery, table = similarity_table(model, [query], [group])
+        ranking = selector._rank(group.name, query, table[0], gallery, gallery.members[0])
         assert [c.image_id for c in ranking] == sorted(group.member_ids)
         assert [c.rank for c in ranking] == list(range(1, len(members) + 1))
         # given similarities, signed zeros among them: -0.0 and 0.0 tie
-        gallery, _ = similarity_table(model, [query], [group])
         sims = np.array([sim for _, sim in members])
         ranking = selector._rank(group.name, query, sims, gallery, gallery.members[0])
         oracle = sorted(zip(sims.tolist(), group.member_ids), key=lambda p: (-p[0], p[1]))
@@ -362,29 +361,41 @@ class TestGallery:
 
 
 class TestClassifyQuery:
+    """The closest-group rule, as `recommend_batch` and `classification_report` apply it."""
+
     def test_planted_cluster_wins(self, clustered):
         groups = build_groups(list(clustered.candidates))
         model = ProjectionModel.identity(16)
         hits = 0
         queries = list(clustered.queries)
-        for q in queries:
-            predicted = classify_query(
-                model, q, [groups[n] for n in attributes.INTERSECTION_GROUPS]
-            )
-            hits += predicted == attributes.group_label(q.age_group, q.gender)
+        for q, (rec, _) in zip(queries, selector.recommend_batch(model, queries, groups)):
+            hits += rec.selected_group == attributes.group_label(q.age_group, q.gender)
         assert hits / len(queries) >= 0.95
 
     def test_tie_breaks_lexicographically(self):
         members = tuple(labeled(f"m{i}", [1.0, float(i)], "male", "young") for i in range(3))
-        g_b = AttributeGroup("bravo", members)
-        g_a = AttributeGroup("alpha", members)
+        # four groups of the same members, "alpha" neither first nor last
+        groups = {
+            key: AttributeGroup(name, members)
+            for key, name in zip(attributes.INTERSECTION_GROUPS,
+                                 ("bravo", "alpha", "delta", "charlie"))
+        }
         query = labeled("q", [1.0, 1.0], "male", "young")
-        assert classify_query(ProjectionModel.identity(2), query, [g_b, g_a]) == "alpha"
+        [(rec, _)] = selector.recommend_batch(ProjectionModel.identity(2), [query], groups)
+        assert rec.selected_group == "alpha"
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.permutations(attributes.ALL_GROUPS), st.integers(0, 2**32 - 1))
+    def test_closest_matches_min_oracle(self, names, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so that rows hold ties
+        upper = rng.choice([0.0, 0.25, 0.5], size=(6, len(names)))
+        expected = [min(zip(row.tolist(), names))[1] for row in upper]
+        assert [names[g] for g in closest(names, upper)] == expected
 
     def test_scale_invariance(self, clustered):
         groups = build_groups(list(clustered.candidates))
         model = ProjectionModel.identity(16)
-        names = [groups[n] for n in attributes.INTERSECTION_GROUPS]
         scaled_groups = {
             n: AttributeGroup(
                 n,
@@ -395,14 +406,13 @@ class TestClassifyQuery:
             )
             for n in attributes.INTERSECTION_GROUPS
         }
-        scaled = [scaled_groups[n] for n in attributes.INTERSECTION_GROUPS]
-        for q in list(clustered.queries)[:10]:
-            assert classify_query(model, q, names) == classify_query(model, q, scaled)
-
-    def test_needs_two_groups(self):
-        query = labeled("q", [1.0, 0.0], "male", "young")
-        with pytest.raises(ValidationError):
-            classify_query(ProjectionModel.identity(2), query, [])
+        queries = list(clustered.queries)[:10]
+        assert [
+            rec.selected_group for rec, _ in selector.recommend_batch(model, queries, groups)
+        ] == [
+            rec.selected_group
+            for rec, _ in selector.recommend_batch(model, queries, scaled_groups)
+        ]
 
 
 class TestAuc:
@@ -503,6 +513,13 @@ class TestEvaluateClassification:
         )
         for c in report.categories:
             assert report.auc_per_category[c] == pytest.approx(0.5, abs=1e-9)
+
+    def test_report_needs_each_task_group_in_the_table(self, clustered):
+        groups = build_groups(list(clustered.candidates))
+        queries = list(clustered.queries)
+        table = group_distances(ProjectionModel.identity(16), queries, [groups["female"]])
+        with pytest.raises(ValidationError, match="gender"):
+            attributes.classification_report("gender", queries, table)
 
     def test_report_json_rounds_to_three_places(self, clustered):
         groups = build_groups(list(clustered.candidates))

@@ -59,6 +59,14 @@ class TestBasicCommands:
         out = capsys.readouterr().out
         assert float(out.rsplit(" ", 1)[1]) <= 1e-4
 
+    @pytest.mark.parametrize("flag", ["--dim", "--probes"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_gradcheck_rejects_an_empty_check(self, flag, value, capsys):
+        # a check over no probes, or over 0 x 0 weights, would report 0 error and pass
+        assert cli.run(["gradcheck", flag, value]) == 3
+        captured = capsys.readouterr()
+        assert not captured.out and "got" in captured.err
+
     def test_synth_roundtrip(self, tmp_path):
         out = tmp_path / "gen"
         code = cli.run(["synth", "--preset", "planted", "--seed", "3",
@@ -187,9 +195,9 @@ class TestPipeline:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(queries) * len(attributes.ALL_GROUPS)
         for row in rows:
-            r = attributes.group_distance(
-                model, queries[row["query_id"]], groups[row["group"]], use_t=use_t
-            )
+            r = attributes.group_distances(
+                model, [queries[row["query_id"]]], [groups[row["group"]]], use_t=use_t
+            )[0][0]
             assert (int(row["n"]), float(row["mean_d"]), float(row["sd_d"]),
                     float(row["upper"])) == (r.n, r.mean_d, r.sd_d, r.upper)
 
@@ -493,6 +501,21 @@ class TestExitCodes:
                         "--epochs", "1", "--out", str(tmp_path / "m.json")])
         assert code == 3
         assert str(model) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,per_group",
+                             [("eval-attributes", "-1"), ("select", "-2"), ("select", "0")])
+    def test_non_positive_per_group_is_3(self, clustered_dir, tmp_path, capsys,
+                                         command, per_group):
+        model = tmp_path / "model.json"
+        ProjectionModel.identity(8).save(model)
+        queries, out = (["--queries", "--report"] if command == "eval-attributes"
+                        else ["--query", "--out"])
+        code = cli.run([command, "--model", str(model),
+                        "--candidates", str(clustered_dir / "candidates.csv"),
+                        queries, str(clustered_dir / "queries.csv"),
+                        "--per-group", per_group, out, str(tmp_path / "out.json")])
+        assert code == 3
+        assert "per-group" in capsys.readouterr().err
 
     def test_model_dimension_mismatch_is_3(self, planted_dir, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -1,7 +1,8 @@
 """The file formats live in one module, and no malformed input file escapes the CLI.
 
 `corpus.py` is the only code in the package that opens files, uses
-`csv`/`json` or calls numpy's file readers and writers; the fuzz tests
+`csv`/`json` or calls numpy's file readers and writers, and each public
+function, class and method is used by the program (or allowlisted); the fuzz tests
 mutate valid corpus, partition, model, candidate and query files and require
 `cli.run` to answer every mutation with a documented exit code instead of an
 exception. The embedding CSV's vector-block parser and writer are checked
@@ -57,6 +58,56 @@ def test_only_corpus_reads_and_writes_files():
         for line, what in _file_access(path)
     ]
     assert len(modules) > 5 and not offenders, offenders
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+# public names that no code under src/ or perfbench/ uses, kept on purpose
+UNREFERENCED_ALLOWED = {
+    "metric.project": "scalar oracle of `project_block`",
+    "metric.distance": "scalar oracle of the group distances",
+    "metric.similarity_score": "scalar oracle of the block cosines",
+    "attributes.summarize_distances": "scalar oracle of the group statistics",
+    "attributes.evaluate_classification": "library entry: groups and queries to a report",
+    "attributes.AttributeGroup.member_ids": "a group's image ids, for library users",
+}
+
+
+def _public_definitions(path: Path):
+    """Qualified names of a module's public functions and classes and their public methods."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.stem}.{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return found
+
+
+def _used_names(paths):
+    """Every name, attribute and imported name in the files; strings do not count."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(node.name.split("."))
+    return used
+
+
+def test_every_public_name_is_used_by_the_program():
+    """A public door that only the tests call is deleted, or allowlisted with a reason."""
+    used = _used_names([*(REPO / "src").rglob("*.py"), *(REPO / "perfbench").rglob("*.py")])
+    public = [name for path in sorted((REPO / "src" / "facesim").glob("*.py"))
+              for name in _public_definitions(path)]
+    assert set(UNREFERENCED_ALLOWED) <= set(public), "an allowlisted name is gone"
+    unused = [name for name in public
+              if name.rsplit(".", 1)[1] not in used and name not in UNREFERENCED_ALLOWED]
+    assert len(public) > 50 and not unused, unused
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +231,17 @@ def clustered_inputs(tmp_path_factory):
 @given(data=st.data())
 def test_mutated_attribute_inputs_exit_with_a_documented_code(clustered_inputs, data):
     files, work = clustered_inputs
-    target = data.draw(st.sampled_from(CLUSTERED_FILES), label="file")
+    # None leaves every file valid, so that `--per-group` alone decides the exit code
+    target = data.draw(st.sampled_from((None,) + CLUSTERED_FILES), label="file")
     for name, content in files.items():
         if name == target:
             mutate = _mutated_csv if name.endswith(".csv") else _mutated_json
             content = data.draw(mutate(content), label="mutated")
         (work / name).write_bytes(content)
     common = ["--model", str(work / "model.json"), "--candidates", str(work / "candidates.csv")]
+    per_group = data.draw(st.none() | st.integers(-2, 7), label="per_group")  # 6 per cluster
+    if per_group is not None:
+        common += ["--per-group", str(per_group)]
     queries = str(work / "queries.csv")
     report = str(work / "report.json")
     for argv in (

@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from facesim.errors import DegenerateVectorError, FormatError, ValidationError
 from facesim.metric import (
+    MODEL_FORMAT_VERSION,
     ProjectionModel,
     cosine,
     distance,
@@ -175,19 +176,23 @@ def test_model_load_rejects_bad_payload(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "fields",
     [
-        '{"version": "x", "dim": 2, "weight": [[1, 0], [0]]}',
-        '{"version": "x", "dim": 2, "weight": [1, "a", 0, 1]}',
-        '{"version": "x", "dim": "2", "weight": [1, 0, 0, 1]}',
-        '{"version": "x", "dim": 2.0, "weight": [1, 0, 0, 1]}',
-        '{"version": "x", "dim": true, "weight": [1]}',
+        '"dim": 2, "weight": [[1, 0], [0]]',
+        '"dim": 2, "weight": [1, "a", 0, 1]',
+        '"dim": "2", "weight": [1, 0, 0, 1]',
+        '"dim": 2.0, "weight": [1, 0, 0, 1]',
+        '"dim": true, "weight": [1]',
+        '"dim": 2, "weight": ["1", 0, 0, 1]',
+        '"dim": 2, "weight": [true, 0, 0, 1]',
     ],
-    ids=["ragged", "non-numeric", "string-dim", "float-dim", "bool-dim"],
+    ids=["ragged", "non-numeric", "string-dim", "float-dim", "bool-dim", "string-weight",
+         "bool-weight"],
 )
-def test_model_load_rejects_malformed_fields(tmp_path, payload):
+def test_model_load_rejects_malformed_fields(tmp_path, fields):
     path = tmp_path / "bad.json"
-    path.write_text(payload)
+    # a valid version, so that the named field alone is at fault
+    path.write_text(f'{{"version": "{MODEL_FORMAT_VERSION}", {fields}}}')
     with pytest.raises(FormatError, match="bad.json"):
         ProjectionModel.load(path)
 

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from facesim import attributes, selector
-from facesim.attributes import AttributeGroup, build_groups
+from facesim.attributes import (
+    AttributeGroup,
+    build_groups,
+    similarity_table,
+    summarize_distances,
+)
 from facesim.errors import DegenerateVectorError, ValidationError
 from facesim.metric import ProjectionModel, cosine, project, similarity_score
 
@@ -31,9 +36,15 @@ QUERY = make_record("query", [1.0, 0.0], identity_id="query_identity", role="tar
                     target_id=None, gender="male", age_group="young")
 
 
+def rank(model, query, group):
+    """The group's full ranking for the query, as `recommend_batch` ranks a selected group."""
+    gallery, sims = similarity_table(model, [query], [group])
+    return selector._rank(group.name, query, sims[0], gallery, gallery.members[0])
+
+
 class TestRankCandidates:
     def test_descending_ranks(self, simple_group):
-        ranking = selector.rank_candidates(ProjectionModel.identity(2), QUERY, simple_group)
+        ranking = rank(ProjectionModel.identity(2), QUERY, simple_group)
         assert [c.image_id for c in ranking] == ["high", "mid", "low"]
         assert [c.rank for c in ranking] == [1, 2, 3]
 
@@ -42,7 +53,7 @@ class TestRankCandidates:
             "young_male",
             (candidate("zeta", [0.0, 1.0]), candidate("alpha", [0.0, 2.0])),
         )
-        ranking = selector.rank_candidates(ProjectionModel.identity(2), QUERY, group)
+        ranking = rank(ProjectionModel.identity(2), QUERY, group)
         assert [c.image_id for c in ranking] == ["alpha", "zeta"]
 
     def test_matches_full_sort_oracle(self):
@@ -53,7 +64,7 @@ class TestRankCandidates:
         )
         group = AttributeGroup("young_male", members)
         query = make_record("q", rng.normal(size=8), role="target", target_id=None)
-        ranking = selector.rank_candidates(model, query, group)
+        ranking = rank(model, query, group)
         oracle = sorted(
             ((similarity_score(model, query, m), m.image_id) for m in members),
             key=lambda p: (-p[0], p[1]),
@@ -73,7 +84,7 @@ class TestRankCandidates:
             query = make_record("q", rng.normal(size=dim), role="target", target_id=None)
             q = project(model, query.vector)
             oracle = {m.image_id: cosine(q, project(model, m.vector)) for m in members}
-            ranking = selector.rank_candidates(
+            ranking = rank(
                 model, query, AttributeGroup("young_male", members)
             )
             assert len(ranking) == len(members)
@@ -86,7 +97,7 @@ class TestRankCandidates:
             "young_male", (candidate("fine", [1.0, 1.0]), candidate("flat", [0.0, 2.0]))
         )
         with pytest.raises(DegenerateVectorError, match="flat"):
-            selector.rank_candidates(model, QUERY, group)
+            rank(model, QUERY, group)
 
     def test_query_and_identity_excluded(self):
         group = AttributeGroup(
@@ -97,13 +108,13 @@ class TestRankCandidates:
                 candidate("ok", [0.5, 0.5]),
             ),
         )
-        ranking = selector.rank_candidates(ProjectionModel.identity(2), QUERY, group)
+        ranking = rank(ProjectionModel.identity(2), QUERY, group)
         assert [c.image_id for c in ranking] == ["ok"]
 
     def test_all_excluded_raises(self):
         group = AttributeGroup("young_male", (candidate("query", [1.0, 0.0]),))
         with pytest.raises(ValidationError):
-            selector.rank_candidates(ProjectionModel.identity(2), QUERY, group)
+            rank(ProjectionModel.identity(2), QUERY, group)
 
     def test_scale_invariant(self, simple_group):
         scaled = AttributeGroup(
@@ -115,8 +126,8 @@ class TestRankCandidates:
         )
         model = ProjectionModel.identity(2)
         assert [
-            c.image_id for c in selector.rank_candidates(model, QUERY, simple_group)
-        ] == [c.image_id for c in selector.rank_candidates(model, QUERY, scaled)]
+            c.image_id for c in rank(model, QUERY, simple_group)
+        ] == [c.image_id for c in rank(model, QUERY, scaled)]
 
 
 class TestSelectGroup:
@@ -124,7 +135,7 @@ class TestSelectGroup:
         groups = build_groups(list(clustered.candidates))
         model = ProjectionModel.identity(16)
         q = next(iter(clustered.queries))
-        name = selector.select_group(model, q, groups)
+        name = selector.recommend_batch(model, [q], groups)[0][0].selected_group
         assert name in attributes.INTERSECTION_GROUPS
         assert name == attributes.group_label(q.age_group, q.gender)
 
@@ -132,14 +143,15 @@ class TestSelectGroup:
         groups = build_groups(list(clustered.candidates))
         model = ProjectionModel.identity(16)
         q = next(iter(clustered.queries))
-        name = selector.select_group(model, q, groups, group_mode="all")
+        [(rec, _)] = selector.recommend_batch(model, [q], groups, group_mode="all")
+        name = rec.selected_group
         assert name in attributes.ALL_GROUPS
 
     def test_unknown_mode_rejected(self, clustered):
         groups = build_groups(list(clustered.candidates))
         with pytest.raises(ValidationError):
-            selector.select_group(
-                ProjectionModel.identity(16), next(iter(clustered.queries)), groups,
+            selector.recommend_batch(
+                ProjectionModel.identity(16), [next(iter(clustered.queries))], groups,
                 group_mode="both",
             )
 
@@ -188,7 +200,7 @@ class TestRecommend:
         batch = selector.recommend_batch(model, queries, groups, k=3, group_mode="all")
         for q, (rec, ranking) in zip(queries, batch):
             assert rec == selector.recommend(model, q, groups, k=3, group_mode="all")
-            assert ranking == selector.rank_candidates(model, q, groups[rec.selected_group])
+            assert ranking == rank(model, q, groups[rec.selected_group])
 
     def test_all_groups_tied_select_first_name(self):
         # every member vector equal: all eight upper bounds tie exactly, and
@@ -209,7 +221,14 @@ class TestRecommend:
         model = ProjectionModel.identity(16)
         for q in list(clustered.queries)[:5]:
             rec = selector.recommend(model, q, groups, k=2)
-            assert rec.selected_group == selector.select_group(model, q, groups)
+            # the scalar oracle: least CI upper bound over the intersections, ties by name
+            closest = min(
+                (summarize_distances(name, [1.0 - similarity_score(model, q, m)
+                                            for m in groups[name].members
+                                            if m.image_id != q.image_id]).upper, name)
+                for name in attributes.INTERSECTION_GROUPS
+            )
+            assert rec.selected_group == closest[1]
 
     def test_never_recommends_query(self, clustered):
         groups = build_groups(list(clustered.candidates))

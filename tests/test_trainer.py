@@ -87,10 +87,10 @@ class TestGradients:
         table, samples = build_triplet_corpus(
             [([1.0, 0.0], [1.0, 0.1], [0.0, 1.0])], ["A"], dim=2
         )
-        loss, grad = trainer.batch_loss_and_gradient(
-            ProjectionModel.identity(2), samples, table, 0.1
+        losses, grad = trainer.batch_loss_and_gradient(
+            np.eye(2), *trainer._stack(samples, table), 0.1
         )
-        assert loss == 0.0
+        assert losses.mean() == 0.0
         np.testing.assert_array_equal(grad, np.zeros((2, 2)))
 
     def test_matches_finite_differences(self):
@@ -98,8 +98,10 @@ class TestGradients:
         rows = [tuple(rng.normal(size=5) for _ in range(3)) for _ in range(4)]
         table, samples = build_triplet_corpus(rows, ["A"] * 4, dim=5)
         model = ProjectionModel(np.eye(5) + 0.05 * rng.normal(size=(5, 5)))
-        loss, grad = trainer.batch_loss_and_gradient(model, samples, table, 0.5)
-        assert loss > 0
+        losses, grad = trainer.batch_loss_and_gradient(
+            model.weight, *trainer._stack(samples, table), 0.5
+        )
+        assert losses.mean() > 0
         fd = np.zeros((5, 5))
         for s in samples:
             fd += finite_difference_gradient(
@@ -114,23 +116,25 @@ class TestGradients:
         rng = np.random.default_rng(6)
         row = tuple(rng.normal(size=4) for _ in range(3))
         table, singleton = build_triplet_corpus([row], ["B"], dim=4)
-        loss1, grad1 = trainer.batch_loss_and_gradient(
-            ProjectionModel.identity(4), singleton, table, 0.3
+        losses1, grad1 = trainer.batch_loss_and_gradient(
+            np.eye(4), *trainer._stack(singleton, table), 0.3
         )
-        loss2, grad2 = trainer.batch_loss_and_gradient(
-            ProjectionModel.identity(4), singleton * 2, table, 0.3
+        losses2, grad2 = trainer.batch_loss_and_gradient(
+            np.eye(4), *trainer._stack(singleton * 2, table), 0.3
         )
-        assert loss1 == pytest.approx(loss2, abs=1e-15)
+        assert losses1.mean() == pytest.approx(losses2.mean(), abs=1e-15)
         np.testing.assert_allclose(grad1, grad2, atol=1e-15)
 
     def test_permutation_invariant_batch_loss(self):
         rng = np.random.default_rng(7)
         rows = [tuple(rng.normal(size=4) for _ in range(3)) for _ in range(6)]
         table, samples = build_triplet_corpus(rows, ["A"] * 6, dim=4)
-        model = ProjectionModel.identity(4)
-        loss_fwd, _ = trainer.batch_loss_and_gradient(model, samples, table, 0.4)
-        loss_rev, _ = trainer.batch_loss_and_gradient(model, samples[::-1], table, 0.4)
-        assert loss_fwd == pytest.approx(loss_rev, abs=1e-12)
+        weight = np.eye(4)
+        fwd, _ = trainer.batch_loss_and_gradient(weight, *trainer._stack(samples, table), 0.4)
+        rev, _ = trainer.batch_loss_and_gradient(
+            weight, *trainer._stack(samples[::-1], table), 0.4
+        )
+        assert fwd.mean() == pytest.approx(rev.mean(), abs=1e-12)
 
     def test_mixed_batch_matches_per_triplet_reference(self):
         rng = np.random.default_rng(12)
@@ -147,11 +151,15 @@ class TestGradients:
             for s in samples
         ]
         assert 0 < sum(l > 0 for l in losses) < len(losses)
-        loss, grad = trainer.batch_loss_and_gradient(model, samples, table, margin)
+        batch, grad = trainer.batch_loss_and_gradient(
+            w, *trainer._stack(samples, table), margin
+        )
         singles = [
-            trainer.batch_loss_and_gradient(model, [s], table, margin)[1] for s in samples
+            trainer.batch_loss_and_gradient(w, *trainer._stack([s], table), margin)[1]
+            for s in samples
         ]
-        assert loss == pytest.approx(np.mean(losses), abs=1e-12)
+        np.testing.assert_allclose(batch, losses, rtol=0, atol=1e-12)
+        assert batch.mean() == pytest.approx(np.mean(losses), abs=1e-12)
         np.testing.assert_allclose(grad, np.mean(singles, axis=0), rtol=0, atol=1e-12)
 
     def test_gradient_check_active(self):
