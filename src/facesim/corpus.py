@@ -40,6 +40,21 @@ DEFAULT_SPLIT_RATIOS = (0.7, 0.1, 0.2)
 MIN_VALID_VOTES = 3
 
 
+def _label_error(
+    image_id: str, role: str, target_id: Optional[str], gender: str, age_group: str
+) -> Optional[str]:
+    """Why a record's labels are invalid, or None: the one home of the label rules."""
+    if role not in ROLES:
+        return f"record '{image_id}': unknown role '{role}'"
+    if gender not in GENDERS:
+        return f"record '{image_id}': unknown gender '{gender}'"
+    if age_group not in AGE_GROUPS:
+        return f"record '{image_id}': unknown age_group '{age_group}'"
+    if role == "swapped" and not target_id:
+        return f"swapped record '{image_id}' is missing target_id"
+    return None
+
+
 @dataclass(frozen=True)
 class EmbeddingRecord:
     image_id: str
@@ -51,25 +66,58 @@ class EmbeddingRecord:
     vector: np.ndarray
 
     def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValidationError(f"record '{self.image_id}': unknown role '{self.role}'")
-        if self.gender not in GENDERS:
-            raise ValidationError(f"record '{self.image_id}': unknown gender '{self.gender}'")
-        if self.age_group not in AGE_GROUPS:
-            raise ValidationError(
-                f"record '{self.image_id}': unknown age_group '{self.age_group}'"
-            )
-        if self.role == "swapped" and not self.target_id:
-            raise ValidationError(f"swapped record '{self.image_id}' is missing target_id")
+        error = _label_error(self.image_id, self.role, self.target_id, self.gender, self.age_group)
+        if error is not None:
+            raise ValidationError(error)
+
+
+# The six label columns of a table, in `EMBEDDING_FIXED_COLUMNS` order
+Columns = Tuple[Tuple[Optional[str], ...], ...]
+
+
+def _first_invalid_row(columns: Columns, matrix: np.ndarray) -> Optional[Tuple[int, str]]:
+    """The first row that is invalid, and why; None when every row is valid.
+
+    A row is invalid for its labels, then for a non-finite or zero vector, then
+    for an `image_id` an earlier row holds. The whole table is checked with a
+    few set and array operations, and only a table that fails is walked row by
+    row to name the first bad row.
+    """
+    image_ids, _, roles, target_ids, genders, age_groups = columns
+    finite = np.isfinite(matrix).all(axis=1)
+    bad_vector = ~(finite & matrix.any(axis=1))
+    kinds = set(zip(roles, map(bool, target_ids), genders, age_groups))
+    if (
+        not bad_vector.any()
+        and len(set(image_ids)) == len(image_ids)
+        and not any(_label_error("", *kind) for kind in kinds)
+    ):
+        return None  # the usual case, decided without a walk over the rows
+    seen: Set[str] = set()
+    for row, labels in enumerate(zip(image_ids, roles, target_ids, genders, age_groups)):
+        image_id = labels[0]
+        error = _label_error(*labels)
+        if error is None and bad_vector[row]:
+            what = "non-finite vector component" if not finite[row] else "zero vector"
+            error = f"record '{image_id}': {what}"
+        if error is None and image_id in seen:
+            error = f"duplicate image_id '{image_id}'"
+        if error is not None:
+            return row, error
+        seen.add(image_id)
+    return None
 
 
 class EmbeddingTable:
-    """Duplicate-free embedding records over one read-only (n, d) float64 `matrix`.
+    """Duplicate-free embedding rows: a read-only (n, d) float64 `matrix` and label columns.
 
-    Row i of `matrix` holds the vector of the i-th record, and a record that
-    joins a table has its `vector` rebound to a view of its row, so the table
-    keeps one copy of the vectors. Finite, non-zero rows are checked once over
-    the whole matrix.
+    Row i of `matrix` holds the i-th vector, and row i of the columns
+    `image_ids`, `identity_ids`, `roles`, `target_ids`, `genders` and
+    `age_groups` its labels, as `EmbeddingRecord` names them. Records are built
+    on the first iteration or lookup, each `vector` a view of its row, and kept,
+    so every lookup returns the same objects. A table built from records keeps
+    those records, their vectors rebound to views of its rows. Labels, finite
+    non-zero rows and unique ids are checked once over the whole table.
     """
 
     def __init__(self, records: Iterable[EmbeddingRecord]):
@@ -82,60 +130,71 @@ class EmbeddingTable:
                     f"record '{rec.image_id}' has dimension {vec.shape[0]},"
                     f" table dimension is {dim}"
                 )
-        self._index(records, np.array(vectors) if vectors else np.empty((0, 0)))
+        matrix = np.array(vectors) if vectors else np.empty((0, 0))
+        columns = tuple(
+            tuple(getattr(rec, name) for rec in records) for name in EMBEDDING_FIXED_COLUMNS
+        )
+        invalid = _first_invalid_row(columns, matrix)
+        if invalid is not None:
+            raise ValidationError(invalid[1])
+        self._set(columns, matrix)
+        for rec, vector in zip(records, matrix):
+            object.__setattr__(rec, "vector", vector)
+        self._records = records
 
     @classmethod
-    def _of_rows(cls, records: Iterable[EmbeddingRecord], matrix: np.ndarray) -> "EmbeddingTable":
-        """The table of `matrix`, whose row i is the vector of the i-th record yielded."""
+    def _of_columns(cls, columns: Columns, matrix: np.ndarray) -> "EmbeddingTable":
+        """The table of valid `columns` and `matrix` (see `_first_invalid_row`)."""
         table = cls.__new__(cls)
-        table._index(records, matrix)
+        table._set(columns, matrix)
         return table
+
+    def _set(self, columns: Columns, matrix: np.ndarray) -> None:
+        matrix.setflags(write=False)
+        self.matrix = matrix
+        (self.image_ids, self.identity_ids, self.roles, self.target_ids, self.genders,
+         self.age_groups) = columns
+        self._rows: Dict[str, int] = dict(zip(self.image_ids, itertools.count()))
+        self._records: Optional[List[EmbeddingRecord]] = None
 
     @property
     def dim(self) -> Optional[int]:
         """The vector width; None for a table built from no records."""
         return self.matrix.shape[1] or None
 
-    def _index(self, records: Iterable[EmbeddingRecord], matrix: np.ndarray) -> None:
-        """Index the records, in order, naming the first invalid or duplicate one."""
-        matrix.setflags(write=False)
-        finite = np.isfinite(matrix).all(axis=1)
-        bad = np.flatnonzero(~(finite & matrix.any(axis=1)))
-        first_bad = int(bad[0]) if bad.size else -1
-        self.matrix = matrix
-        self._rows: Dict[str, int] = {}
-        self._records: List[EmbeddingRecord] = []
-        for row, rec in enumerate(records):
-            if row == first_bad:
-                what = "non-finite vector component" if not finite[row] else "zero vector"
-                raise ValidationError(f"record '{rec.image_id}': {what}")
-            if rec.image_id in self._rows:
-                raise ValidationError(f"duplicate image_id '{rec.image_id}'")
-            object.__setattr__(rec, "vector", matrix[row])
-            self._rows[rec.image_id] = row
-            self._records.append(rec)
+    def _built(self) -> List[EmbeddingRecord]:
+        """The records, built from the columns and rows on the first call."""
+        if self._records is None:
+            self._records = [
+                EmbeddingRecord(*fields)  # the six labels, then the vector
+                for fields in zip(self.image_ids, self.identity_ids, self.roles,
+                                  self.target_ids, self.genders, self.age_groups, self.matrix)
+            ]
+        return self._records
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[EmbeddingRecord]:
-        return iter(self._records)
+        return iter(self._built())
 
     def __contains__(self, image_id: str) -> bool:
         return image_id in self._rows
 
-    def _row(self, image_id: str) -> int:
+    def row(self, image_id: str) -> int:
+        """The row of `matrix` and of the columns that holds this image."""
         try:
             return self._rows[image_id]
         except KeyError:
             raise IntegrityError(f"unknown image_id '{image_id}'") from None
 
     def __getitem__(self, image_id: str) -> EmbeddingRecord:
-        return self._records[self._row(image_id)]
+        row = self.row(image_id)
+        return self._built()[row]
 
     def vectors(self, image_ids: Sequence[str]) -> np.ndarray:
         """The (len(image_ids), d) rows of `matrix` holding these records' vectors."""
-        return self.matrix[[self._row(i) for i in image_ids]]
+        return self.matrix[[self.row(i) for i in image_ids]]
 
 
 @dataclass(frozen=True)
@@ -404,38 +463,34 @@ def load_embeddings(path) -> EmbeddingTable:
 
     The vector block goes through numpy in one call; a file it cannot take as
     it is goes through the per-cell parser, which names the line of any error.
+    Labels are validated as columns; no record is built until one is asked for.
     """
     parsed = _parse_embedding_block(path)
     linenos, fields, matrix = parsed if parsed is not None else _parse_embeddings_per_cell(path)
-    lineno = 0
-
-    def records():
-        nonlocal lineno
-        for lineno, (image_id, identity_id, role, target_id, gender, age_group), vector in zip(
-            linenos, fields, matrix
-        ):
-            yield EmbeddingRecord(
-                image_id=image_id,
-                identity_id=identity_id,
-                role=role,
-                target_id=target_id or None,
-                gender=gender or "unknown",
-                age_group=age_group or "unknown",
-                vector=vector,
-            )
-
-    try:
-        return EmbeddingTable._of_rows(records(), matrix)
-    except ValidationError as exc:  # an invalid or duplicate record, on the line last read
-        raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    image_ids, identity_ids, roles, target_ids, genders, age_groups = (
+        tuple(zip(*fields)) or ((),) * len(EMBEDDING_FIXED_COLUMNS)
+    )
+    columns = (
+        image_ids,
+        identity_ids,
+        roles,
+        tuple(t or None for t in target_ids),
+        tuple(g or "unknown" for g in genders),
+        tuple(a or "unknown" for a in age_groups),
+    )
+    invalid = _first_invalid_row(columns, matrix)
+    if invalid is not None:
+        row, error = invalid
+        raise ValidationError(f"{path}:{linenos[row]}: {error}")
+    return EmbeddingTable._of_columns(columns, matrix)
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
     """Like `write_csv`: the fixed columns quoted by `csv`, each vector cell in `repr` form."""
     header = EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim or 0)]
-    fixed = (
-        [rec.image_id, rec.identity_id, rec.role, rec.target_id or "", rec.gender, rec.age_group]
-        for rec in table
+    fixed = zip(
+        table.image_ids, table.identity_ids, table.roles,
+        (t or "" for t in table.target_ids), table.genders, table.age_groups,
     )
     lines = itertools.chain.from_iterable(_csv_blocks(itertools.chain([header], fixed)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -575,9 +630,10 @@ def aggregate_triplets(
 def verify_target_consistency(samples: Sequence[TripletSample], table: EmbeddingTable) -> None:
     """Check that each triplet's three images are swaps onto one target."""
     for sample in samples:
-        records = [table[sample.ref_id], table[sample.option_a_id], table[sample.option_b_id]]
-        targets = {rec.target_id for rec in records}
-        if any(rec.role != "swapped" for rec in records) or len(targets) != 1:
+        rows = [table.row(sample.ref_id), table.row(sample.option_a_id),
+                table.row(sample.option_b_id)]
+        targets = {table.target_ids[row] for row in rows}
+        if any(table.roles[row] != "swapped" for row in rows) or len(targets) != 1:
             raise IntegrityError(
                 f"triplet '{sample.triplet_id}' must reference swapped records"
                 f" sharing one target_id, got targets {sorted(str(t) for t in targets)}"
@@ -598,9 +654,10 @@ def build_datasets(samples: Sequence[TripletSample]) -> Dict[str, List[TripletSa
 
 
 def _triplet_keys(sample: TripletSample, table: EmbeddingTable) -> Tuple[str, Set[str]]:
-    records = [table[sample.ref_id], table[sample.option_a_id], table[sample.option_b_id]]
-    target = records[0].target_id or records[0].image_id
-    sources = {rec.identity_id for rec in records}
+    rows = [table.row(sample.ref_id), table.row(sample.option_a_id),
+            table.row(sample.option_b_id)]
+    target = table.target_ids[rows[0]] or sample.ref_id
+    sources = {table.identity_ids[row] for row in rows}
     return target, sources
 
 
@@ -619,7 +676,8 @@ def split_eval(
     """
     if mode not in ("i", "ii", "iii"):
         raise ValidationError(f"unknown split mode '{mode}'")
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9 or any(r < 0 for r in ratios):
+    # written to fail on NaN, which fails every comparison
+    if len(ratios) != 3 or not abs(sum(ratios) - 1.0) <= 1e-9 or not all(r >= 0 for r in ratios):
         raise ValidationError(f"ratios must be three non-negatives summing to 1, got {ratios}")
     admitted = [s for s in samples if s.admitted]
     if not admitted:
@@ -772,9 +830,10 @@ def audit_partition(
         per_sample = []
         for tid in ids:
             sample = by_id[tid]
-            recs = [table[sample.ref_id], table[sample.option_a_id], table[sample.option_b_id]]
-            t = recs[0].target_id or recs[0].image_id
-            srcs = {r.identity_id for r in recs}
+            rows = [table.row(sample.ref_id), table.row(sample.option_a_id),
+                    table.row(sample.option_b_id)]
+            t = table.target_ids[rows[0]] or table.image_ids[rows[0]]
+            srcs = {table.identity_ids[row] for row in rows}
             targets.add(t)
             sources |= srcs
             per_sample.append((tid, t, srcs))

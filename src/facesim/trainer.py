@@ -7,6 +7,7 @@ gap between the reference/minority cosine and the reference/majority cosine.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
@@ -31,18 +32,34 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be > 0")
+        # every range test fails on NaN, which fails every comparison
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if not 0 <= self.momentum < 1:
             raise ValidationError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValidationError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValidationError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
-        if self.margin < 0:
-            raise ValidationError("margin must be >= 0")
+        check_margin(self.margin)
         if self.epochs < 0:
             raise ValidationError("epochs must be >= 0")
+
+
+def check_margin(margin: float) -> None:
+    """A hinge margin is finite and >= 0, in training and in gradient checks."""
+    if not 0 <= margin < math.inf:
+        raise ValidationError(f"margin must be finite and >= 0, got {margin}")
+
+
+def check_step(step: float) -> None:
+    """A finite-difference step is finite and > 0."""
+    if not 0 < step < math.inf:
+        raise ValidationError(f"step must be finite and > 0, got {step}")
 
 
 @dataclass
@@ -70,27 +87,38 @@ def batch_loss_and_gradient(
     """Per-triplet hinge of stacked (B, d) rows, B >= 1, and its batch-mean gradient.
 
     d cos(Wa, Wb)/dW = ga aᵀ + gb bᵀ with ga = Wb/(|Wa||Wb|) - cos(Wa, Wb) Wa/|Wa|², gb alike.
+    The three roles are one (3, B, d) block, so each step over them is one call;
+    every element is computed by the same operations, in the same order, as
+    role by role, so the results are bit-identical to a role-by-role kernel.
     """
-    u, v, w = ref @ weight.T, pos @ weight.T, neg @ weight.T
-    nu, nv, nw = (np.linalg.norm(x, axis=1, keepdims=True) for x in (u, v, w))
-    if not (nu.all() and nv.all() and nw.all()):
+    x = np.concatenate((ref, pos, neg)).reshape(3, *ref.shape)
+    p = x @ weight.T  # u, v, w
+    n = np.sqrt(np.sum(p * p, axis=2, keepdims=True))  # |u|, |v|, |w|
+    if not n.all():
         raise DegenerateVectorError("projected vector has zero norm")
-    cos_pos = np.sum(u * v, axis=1, keepdims=True) / (nu * nv)
-    cos_neg = np.sum(u * w, axis=1, keepdims=True) / (nu * nw)
+    u, nu = p[0], n[0]
+    n_pair = nu * n[1:]  # |u||v|, |u||w|
+    cos = np.sum(u * p[1:], axis=2, keepdims=True) / n_pair
+    cos_pos, cos_neg = cos
     hinge = cos_neg - cos_pos + margin
     inactive = hinge <= 0.0  # a NaN hinge stays active, so divergence reaches the caller
     hinge[inactive] = 0.0
-    active = ~inactive
-    g_ref = active * (w / (nu * nw) - v / (nu * nv) - (cos_neg - cos_pos) / (nu * nu) * u)
-    g_pos = active * (cos_pos / (nv * nv) * v - u / (nu * nv))
-    g_neg = active * (u / (nu * nw) - cos_neg / (nw * nw) * w)
-    return hinge[:, 0], (g_ref.T @ ref + g_pos.T @ pos + g_neg.T @ neg) / len(ref)
+    other = p[1:] / n_pair  # v/(|u||v|), w/(|u||w|)
+    own = u / n_pair  # u/(|u||v|), u/(|u||w|)
+    along = cos / (n[1:] * n[1:]) * p[1:]  # cos_pos v/|v|², cos_neg w/|w|²
+    g = np.empty_like(p)  # the gradient factors of ref, pos and neg rows
+    np.subtract(other[1] - other[0], (cos_neg - cos_pos) / (nu * nu) * u, out=g[0])
+    np.subtract(along[0], own[0], out=g[1])
+    np.subtract(own[1], along[1], out=g[2])
+    g *= (~inactive).astype(np.float64)  # as a float mask: a bool one multiplies slower
+    return hinge[:, 0], np.add.reduce(np.matmul(g.transpose(0, 2, 1), x)) / len(ref)
 
 
-def _stack(samples: Sequence[TripletSample], table: EmbeddingTable) -> Tuple[np.ndarray, ...]:
-    """Reference, chosen and other vectors of the samples as three (n, d) arrays."""
-    ids = zip(*((s.ref_id, s.chosen_id(), s.other_id()) for s in samples))
-    return tuple(table.vectors(role) for role in ids)
+def _stack(samples: Sequence[TripletSample], table: EmbeddingTable) -> np.ndarray:
+    """Reference, chosen and other vectors of the samples as one (3, n, d) array."""
+    roles = zip(*((s.ref_id, s.chosen_id(), s.other_id()) for s in samples))
+    ids = [image_id for role in roles for image_id in role]
+    return table.vectors(ids).reshape(3, len(samples), table.matrix.shape[1])
 
 
 def gradient_check(
@@ -102,8 +130,8 @@ def gradient_check(
     step: float = 1e-5,
 ) -> float:
     """Max relative error between analytic and central finite-difference gradients."""
-    if step <= 0:
-        raise ValidationError("step must be > 0")
+    check_margin(margin)
+    check_step(step)
     weight = model.weight
     _, analytic = batch_loss_and_gradient(weight, ref[None], pos[None], neg[None], margin)
 
@@ -138,30 +166,33 @@ def train(
         raise ValidationError(
             f"model dimension {model.dim} does not match embedding dimension {table.dim}"
         )
-    ref, pos, neg = _stack(train_samples, table)
+    stack = _stack(train_samples, table)
     consistent_val = [s for s in val_samples if s.admitted and s.consistent]
     order = list(range(len(train_samples)))
     rng = random.Random(config.seed)
     weight = model.weight.copy()
     velocity = np.zeros_like(weight)
+    step = np.empty_like(weight)
     history = TrainHistory()
 
     for epoch in range(config.epochs):
         if config.shuffle:
             rng.shuffle(order)
+        perm = np.array(order)
         epoch_loss = 0.0
         active = 0
         with np.errstate(all="ignore"):  # overflow surfaces as non-finite values, checked below
             for batch, start in enumerate(range(0, len(order), config.batch_size), start=1):
-                rows = order[start : start + config.batch_size]
-                losses, grad = batch_loss_and_gradient(
-                    weight, ref[rows], pos[rows], neg[rows], config.margin
-                )
-                velocity = config.momentum * velocity - config.learning_rate * (
-                    grad + config.weight_decay * weight
-                )
-                weight = weight + velocity
-                if not (np.all(np.isfinite(losses)) and np.all(np.isfinite(weight))):
+                block = stack[:, perm[start : start + config.batch_size]]
+                losses, grad = batch_loss_and_gradient(weight, *block, config.margin)
+                # velocity = momentum * velocity - lr * (grad + decay * weight), in place
+                np.multiply(weight, config.weight_decay, out=step)
+                step += grad
+                step *= config.learning_rate
+                velocity *= config.momentum
+                velocity -= step
+                weight += velocity
+                if not (np.isfinite(losses).all() and np.isfinite(weight).all()):
                     raise DivergenceError(
                         f"non-finite loss or weights at epoch {epoch + 1}, batch {batch}",
                         epoch=epoch + 1,

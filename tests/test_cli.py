@@ -67,6 +67,39 @@ class TestBasicCommands:
         captured = capsys.readouterr()
         assert not captured.out and "got" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--margin", "nan"), ("--margin", "inf"), ("--margin", "-5"), ("--step", "nan"),
+         ("--step", "inf"), ("--step", "0"), ("--step", "-1")],
+    )
+    def test_gradcheck_rejects_a_check_that_checks_nothing(self, flag, value, capsys):
+        # a NaN step or margin reports a meaningless number; a negative margin, no active hinge
+        assert cli.run(["gradcheck", flag, value]) == 3
+        captured = capsys.readouterr()
+        assert not captured.out and f"got {value}" in captured.err
+
+    def test_gradcheck_counts_only_active_probes(self, monkeypatch, capsys):
+        checked = []
+
+        def counting_check(model, ref, pos, neg, margin, step):
+            w = model.weight
+            checked.append(trainer.triplet_loss(w @ ref, w @ pos, w @ neg, margin))
+            return 0.0
+
+        monkeypatch.setattr(trainer, "gradient_check", counting_check)
+        assert cli.run(["gradcheck", "--probes", "20"]) == 0
+        assert len(checked) == 20 and min(checked) > 0
+        assert "over 20 active probes" in capsys.readouterr().out
+
+    def test_gradcheck_that_runs_out_of_draws_is_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(trainer, "triplet_loss", lambda *args: 0.0)
+        assert cli.run(["gradcheck", "--probes", "2"]) == 3
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert f"0 of 2 probes with an active hinge in {2 * cli.GRADCHECK_DRAWS_PER_PROBE}" in (
+            captured.err
+        )
+
     def test_synth_roundtrip(self, tmp_path):
         out = tmp_path / "gen"
         code = cli.run(["synth", "--preset", "planted", "--seed", "3",
@@ -100,6 +133,31 @@ class TestPipeline:
         assert scatter.read_text().splitlines()[0] == (
             "triplet_id,sim_pair_score,dissim_pair_score,correct"
         )
+
+    def test_triplet_commands_build_no_records(self, planted_dir, tmp_path, monkeypatch):
+        """split, train, eval-triplets and ingest read the table's columns and matrix only."""
+        built = []
+        post_init = corpus.EmbeddingRecord.__post_init__
+
+        def counting(record):
+            built.append(record.image_id)
+            post_init(record)
+
+        monkeypatch.setattr(corpus.EmbeddingRecord, "__post_init__", counting)
+        part, model = str(tmp_path / "p.json"), str(tmp_path / "m.json")
+        for argv in (
+            ["split", *corpus_args(planted_dir), "--mode", "i", "--out", part],
+            ["train", *corpus_args(planted_dir), "--partition", part, "--epochs", "2",
+             "--out", model, "--history", str(tmp_path / "h.csv")],
+            ["eval-triplets", *corpus_args(planted_dir), "--partition", part, "--model", model,
+             "--report", str(tmp_path / "r.json"), "--scatter", str(tmp_path / "s.csv")],
+            ["ingest", "--embeddings", str(planted_dir / "embeddings.csv"),
+             "--report", str(tmp_path / "i.json")],
+        ):
+            assert cli.run(argv) == 0
+        assert built == []
+        records = list(corpus.load_embeddings(planted_dir / "embeddings.csv"))
+        assert built == [rec.image_id for rec in records]  # the count sees records when built
 
     def test_eval_repeats_report_mean_and_sd(self, planted_dir, tmp_path):
         m1 = tmp_path / "m1.json"
@@ -422,6 +480,26 @@ class TestExitCodes:
                         "--out", str(tmp_path / "m.json")])
         assert code == 4
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--learning-rate", "nan"), ("--learning-rate", "inf"), ("--weight-decay", "nan"),
+         ("--margin", "nan")],
+    )
+    def test_non_finite_train_settings_are_3(self, planted_dir, tmp_path, capsys, flag,
+                                             value):
+        # NaN used to pass the range checks and surface as divergence (exit 4)
+        code = cli.run(["train", *corpus_args(planted_dir), "--epochs", "1", flag, value,
+                        "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_nan_split_ratio_is_3(self, planted_dir, tmp_path, capsys):
+        code = cli.run(["split", *corpus_args(planted_dir), "--mode", "i",
+                        "--ratios", "nan", "0.5", "0.5", "--out", str(tmp_path / "p.json")])
+        assert code == 3
+        assert "ratios must be three non-negatives summing to 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text",

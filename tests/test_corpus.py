@@ -1,7 +1,11 @@
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from facesim import corpus, synth
 from facesim.errors import (
@@ -124,6 +128,95 @@ class TestLoadEmbeddings:
             )
         with pytest.raises(IntegrityError, match="nope"):
             built.vectors(["nope"])
+
+    def test_records_are_built_once_and_kept(self, tmp_path, small_planted):
+        path = tmp_path / "emb.csv"
+        corpus.save_embeddings(small_planted.table, path)
+        looked_up = corpus.load_embeddings(path)
+        some_id = small_planted.table.image_ids[5]
+        assert looked_up[some_id] is list(looked_up)[5]
+        table = corpus.load_embeddings(path)
+        first = list(table)
+        assert len(first) == len(table) and all(a is b for a, b in zip(first, table))
+        assert all(table[rec.image_id] is rec for rec in first)
+        for name in corpus.EMBEDDING_FIXED_COLUMNS:
+            assert getattr(table, name + "s") == tuple(getattr(rec, name) for rec in first)
+
+
+LABELS = {"role": ("target", "source", "swapped"), "gender": ("male", "female", "unknown", ""),
+          "age_group": ("young", "older", "unknown", "")}
+
+
+def first_invalid_line(rows):
+    """(line, message) of the first invalid row, each row checked in file order as a record
+    was built and then indexed: labels, then vector, then duplicate id. None if all valid."""
+    seen = set()
+    for lineno, (image_id, _, role, target_id, gender, age_group, *cells) in rows:
+        vector = [float(c) for c in cells]
+        if role not in ("target", "source", "swapped"):
+            message = f"record '{image_id}': unknown role '{role}'"
+        elif (gender or "unknown") not in ("male", "female", "unknown"):
+            message = f"record '{image_id}': unknown gender '{gender}'"
+        elif (age_group or "unknown") not in ("young", "older", "unknown"):
+            message = f"record '{image_id}': unknown age_group '{age_group}'"
+        elif role == "swapped" and not target_id:
+            message = f"swapped record '{image_id}' is missing target_id"
+        elif not all(math.isfinite(x) for x in vector):
+            message = f"record '{image_id}': non-finite vector component"
+        elif not any(vector):
+            message = f"record '{image_id}': zero vector"
+        elif image_id in seen:
+            message = f"duplicate image_id '{image_id}'"
+        else:
+            seen.add(image_id)
+            continue
+        return lineno, message
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 4), n=st.integers(1, 25), quoted=st.booleans())
+def test_load_names_the_first_invalid_row_as_row_by_row_checks_did(
+    tmp_path_factory, data, dim, n, quoted
+):
+    """Faults at random rows: the load error is the row-by-row oracle's, message and line."""
+    rows = [
+        [f"s{i}", f"id{i % 3}", data.draw(st.sampled_from(LABELS["role"])), f"t{i % 2}",
+         data.draw(st.sampled_from(LABELS["gender"])),
+         data.draw(st.sampled_from(LABELS["age_group"])),
+         *(str(data.draw(st.integers(-9, 9).filter(bool))) for _ in range(dim))]
+        for i in range(n)
+    ]
+    # faults land on a few rows, so that one row often holds several
+    faulty_rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    for _ in range(data.draw(st.integers(0, 5))):
+        row = data.draw(st.sampled_from(faulty_rows))
+        fault = data.draw(st.sampled_from(
+            ["role", "gender", "age_group", "target", "nan", "inf", "zero", "duplicate"]))
+        if fault in LABELS:
+            rows[row][{"role": 2, "gender": 4, "age_group": 5}[fault]] = "bogus"
+        elif fault == "target":
+            rows[row][2:4] = ["swapped", ""]
+        elif fault in ("nan", "inf"):
+            rows[row][6 + data.draw(st.integers(0, dim - 1))] = fault
+        elif fault == "zero":
+            rows[row][6:] = ["0"] * dim
+        elif row > 0:
+            rows[row][0] = rows[data.draw(st.integers(0, row - 1))][0]
+    header = corpus.EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(dim)]
+    buffer = io.StringIO()
+    # every field quoted sends the file through the per-cell parser instead of numpy
+    csv.writer(buffer, lineterminator="\n",
+               quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL).writerows([header, *rows])
+    path = tmp_path_factory.mktemp("faults") / "emb.csv"
+    path.write_text(buffer.getvalue(), encoding="utf-8")
+    expected = first_invalid_line(list(enumerate(rows, start=2)))
+    if expected is None:
+        assert len(corpus.load_embeddings(path)) == n
+        return
+    with pytest.raises(ValidationError) as err:
+        corpus.load_embeddings(path)
+    assert str(err.value) == f"{path}:{expected[0]}: {expected[1]}"
 
 
 class TestValidateAnnotators:

@@ -1,7 +1,9 @@
+import random
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from facesim import corpus, evaluator, trainer
 from facesim.errors import DivergenceError, ValidationError
@@ -26,6 +28,59 @@ def build_triplet_corpus(vector_rows, labels, dim):
             )
         )
     return corpus.EmbeddingTable(records), samples
+
+
+def role_by_role_loss_and_gradient(weight, ref, pos, neg, margin):
+    """The hinge kernel as it was before the three roles were one block: the bit oracle."""
+    u, v, w = ref @ weight.T, pos @ weight.T, neg @ weight.T
+    nu, nv, nw = (np.linalg.norm(x, axis=1, keepdims=True) for x in (u, v, w))
+    cos_pos = np.sum(u * v, axis=1, keepdims=True) / (nu * nv)
+    cos_neg = np.sum(u * w, axis=1, keepdims=True) / (nu * nw)
+    hinge = cos_neg - cos_pos + margin
+    inactive = hinge <= 0.0
+    hinge[inactive] = 0.0
+    active = ~inactive
+    g_ref = active * (w / (nu * nw) - v / (nu * nv) - (cos_neg - cos_pos) / (nu * nu) * u)
+    g_pos = active * (cos_pos / (nv * nv) * v - u / (nu * nv))
+    g_neg = active * (u / (nu * nw) - cos_neg / (nw * nw) * w)
+    return hinge[:, 0], (g_ref.T @ ref + g_pos.T @ pos + g_neg.T @ neg) / len(ref)
+
+
+def per_batch_gather_train(model, train_samples, val_samples, table, config):
+    """The training loop before one stacked array: three role arrays gathered per batch
+    with a list of rows, and an update that makes new arrays. The oracle of `train`."""
+    ids = zip(*((s.ref_id, s.chosen_id(), s.other_id()) for s in train_samples))
+    ref, pos, neg = (table.vectors(role) for role in ids)
+    consistent_val = [s for s in val_samples if s.admitted and s.consistent]
+    order = list(range(len(train_samples)))
+    rng = random.Random(config.seed)
+    weight = model.weight.copy()
+    velocity = np.zeros_like(weight)
+    history = trainer.TrainHistory()
+    for _ in range(config.epochs):
+        if config.shuffle:
+            rng.shuffle(order)
+        epoch_loss = 0.0
+        active = 0
+        for start in range(0, len(order), config.batch_size):
+            rows = order[start : start + config.batch_size]
+            losses, grad = trainer.batch_loss_and_gradient(
+                weight, ref[rows], pos[rows], neg[rows], config.margin
+            )
+            velocity = config.momentum * velocity - config.learning_rate * (
+                grad + config.weight_decay * weight
+            )
+            weight = weight + velocity
+            epoch_loss += float(losses.sum())
+            active += int(np.count_nonzero(losses))
+        history.mean_loss.append(epoch_loss / len(order))
+        history.active_fraction.append(active / len(order))
+        if consistent_val:
+            acc, _ = evaluator.eval_triplets(ProjectionModel(weight), consistent_val, table)
+            history.val_accuracy.append(acc)
+        else:
+            history.val_accuracy.append(float("nan"))
+    return (model if config.epochs == 0 else ProjectionModel(weight)), history
 
 
 class TestTripletLoss:
@@ -162,6 +217,22 @@ class TestGradients:
         assert batch.mean() == pytest.approx(np.mean(losses), abs=1e-12)
         np.testing.assert_allclose(grad, np.mean(singles, axis=0), rtol=0, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from([1.0, 1e-3, 1e3, 1e150]), st.sampled_from([0.0, 0.1, 0.7]))
+    def test_stacked_kernel_is_bit_equal_to_role_by_role(self, batch, dim, seed, scale, margin):
+        """The (3, B, d) kernel against the role-by-role one it replaced, kept here."""
+        rng = np.random.default_rng(seed)
+        weight = np.eye(dim) + 0.3 * rng.normal(size=(dim, dim))
+        ref, pos, neg = scale * rng.normal(size=(3, batch, dim))
+        if seed % 3 == 0:
+            pos = ref.copy()  # equal options: every hinge is the margin
+        with np.errstate(all="ignore"):
+            got = trainer.batch_loss_and_gradient(weight, ref, pos, neg, margin)
+            want = role_by_role_loss_and_gradient(weight, ref, pos, neg, margin)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()  # bit for bit, signs of zeros included
+
     def test_gradient_check_active(self):
         rng = np.random.default_rng(8)
         model = ProjectionModel(np.eye(6) + 0.1 * rng.normal(size=(6, 6)))
@@ -282,6 +353,31 @@ class TestTrain:
             )
         assert err.value.epoch is not None
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60), dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+        batch_size=st.integers(1, 70), epochs=st.integers(0, 3), shuffle=st.booleans(),
+        with_val=st.booleans(), margin=st.sampled_from([0.0, 0.1, 0.5]),
+    )
+    def test_matches_the_per_batch_gather_loop(self, n, dim, seed, batch_size, epochs,
+                                               shuffle, with_val, margin):
+        """Bit-equal to the loop `train` ran before, kept above, for batch sizes that divide
+        n, that do not, and that exceed it."""
+        rng = np.random.default_rng(seed)
+        rows = [tuple(rng.normal(size=dim) for _ in range(3)) for _ in range(n)]
+        table, samples = build_triplet_corpus(rows, list(rng.choice(["A", "B"], n)), dim)
+        val = samples[: max(1, n // 4)] if with_val else []
+        model = ProjectionModel(np.eye(dim) + 0.1 * rng.normal(size=(dim, dim)))
+        config = trainer.TrainConfig(epochs=epochs, batch_size=batch_size, shuffle=shuffle,
+                                     seed=seed % 1000, margin=margin)
+        got, history = trainer.train(model, samples, val, table, config)
+        want, oracle = per_batch_gather_train(model, samples, val, table, config)
+        assert np.array_equal(got.weight, want.weight)
+        assert history.mean_loss == oracle.mean_loss
+        assert history.active_fraction == oracle.active_fraction
+        # repr, so that the nan of a run without validation compares equal
+        assert list(map(repr, history.val_accuracy)) == list(map(repr, oracle.val_accuracy))
+
     def test_empty_training_set_rejected(self):
         table, _ = self._corpus(n=5)
         with pytest.raises(ValidationError):
@@ -301,6 +397,12 @@ class TestTrainConfig:
             {"batch_size": 0},
             {"margin": -0.1},
             {"epochs": -1},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"weight_decay": float("nan")},
+            {"weight_decay": float("inf")},
+            {"margin": float("nan")},
+            {"margin": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
