@@ -11,7 +11,9 @@ import csv
 import itertools
 import json
 import logging
+import os
 import random
+import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -402,67 +404,152 @@ def _parse_embeddings_per_cell(path) -> ParsedEmbeddings:
     return [lineno for lineno, _ in rows], [row[:fixed_count] for _, row in rows], matrix
 
 
-# A quote needs the csv module. numpy strips the other four characters around
-# a number as whitespace, while Python's `float` rejects them.
-_NOT_FOR_BLOCK = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+# A vector block holds at most this many cells, so the text and the numbers of
+# one block are all that is held beside the matrix
+_BLOCK_CELLS = 1 << 12
+
+# The bytes of decimal numbers: a vector text holds only these and commas.
+# Others (whitespace, `_`, hex, `inf`, `nan`) are left to the per-cell parser.
+_NUMBER_BYTES = b"0123456789.eE+-"
+
+# `np.fromstring` reads `longdouble` with the C library's `strtold`, which
+# rounds correctly to the type's significand, and float64 with numpy's own
+# correctly rounded reader, which is slower. Where `longdouble` is x87 extended
+# precision (a 64-bit significand) it is read and then rounded to float64,
+# and `_round_to_float64` finds the cells where that second rounding can differ
+# from `float`; elsewhere float64 is read.
+_BLOCK_DTYPE = np.longdouble if np.finfo(np.longdouble).nmant == 63 else np.float64
+
+_SMALLEST_NORMAL = np.finfo(np.float64).smallest_normal
+
+
+def _round_to_float64(values: np.ndarray, texts: List[str], dim: int) -> np.ndarray:
+    """The float64 array of `values`, read from the cells of `texts`, bit-equal to `float`.
+
+    Rounding a decimal to 64 bits and then to 53 gives the double nearest to it,
+    as `float` does, unless the first rounding lands on a midpoint between two
+    adjacent doubles (Clinger, "How to Read Floating Point Numbers Accurately",
+    PLDI 1990), where the 64-bit significand ends in the bits 10000000000.
+    Subnormal doubles are spaced more widely, so their midpoints lie elsewhere.
+    Those cells, and zeros from underflow, are read again with `float`: fewer
+    than one in a thousand of `repr` text. Overflow needs no check of its own:
+    past the threshold both reads give inf, and the threshold is a midpoint.
+    """
+    if values.dtype == np.float64:
+        return values
+    with np.errstate(over="ignore"):  # to inf, as `float` reads it
+        rounded = values.astype(np.float64)
+    # x87 holds the 64-bit significand in the first 8 bytes of each value
+    significand = np.ndarray(values.shape, np.uint64, values, strides=(values.itemsize,))
+    again = ((significand & 0x7FF) == 0x400) | (
+        ~(np.abs(rounded) > _SMALLEST_NORMAL) & (values != 0)
+    )
+    for cell in np.flatnonzero(again).tolist():
+        row, col = divmod(cell, dim)
+        rounded[cell] = float(texts[row].split(",")[col])
+    return rounded
+
+
+def _vector_block(texts: List[str], dim: int) -> np.ndarray:
+    """The (len(texts), dim) float64 matrix of vector texts, as `float` reads each cell.
+
+    Raises ValueError, saying why, for a block this does not take as it is.
+    """
+    # `fromstring` skips whitespace before a separator, so "\n" may mark where
+    # each row ends, and one pass checks every row's bytes and commas
+    block = "\n,".join(texts).encode()
+    shape = block.translate(None, _NUMBER_BYTES)
+    if shape != b"\n,".join([b"," * (dim - 1)] * len(texts)):
+        raise ValueError("a byte other than 0-9 . e E + - ," if shape.translate(None, b",\n")
+                         else "a row whose width is not the header's")
+    with warnings.catch_warnings():
+        # older numpy warns on unparsable text and returns what it read
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(block, dtype=_BLOCK_DTYPE, sep=",")
+        except (DeprecationWarning, ValueError):
+            values = None
+    if values is None or values.size != len(texts) * dim:
+        raise ValueError("text numpy does not parse")
+    return _round_to_float64(values, texts, dim).reshape(len(texts), dim)
 
 
 def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
-    """The vector block parsed by one `np.loadtxt`, or None where `float` must decide.
+    """The vector block parsed by numpy, or None where `float` must decide.
 
     Each row is split into its six fixed fields and its vector text, and numpy
-    parses the vector text of all rows at once, to the values Python's `float`
-    gives. A file this cannot take as it is gives None: one that is not UTF-8,
-    has a bad header or a quote, a row of fewer than seven fields, a field over
-    `csv.field_size_limit()`, a cell numpy does not parse, or a row whose width
-    is not the header's.
+    parses the vector texts of rows holding up to `_BLOCK_CELLS` cells at once,
+    to the values Python's `float` gives. A file this cannot take as it is gives
+    None, and the reason is logged at debug level: one that is not UTF-8, has a
+    bad header or a quote, a row of fewer than seven fields, a field over
+    `csv.field_size_limit()`, no vector text, a byte that is not in a decimal
+    number or a comma, a row whose width is not the header's, or text numpy
+    does not parse.
     """
     fixed_count = len(EMBEDDING_FIXED_COLUMNS)
     limit = csv.field_size_limit()
     linenos: List[int] = []
     fields: List[List[str]] = []
+    read = 0  # characters read, the header's included
 
     def vector_texts(fh) -> Iterator[str]:
+        nonlocal read
         for lineno, line in enumerate(fh, start=2):
+            read += len(line)
             line = line.rstrip("\r\n")
             if not line:
                 continue  # a blank line, as `read_csv` skips it
+            if '"' in line:
+                raise ValueError("a quote, which needs the csv module")
             parts = line.split(",", fixed_count)
-            if len(parts) <= fixed_count or any(c in line for c in _NOT_FOR_BLOCK):
-                raise ValueError("not a plain row")
+            if len(parts) <= fixed_count:
+                raise ValueError(f"a row of fewer than {fixed_count + 1} fields")
             if len(line) > limit and max(map(len, line.split(","))) > limit:
-                raise ValueError("field over the csv field size limit")
+                raise ValueError("a field over the csv field size limit")
             text = parts.pop()
             if not text:
-                raise ValueError("no vector text")  # numpy would skip the row
+                raise ValueError("a row with no vector text")
             linenos.append(lineno)
             fields.append(parts)
             yield text
 
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = fh.readline().rstrip("\r\n")
-            if any(c in header for c in _NOT_FOR_BLOCK):
-                return None
+            header = fh.readline()
+            read = len(header)
+            header = header.rstrip("\r\n")
+            if '"' in header:
+                raise ValueError("a quote, which needs the csv module")
             dim = _embedding_dim(path, header.split(","))
+            size = os.fstat(fh.fileno()).st_size  # 0 for a pipe
             texts = vector_texts(fh)
-            first = next(texts, None)  # numpy warns on a block of no rows
-            matrix = np.empty((0, dim)) if first is None else np.loadtxt(
-                itertools.chain([first], texts), delimiter=",", comments=None,
-                dtype=np.float64, ndmin=2,
-            )
-    except (FormatError, ValueError):  # ValueError includes UnicodeDecodeError
+            rows = max(1, _BLOCK_CELLS // dim)
+            matrix = np.empty((0, dim))
+            count = 0
+            while block := list(itertools.islice(texts, rows)):
+                end = count + len(block)
+                if end > len(matrix):
+                    # Room for the rows the file holds at its length per row so
+                    # far, and a sixteenth more, so the matrix is resized in
+                    # place about once and no second full-size matrix is held
+                    guess = end * size // read
+                    matrix.resize((max(end + end // 8, guess + guess // 16), dim),
+                                  refcheck=False)
+                matrix[count:end] = _vector_block(block, dim)
+                count = end
+    except (FormatError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
+        log.debug("%s: parsing cell by cell: %s", path, exc)
         return None
-    if matrix.shape != (len(linenos), dim):
-        return None
+    matrix.resize((count, dim), refcheck=False)
     return linenos, fields, matrix
 
 
 def load_embeddings(path) -> EmbeddingTable:
     """Parse an embedding CSV into a validated table.
 
-    The vector block goes through numpy in one call; a file it cannot take as
-    it is goes through the per-cell parser, which names the line of any error.
+    The vector block goes through numpy a few thousand cells at a time; a file
+    it cannot take as it is goes through the per-cell parser, which names the
+    line of any error.
     Labels are validated as columns; no record is built until one is asked for.
     """
     parsed = _parse_embedding_block(path)

@@ -82,6 +82,8 @@ class ProjectionModel:
             raise FormatError(
                 f"model file {path}: weight must be a list of numbers ({exc})"
             ) from exc
+        if not np.isfinite(weight).all():  # Python's `json` reads NaN and Infinity
+            raise FormatError(f"model file {path}: weight contains non-finite entries")
         if weight.size != dim * dim:
             raise FormatError(
                 f"model file {path} declares dim={dim} but carries {weight.size} weights"

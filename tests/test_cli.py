@@ -338,6 +338,11 @@ def _oversized_field(data: bytes) -> bytes:
     return header + b"\n" + b"x" * 200_000 + rest[rest.index(b","):]
 
 
+def _first_weight(token: bytes):
+    """A mutation giving a model file's first weight as a JSON token such as `NaN`."""
+    return lambda data: data.replace(b'"weight": [1.0', b'"weight": [' + token, 1)
+
+
 def _rewrite_ids(path, columns, suffix):
     """Append `suffix` to every value of `columns` in the CSV at `path`."""
     with open(path, newline="") as fh:
@@ -455,9 +460,11 @@ class TestExitCodes:
             ("embeddings", _invalid_utf8),
             ("annotations", _invalid_utf8),
             ("embeddings", _oversized_field),
+            *(("model", _first_weight(token)) for token in (b"NaN", b"Infinity", b"-Infinity")),
         ],
         ids=["model-not-object", "model-nested-too-deep", "model-not-utf8", "partition-not-utf8",
-             "embeddings-not-utf8", "annotations-not-utf8", "oversized-field"],
+             "embeddings-not-utf8", "annotations-not-utf8", "oversized-field",
+             "model-weight-NaN", "model-weight-Infinity", "model-weight-minus-Infinity"],
     )
     def test_unreadable_input_is_3(self, planted_dir, tmp_path, capsys, arg, mutate):
         files = {name: planted_dir / f"{name}.csv"

@@ -1,18 +1,23 @@
 """The file formats live in one module, and no malformed input file escapes the CLI.
 
 `corpus.py` is the only code in the package that opens files, uses
-`csv`/`json` or calls numpy's file readers and writers, and each public
-function, class and method is used by the program (or allowlisted); the fuzz tests
-mutate valid corpus, partition, model, candidate and query files and require
-`cli.run` to answer every mutation with a documented exit code instead of an
-exception. The embedding CSV's vector-block parser and writer are checked
-against the per-cell parser and the plain `csv` writer.
+`csv`/`json`, calls numpy's file readers and writers or parses numbers from
+text with numpy, and each public function, class and method is used by the
+program (or allowlisted); the fuzz tests mutate valid corpus, partition, model,
+candidate and query files and require `cli.run` to answer every mutation with a
+documented exit code instead of an exception. The embedding CSV's vector-block
+parser is checked bit for bit against the per-cell parser, on fuzzed files and
+on hard cells, and its writer against the plain `csv` writer.
 """
 
 import ast
 import csv
+import decimal
 import io
 import json
+import logging
+import platform
+import sys
 import warnings
 from pathlib import Path
 
@@ -28,12 +33,13 @@ from facesim.metric import ProjectionModel
 PACKAGE_DIR = Path(facesim.__file__).resolve().parent
 
 
-# numpy functions and methods that read or write files by path
-NUMPY_FILE_IO = {"loadtxt", "genfromtxt", "fromfile", "savetxt", "tofile"}
+# numpy functions and methods that read or write files, or parse numbers from text
+NUMPY_FILE_IO = {"loadtxt", "genfromtxt", "fromfile", "fromstring", "savetxt", "tofile"}
 
 
 def _file_access(path: Path):
-    """`open(` and numpy file I/O calls and `csv`/`json` imports in one module, as (line, what)."""
+    """`open(` calls, numpy file I/O and text-parsing calls (`NUMPY_FILE_IO`) and `csv`/`json`
+    imports in one module, as (line, what)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.Call):
@@ -353,6 +359,114 @@ def test_block_parser_takes_what_facesim_writes(valid_inputs, clustered_inputs, 
         expected = corpus._parse_embeddings_per_cell(path)
         assert (lines, fields) == expected[:2] and matrix.tobytes() == expected[2].tobytes()
 
+
+
+def _adjacent_doubles(rng, count, exponents):
+    """`count` pairs (a, b) of adjacent doubles of either sign, |a| < |b|, with
+    biased exponent fields drawn from `exponents` (0 for subnormals)."""
+    bits = (rng.choice(exponents, count).astype(np.uint64) << np.uint64(52)) | rng.integers(
+        0, 1 << 52, count, dtype=np.uint64)
+    sign = rng.choice([-1.0, 1.0], count)
+    low = bits.view(np.float64) * sign
+    return list(zip(low.tolist(), np.nextafter(low, sign * np.inf).tolist()))
+
+
+def _near(value, rng):
+    """`value` exactly, and cut to 20-60 significant digits toward and away from zero."""
+    digits = int(rng.integers(20, 61))
+    return [str(value)] + [
+        str(decimal.Context(prec=digits, rounding=rounding).plus(value))
+        for rounding in (decimal.ROUND_DOWN, decimal.ROUND_UP)
+    ]
+
+
+def _hard_cells(seed=0):
+    """Vector cells where a decimal read to 64 bits and then cast to a double is
+    off: decimals at, just below and just above midpoints between adjacent
+    doubles (normal, subnormal and near the largest), the overflow threshold,
+    `repr` of random doubles, 20-60 digit strings, and a few spellings."""
+    rng = np.random.default_rng(seed)
+    exact = decimal.Context(prec=1200)  # exact for the sum of two doubles
+    pairs = (_adjacent_doubles(rng, 3000, np.arange(1, 2047))
+             + _adjacent_doubles(rng, 1000, [0])
+             + _adjacent_doubles(rng, 300, [1, 2, 2044, 2045, 2046]))
+    biggest = decimal.Decimal(np.finfo(np.float64).max)
+    below = decimal.Decimal(np.nextafter(np.finfo(np.float64).max, 0))
+    pairs.append((np.finfo(np.float64).max, exact.add(biggest, exact.subtract(biggest, below))))
+    cells = []
+    for low, high in pairs:
+        midpoint = exact.divide(exact.add(decimal.Decimal(low), decimal.Decimal(high)), 2)
+        cells += _near(midpoint, rng)
+    doubles = rng.integers(0, 0x7FF0 << 48, 3000, dtype=np.uint64).view(np.float64)
+    cells += map(repr, (doubles * rng.choice([-1.0, 1.0], 3000)).tolist())
+    for _ in range(3000):
+        digits = "".join(map(str, rng.integers(0, 10, int(rng.integers(20, 61)))))
+        cells.append(f"{rng.choice(['', '-'])}{digits[0]}.{digits[1:]}e{rng.integers(-340, 320)}")
+    return cells + ["-0.0", "0", "+.5", "5.", "1e+5", "1E5", "1e-400", "-1e-400", "1e400",
+                    "-1e400", "1e-5000", "1e5000", "2.2250738585072011e-308",
+                    "4.9406564584124654e-324", "2.4703282292062328e-324"]
+
+
+def _embedding_csv_of(cells, dim=16):
+    """An embedding CSV whose vector cells are `cells`, row by row (the last row padded)."""
+    cells = cells + ["1"] * (-len(cells) % dim)
+    rows = [f"r{i},i,source,,,," + ",".join(cells[i * dim:(i + 1) * dim])
+            for i in range(len(cells) // dim)]
+    header = ",".join(corpus.EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(dim)])
+    return "\n".join([header, *rows, ""])
+
+
+@pytest.fixture(scope="module")
+def hard_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hard") / "emb.csv"
+    path.write_text(_embedding_csv_of(_hard_cells()), encoding="utf-8")
+    return path
+
+
+def _assert_block_parser_reads_as_float(path):
+    parsed = corpus._parse_embedding_block(path)
+    assert parsed is not None, "every cell is plain decimal text"
+    expected = corpus._parse_embeddings_per_cell(path)[2]
+    wrong = np.flatnonzero(parsed[2].view(np.uint64) != expected.view(np.uint64))
+    assert not wrong.size, f"{wrong.size} cells differ from float, first at {wrong[0]}"
+
+
+def test_block_parser_reads_hard_cells_as_float(hard_csv):
+    _assert_block_parser_reads_as_float(hard_csv)
+
+
+def test_float64_block_reads_hard_cells_as_float(hard_csv, monkeypatch):
+    """The read where `longdouble` is not x87 extended precision, run on this host."""
+    monkeypatch.setattr(corpus, "_BLOCK_DTYPE", np.float64)
+    _assert_block_parser_reads_as_float(hard_csv)
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64", "i686", "i386")
+                    or sys.platform == "win32", reason="x87 extended precision is x86's")
+def test_x86_reads_blocks_in_x87_extended_precision(hard_csv):
+    """On x86 the guard runs: a plain cast of the 64-bit reads would miss many hard cells."""
+    assert corpus._BLOCK_DTYPE is np.longdouble and np.finfo(np.longdouble).nmant == 63
+    texts = [line.split(",", 6)[6] for line in hard_csv.read_text().splitlines()[1:]]
+    with np.errstate(over="ignore"):
+        cast = np.fromstring(",".join(texts), dtype=np.longdouble, sep=",").astype(np.float64)
+    expected = corpus._parse_embeddings_per_cell(hard_csv)[2].reshape(-1)
+    assert (cast.view(np.uint64) != expected.view(np.uint64)).sum() > 1000
+
+
+@pytest.mark.parametrize("text, reason", [
+    (f'{_HEADER},v0\n"s",i,source,,,,1\n', "a quote"),
+    (f"{_HEADER},v0\ns,i,source,,,,{'7' * (FIELD_LIMIT + 1)}\n", "field size limit"),
+    (f"{_HEADER},v0\ns,i,source,,,,\n", "no vector text"),
+    (f"{_HEADER},v0\ns,i,source,,,,1_0\n", "a byte other than"),
+    (f"{_HEADER},v0,v1\ns,i,source,,,,1,2,3\n", "width"),
+    (f"{_HEADER},v0\ns,i,source,,,,1e\n", "does not parse"),
+], ids=["quote", "field-limit", "no-vector-text", "byte", "width", "unparsable"])
+def test_block_parser_logs_why_it_defers(tmp_path, caplog, text, reason):
+    path = tmp_path / "emb.csv"
+    path.write_text(text, encoding="utf-8")
+    with caplog.at_level(logging.DEBUG, logger="facesim.corpus"):
+        assert corpus._parse_embedding_block(path) is None
+    assert [(str(path) in m and reason in m) for m in caplog.messages] == [True]
 
 def _csv_module_lines(rows):
     """Each row written by its own `csv.writer` ending in "\\r\\n" (so a field holding
