@@ -13,6 +13,8 @@ import json
 import logging
 import os
 import random
+import stat
+import threading
 import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -385,9 +387,9 @@ def _embedding_dim(path, header: List[str]) -> int:
     return dim
 
 
-# An embedding CSV parsed: the line number and the six fixed fields of each
-# row, and the (rows, d) matrix of their vectors.
-ParsedEmbeddings = Tuple[List[int], List[List[str]], np.ndarray]
+# An embedding CSV parsed: the line number of each row, the six fixed fields
+# as columns, as the file holds them, and the (rows, d) matrix of the vectors.
+ParsedEmbeddings = Tuple[List[int], Columns, np.ndarray]
 
 
 def _parse_embeddings_per_cell(path) -> ParsedEmbeddings:
@@ -401,11 +403,12 @@ def _parse_embeddings_per_cell(path) -> ParsedEmbeddings:
             matrix[i] = [float(x) for x in row[fixed_count:]]
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: bad vector component ({exc})") from exc
-    return [lineno for lineno, _ in rows], [row[:fixed_count] for _, row in rows], matrix
+    columns = tuple(zip(*(row[:fixed_count] for _, row in rows))) or ((),) * fixed_count
+    return [lineno for lineno, _ in rows], columns, matrix
 
 
 # A vector block holds at most this many cells, so the text and the numbers of
-# one block are all that is held beside the matrix
+# one block are all that a range holds beside the matrix
 _BLOCK_CELLS = 1 << 12
 
 # The bytes of decimal numbers: a vector text holds only these and commas.
@@ -422,8 +425,18 @@ _BLOCK_DTYPE = np.longdouble if np.finfo(np.longdouble).nmant == 63 else np.floa
 
 _SMALLEST_NORMAL = np.finfo(np.float64).smallest_normal
 
+# A file is parsed in ranges of whole lines, one per CPU this process may run
+# on, each after the first on a thread of its own; `fromstring` releases the
+# GIL. A file shorter than two ranges of `_RANGE_BYTES` starts no thread.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_RANGE_BYTES = 1 << 18
 
-def _round_to_float64(values: np.ndarray, texts: List[str], dim: int) -> np.ndarray:
+# A file is read this many bytes at a time: less than glibc's first mmap
+# threshold, so freeing a read does not raise it and keep more memory resident
+_READ_BYTES = 1 << 16
+
+
+def _round_to_float64(values: np.ndarray, texts: List[bytes], dim: int) -> np.ndarray:
     """The float64 array of `values`, read from the cells of `texts`, bit-equal to `float`.
 
     Rounding a decimal to 64 bits and then to 53 gives the double nearest to it,
@@ -446,117 +459,252 @@ def _round_to_float64(values: np.ndarray, texts: List[str], dim: int) -> np.ndar
     )
     for cell in np.flatnonzero(again).tolist():
         row, col = divmod(cell, dim)
-        rounded[cell] = float(texts[row].split(",")[col])
+        rounded[cell] = float(texts[row].split(b",", col + 1)[col])
     return rounded
 
 
-def _vector_block(texts: List[str], dim: int) -> np.ndarray:
+def _vector_block(texts: List[bytes], dim: int) -> np.ndarray:
     """The (len(texts), dim) float64 matrix of vector texts, as `float` reads each cell.
 
     Raises ValueError, saying why, for a block this does not take as it is.
+    Text numpy does not parse raises a ValueError, or, in numpy before 2.0,
+    the DeprecationWarning that `_parse_embedding_block` makes an error.
     """
     # `fromstring` skips whitespace before a separator, so "\n" may mark where
     # each row ends, and one pass checks every row's bytes and commas
-    block = "\n,".join(texts).encode()
+    block = b"\n,".join(texts)
     shape = block.translate(None, _NUMBER_BYTES)
     if shape != b"\n,".join([b"," * (dim - 1)] * len(texts)):
         raise ValueError("a byte other than 0-9 . e E + - ," if shape.translate(None, b",\n")
                          else "a row whose width is not the header's")
-    with warnings.catch_warnings():
-        # older numpy warns on unparsable text and returns what it read
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            values = np.fromstring(block, dtype=_BLOCK_DTYPE, sep=",")
-        except (DeprecationWarning, ValueError):
-            values = None
+    try:
+        values = np.fromstring(block, dtype=_BLOCK_DTYPE, sep=",")
+    except (DeprecationWarning, ValueError):
+        values = None
     if values is None or values.size != len(texts) * dim:
         raise ValueError("text numpy does not parse")
     return _round_to_float64(values, texts, dim).reshape(len(texts), dim)
 
 
+def _identity(path_stat: os.stat_result) -> Tuple[int, int, int, int]:
+    """What tells a file apart from another one, or from itself after a write."""
+    return path_stat.st_dev, path_stat.st_ino, path_stat.st_size, path_stat.st_mtime_ns
+
+
+def _without_crs(lines: List[bytes]) -> List[bytes]:
+    """`lines` less the CR of each CR LF line end, or ValueError for any other CR."""
+    lines = [line[:-1] if line.endswith(b"\r") else line for line in lines]
+    if any(b"\r" in line for line in lines):
+        raise ValueError("a carriage return that does not end a line, which csv reads as one")
+    return lines
+
+
+def _newlines(data) -> int:
+    """The b"\\n" bytes in `data`; numpy counts several times faster than `bytes.count`."""
+    return int(np.count_nonzero(np.frombuffer(data, np.uint8) == ord("\n")))
+
+
+# Of a file's lines after the header: the bytes [start, end) that hold some,
+# the index of the first, and how many there are at most
+_LineRange = Tuple[int, int, int, int]
+
+
+def _line_ranges(fh) -> List[_LineRange]:
+    """The rest of `fh` in up to `_CPUS` ranges of whole lines, about equal in bytes.
+
+    A range is at least about `_RANGE_BYTES` long. The lines are counted in
+    one read, `_READ_BYTES` at a time, and a range ends just after the
+    first b"\\n" at or past its share of the bytes. The last range counts a last
+    line with no b"\\n".
+    """
+    start = at = fh.tell()
+    size = os.fstat(fh.fileno()).st_size
+    count = max(1, min(_CPUS, (size - start) // _RANGE_BYTES))
+    targets = iter([start + (size - start) * k // count for k in range(1, count)])
+    target = next(targets, None)
+    cuts = [(start, 0)]  # where a range starts, and the lines before it
+    lines = 0
+    while data := fh.read(_READ_BYTES):
+        while target is not None and target < at + len(data):
+            i = data.find(b"\n", max(target - at, 0))
+            if i < 0:
+                break  # the line ends in a later read
+            cut = at + i + 1
+            cuts.append((cut, lines + _newlines(memoryview(data)[:i + 1])))
+            target = next((t for t in targets if t >= cut), None)
+        lines += _newlines(data)
+        at += len(data)
+    bounds = cuts[:1] + [cut for cut in cuts[1:] if cut[0] < at] + [(at, lines + 1)]
+    return [(begin, end, first, after - first)
+            for (begin, first), (end, after) in zip(bounds, bounds[1:])]
+
+
+def _read_lines(fh, size: int) -> Iterator[List[bytes]]:
+    """The lines of the next `size` bytes of `fh`, without line ends, a list per read.
+
+    Raises ValueError for a quote or a carriage return that does not end a line.
+    """
+    pending: List[bytes] = []  # reads since the last line end, so a long line is joined once
+    while size > 0 and (data := fh.read(min(_READ_BYTES, size))):
+        size -= len(data)
+        if b'"' in data:
+            raise ValueError("a quote, which needs the csv module")
+        pending.append(data)
+        if b"\n" in data:
+            data = b"".join(pending)
+            # `find` runs `memchr`, many times faster than `split` on long lines
+            lines, start, find = [], 0, data.find
+            while (end := find(b"\n", start)) >= 0:
+                lines.append(data[start:end])
+                start = end + 1
+            pending = [data[start:]]
+            yield _without_crs(lines) if b"\r" in data else lines
+    tail = b"".join(pending)
+    if tail:
+        yield _without_crs([tail])
+
+
+def _parse_range(path, identity, line_range: _LineRange,
+                 matrix: np.ndarray) -> Tuple[List[int], List[bytes]]:
+    """The line numbers and six fixed fields (as bytes, up to the sixth comma) of the
+    rows of one range of the file.
+
+    Its vectors are written to the rows of `matrix` from the range's first line
+    index on, one block of up to `_BLOCK_CELLS` cells at a time. The file is
+    opened again, and ValueError is raised, saying why, for one that is not the
+    file `identity` names or for a row this does not take as it is.
+    """
+    start, end, row, count = line_range
+    stop = row + count  # the rows of `matrix` this range may fill
+    dim = matrix.shape[1]
+    fixed_count = len(EMBEDDING_FIXED_COLUMNS)
+    limit = csv.field_size_limit()  # in characters, so a field of more bytes defers
+    per_block = max(1, _BLOCK_CELLS // dim)
+    lineno = row + 1  # the header is line 1
+    linenos: List[int] = []
+    fields: List[bytes] = []
+    texts: List[bytes] = []
+
+    def put_block() -> None:
+        nonlocal row
+        if row + len(texts) > stop:
+            raise ValueError("the file changed while it was read")
+        matrix[row:row + len(texts)] = _vector_block(texts, dim)
+        row += len(texts)
+        texts.clear()
+
+    with open(path, "rb") as fh:
+        if _identity(os.fstat(fh.fileno())) != identity:
+            raise ValueError("the file changed while it was read")
+        fh.seek(start)
+        for lines in _read_lines(fh, end - start):
+            for line in lines:
+                lineno += 1
+                if not line:
+                    continue  # a blank line, as `read_csv` skips it
+                parts = line.split(b",", fixed_count)
+                if len(parts) <= fixed_count:
+                    raise ValueError(f"a row of fewer than {fixed_count + 1} fields")
+                if len(line) > limit and max(map(len, line.split(b","))) > limit:
+                    raise ValueError("a field over the csv field size limit")
+                text = parts[fixed_count]
+                if not text:
+                    raise ValueError("a row with no vector text")
+                linenos.append(lineno)
+                fields.append(line[:len(line) - len(text) - 1])
+                texts.append(text)
+                if len(texts) == per_block:
+                    put_block()
+    if texts:
+        put_block()
+    return linenos, fields
+
+
 def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
     """The vector block parsed by numpy, or None where `float` must decide.
 
-    Each row is split into its six fixed fields and its vector text, and numpy
-    parses the vector texts of rows holding up to `_BLOCK_CELLS` cells at once,
-    to the values Python's `float` gives. A file this cannot take as it is gives
-    None, and the reason is logged at debug level: one that is not UTF-8, has a
-    bad header or a quote, a row of fewer than seven fields, a field over
+    A regular file is split into ranges of whole lines by a count of its
+    lines, one range per CPU (see `_CPUS`), and the matrix is allocated once
+    for all the lines. The calling thread parses the first range and a thread
+    of its own each other one: each row is split into its six fixed fields and
+    its vector text, and numpy parses the vector texts of rows holding up to
+    `_BLOCK_CELLS` cells at once, to the values Python's `float` gives, into
+    the range's rows of the matrix. Rows are then moved down over blank lines,
+    and the labels are decoded at once. The result does not depend on
+    the number of ranges. A file this cannot take as it is gives None, and the
+    reason of the first range that fails is logged at debug level: one that is
+    not a regular file (so it is read once, by the per-cell parser), is not
+    UTF-8, has a bad header or a quote, a carriage return that does not end a
+    line, a row of fewer than seven fields, a field over
     `csv.field_size_limit()`, no vector text, a byte that is not in a decimal
     number or a comma, a row whose width is not the header's, or text numpy
-    does not parse.
+    does not parse, or one that changed while it was read. Any other error of
+    a range is raised, as the calling thread raises its own.
     """
-    fixed_count = len(EMBEDDING_FIXED_COLUMNS)
-    limit = csv.field_size_limit()
-    linenos: List[int] = []
-    fields: List[List[str]] = []
-    read = 0  # characters read, the header's included
-
-    def vector_texts(fh) -> Iterator[str]:
-        nonlocal read
-        for lineno, line in enumerate(fh, start=2):
-            read += len(line)
-            line = line.rstrip("\r\n")
-            if not line:
-                continue  # a blank line, as `read_csv` skips it
-            if '"' in line:
-                raise ValueError("a quote, which needs the csv module")
-            parts = line.split(",", fixed_count)
-            if len(parts) <= fixed_count:
-                raise ValueError(f"a row of fewer than {fixed_count + 1} fields")
-            if len(line) > limit and max(map(len, line.split(","))) > limit:
-                raise ValueError("a field over the csv field size limit")
-            text = parts.pop()
-            if not text:
-                raise ValueError("a row with no vector text")
-            linenos.append(lineno)
-            fields.append(parts)
-            yield text
-
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = fh.readline()
-            read = len(header)
-            header = header.rstrip("\r\n")
-            if '"' in header:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise ValueError("not a regular file, so it is read only once")
+        with open(path, "rb") as fh:
+            identity = _identity(os.fstat(fh.fileno()))
+            header = _without_crs([fh.readline().removesuffix(b"\n")])[0]
+            if b'"' in header:
                 raise ValueError("a quote, which needs the csv module")
-            dim = _embedding_dim(path, header.split(","))
-            size = os.fstat(fh.fileno()).st_size  # 0 for a pipe
-            texts = vector_texts(fh)
-            rows = max(1, _BLOCK_CELLS // dim)
-            matrix = np.empty((0, dim))
-            count = 0
-            while block := list(itertools.islice(texts, rows)):
-                end = count + len(block)
-                if end > len(matrix):
-                    # Room for the rows the file holds at its length per row so
-                    # far, and a sixteenth more, so the matrix is resized in
-                    # place about once and no second full-size matrix is held
-                    guess = end * size // read
-                    matrix.resize((max(end + end // 8, guess + guess // 16), dim),
-                                  refcheck=False)
-                matrix[count:end] = _vector_block(block, dim)
-                count = end
+            dim = _embedding_dim(path, header.decode().split(","))
+            ranges = _line_ranges(fh)
+        matrix = np.empty((sum(line_range[3] for line_range in ranges), dim))
+        outcomes: list = [None] * len(ranges)
+
+        def parse(k: int) -> None:
+            try:
+                outcomes[k] = _parse_range(path, identity, ranges[k], matrix)
+            except BaseException as exc:  # raised by the calling thread
+                outcomes[k] = exc
+
+        with warnings.catch_warnings():
+            # older numpy warns on unparsable text and returns what it read; the
+            # filters are the process's, so this holds in every thread
+            warnings.simplefilter("error", DeprecationWarning)
+            threads = [threading.Thread(target=parse, args=(k,)) for k in range(1, len(ranges))]
+            for thread in threads:
+                thread.start()
+            parse(0)
+            for thread in threads:
+                thread.join()
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        linenos: List[int] = []
+        fields: List[bytes] = []
+        flat = matrix.reshape(-1)  # 1-D, so a copy between overlapping rows is exact
+        for (_, _, first, _), (range_linenos, range_fields) in zip(ranges, outcomes):
+            row, rows = len(linenos), len(range_linenos)
+            if first > row:  # blank lines before
+                flat[row * dim:(row + rows) * dim] = flat[first * dim:(first + rows) * dim]
+            linenos += range_linenos
+            fields += range_fields
+        del flat  # no view of the matrix outlives its resize
+        # one decode checks every label's UTF-8; no label holds a comma
+        cells = b",".join(fields).decode().split(",") if fields else []
+        columns = tuple(tuple(cells[k::len(EMBEDDING_FIXED_COLUMNS)])
+                        for k in range(len(EMBEDDING_FIXED_COLUMNS)))
     except (FormatError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
         log.debug("%s: parsing cell by cell: %s", path, exc)
         return None
-    matrix.resize((count, dim), refcheck=False)
-    return linenos, fields, matrix
+    matrix.resize((len(linenos), dim), refcheck=False)
+    return linenos, columns, matrix
 
 
 def load_embeddings(path) -> EmbeddingTable:
     """Parse an embedding CSV into a validated table.
 
-    The vector block goes through numpy a few thousand cells at a time; a file
-    it cannot take as it is goes through the per-cell parser, which names the
-    line of any error.
+    The vector block goes through numpy a few thousand cells at a time, in one
+    range of lines per CPU; a file it cannot take as it is goes through the
+    per-cell parser, which names the line of any error.
     Labels are validated as columns; no record is built until one is asked for.
     """
     parsed = _parse_embedding_block(path)
-    linenos, fields, matrix = parsed if parsed is not None else _parse_embeddings_per_cell(path)
-    image_ids, identity_ids, roles, target_ids, genders, age_groups = (
-        tuple(zip(*fields)) or ((),) * len(EMBEDDING_FIXED_COLUMNS)
-    )
+    linenos, columns, matrix = parsed if parsed is not None else _parse_embeddings_per_cell(path)
+    image_ids, identity_ids, roles, target_ids, genders, age_groups = columns
     columns = (
         image_ids,
         identity_ids,

@@ -1,13 +1,14 @@
 """The file formats live in one module, and no malformed input file escapes the CLI.
 
 `corpus.py` is the only code in the package that opens files, uses
-`csv`/`json`, calls numpy's file readers and writers or parses numbers from
-text with numpy, and each public function, class and method is used by the
-program (or allowlisted); the fuzz tests mutate valid corpus, partition, model,
-candidate and query files and require `cli.run` to answer every mutation with a
-documented exit code instead of an exception. The embedding CSV's vector-block
+`csv`/`json`, calls numpy's file readers and writers, parses numbers from text
+with numpy or starts threads, and each public function, class and method is
+used by the program (or allowlisted); the fuzz tests mutate valid corpus,
+partition, model, candidate and query files and require `cli.run` to answer
+every mutation with a documented exit code instead of an exception. The embedding CSV's vector-block
 parser is checked bit for bit against the per-cell parser, on fuzzed files and
-on hard cells, and its writer against the plain `csv` writer.
+on hard cells, split into one to four ranges, and its writer against the plain
+`csv` writer.
 """
 
 import ast
@@ -16,8 +17,10 @@ import decimal
 import io
 import json
 import logging
+import os
 import platform
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -35,24 +38,37 @@ PACKAGE_DIR = Path(facesim.__file__).resolve().parent
 
 # numpy functions and methods that read or write files, or parse numbers from text
 NUMPY_FILE_IO = {"loadtxt", "genfromtxt", "fromfile", "fromstring", "savetxt", "tofile"}
+# calls that open or read files: `open()`, `os.open()` and `os.pread()`
+FILE_CALLS = {"open", "pread"}
+# modules whose import means file formats or threads
+FILE_MODULES = {"csv", "json", "threading"}
 
 
 def _file_access(path: Path):
-    """`open(` calls, numpy file I/O and text-parsing calls (`NUMPY_FILE_IO`) and `csv`/`json`
-    imports in one module, as (line, what)."""
+    """File-opening and reading calls (`FILE_CALLS`), numpy file I/O and text-parsing
+    calls (`NUMPY_FILE_IO`) and `csv`/`json`/`threading` imports in one module, as
+    (line, what)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name == "open" or name in NUMPY_FILE_IO:
+            if name in FILE_CALLS or name in NUMPY_FILE_IO:
                 found.append((node.lineno, f"{name}()"))
         elif isinstance(node, ast.Import):
             found += [(node.lineno, a.name) for a in node.names
-                      if a.name.split(".")[0] in ("csv", "json")]
+                      if a.name.split(".")[0] in FILE_MODULES]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            if node.module.split(".")[0] in ("csv", "json"):
+            if node.module.split(".")[0] in FILE_MODULES:
                 found.append((node.lineno, node.module))
     return found
+
+
+def test_file_access_finds_os_reads_and_threads(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import os, threading\nfrom threading import Thread\n"
+                      "fd = os.open('x', os.O_RDONLY)\nos.pread(fd, 1, 0)\n", encoding="utf-8")
+    assert sorted(_file_access(module)) == [(1, "threading"), (2, "threading"), (3, "open()"),
+                                    (4, "pread()")]
 
 
 def test_only_corpus_reads_and_writes_files():
@@ -324,6 +340,33 @@ def _embedding_csv(draw) -> bytes:
 _HEADER = ",".join(corpus.EMBEDDING_FIXED_COLUMNS)
 
 
+def _split_into_ranges(monkeypatch, ranges, read_bytes=None):
+    """Parse each file in up to `ranges` line ranges, whatever its length and the
+    CPUs here, and read it `read_bytes` at a time."""
+    monkeypatch.setattr(corpus, "_CPUS", ranges)
+    monkeypatch.setattr(corpus, "_RANGE_BYTES", 1)
+    if read_bytes is not None:
+        monkeypatch.setattr(corpus, "_READ_BYTES", read_bytes)
+
+
+# (ranges, read size): the host's defaults, then one to four ranges read in
+# pieces short enough to cut lines and CR LF ends
+RANGINGS = [(None, None), *((ranges, 16) for ranges in (1, 2, 3, 4))]
+
+
+def _parse_in_ranges(path, ranges, read_bytes):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if ranges is not None:
+            _split_into_ranges(monkeypatch, ranges, read_bytes)
+        return corpus._parse_embedding_block(path)
+
+
+def _assert_same_parse(block, expected):
+    """The block parser's (line numbers, fixed fields, matrix) equal, bit for bit."""
+    assert block[:2] == expected[:2]
+    assert block[2].shape == expected[2].shape and block[2].tobytes() == expected[2].tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=_embedding_csv())
 @example(data=f"{_HEADER},v0\ns,i,source,,,,\x1c1\n".encode())
@@ -332,33 +375,40 @@ _HEADER = ",".join(corpus.EMBEDDING_FIXED_COLUMNS)
 @example(data=f'{_HEADER},v0\n"s",i,source,,,,1\n'.encode())
 @example(data=f"{_HEADER},v0\ns,i,source,,,,{'7' * (FIELD_LIMIT + 1)}\n".encode())
 @example(data=f"{_HEADER},v0,v1\ns,i,source,,,,1,2,3\n".encode())
+@example(data=f"{_HEADER},v0\r\ns,i,source,,,,1\r\n\r\nt,i,source,,,,2\r\r\n".encode())
 def test_block_parser_agrees_with_the_per_cell_parser(tmp_path_factory, data):
-    """Bit-equal vectors, the same fixed fields and lines, or the per-cell parser decides."""
+    """Bit-equal vectors, the same fixed fields and lines, or the per-cell parser
+    decides, in any number of ranges."""
     path = tmp_path_factory.mktemp("block") / "emb.csv"
     path.write_bytes(data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy warns on a block with no rows
-        block = corpus._parse_embedding_block(path)
+        blocks = [_parse_in_ranges(path, *ranging) for ranging in RANGINGS]
+    assert len({block is None for block in blocks}) == 1, "the ranges decide alike"
     try:
-        lines, fields, matrix = corpus._parse_embeddings_per_cell(path)
+        expected = corpus._parse_embeddings_per_cell(path)
     except FormatError:
-        assert block is None  # load_embeddings then raises the per-cell parser's error
+        assert blocks[0] is None  # load_embeddings then raises the per-cell parser's error
         return
-    if block is not None:
-        assert block[0] == lines and block[1] == fields
-        assert block[2].shape == matrix.shape and block[2].tobytes() == matrix.tobytes()
+    for block in blocks:
+        if block is not None:
+            _assert_same_parse(block, expected)
 
 
-def test_block_parser_takes_what_facesim_writes(valid_inputs, clustered_inputs, tmp_path):
+def test_block_parser_takes_what_facesim_writes(valid_inputs, clustered_inputs, tmp_path,
+                                                monkeypatch):
     for files, name in ((valid_inputs[0], "embeddings.csv"),
                         (clustered_inputs[0], "candidates.csv"),
                         (clustered_inputs[0], "queries.csv")):
         path = tmp_path / name
         path.write_bytes(files[name])
-        lines, fields, matrix = corpus._parse_embedding_block(path)
         expected = corpus._parse_embeddings_per_cell(path)
-        assert (lines, fields) == expected[:2] and matrix.tobytes() == expected[2].tobytes()
-
+        for ranges in (1, 2, 3, 4):
+            _split_into_ranges(monkeypatch, ranges)
+            with open(path, "rb") as fh:
+                fh.readline()
+                assert len(corpus._line_ranges(fh)) == ranges
+            _assert_same_parse(corpus._parse_embedding_block(path), expected)
 
 
 def _adjacent_doubles(rng, count, exponents):
@@ -423,22 +473,26 @@ def hard_csv(tmp_path_factory):
     return path
 
 
-def _assert_block_parser_reads_as_float(path):
-    parsed = corpus._parse_embedding_block(path)
-    assert parsed is not None, "every cell is plain decimal text"
-    expected = corpus._parse_embeddings_per_cell(path)[2]
-    wrong = np.flatnonzero(parsed[2].view(np.uint64) != expected.view(np.uint64))
-    assert not wrong.size, f"{wrong.size} cells differ from float, first at {wrong[0]}"
+def _assert_block_parser_reads_as_float(path, monkeypatch):
+    """The block parser reads every cell as `float` does, in one to four ranges."""
+    expected = corpus._parse_embeddings_per_cell(path)
+    for ranges in (1, 2, 3, 4):
+        _split_into_ranges(monkeypatch, ranges)
+        parsed = corpus._parse_embedding_block(path)
+        assert parsed is not None, "every cell is plain decimal text"
+        wrong = np.flatnonzero(parsed[2].view(np.uint64) != expected[2].view(np.uint64))
+        assert not wrong.size, f"{wrong.size} cells differ from float, first at {wrong[0]}"
+        _assert_same_parse(parsed, expected)
 
 
-def test_block_parser_reads_hard_cells_as_float(hard_csv):
-    _assert_block_parser_reads_as_float(hard_csv)
+def test_block_parser_reads_hard_cells_as_float(hard_csv, monkeypatch):
+    _assert_block_parser_reads_as_float(hard_csv, monkeypatch)
 
 
 def test_float64_block_reads_hard_cells_as_float(hard_csv, monkeypatch):
     """The read where `longdouble` is not x87 extended precision, run on this host."""
     monkeypatch.setattr(corpus, "_BLOCK_DTYPE", np.float64)
-    _assert_block_parser_reads_as_float(hard_csv)
+    _assert_block_parser_reads_as_float(hard_csv, monkeypatch)
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64", "i686", "i386")
@@ -460,13 +514,198 @@ def test_x86_reads_blocks_in_x87_extended_precision(hard_csv):
     (f"{_HEADER},v0\ns,i,source,,,,1_0\n", "a byte other than"),
     (f"{_HEADER},v0,v1\ns,i,source,,,,1,2,3\n", "width"),
     (f"{_HEADER},v0\ns,i,source,,,,1e\n", "does not parse"),
-], ids=["quote", "field-limit", "no-vector-text", "byte", "width", "unparsable"])
+    (f"{_HEADER},v0\ns,i\r,source,,,,1\n", "a carriage return"),
+], ids=["quote", "field-limit", "no-vector-text", "byte", "width", "unparsable", "bare-cr"])
 def test_block_parser_logs_why_it_defers(tmp_path, caplog, text, reason):
     path = tmp_path / "emb.csv"
     path.write_text(text, encoding="utf-8")
     with caplog.at_level(logging.DEBUG, logger="facesim.corpus"):
         assert corpus._parse_embedding_block(path) is None
     assert [(str(path) in m and reason in m) for m in caplog.messages] == [True]
+
+
+def _rows_csv(cells, newline="\n"):
+    """An embedding CSV of one row per entry of `cells`, each that row's vector text."""
+    header = ",".join(corpus.EMBEDDING_FIXED_COLUMNS + ["v0", "v1"])
+    return newline.join([header, *(f"r{i},i,source,,,,{text}" for i, text in enumerate(cells)),
+                         ""]).encode()
+
+
+def test_ranges_meet_blank_lines_and_line_ends(tmp_path, monkeypatch):
+    """Blank lines and CR LF ends at range boundaries, and a last line with no LF: the
+    same lines, fields and values as the per-cell parser, whatever the ranges and reads."""
+    path = tmp_path / "emb.csv"
+    boundary_lines = set()
+    for newline in ("\n", "\r\n"):
+        for blanks in range(4):  # shifts every boundary by a line or so
+            lines = _rows_csv([f"{i}.25,-{i}e-3" for i in range(16)], newline).split(
+                newline.encode())
+            for i in range(len(lines) - 1, 1, -3):
+                lines[i:i] = [b""] * (i % 3)  # a run of blank lines every third row
+            lines[1:1] = [b""] * blanks
+            # the last line ends in no line end, or in a CR, which csv takes as one
+            path.write_bytes(newline.encode().join(lines).rstrip(b"\r\n") + newline[:-1].encode())
+            expected = corpus._parse_embeddings_per_cell(path)
+            for ranges in (1, 2, 3, 4):
+                for read_bytes in (1, 2, 3, 7, 1 << 16):
+                    _split_into_ranges(monkeypatch, ranges, read_bytes)
+                    _assert_same_parse(corpus._parse_embedding_block(path), expected)
+                with open(path, "rb") as fh:
+                    fh.readline()
+                    for line_range in corpus._line_ranges(fh)[1:]:
+                        fh.seek(line_range[0])
+                        boundary_lines.add(fh.readline())
+    assert {b"\n", b"\r\n"} <= boundary_lines, "a range starts on a blank line"
+
+
+@pytest.mark.parametrize("bad, reason", [
+    ({39: "1_0,1"}, "a byte other than"),
+    ({0: "1_0,1", 39: "1,2,3"}, "a byte other than"),
+    ({0: "1,2,3", 39: "1_0,1"}, "width"),
+], ids=["last-range", "first-and-last-first-byte", "first-and-last-first-width"])
+def test_a_bad_row_in_any_range_defers_once(tmp_path, monkeypatch, caplog, bad, reason):
+    """The whole file goes to the per-cell parser, with the first failing range's reason."""
+    cells = [f"{i}.5,1" for i in range(40)]
+    for row, text in bad.items():
+        cells[row] = text
+    path = tmp_path / "emb.csv"
+    path.write_bytes(_rows_csv(cells))
+    _split_into_ranges(monkeypatch, 4)
+    with caplog.at_level(logging.DEBUG, logger="facesim.corpus"):
+        assert corpus._parse_embedding_block(path) is None
+    assert [reason in m for m in caplog.messages] == [True]
+    if len(bad) == 1:
+        assert corpus.load_embeddings(path).matrix[39].tolist() == [10.0, 1.0]  # float("1_0")
+
+
+@pytest.mark.parametrize("error", [OSError(5, "Input/output error"), MemoryError()],
+                         ids=["OSError", "MemoryError"])
+def test_other_errors_of_a_range_thread_reach_the_caller(tmp_path, monkeypatch, error):
+    path = tmp_path / "emb.csv"
+    path.write_bytes(_rows_csv([f"{i}.5,1" for i in range(40)]))
+    _split_into_ranges(monkeypatch, 4)
+    vector_block = corpus._vector_block
+
+    def failing_off_the_main_thread(texts, dim):
+        if threading.current_thread() is not threading.main_thread():
+            raise error
+        return vector_block(texts, dim)
+
+    monkeypatch.setattr(corpus, "_vector_block", failing_off_the_main_thread)
+    threads = threading.active_count()
+    with pytest.raises(type(error)) as raised:
+        corpus.load_embeddings(path)
+    assert raised.value is error and threading.active_count() == threads
+
+
+def test_numpy_deprecation_warnings_are_errors_in_range_threads(tmp_path, monkeypatch, caplog):
+    """numpy before 2.0 warns on text it does not parse and returns what it read: the
+    filter that makes that warning an error holds in the range threads too."""
+    path = tmp_path / "emb.csv"
+    path.write_bytes(_rows_csv([f"{i}.5,1" for i in range(40)]))
+    _split_into_ranges(monkeypatch, 4)
+    fromstring = np.fromstring
+
+    def warning_off_the_main_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return fromstring(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromstring", warning_off_the_main_thread)
+    with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="facesim.corpus"):
+        warnings.simplefilter("ignore", DeprecationWarning)
+        assert corpus._parse_embedding_block(path) is None
+    assert ["does not parse" in m for m in caplog.messages] == [True]
+
+
+def test_threads_start_one_per_range(tmp_path, monkeypatch):
+    """One CPU, or a file shorter than two ranges, starts no thread."""
+    path = tmp_path / "emb.csv"
+    path.write_bytes(_rows_csv([f"{i}.5,1" for i in range(40)]))
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: [started.append(self),
+                                                                 start(self)])
+    for cpus, range_bytes, threads in ((4, 1 << 18, 0), (1, 1, 0), (2, 1, 1), (4, 1, 3)):
+        monkeypatch.setattr(corpus, "_CPUS", cpus)
+        monkeypatch.setattr(corpus, "_RANGE_BYTES", range_bytes)
+        started.clear()
+        assert corpus._parse_embedding_block(path) is not None
+        assert len(started) == threads
+
+
+@pytest.mark.parametrize("replaced", [True, False], ids=["replaced", "rewritten-in-place"])
+def test_a_file_changed_after_its_lines_are_counted_is_not_read_in_ranges(
+    tmp_path, monkeypatch, caplog, replaced
+):
+    """Another file at the path, or more lines in the same bytes, size and mtime: the
+    per-cell parser reads what is there then."""
+    path = tmp_path / "emb.csv"
+    path.write_bytes(_rows_csv([f"{i}.5,1" for i in range(40)]))
+    # the same number of bytes, with one row of the first range made two
+    changed = path.read_bytes().replace(b"r10,i,source,,,,10.5,1\n", b"a,,,,,,1,2\nb,,,,,,1,2\n\n")
+    line_ranges = corpus._line_ranges
+
+    def changing_the_file(fh):
+        ranges = line_ranges(fh)
+        if replaced:
+            (tmp_path / "new.csv").write_bytes(changed)
+            os.replace(tmp_path / "new.csv", path)
+        else:
+            before = os.stat(path)
+            with open(path, "r+b") as out:
+                out.write(changed)
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        return ranges
+
+    monkeypatch.setattr(corpus, "_line_ranges", changing_the_file)
+    _split_into_ranges(monkeypatch, 2)
+    with caplog.at_level(logging.DEBUG, logger="facesim.corpus"):
+        assert corpus._parse_embedding_block(path) is None
+    assert ["changed while it was read" in m for m in caplog.messages] == [True]
+    assert corpus._parse_embeddings_per_cell(path)[1][0][10:12] == ("a", "b")
+
+
+def _read_through_fifo(path, data: bytes, read):
+    """`read(path)` of a named pipe that `data` is written to once. A second open of the
+    pipe would wait for a writer for ever, so `read` runs on a thread with a timeout."""
+    os.mkfifo(path)
+    result = []
+
+    def reader():
+        try:
+            result.append(read(path))
+        except Exception as exc:  # raised below, in the test's thread
+            result.append(exc)
+
+    threads = [threading.Thread(target=path.write_bytes, args=(data,), daemon=True),
+               threading.Thread(target=reader, daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads), "the pipe is opened again"
+    if isinstance(result[0], Exception):
+        raise result[0]
+    return result[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+@pytest.mark.parametrize("first_id", ["s", '"s"'], ids=["block-parsable", "quoted"])
+def test_a_pipe_is_read_once_by_the_per_cell_parser(tmp_path, caplog, capsys, first_id):
+    data = f"{_HEADER},v0,v1\n{first_id},i,source,,,,1,2\nt,i,source,,,,3,4\n".encode()
+    (tmp_path / "emb.csv").write_bytes(data)
+    expected = corpus.load_embeddings(tmp_path / "emb.csv")
+    with caplog.at_level(logging.DEBUG, logger="facesim.corpus"):
+        table = _read_through_fifo(tmp_path / "pipe1", data, corpus.load_embeddings)
+    assert ["not a regular file" in m for m in caplog.messages] == [True]
+    assert table.image_ids == expected.image_ids == ("s", "t")
+    assert table.matrix.tobytes() == expected.matrix.tobytes()
+    capsys.readouterr()
+    code = _read_through_fifo(tmp_path / "pipe2", data,
+                              lambda path: cli.run(["ingest", "--embeddings", str(path)]))
+    assert code == 0 and capsys.readouterr().out == "ingested 2 records (d=2)\n"
+
 
 def _csv_module_lines(rows):
     """Each row written by its own `csv.writer` ending in "\\r\\n" (so a field holding
