@@ -115,45 +115,23 @@ def _first_invalid_row(columns: Columns, matrix: np.ndarray) -> Optional[Tuple[i
 class EmbeddingTable:
     """Duplicate-free embedding rows: a read-only (n, d) float64 `matrix` and label columns.
 
-    Row i of `matrix` holds the i-th vector, and row i of the columns
-    `image_ids`, `identity_ids`, `roles`, `target_ids`, `genders` and
-    `age_groups` its labels, as `EmbeddingRecord` names them. Records are built
-    on the first iteration or lookup, each `vector` a view of its row, and kept,
-    so every lookup returns the same objects. A table built from records keeps
-    those records, their vectors rebound to views of its rows. Labels, finite
-    non-zero rows and unique ids are checked once over the whole table.
+    Row i of `matrix` holds the i-th vector, and row i of the six `columns`,
+    in `EMBEDDING_FIXED_COLUMNS` order, its labels: `image_ids`,
+    `identity_ids`, `roles`, `target_ids` (None where there is none),
+    `genders` and `age_groups`, as `EmbeddingRecord` names them. Labels, finite
+    non-zero rows and unique ids are checked once over the whole table; the
+    first invalid row raises `ValidationError`, its `row` set. Records are
+    built on the first iteration or lookup, each `vector` a view of its row,
+    and kept, so every lookup returns the same objects; `load_embeddings` and
+    `synth` build none.
     """
 
-    def __init__(self, records: Iterable[EmbeddingRecord]):
-        records = list(records)
-        vectors = [np.asarray(rec.vector, dtype=np.float64) for rec in records]
-        dim = vectors[0].shape[0] if vectors else None
-        for rec, vec in zip(records, vectors):
-            if vec.shape != (dim,):
-                raise FormatError(
-                    f"record '{rec.image_id}' has dimension {vec.shape[0]},"
-                    f" table dimension is {dim}"
-                )
-        matrix = np.array(vectors) if vectors else np.empty((0, 0))
-        columns = tuple(
-            tuple(getattr(rec, name) for rec in records) for name in EMBEDDING_FIXED_COLUMNS
-        )
+    def __init__(self, columns: Columns, matrix: np.ndarray):
         invalid = _first_invalid_row(columns, matrix)
         if invalid is not None:
-            raise ValidationError(invalid[1])
-        self._set(columns, matrix)
-        for rec, vector in zip(records, matrix):
-            object.__setattr__(rec, "vector", vector)
-        self._records = records
-
-    @classmethod
-    def _of_columns(cls, columns: Columns, matrix: np.ndarray) -> "EmbeddingTable":
-        """The table of valid `columns` and `matrix` (see `_first_invalid_row`)."""
-        table = cls.__new__(cls)
-        table._set(columns, matrix)
-        return table
-
-    def _set(self, columns: Columns, matrix: np.ndarray) -> None:
+            error = ValidationError(invalid[1])
+            error.row = invalid[0]
+            raise error
         matrix.setflags(write=False)
         self.matrix = matrix
         (self.image_ids, self.identity_ids, self.roles, self.target_ids, self.genders,
@@ -162,9 +140,9 @@ class EmbeddingTable:
         self._records: Optional[List[EmbeddingRecord]] = None
 
     @property
-    def dim(self) -> Optional[int]:
-        """The vector width; None for a table built from no records."""
-        return self.matrix.shape[1] or None
+    def dim(self) -> int:
+        """The vector width."""
+        return self.matrix.shape[1]
 
     def _built(self) -> List[EmbeddingRecord]:
         """The records, built from the columns and rows on the first call."""
@@ -610,6 +588,8 @@ def _parse_range(path, identity, line_range: _LineRange,
                 text = parts[fixed_count]
                 if not text:
                     raise ValueError("a row with no vector text")
+                if text.endswith(b","):  # `fromstring` reads 0 there, or nothing at a block's end
+                    raise ValueError("a row whose last vector cell is empty")
                 linenos.append(lineno)
                 fields.append(line[:len(line) - len(text) - 1])
                 texts.append(text)
@@ -637,9 +617,10 @@ def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
     UTF-8, has a bad header or a quote, a carriage return that does not end a
     line, a row of fewer than seven fields, a field over
     `csv.field_size_limit()`, no vector text, a byte that is not in a decimal
-    number or a comma, a row whose width is not the header's, or text numpy
-    does not parse, or one that changed while it was read. Any other error of
-    a range is raised, as the calling thread raises its own.
+    number or a comma, a row whose width is not the header's or whose last
+    vector cell is empty, or text numpy does not parse, or one that changed
+    while it was read. Any other error of a range is raised, as the calling
+    thread raises its own.
     """
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
@@ -713,16 +694,15 @@ def load_embeddings(path) -> EmbeddingTable:
         tuple(g or "unknown" for g in genders),
         tuple(a or "unknown" for a in age_groups),
     )
-    invalid = _first_invalid_row(columns, matrix)
-    if invalid is not None:
-        row, error = invalid
-        raise ValidationError(f"{path}:{linenos[row]}: {error}")
-    return EmbeddingTable._of_columns(columns, matrix)
+    try:
+        return EmbeddingTable(columns, matrix)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}:{linenos[exc.row]}: {exc}") from None
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
     """Like `write_csv`: the fixed columns quoted by `csv`, each vector cell in `repr` form."""
-    header = EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim or 0)]
+    header = EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim)]
     fixed = zip(
         table.image_ids, table.identity_ids, table.roles,
         (t or "" for t in table.target_ids), table.genders, table.age_groups,

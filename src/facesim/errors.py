@@ -19,6 +19,8 @@ class FormatError(DataError):
 class ValidationError(DataError):
     """Parsed data violates a structural invariant."""
 
+    row = None  # the first invalid row of an embedding table, where one is named
+
 
 class IntegrityError(DataError):
     """A cross-reference (image_id, triplet_id, label) cannot be resolved."""

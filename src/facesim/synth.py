@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .corpus import (
-    EmbeddingRecord,
     EmbeddingTable,
     RawAnnotation,
     save_annotations,
@@ -95,7 +94,8 @@ def planted(
     shared = [f"shared{i:03d}" for i in range(SHARED_POOL)]
     private = {t: [f"{t}_src{i:02d}" for i in range(PRIVATE_POOL)] for t in targets}
 
-    records: List[EmbeddingRecord] = []
+    labels: List[Tuple[str, ...]] = []  # the six labels of each row of the table
+    matrix = np.empty((3 * n_triplets, dim))  # the vectors of each triplet, three rows
     manifest: Dict[str, Tuple[str, str, str]] = {}
     annotations: List[RawAnnotation] = []
     triplet_ids: List[str] = []
@@ -118,19 +118,10 @@ def planted(
             if abs(sim_a - sim_b) >= LABEL_GAP:
                 break
         image_ids = []
-        for part, source, vec in zip(("c", "a", "b"), sources, vectors):
+        for part, source in zip(("c", "a", "b"), sources):
             image_ids.append(f"img{i:05d}{part}")
-            records.append(
-                EmbeddingRecord(
-                    image_id=image_ids[-1],
-                    identity_id=source,
-                    role="swapped",
-                    target_id=target,
-                    gender="unknown",
-                    age_group="unknown",
-                    vector=vec,
-                )
-            )
+            labels.append((image_ids[-1], source, "swapped", target, "unknown", "unknown"))
+        matrix[3 * i:3 * i + 3] = vectors
         label = "A" if sim_a >= sim_b else "B"
         triplet_id = f"tri{i:05d}"
         manifest[triplet_id] = tuple(image_ids)
@@ -164,7 +155,7 @@ def planted(
             )
 
     return PlantedCorpus(
-        table=EmbeddingTable(records),
+        table=EmbeddingTable(tuple(zip(*labels)), matrix),
         manifest=manifest,
         annotations=annotations,
         truth=ProjectionModel(truth),
@@ -193,38 +184,21 @@ def clustered_attributes(
     basis, _ = np.linalg.qr(rng.normal(size=(dim, 4)))
     means = basis.T  # 4 orthonormal mean directions
 
-    def sample(mean):
-        return mean + CLUSTER_SPREAD * rng.normal(size=dim)
+    def table(role, rows):
+        """The table of (image_id, identity_id, cluster) rows, each vector drawn around
+        its cluster's mean, in row order."""
+        image_ids, identity_ids, clusters = zip(*rows)
+        ages, genders = zip(*(_CLUSTER_LABELS[c] for c in clusters))
+        n = len(rows)
+        columns = (image_ids, identity_ids, (role,) * n, (None,) * n, genders, ages)
+        matrix = np.array([means[c] + CLUSTER_SPREAD * rng.normal(size=dim) for c in clusters])
+        return EmbeddingTable(columns, matrix)
 
-    candidates = []
-    for c, (age, gender) in enumerate(_CLUSTER_LABELS):
-        for j in range(per_cluster):
-            candidates.append(
-                EmbeddingRecord(
-                    image_id=f"cand_{age}_{gender}_{j:04d}",
-                    identity_id=f"cid_{c}_{j:04d}",
-                    role="source",
-                    target_id=None,
-                    gender=gender,
-                    age_group=age,
-                    vector=sample(means[c]),
-                )
-            )
-    queries = []
-    for q in range(n_queries):
-        c = q % 4
-        age, gender = _CLUSTER_LABELS[c]
-        queries.append(
-            EmbeddingRecord(
-                image_id=f"query_{q:04d}",
-                identity_id=f"qid_{q:04d}",
-                role="target",
-                target_id=None,
-                gender=gender,
-                age_group=age,
-                vector=sample(means[c]),
-            )
-        )
-    return ClusteredCorpus(
-        candidates=EmbeddingTable(candidates), queries=EmbeddingTable(queries)
-    )
+    candidates = table("source", [
+        (f"cand_{age}_{gender}_{j:04d}", f"cid_{c}_{j:04d}", c)
+        for c, (age, gender) in enumerate(_CLUSTER_LABELS) for j in range(per_cluster)
+    ])
+    queries = table("target", [
+        (f"query_{q:04d}", f"qid_{q:04d}", q % 4) for q in range(n_queries)
+    ])
+    return ClusteredCorpus(candidates=candidates, queries=queries)

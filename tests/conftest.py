@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from facesim import synth
-from facesim.corpus import EmbeddingRecord, EmbeddingTable, RawAnnotation
+from facesim.corpus import EMBEDDING_FIXED_COLUMNS, EmbeddingRecord, EmbeddingTable, RawAnnotation
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +26,14 @@ def make_record(image_id, vector, identity_id=None, role="swapped", target_id="t
         age_group=age_group,
         vector=np.asarray(vector, dtype=float),
     )
+
+
+def table_of(records):
+    """The table of these records' labels and stacked vectors."""
+    columns = tuple(
+        tuple(getattr(rec, name) for rec in records) for name in EMBEDDING_FIXED_COLUMNS
+    )
+    return EmbeddingTable(columns, np.array([rec.vector for rec in records], dtype=float))
 
 
 def make_annotation(annotator, triplet, choice, is_dummy=False, dummy_answer=None):

@@ -135,7 +135,8 @@ class TestPipeline:
         )
 
     def test_triplet_commands_build_no_records(self, planted_dir, tmp_path, monkeypatch):
-        """split, train, eval-triplets and ingest read the table's columns and matrix only."""
+        """synth, split, train, eval-triplets and ingest read or fill the table's columns and
+        matrix only."""
         built = []
         post_init = corpus.EmbeddingRecord.__post_init__
 
@@ -153,6 +154,10 @@ class TestPipeline:
              "--report", str(tmp_path / "r.json"), "--scatter", str(tmp_path / "s.csv")],
             ["ingest", "--embeddings", str(planted_dir / "embeddings.csv"),
              "--report", str(tmp_path / "i.json")],
+            ["synth", "--preset", "planted", "--seed", "3", "--triplets", "20", "--dim", "8",
+             "--out-dir", str(tmp_path / "planted")],
+            ["synth", "--preset", "clustered-attributes", "--seed", "3", "--per-cluster", "5",
+             "--queries", "4", "--dim", "8", "--out-dir", str(tmp_path / "clustered")],
         ):
             assert cli.run(argv) == 0
         assert built == []

@@ -15,7 +15,7 @@ from facesim.errors import (
     ValidationError,
 )
 
-from conftest import make_annotation, make_record
+from conftest import make_annotation, make_record, table_of
 
 
 def write_embeddings(path, rows, dim=4, newline="\n"):
@@ -179,7 +179,8 @@ def first_invalid_line(rows):
 def test_load_names_the_first_invalid_row_as_row_by_row_checks_did(
     tmp_path_factory, data, dim, n, quoted
 ):
-    """Faults at random rows: the load error is the row-by-row oracle's, message and line."""
+    """Faults at random rows: the load error is the row-by-row oracle's, message and line,
+    and the table's own error, built from the same columns and matrix, its message and row."""
     rows = [
         [f"s{i}", f"id{i % 3}", data.draw(st.sampled_from(LABELS["role"])), f"t{i % 2}",
          data.draw(st.sampled_from(LABELS["gender"])),
@@ -211,12 +212,21 @@ def test_load_names_the_first_invalid_row_as_row_by_row_checks_did(
     path = tmp_path_factory.mktemp("faults") / "emb.csv"
     path.write_text(buffer.getvalue(), encoding="utf-8")
     expected = first_invalid_line(list(enumerate(rows, start=2)))
+    # the same rows as columns and a matrix, which the table checks with no file to name
+    *labels, genders, age_groups = zip(*(row[:6] for row in rows))
+    columns = (*labels, tuple(g or "unknown" for g in genders),
+               tuple(a or "unknown" for a in age_groups))
+    matrix = np.array([[float(cell) for cell in row[6:]] for row in rows])
     if expected is None:
         assert len(corpus.load_embeddings(path)) == n
+        assert len(corpus.EmbeddingTable(columns, matrix)) == n
         return
     with pytest.raises(ValidationError) as err:
         corpus.load_embeddings(path)
     assert str(err.value) == f"{path}:{expected[0]}: {expected[1]}"
+    with pytest.raises(ValidationError) as err:
+        corpus.EmbeddingTable(columns, matrix)
+    assert (err.value.row, str(err.value)) == (expected[0] - 2, expected[1])
 
 
 class TestValidateAnnotators:
@@ -383,7 +393,7 @@ class TestSplitEval:
                     consistent=True, admitted=True,
                 )
             )
-        table = corpus.EmbeddingTable(records)
+        table = table_of(records)
         with pytest.raises(InfeasibleSplitError, match="single target"):
             corpus.split_eval(samples, table, "iii", seed=0)
 
@@ -421,7 +431,7 @@ def test_verify_target_consistency_catches_mismatch():
         make_record("a", rng.normal(size=3), target_id="t1"),
         make_record("b", rng.normal(size=3), target_id="t2"),
     ]
-    table = corpus.EmbeddingTable(records)
+    table = table_of(records)
     sample = corpus.TripletSample(
         triplet_id="x", ref_id="c", option_a_id="a", option_b_id="b",
         votes=("A", "A", "A"), majority="A", consistent=True, admitted=True,

@@ -2,8 +2,9 @@
 
 `corpus.py` is the only code in the package that opens files, uses
 `csv`/`json`, calls numpy's file readers and writers, parses numbers from text
-with numpy or starts threads, and each public function, class and method is
-used by the program (or allowlisted); the fuzz tests mutate valid corpus,
+with numpy, starts threads or builds `EmbeddingRecord`s, no module rebinds a
+frozen field with `object.__setattr__`, and each public function, class and
+method is used by the program (or allowlisted); the fuzz tests mutate valid corpus,
 partition, model, candidate and query files and require `cli.run` to answer
 every mutation with a documented exit code instead of an exception. The embedding CSV's vector-block
 parser is checked bit for bit against the per-cell parser, on fuzzed files and
@@ -32,6 +33,8 @@ import facesim
 from facesim import cli, corpus, synth
 from facesim.errors import FormatError
 from facesim.metric import ProjectionModel
+
+from conftest import table_of
 
 PACKAGE_DIR = Path(facesim.__file__).resolve().parent
 
@@ -80,6 +83,29 @@ def test_only_corpus_reads_and_writes_files():
         for line, what in _file_access(path)
     ]
     assert len(modules) > 5 and not offenders, offenders
+
+
+def _record_builds(path: Path):
+    """`EmbeddingRecord(...)` calls and `object.__setattr__` uses in one module, as
+    (line, what)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "EmbeddingRecord":
+                found.append((node.lineno, "EmbeddingRecord()"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+              and getattr(node.value, "id", None) == "object"):
+            found.append((node.lineno, "object.__setattr__"))
+    return found
+
+
+def test_only_corpus_builds_records_and_none_is_rebound():
+    """A table's records are built in one place, from its rows, and never changed after."""
+    found = {path.name: _record_builds(path) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert [what for _, what in found.pop("corpus.py")] == ["EmbeddingRecord()"]
+    offenders = [f"{name}:{line}: {what}" for name, hits in found.items() for line, what in hits]
+    assert len(found) > 5 and not offenders, offenders
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -375,6 +401,7 @@ def _assert_same_parse(block, expected):
 @example(data=f'{_HEADER},v0\n"s",i,source,,,,1\n'.encode())
 @example(data=f"{_HEADER},v0\ns,i,source,,,,{'7' * (FIELD_LIMIT + 1)}\n".encode())
 @example(data=f"{_HEADER},v0,v1\ns,i,source,,,,1,2,3\n".encode())
+@example(data=f"{_HEADER},v0,v1\ns,i,source,,,,1,\nt,i,source,,,,2,3\n".encode())
 @example(data=f"{_HEADER},v0\r\ns,i,source,,,,1\r\n\r\nt,i,source,,,,2\r\r\n".encode())
 def test_block_parser_agrees_with_the_per_cell_parser(tmp_path_factory, data):
     """Bit-equal vectors, the same fixed fields and lines, or the per-cell parser
@@ -733,7 +760,7 @@ AWKWARD_IDS = ["plain", "a,b", 'say "hi"', "two\nlines", "a\r\nb", "bare\rreturn
 
 @pytest.mark.parametrize("image_id", AWKWARD_IDS)
 def test_save_embeddings_writes_what_the_csv_module_writes(tmp_path, image_id):
-    table = corpus.EmbeddingTable([
+    table = table_of([
         corpus.EmbeddingRecord(image_id, "id,1", "swapped", 'target"1', "male", "older",
                                np.array([5e-324, -0.0, 1e308, 0.1])),
         corpus.EmbeddingRecord("other", "id2", "source", None, "female", "unknown",

@@ -9,7 +9,7 @@ from facesim import corpus, evaluator, trainer
 from facesim.errors import DivergenceError, ValidationError
 from facesim.metric import ProjectionModel, cosine
 
-from conftest import make_record
+from conftest import make_record, table_of
 
 
 def build_triplet_corpus(vector_rows, labels, dim):
@@ -27,7 +27,7 @@ def build_triplet_corpus(vector_rows, labels, dim):
                 consistent=True, admitted=True,
             )
         )
-    return corpus.EmbeddingTable(records), samples
+    return table_of(records), samples
 
 
 def role_by_role_loss_and_gradient(weight, ref, pos, neg, margin):
