@@ -8,6 +8,7 @@ the source/target-aware evaluation splits with an independent audit.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import logging
@@ -348,8 +349,22 @@ def read_json(path, kind: str, fields: Sequence[str]) -> dict:
 
 
 def write_json(path, payload: dict, indent: Optional[int] = None) -> None:
+    """`payload` as one JSON object. Written without `indent`, a 2-D float64 array
+    in it is one flat row-major list of its floats, formatted by `_repr_rows`,
+    in the same text as `json.dumps` gives for `array.reshape(-1).tolist()`."""
+    if indent is None:
+        fields = []
+        for key, value in payload.items():
+            if isinstance(value, np.ndarray):
+                value = f"[{', '.join(_repr_rows(path, value, b', '))}]"
+            else:
+                value = json.dumps(value)
+            fields.append(f"{json.dumps(key)}: {value}")
+        text = "{" + ", ".join(fields) + "}"
+    else:
+        text = json.dumps(payload, indent=indent)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=indent) + "\n")
+        fh.write(text + "\n")
 
 
 def _embedding_dim(path, header: List[str]) -> int:
@@ -462,6 +477,227 @@ def _vector_block(texts: List[bytes], dim: int) -> np.ndarray:
     if values is None or values.size != len(texts) * dim:
         raise ValueError("text numpy does not parse")
     return _round_to_float64(values, texts, dim).reshape(len(texts), dim)
+
+
+# A float block is formatted in pieces of about this many cells
+_FORMAT_CELLS = 1 << 13
+
+# 10**p is exact in float64 for p <= 22, and fits int64 for p <= 18
+_POW10 = 10.0 ** np.arange(23)
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+# fl(10**j) for j = -4..16; those of j < 0 lie above 10**j, so for every
+# double x, x >= fl(10**j) exactly when x >= 10**j
+_DECADES = np.array([float(f"1e{j}") for j in range(-4, 17)])
+# Doubles whose `repr` is positional, "0.0001" to "9999999999999998.0"
+_POSITIONAL = (1e-4, 1e16)
+_SPLITTER = 134217729.0  # 2**27 + 1
+_EXPONENT = np.uint64(0x7FF << 52)
+_MANTISSA = np.uint64((1 << 52) - 1)
+
+
+def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`a` as high + low, each with at most 26 significant bits (Dekker, 1971)."""
+    t = a * _SPLITTER
+    high = t - (t - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
+
+
+@functools.cache
+def _digit_words() -> Tuple[np.ndarray, np.ndarray]:
+    """The 4-digit groups "0000".."9999", and a lone digit after three NULs, each
+    as one 32-bit word. Built on first use, as are the cell layouts, so that
+    importing costs nothing."""
+    n = np.arange(10000)
+    groups = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + ord("0")
+    leads = np.zeros((10, 4), np.int64)
+    leads[:, 3] = n[:10] + ord("0")
+    return tuple(_read_only(table.astype(np.uint8).view(np.uint32).ravel())
+                 for table in (groups, leads))
+
+
+# The layout row of a cell written by `repr`, which is empty
+_BY_REPR = 2 * 20 * 18
+
+
+@functools.cache
+def _cell_layouts() -> Tuple[np.ndarray, np.ndarray]:
+    """The digit masks and the fixed characters of each positional cell layout.
+
+    A cell is 44 bytes, as 11 words. Bytes 0-19 are the sign, two NULs and
+    the 17 digits (bytes 3-19), of which the integer part is kept; bytes 20-39
+    are three leading fraction zeros and the 17 digits again (bytes 23-39), of
+    which the fraction is kept. A "0" before the point goes in the first digit's
+    place, the point in the last one's, and the "0" of an integer's ".0" in
+    the first fraction digit's. Bytes 40-43 are the separator. Row
+    (negative * 20 + e + 4) * 18 + k is the layout of the k-digit text whose
+    first digit stands for 10**e; row `_BY_REPR` is empty.
+    """
+    e = np.arange(-4, 16)[:, None, None]
+    k = np.arange(18)[:, None]
+    byte = np.arange(44)
+    integer = np.maximum(e + 1, 0)  # how many digits lie before the point
+    digit = (((3 <= byte) & (byte < 3 + integer))
+             | ((23 + integer <= byte) & (byte < 23 + k)))
+    zero = (((e < 0) & ((byte == 3) | ((20 <= byte) & (byte < 19 - e))))
+            | ((k <= e + 1) & (byte == 23)))
+    chars = np.where(zero, ord("0"), np.where(byte == 19, ord("."), 0))
+    chars = np.stack([chars, np.where(byte == 0, ord("-"), chars)])
+    masks = np.broadcast_to(np.where(digit, 0xFF, 0), chars.shape)
+    empty = np.zeros((1, 44), np.int64)
+    return tuple(_read_only(np.concatenate([table.reshape(-1, 44), empty])
+                            .astype(np.uint8).view(np.uint32)) for table in (masks, chars))
+
+
+def _shortest_digits(y: np.ndarray):
+    """The digits of `repr` for each y in [1e-4, 1e16): as (e, k, digits,
+    by_repr), the k-digit text whose first digit stands for 10**e, its digits
+    as a 17-digit integer, and where `repr` must write the cell instead.
+
+    Each y is scaled by 10**(16 - e), for e = floor(log10 y), as an exact
+    float64 two-product (Dekker), into a 17-digit integer and its remainder.
+    Its shortest `repr` digits (Steele and White, "How to Print Floating-Point
+    Numbers Accurately", PLDI 1990) are the fewest digits k for which a k-digit
+    decimal reads back as y: the one below or above y lies closer than half
+    the gap to the next double on its side. Round-tripping is monotone in k,
+    so k is found by a binary search, in int64 and exact float64 arithmetic
+    only. Among two k-digit decimals that both read back, the nearer is the
+    one `repr` gives. Where a decimal lies exactly on half a gap, or two lie
+    equally near, or the digits carry to 10**k, `repr` writes the cell.
+    """
+    e = np.clip(np.floor(np.log10(y)), -4, 15).astype(np.int64)  # off by at most one
+    e += (y >= _DECADES[e + 5]).astype(np.int64) - (y < _DECADES[e + 4])
+    p = 16 - e
+    scale, scale_high, scale_low = _POW10[p], _POW10_HIGH[p], _POW10_LOW[p]
+    y_high, y_low = _split(y)
+    product = y * scale
+    remainder = ((y_high * scale_high - product) + y_high * scale_low
+                 + y_low * scale_high) + y_low * scale_low
+    # y * 10**p = whole + fraction exactly; rounding leaves it in [1e16, 1e17)
+    by_repr = (product < 1e16) | (product >= 1e17) | ((product == 1e16) & (remainder < 0))
+    floor = np.floor(remainder)
+    whole = product.astype(np.int64) + floor.astype(np.int64)
+    fraction = remainder - floor
+    # half the gaps to the next doubles above and below, scaled alike; below a
+    # power of two the gap is half as wide
+    bits = y.view(np.uint64)
+    above = ((bits & _EXPONENT) - np.uint64(53 << 52)).view(np.float64) * scale
+    below = np.where(bits & _MANTISSA, above, above * 0.5)
+
+    def distances(k, cells=slice(None)):
+        """The k-digit unit, and the distances from these cells' values up from the
+        k-digit decimal below and down to the one above, in scaled units."""
+        unit = _POW10_INT[17 - k]
+        rest = whole[cells] - whole[cells] // unit * unit
+        return unit, rest, rest + fraction[cells], (unit - rest) - fraction[cells]
+
+    def fits(k, cells=slice(None)):
+        """Whether a k-digit decimal reads back as each of these cells' value."""
+        _, _, down, up = distances(k, cells)
+        fit = (down < below[cells]) | (up < above[cells])
+        # a decimal on half a gap reads back as y only if y is even
+        by_repr[cells] |= ~fit & ((down == below[cells]) | (up == above[cells]))
+        return fit
+
+    # 17 digits always read back, and most cells need 16 or 17: 16 and 15 are
+    # tried on every cell, and a binary search over 1-15 finds the rest
+    k = np.full(y.size, 17, np.int64)
+    for fewer in (16, 15):
+        k[fits(fewer) & (k == fewer + 1)] = fewer
+    search = np.flatnonzero(k == 15)
+    low, high = np.ones(search.size, np.int64), k[search]
+    for _ in range(4):
+        mid = (low + high) >> 1
+        fit = fits(mid, search)
+        high = np.where(fit, mid, high)
+        low = np.where(fit, low, mid + 1)
+    k[search] = high
+    unit, rest, down, up = distances(k)
+    fits_down, fits_up = down < below, up < above
+    round_up = fits_up & (~fits_down | (up < down))
+    by_repr |= (~(fits_down | fits_up) | (fits_down & fits_up & (up == down))
+                | ((down == below) & (down <= up)) | ((up == above) & (up <= down)))
+    digits = whole - rest + np.where(round_up, unit, 0)
+    by_repr |= digits >= 10 ** 17
+    return e, k, digits, by_repr
+
+
+def _repr_block(block: np.ndarray, sep: bytes) -> Tuple[str, int, int]:
+    """The cells of a 2-D float64 block as `repr` writes each one, `sep` (one or two
+    bytes) after each cell but the last of a row, and "\\n" after that one.
+
+    Also the numbers of cells written by `repr` outside [1e-4, 1e16), and within
+    it on an exact tie, half a gap or a carry to 10**k. The digits come from
+    `_shortest_digits`; `0.0` and `-0.0` are laid out as the one digit 0 before
+    the point. Each cell's digits and fixed characters are laid out in 44
+    bytes (see `_cell_layouts`), its unused bytes NUL, which are deleted at
+    the end.
+    """
+    rows, dim = block.shape
+    x = block.reshape(-1)
+    ax = np.abs(x)
+    positional = (ax >= _POSITIONAL[0]) & (ax < _POSITIONAL[1])
+    zero = ax == 0
+    outside = ~(positional | zero)
+    # zeros and cells outside start as 0.0 is laid out, and only the others
+    # are searched, so a table of mostly zeros costs little
+    e, k, digits = np.zeros(x.size, np.int64), np.ones(x.size, np.int64), np.zeros(x.size, np.int64)
+    by_repr = outside.copy()
+    searched = np.flatnonzero(positional)
+    e[searched], k[searched], digits[searched], by_repr[searched] = _shortest_digits(ax[searched])
+    code = (np.signbit(x) * 20 + e + 4) * 18 + k
+    code[by_repr] = _BY_REPR
+    digits[by_repr] = 0  # a carry to 10**17 would index past the lead digits
+
+    # the 17 digits as 5 words, twice: a lead digit after three NULs, then 4
+    # groups of 4
+    masks, chars = _cell_layouts()
+    digit_groups, leads = _digit_words()
+    words = np.empty((x.size, 11), np.uint32)
+    top = digits // 10 ** 8
+    lead = top // 10 ** 8
+    groups = [leads[lead]]
+    for part in (top - lead * 10 ** 8, digits - top * 10 ** 8):
+        upper = part // 10 ** 4
+        groups += [digit_groups[upper], digit_groups[part - upper * 10 ** 4]]
+    for column, group in enumerate(groups):
+        words[:, column] = words[:, column + 5] = group
+    cells = np.take(masks, code, axis=0)
+    cells &= words
+    cells |= np.take(chars, code, axis=0)
+    ends = np.frombuffer(sep.ljust(4, b"\0") + b"\n\0\0\0", np.uint32)
+    cells[:, 10] = ends[0]
+    cells.reshape(rows, dim, 11)[:, -1, 10] = ends[1]
+    fallback = np.flatnonzero(by_repr)
+    if fallback.size:  # the longest `repr` of a float is 24 bytes
+        texts = np.array([repr(v).encode() for v in x[fallback].tolist()], dtype="S40")
+        cells.view(np.uint8)[fallback, :40] = texts.view(np.uint8).reshape(-1, 40)
+    text = cells.tobytes().translate(None, b"\0").decode()
+    n_outside = int(np.count_nonzero(outside))
+    return text, n_outside, fallback.size - n_outside
+
+
+def _repr_rows(path, matrix: np.ndarray, sep: bytes) -> Iterator[str]:
+    """The rows of a 2-D float64 matrix as `_repr_block` writes them, without "\\n",
+    formatted a piece of about `_FORMAT_CELLS` cells at a time. When the rows
+    are done, how many cells `repr` wrote, and why, is logged at debug level."""
+    step = max(1, _FORMAT_CELLS // max(matrix.shape[1], 1))
+    outside = other = 0
+    for start in range(0, len(matrix), step):
+        text, piece_outside, piece_other = _repr_block(matrix[start:start + step], sep)
+        outside, other = outside + piece_outside, other + piece_other
+        yield from text.split("\n")[:-1]
+    if outside or other:
+        log.debug("%s: writing %d of %d cells with repr: %d with |x| outside [1e-4, 1e16),"
+                  " %d on an exact tie, half a gap or a carry", path, outside + other,
+                  matrix.size, outside, other)
 
 
 def _identity(path_stat: os.stat_result) -> Tuple[int, int, int, int]:
@@ -701,7 +937,12 @@ def load_embeddings(path) -> EmbeddingTable:
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
-    """Like `write_csv`: the fixed columns quoted by `csv`, each vector cell in `repr` form."""
+    """Like `write_csv`: the fixed columns quoted by `csv`, each vector cell as `repr` writes it.
+
+    The vector cells are formatted by `_repr_block` about `_FORMAT_CELLS` at a
+    time, to `repr`'s text; how many cells it leaves to `repr`, and why, is
+    logged at debug level.
+    """
     header = EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim)]
     fixed = zip(
         table.image_ids, table.identity_ids, table.roles,
@@ -711,8 +952,8 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(next(lines))
         fh.writelines(
-            f"{line[:-1]},{','.join(map(repr, row.tolist()))}\n"
-            for line, row in zip(lines, table.matrix)
+            f"{line[:-1]},{cells}\n"
+            for cells, line in zip(_repr_rows(path, table.matrix, b","), lines)
         )
 
 

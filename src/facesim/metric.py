@@ -60,7 +60,7 @@ class ProjectionModel:
         payload = {
             "version": MODEL_FORMAT_VERSION,
             "dim": self.dim,
-            "weight": self._weight.reshape(-1).tolist(),
+            "weight": self._weight,  # written as one flat row-major list
         }
         write_json(path, payload)
 

@@ -9,7 +9,9 @@ partition, model, candidate and query files and require `cli.run` to answer
 every mutation with a documented exit code instead of an exception. The embedding CSV's vector-block
 parser is checked bit for bit against the per-cell parser, on fuzzed files and
 on hard cells, split into one to four ranges, and its writer against the plain
-`csv` writer.
+`csv` writer. The block float formatter behind the embedding writer and the
+model file is checked against `repr` cell for cell, and the model file against
+`json.dumps`.
 """
 
 import ast
@@ -22,6 +24,7 @@ import os
 import platform
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -32,7 +35,7 @@ from hypothesis import example, given, settings, strategies as st
 import facesim
 from facesim import cli, corpus, synth
 from facesim.errors import FormatError
-from facesim.metric import ProjectionModel
+from facesim.metric import MODEL_FORMAT_VERSION, ProjectionModel
 
 from conftest import table_of
 
@@ -788,3 +791,161 @@ def test_write_csv_reads_back(tmp_path, field):
     assert [header, *(fields for _, fields in read)] == [
         ["a", "b", "c"], *[[field, "x", "0.1"], ["y", field, "-0.0"]] * 300
     ]
+
+
+# ---------------------------------------------------------------------------
+# the block float formatter against `repr`, cell for cell
+
+
+def _block_cells(values, sep=b","):
+    """The cells `_repr_block` writes for `values`, laid out as one row."""
+    text, _, _ = corpus._repr_block(np.asarray(values, dtype=np.float64).reshape(1, -1), sep)
+    assert text.endswith("\n") and text.count("\n") == 1
+    return text[:-1].split(sep.decode())
+
+
+def _assert_cells_are_repr(values, sep=b","):
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    expected = list(map(repr, values.tolist()))
+    got = _block_cells(values, sep)
+    wrong = [(g, e) for g, e in zip(got, expected) if g != e]
+    assert len(got) == len(expected) and not wrong, wrong[:5]
+
+
+def _signed(rng, values):
+    values = np.asarray(values, dtype=np.float64)
+    return values * rng.choice([-1.0, 1.0], values.shape)
+
+
+def _formatter_cases():
+    """Cells where a shortcut to `repr`'s text would go wrong, by kind."""
+    rng = np.random.default_rng(11)
+    largest = np.finfo(np.float64).max
+    decades = 10.0 ** np.arange(-6, 18)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    integers = np.concatenate([np.arange(1000), rng.integers(0, 2 ** 53, 3000),
+                               [2 ** 53 - 1, 2 ** 53]]).astype(np.float64)
+    short = np.concatenate([[0.1, 0.125, 1.5, 100.0, 999999999999999.0, 123456789012345.0],
+                            rng.integers(1, 10 ** 6, 3000) / 10.0 ** rng.integers(0, 12, 3000)])
+    return {
+        "adjacent-doubles": np.array(_adjacent_doubles(rng, 6000, np.arange(0, 2047))).ravel(),
+        "next-to-decades": _signed(rng, np.concatenate(
+            [decades, np.nextafter(decades, 0), np.nextafter(decades, np.inf)])),
+        "next-to-powers-of-two": _signed(rng, np.concatenate(
+            [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])),
+        "short-decimals": _signed(rng, short),
+        "integers": np.concatenate([_signed(rng, integers), [0.0, -0.0, largest, -largest]]),
+    }
+
+
+FORMATTER_CASES = _formatter_cases()
+
+
+@pytest.mark.parametrize("case", FORMATTER_CASES)
+def test_block_cells_are_repr(case):
+    _assert_cells_are_repr(FORMATTER_CASES[case])
+    _assert_cells_are_repr(FORMATTER_CASES[case][:50], sep=b", ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=30))
+def test_block_cells_are_repr_for_any_float(values):
+    _assert_cells_are_repr(values)
+
+
+def _table_of_cells(cells, dim):
+    """A table of rows of width `dim` holding `cells` (the last row padded with 1.0)."""
+    cells = np.concatenate([cells, np.ones(-len(cells) % dim)]).reshape(-1, dim)
+    cells[~cells.any(axis=1), 0] = 1.0  # no row may be all zeros
+    ids = tuple(f"r{i}" for i in range(len(cells)))
+    n = len(ids)
+    return corpus.EmbeddingTable(
+        (ids, ids, ("source",) * n, (None,) * n, ("unknown",) * n, ("unknown",) * n), cells)
+
+
+def _assert_saved_as_by_csv_module(table, tmp_path):
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    corpus.save_embeddings(table, got)
+    _csv_module_save_embeddings(table, expected)
+    assert got.read_bytes() == expected.read_bytes()
+    again = corpus.load_embeddings(got)
+    assert again.dim == table.dim and again.matrix.tobytes() == table.matrix.tobytes()
+
+
+@pytest.mark.parametrize("case", FORMATTER_CASES)
+def test_save_embeddings_writes_repr_of_hard_cells(tmp_path, case):
+    _assert_saved_as_by_csv_module(_table_of_cells(FORMATTER_CASES[case], 16), tmp_path)
+
+
+@pytest.mark.parametrize("dim, rows, piece_cells", [
+    (1, 7, 3), (3, 5, 7), (10, 4, 7), (3, 0, 7), (512, 40, corpus._FORMAT_CELLS),
+], ids=["d1", "pieces-of-two-rows", "row-wider-than-a-piece", "no-rows", "d512"])
+def test_save_embeddings_in_pieces(tmp_path, monkeypatch, dim, rows, piece_cells):
+    """Rows fall into pieces of `piece_cells // dim` rows (at least one) and the
+    last piece is short; the text is the same."""
+    monkeypatch.setattr(corpus, "_FORMAT_CELLS", piece_cells)
+    cells = np.concatenate(list(FORMATTER_CASES.values()))
+    picked = np.random.default_rng(dim).choice(cells, rows * dim)
+    _assert_saved_as_by_csv_module(_table_of_cells(picked, dim), tmp_path)
+
+
+def test_save_embeddings_writes_cells_outside_the_fixed_range_with_repr(tmp_path, caplog):
+    cells = [1e-5, -9.99e-5, 5e-324, -2.2250738585072014e-308, 1e16, -2.5e16,
+             np.finfo(np.float64).max, 1e300]
+    table = _table_of_cells(np.array(cells), 4)
+    path = tmp_path / "got.csv"
+    with caplog.at_level(logging.DEBUG, logger="facesim.corpus"):
+        _assert_saved_as_by_csv_module(table, tmp_path)
+    assert f"{path}: writing 8 of 8 cells with repr: 8 with |x| outside [1e-4, 1e16)," \
+           " 0 on an exact tie, half a gap or a carry" in caplog.messages
+
+
+def test_save_embeddings_logs_nothing_when_no_cell_needs_repr(tmp_path, caplog):
+    table = _table_of_cells(np.array([0.1, -0.0, 123.25, 1e-4, 9999999999999998.0, 0.0]), 3)
+    with caplog.at_level(logging.DEBUG, logger="facesim.corpus"):
+        _assert_saved_as_by_csv_module(table, tmp_path)
+    assert not [m for m in caplog.messages if "with repr" in m]
+
+
+def test_save_embeddings_memory_does_not_grow_with_rows(tmp_path):
+    """The writer holds one piece of about `_FORMAT_CELLS` cells at a time."""
+    rng = np.random.default_rng(3)
+    peaks = {}
+    for rows in (500, 2000):
+        table = _table_of_cells(rng.normal(0, 0.05, rows * 512), 512)
+        tracemalloc.start()
+        try:
+            corpus.save_embeddings(table, tmp_path / "emb.csv")
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] < 6 << 20, peaks
+    assert peaks[2000] < peaks[500] + (256 << 10), peaks
+
+
+def _square_of_cells(cells, dim):
+    return np.resize(np.asarray(cells, dtype=np.float64), dim * dim).reshape(dim, dim)
+
+
+@pytest.mark.parametrize("weight", [
+    np.eye(1), np.eye(4), -np.eye(3), np.zeros((2, 2)),
+    _square_of_cells(np.concatenate(list(FORMATTER_CASES.values())), 45),
+], ids=["identity-1", "identity-4", "minus-identity", "zeros", "hard-cells"])
+@pytest.mark.parametrize("piece_cells", [3, corpus._FORMAT_CELLS])
+def test_model_file_is_what_json_dumps_writes(tmp_path, monkeypatch, weight, piece_cells):
+    monkeypatch.setattr(corpus, "_FORMAT_CELLS", piece_cells)
+    path = tmp_path / "model.json"
+    ProjectionModel(weight).save(path)
+    payload = {"version": MODEL_FORMAT_VERSION, "dim": len(weight),
+               "weight": weight.reshape(-1).tolist()}
+    assert path.read_text(encoding="utf-8") == json.dumps(payload) + "\n"
+    assert ProjectionModel.load(path).weight.tobytes() == weight.tobytes()
+
+
+def test_synth_truth_model_is_what_json_dumps_writes(tmp_path):
+    corpus_ = synth.planted(seed=2, n_triplets=30, dim=64, data_subspace=12, noise_fraction=0.1)
+    corpus_.write(tmp_path)
+    weight = corpus_.truth.weight
+    assert (tmp_path / "truth_model.json").read_text(encoding="utf-8") == json.dumps(
+        {"version": MODEL_FORMAT_VERSION, "dim": 64, "weight": weight.reshape(-1).tolist()}
+    ) + "\n"
