@@ -351,20 +351,25 @@ def read_json(path, kind: str, fields: Sequence[str]) -> dict:
 def write_json(path, payload: dict, indent: Optional[int] = None) -> None:
     """`payload` as one JSON object. Written without `indent`, a 2-D float64 array
     in it is one flat row-major list of its floats, formatted by `_repr_rows`,
-    in the same text as `json.dumps` gives for `array.reshape(-1).tolist()`."""
-    if indent is None:
-        fields = []
-        for key, value in payload.items():
-            if isinstance(value, np.ndarray):
-                value = f"[{', '.join(_repr_rows(path, value, b', '))}]"
-            else:
-                value = json.dumps(value)
-            fields.append(f"{json.dumps(key)}: {value}")
-        text = "{" + ", ".join(fields) + "}"
-    else:
-        text = json.dumps(payload, indent=indent)
+    in the same text as `json.dumps` gives for `array.reshape(-1).tolist()`.
+    The array's rows are written as they are formatted, so no text of the
+    whole array is held."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        if indent is not None:
+            fh.write(json.dumps(payload, indent=indent) + "\n")
+            return
+        fh.write("{")
+        for n, (key, value) in enumerate(payload.items()):
+            fh.write(f"{', ' if n else ''}{json.dumps(key)}: ")
+            if isinstance(value, np.ndarray):
+                rows = _repr_rows(path, value, b", ")
+                fh.write("[")
+                fh.writelines(itertools.chain(itertools.islice(rows, 1),
+                                              (", " + row for row in rows)))
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value))
+        fh.write("}\n")
 
 
 def _embedding_dim(path, header: List[str]) -> int:

@@ -942,6 +942,24 @@ def test_model_file_is_what_json_dumps_writes(tmp_path, monkeypatch, weight, pie
     assert ProjectionModel.load(path).weight.tobytes() == weight.tobytes()
 
 
+def test_model_file_memory_does_not_grow_with_weights(tmp_path):
+    """The model file is written a piece of rows at a time, as synth's truth model:
+    a few nonzero rows, the rest zeros."""
+    peaks = {}
+    for dim in (256, 1024):
+        weight = np.zeros((dim, dim))
+        weight[:2] = np.random.default_rng(dim).normal(size=(2, dim))
+        model = ProjectionModel(weight)
+        tracemalloc.start()
+        try:
+            model.save(tmp_path / "model.json")
+            peaks[dim] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1024] < 4 << 20, peaks
+    assert peaks[1024] < peaks[256] + (256 << 10), peaks
+
+
 def test_synth_truth_model_is_what_json_dumps_writes(tmp_path):
     corpus_ = synth.planted(seed=2, n_triplets=30, dim=64, data_subspace=12, noise_fraction=0.1)
     corpus_.write(tmp_path)
