@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import itertools
 import statistics
 import sys
 from typing import List, Optional
@@ -48,19 +49,20 @@ def _write_report(path, args, body: dict) -> None:
     corpus.write_json(path, report, indent=2)
 
 
-def _load_samples(args) -> tuple:
+def _load_triplets(args) -> tuple:
+    """The embedding table, and the triplet table of the manifest and annotations."""
     table = corpus.load_embeddings(args.embeddings)
     manifest = corpus.load_manifest(args.manifest)
-    annotations = corpus.load_annotations(args.annotations)
-    valid = corpus.validate_annotators(annotations)
-    samples = corpus.aggregate_triplets(manifest, annotations, valid, min_votes=args.min_votes)
-    return table, samples
+    annotations = corpus.read_annotations(args.annotations)
+    triplets = corpus.count_votes(manifest, annotations, annotations.screened(),
+                                  min_votes=args.min_votes, table=table)
+    return table, triplets
 
 
-def _load_partition(path: str, samples) -> corpus.DatasetPartition:
+def _load_partition(path: str, triplets: corpus.TripletTable) -> corpus.DatasetPartition:
     """The partition at `path`, checked to name only triplets of the corpus."""
     partition = corpus.DatasetPartition.load(path)
-    known = {s.triplet_id for s in samples}
+    known = set(triplets.triplet_ids)
     for split in ("train", "val", "test"):
         unknown = next((t for t in getattr(partition, split) if t not in known), None)
         if unknown is not None:
@@ -70,9 +72,9 @@ def _load_partition(path: str, samples) -> corpus.DatasetPartition:
     return partition
 
 
-def _in_split(pool, partition: corpus.DatasetPartition, split: str):
+def _in_split(pool: corpus.TripletTable, partition: corpus.DatasetPartition, split: str):
     wanted = set(getattr(partition, split))
-    return [s for s in pool if s.triplet_id in wanted]
+    return pool.take(np.fromiter(map(wanted.__contains__, pool.triplet_ids), bool, len(pool)))
 
 
 # ---------------------------------------------------------------------------
@@ -90,21 +92,20 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    annotations = corpus.load_annotations(args.annotations)
-    valid = sorted(corpus.validate_annotators(annotations))
-    annotators = sorted({a.annotator_id for a in annotations})
-    body = {"annotators": len(annotators), "valid_annotators": valid}
+    annotations = corpus.read_annotations(args.annotations)
+    valid = list(itertools.compress(annotations.annotators, annotations.screened()))
+    body = {"annotators": len(annotations.annotators), "valid_annotators": valid}
     if args.report:
         _write_report(args.report, args, body)
-    print(f"{len(valid)}/{len(annotators)} annotators passed dummy-sample screening")
+    print(f"{len(valid)}/{len(annotations.annotators)} annotators passed dummy-sample screening")
     return EXIT_OK
 
 
 def cmd_split(args) -> int:
-    table, samples = _load_samples(args)
-    corpus.verify_target_consistency([s for s in samples if s.admitted], table)
+    table, triplets = _load_triplets(args)
+    corpus.verify_target_consistency(triplets.take(triplets.admitted), table)
     partition = corpus.split_eval(
-        samples, table, args.mode, ratios=tuple(args.ratios), seed=args.seed
+        triplets, table, args.mode, ratios=tuple(args.ratios), seed=args.seed
     )
     partition.save(args.out)
     print(
@@ -115,12 +116,11 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    table, samples = _load_samples(args)
-    datasets = corpus.build_datasets(samples)
-    pool = datasets[args.dataset]
+    table, triplets = _load_triplets(args)
+    pool = corpus.build_datasets(triplets)[args.dataset]
     train_samples, val_samples = pool, []
     if args.partition:
-        partition = _load_partition(args.partition, samples)
+        partition = _load_partition(args.partition, triplets)
         train_samples = _in_split(pool, partition, "train")
         val_samples = _in_split(pool, partition, "val")
     if args.model:
@@ -141,11 +141,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_triplets(args) -> int:
-    table, samples = _load_samples(args)
-    datasets = corpus.build_datasets(samples)
-    pool = datasets["D2"]
+    table, triplets = _load_triplets(args)
+    pool = corpus.build_datasets(triplets)["D2"]
     if args.partition:
-        pool = _in_split(pool, _load_partition(args.partition, samples), args.split)
+        pool = _in_split(pool, _load_partition(args.partition, triplets), args.split)
     accuracies = []
     per_model = []
     records = None
@@ -159,6 +158,7 @@ def cmd_eval_triplets(args) -> int:
         "models": per_model,
         "accuracy_mean": round(statistics.mean(accuracies), 3),
         "accuracy_sd": round(statistics.stdev(accuracies), 3) if len(accuracies) > 1 else 0.0,
+        "funnel": triplets.funnel(),
     }
     _write_report(args.report, args, body)
     if args.scatter:

@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import logging
+import operator
 import os
 import random
 import stat
@@ -175,9 +176,17 @@ class EmbeddingTable:
         row = self.row(image_id)
         return self._built()[row]
 
-    def vectors(self, image_ids: Sequence[str]) -> np.ndarray:
-        """The (len(image_ids), d) rows of `matrix` holding these records' vectors."""
-        return self.matrix[[self.row(i) for i in image_ids]]
+
+def _annotation_error(
+    annotator_id: str, triplet_id: str, choice: str, is_dummy: bool, dummy_answer: Optional[str]
+) -> Optional[str]:
+    """Why an annotation is invalid, or None: the one home of the annotation rules."""
+    if choice not in CHOICES:
+        return (f"annotation by '{annotator_id}' on '{triplet_id}':"
+                f" choice must be A or B, got '{choice}'")
+    if is_dummy and dummy_answer not in CHOICES:
+        return f"dummy annotation on '{triplet_id}' is missing its dummy_answer"
+    return None
 
 
 @dataclass(frozen=True)
@@ -189,15 +198,67 @@ class RawAnnotation:
     dummy_answer: Optional[str] = None
 
     def __post_init__(self):
-        if self.choice not in CHOICES:
-            raise ValidationError(
-                f"annotation by '{self.annotator_id}' on '{self.triplet_id}':"
-                f" choice must be A or B, got '{self.choice}'"
-            )
-        if self.is_dummy and self.dummy_answer not in CHOICES:
-            raise ValidationError(
-                f"dummy annotation on '{self.triplet_id}' is missing its dummy_answer"
-            )
+        error = _annotation_error(self.annotator_id, self.triplet_id, self.choice,
+                                  self.is_dummy, self.dummy_answer)
+        if error is not None:
+            raise ValidationError(error)
+
+
+class AnnotationTable:
+    """Annotation rows as columns: `annotator_ids`, `triplet_ids`, `choices` and
+    `dummy_answers` (None where there is none) as tuples, `is_dummy` and `is_a`
+    (the row chose A) as bool arrays.
+
+    Every row is checked once, by `RawAnnotation`'s rules; the first invalid
+    row raises `ValidationError`, its `row` set. `annotators` holds the
+    distinct annotator ids, sorted, and `annotator_codes` each row's index into
+    it, found with a dict: numpy string arrays drop trailing NULs.
+    """
+
+    def __init__(self, annotator_ids: Sequence[str], triplet_ids: Sequence[str],
+                 choices: Sequence[str], is_dummy: Sequence[bool],
+                 dummy_answers: Sequence[Optional[str]]):
+        columns = (annotator_ids, triplet_ids, choices, is_dummy, dummy_answers)
+        # two set checks decide the usual table; only a failing one is walked
+        if not (set(choices) <= set(CHOICES)
+                and set(itertools.compress(dummy_answers, is_dummy)) <= set(CHOICES)):
+            row, message = next((row, message) for row, fields in enumerate(zip(*columns))
+                                if (message := _annotation_error(*fields)))
+            error = ValidationError(message)
+            error.row = row
+            raise error
+        self.annotator_ids, self.triplet_ids, self.choices = annotator_ids, triplet_ids, choices
+        self.dummy_answers = dummy_answers
+        self.is_dummy = np.array(is_dummy, dtype=bool)
+        self.is_a = np.fromiter(map("A".__eq__, choices), bool, len(choices))
+        self.annotators = tuple(sorted(set(annotator_ids)))
+        index = dict(zip(self.annotators, itertools.count()))
+        self.annotator_codes = np.fromiter(map(index.__getitem__, annotator_ids), np.intp,
+                                           len(annotator_ids))
+
+    @classmethod
+    def of(cls, annotations: Iterable[RawAnnotation]) -> "AnnotationTable":
+        fields = operator.attrgetter("annotator_id", "triplet_id", "choice", "is_dummy",
+                                     "dummy_answer")
+        return cls(*(tuple(zip(*map(fields, annotations))) or ((),) * len(ANNOTATION_COLUMNS)))
+
+    def records(self) -> List[RawAnnotation]:
+        return [RawAnnotation(*fields) for fields in zip(
+            self.annotator_ids, self.triplet_ids, self.choices, self.is_dummy.tolist(),
+            self.dummy_answers)]
+
+    def screened(self) -> np.ndarray:
+        """Per annotator, whether they answered dummy samples and every one correctly.
+
+        Annotators who saw no dummy samples are not admitted: reliability must be
+        demonstrated, not assumed.
+        """
+        dummy = self.is_dummy.tolist()
+        wrong = np.array([choice != answer for choice, answer in zip(
+            itertools.compress(self.choices, dummy), itertools.compress(self.dummy_answers, dummy))],
+            dtype=bool)
+        codes, k = self.annotator_codes[self.is_dummy], len(self.annotators)
+        return (np.bincount(codes, minlength=k) > 0) & (np.bincount(codes[wrong], minlength=k) == 0)
 
 
 @dataclass(frozen=True)
@@ -211,16 +272,6 @@ class TripletSample:
     consistent: bool
     admitted: bool
     rejection: Optional[str] = None
-
-    def chosen_id(self) -> str:
-        if self.majority is None:
-            raise ValidationError(f"triplet '{self.triplet_id}' has no majority")
-        return self.option_a_id if self.majority == "A" else self.option_b_id
-
-    def other_id(self) -> str:
-        if self.majority is None:
-            raise ValidationError(f"triplet '{self.triplet_id}' has no majority")
-        return self.option_b_id if self.majority == "A" else self.option_a_id
 
 
 @dataclass
@@ -962,28 +1013,39 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
         )
 
 
-def load_annotations(path) -> List[RawAnnotation]:
+# is_dummy texts, lower-cased, and the flags they stand for
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+
+
+def read_annotations(path) -> AnnotationTable:
+    """The annotation CSV as one checked table.
+
+    Within a row `is_dummy` is checked first, then `RawAnnotation`'s rules;
+    the first bad row raises, naming `path:line`.
+    """
     header, rows = read_csv(path)
     if header != ANNOTATION_COLUMNS:
         raise FormatError(f"{path}: header must be {','.join(ANNOTATION_COLUMNS)}")
-    annotations = []
-    for lineno, row in rows:
-        annotator_id, triplet_id, choice, is_dummy, dummy_answer = row
-        if is_dummy.lower() not in ("true", "false", "0", "1"):
-            raise FormatError(f"{path}:{lineno}: is_dummy must be boolean, got '{is_dummy}'")
-        try:
-            annotations.append(
-                RawAnnotation(
-                    annotator_id=annotator_id,
-                    triplet_id=triplet_id,
-                    choice=choice,
-                    is_dummy=is_dummy.lower() in ("true", "1"),
-                    dummy_answer=dummy_answer or None,
-                )
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return annotations
+    linenos, fields = tuple(zip(*rows)) or ((), ())
+    annotator_ids, triplet_ids, choices, flags, answers = (
+        tuple(zip(*fields)) or ((),) * len(ANNOTATION_COLUMNS)
+    )
+    is_dummy = list(map(_BOOLEANS.get, map(str.lower, flags)))
+    bad = is_dummy.index(None) if None in is_dummy else len(rows)
+    try:
+        table = AnnotationTable(annotator_ids, triplet_ids, choices, is_dummy,
+                                tuple(a or None for a in answers))
+    except ValidationError as exc:
+        if exc.row < bad:
+            raise ValidationError(f"{path}:{linenos[exc.row]}: {exc}") from None
+    if bad < len(rows):
+        raise FormatError(f"{path}:{linenos[bad]}: is_dummy must be boolean, got '{flags[bad]}'")
+    return table
+
+
+def load_annotations(path) -> List[RawAnnotation]:
+    """The records of `read_annotations(path)`."""
+    return read_annotations(path).records()
 
 
 def save_annotations(annotations: Sequence[RawAnnotation], path) -> None:
@@ -1016,23 +1078,173 @@ def save_manifest(manifest: Dict[str, Tuple[str, str, str]], path) -> None:
 # ---------------------------------------------------------------------------
 # Annotator screening and vote aggregation
 
+# `TripletTable.majority` codes: a tie, or the option that won
+MAJORITIES = (None, "A", "B")
+
+
+def _codes(values: Sequence) -> np.ndarray:
+    """Per value, a code that equal values, and only those, share."""
+    index = {value: code for code, value in enumerate(dict.fromkeys(values))}
+    return np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
+def _known(rows: np.ndarray, ids: Sequence[Sequence[str]], by_role: bool) -> np.ndarray:
+    """`rows`, a (3, n) array of table rows, if none is -1; else IntegrityError naming
+    the first unknown image of `ids`, the three roles' ids, role or triplet first."""
+    unknown = np.argwhere(rows < 0) if by_role else np.argwhere(rows.T < 0)[:, ::-1]
+    if unknown.size:
+        raise IntegrityError(f"unknown image_id '{ids[unknown[0, 0]][unknown[0, 1]]}'")
+    return rows
+
+
+class TripletTable:
+    """Triplets as columns, with their votes counted and their images found in `table`.
+
+    `triplet_ids`, `ref_ids`, `option_a_ids` and `option_b_ids` are tuples;
+    `n_a` and `n_b` count valid votes, `majority` indexes `MAJORITIES`, and
+    `admitted` (D1) and `consistent` (D2: admitted and unanimous) are masks.
+    `rows` holds the rows of `table` of the reference, option A and option B
+    images as a (3, n) array, -1 for an image `table` lacks, which raises only
+    where its triplet is used. `count_votes` builds the table of a manifest
+    and its annotations, `triplet_table` that of `TripletSample` records.
+    """
+
+    IDS = ("triplet_ids", "ref_ids", "option_a_ids", "option_b_ids")
+    ARRAYS = ("n_a", "n_b", "majority", "admitted", "consistent")
+
+    def __init__(self, columns: dict, table: Optional[EmbeddingTable],
+                 min_votes: int = MIN_VALID_VOTES, screened: Optional[np.ndarray] = None):
+        self.__dict__.update(columns)
+        self.table, self.min_votes = table, min_votes
+        self.screened = np.zeros(0, bool) if screened is None else screened
+        if "rows" not in columns:
+            self.rows = None if table is None else np.array([
+                np.fromiter(map(table._rows.get, ids, itertools.repeat(-1)), np.intp, len(ids))
+                for ids in (self.ref_ids, self.option_a_ids, self.option_b_ids)
+            ])
+
+    def __len__(self) -> int:
+        return len(self.triplet_ids)
+
+    def take(self, index) -> "TripletTable":
+        """The triplets at `index`, positions or a mask, in its order."""
+        index = np.asarray(index)
+        index = np.flatnonzero(index) if index.dtype == bool else index.astype(np.intp)
+        at = index.tolist()
+        columns = {name: tuple(map(getattr(self, name).__getitem__, at)) for name in self.IDS}
+        columns.update({name: getattr(self, name)[index] for name in self.ARRAYS})
+        columns["rows"] = None if self.rows is None else self.rows[:, index]
+        return TripletTable(columns, self.table, self.min_votes, self.screened)
+
+    def role_ids(self) -> Tuple[Sequence[str], ...]:
+        """Each triplet's reference, chosen and other image ids."""
+        won_a = (self.majority == 1).tolist()
+        pairs = [(a, b) if first else (b, a)
+                 for first, a, b in zip(won_a, self.option_a_ids, self.option_b_ids)]
+        return (self.ref_ids, *(tuple(zip(*pairs)) or ((), ())))
+
+    def role_rows(self) -> np.ndarray:
+        """The (3, n) rows of each triplet's reference, chosen and other images. A triplet
+        without a majority raises ValidationError, then an unknown image IntegrityError."""
+        tied = np.flatnonzero(self.majority == 0)
+        if tied.size:
+            raise ValidationError(f"triplet '{self.triplet_ids[tied[0]]}' has no majority")
+        ref, a, b = self.rows
+        won_a = self.majority == 1
+        return _known(np.stack([ref, np.where(won_a, a, b), np.where(won_a, b, a)]),
+                      self.role_ids(), by_role=True)
+
+    def known_rows(self) -> np.ndarray:
+        """`rows`, or IntegrityError naming the first unknown image, triplet by triplet."""
+        return _known(self.rows, (self.ref_ids, self.option_a_ids, self.option_b_ids),
+                      by_role=False)
+
+    def gather(self) -> np.ndarray:
+        """The (3, n, d) reference, chosen and other vectors, with one index."""
+        return self.table.matrix[self.role_rows()]
+
+    @functools.cached_property
+    def evaluated(self) -> Tuple["TripletTable", np.ndarray]:
+        """The admitted, unanimous triplets in `triplet_id` order, and their vectors,
+        taken and gathered on first use."""
+        kept = np.flatnonzero(self.admitted & self.consistent).tolist()
+        retained = self.take(sorted(kept, key=self.triplet_ids.__getitem__))
+        return retained, retained.gather()
+
+    def funnel(self) -> dict:
+        """Annotators seen and dropped, triplets rejected by reason, and D1 and D2 sizes."""
+        few = self.n_a + self.n_b < self.min_votes
+        return {
+            "annotators": len(self.screened),
+            "annotators_dropped": int(np.count_nonzero(~self.screened)),
+            "triplets": len(self),
+            "rejected": {"too_few_votes": int(np.count_nonzero(few)),
+                         "tied_votes": int(np.count_nonzero(~few & (self.majority == 0)))},
+            "D1": int(np.count_nonzero(self.admitted)),
+            "D2": int(np.count_nonzero(self.consistent)),
+        }
+
+
+def count_votes(
+    manifest: Dict[str, Tuple[str, str, str]],
+    annotations: AnnotationTable,
+    screened: np.ndarray,
+    min_votes: int = MIN_VALID_VOTES,
+    table: Optional[EmbeddingTable] = None,
+) -> TripletTable:
+    """Fold annotations into one row per manifest triplet, in manifest order.
+
+    Dummy annotations and votes of annotators not `screened` are dropped; a
+    non-dummy annotation of a triplet the manifest lacks raises, the first in
+    file order. Triplets with fewer than `min_votes` surviving votes, or with
+    tied votes, are kept but belong to no dataset.
+    """
+    triplet_ids = tuple(manifest)
+    index = dict(zip(triplet_ids, itertools.count()))
+    codes = np.fromiter(map(index.get, annotations.triplet_ids, itertools.repeat(-1)), np.intp,
+                        len(annotations.triplet_ids))
+    unknown = np.flatnonzero(~annotations.is_dummy & (codes < 0))
+    if unknown.size:
+        raise IntegrityError(
+            f"annotation by '{annotations.annotator_ids[unknown[0]]}' references unknown"
+            f" triplet_id '{annotations.triplet_ids[unknown[0]]}'"
+        )
+    kept = ~annotations.is_dummy & screened[annotations.annotator_codes]
+    n_a, n_b = (np.bincount(codes[kept & (annotations.is_a == a)], minlength=len(triplet_ids))
+                for a in (True, False))
+    majority = np.sign(n_a - n_b) % 3  # 1 where A won, 2 where B won
+    admitted = (n_a + n_b >= min_votes) & (majority != 0)
+    columns = dict(zip(TripletTable.IDS, (triplet_ids, *(tuple(zip(*manifest.values()))
+                                                         or ((),) * 3))))
+    columns.update(n_a=n_a, n_b=n_b, majority=majority, admitted=admitted,
+                   consistent=admitted & ((n_a == 0) | (n_b == 0)))
+    triplets = TripletTable(columns, table, min_votes, screened)
+    triplets._ballots = codes, kept  # the votes, which `aggregate_triplets` lists
+    return triplets
+
+
+def triplet_table(samples, table: EmbeddingTable) -> TripletTable:
+    """`samples`, a `TripletTable` of `table` or `TripletSample` records, as a table."""
+    if isinstance(samples, TripletTable):
+        return samples
+    samples = list(samples)
+    fields = ("triplet_id", "ref_id", "option_a_id", "option_b_id")
+    columns = {name: tuple(getattr(s, field) for s in samples)
+               for name, field in zip(TripletTable.IDS, fields)}
+    columns.update(
+        n_a=np.array([s.votes.count("A") for s in samples], np.intp),
+        n_b=np.array([s.votes.count("B") for s in samples], np.intp),
+        majority=np.array([MAJORITIES.index(s.majority) for s in samples], np.intp),
+        admitted=np.array([s.admitted for s in samples], bool),
+        consistent=np.array([s.consistent for s in samples], bool),
+    )
+    return TripletTable(columns, table)
+
 
 def validate_annotators(annotations: Sequence[RawAnnotation]) -> Set[str]:
-    """Annotators whose every dummy answer is correct.
-
-    Annotators who saw no dummy samples are not admitted: reliability must be
-    demonstrated, not assumed.
-    """
-    dummy_seen: Dict[str, bool] = {}
-    dummy_ok: Dict[str, bool] = {}
-    for ann in annotations:
-        dummy_seen.setdefault(ann.annotator_id, False)
-        dummy_ok.setdefault(ann.annotator_id, True)
-        if ann.is_dummy:
-            dummy_seen[ann.annotator_id] = True
-            if ann.choice != ann.dummy_answer:
-                dummy_ok[ann.annotator_id] = False
-    return {a for a in dummy_seen if dummy_seen[a] and dummy_ok[a]}
+    """Annotators whose every dummy answer is correct (`AnnotationTable.screened`)."""
+    table = AnnotationTable.of(annotations)
+    return set(itertools.compress(table.annotators, table.screened()))
 
 
 def aggregate_triplets(
@@ -1041,71 +1253,60 @@ def aggregate_triplets(
     valid_annotators: Set[str],
     min_votes: int = MIN_VALID_VOTES,
 ) -> List[TripletSample]:
-    """Fold raw annotations into per-triplet vote summaries.
-
-    Dummy annotations and votes from invalid annotators are dropped. Triplets
-    with fewer than `min_votes` surviving votes, or with tied votes, are kept
-    in the output with a rejection marker but belong to no dataset.
-    """
-    votes_by_triplet: Dict[str, List[Tuple[str, str]]] = {t: [] for t in manifest}
-    for ann in annotations:
-        if ann.is_dummy:
-            continue
-        if ann.triplet_id not in manifest:
-            raise IntegrityError(
-                f"annotation by '{ann.annotator_id}' references unknown"
-                f" triplet_id '{ann.triplet_id}'"
-            )
-        if ann.annotator_id in valid_annotators:
-            votes_by_triplet[ann.triplet_id].append((ann.annotator_id, ann.choice))
-
+    """The records of `count_votes`: each triplet's votes sorted by annotator id and
+    choice, and why a rejected triplet belongs to no dataset."""
+    table = AnnotationTable.of(annotations)
+    screened = np.array([a in valid_annotators for a in table.annotators], dtype=bool)
+    triplets = count_votes(manifest, table, screened, min_votes)
+    codes, kept = triplets._ballots
+    voters = np.flatnonzero(kept)
+    voters = voters[np.lexsort((~table.is_a[voters], table.annotator_codes[voters],
+                                codes[voters]))]
+    choices = [table.choices[i] for i in voters.tolist()]
+    ends = np.cumsum(triplets.n_a + triplets.n_b).tolist()
     samples = []
-    for triplet_id, (ref_id, a_id, b_id) in manifest.items():
-        pairs = sorted(votes_by_triplet[triplet_id])
-        votes = tuple(choice for _, choice in pairs)
-        n_a = votes.count("A")
-        n_b = votes.count("B")
-        majority = "A" if n_a > n_b else "B" if n_b > n_a else None
-        consistent = len(votes) > 0 and (n_a == 0 or n_b == 0)
-        rejection = None
-        if len(votes) < min_votes:
-            rejection = f"only {len(votes)} valid votes (need {min_votes})"
-        elif majority is None:
-            rejection = f"tied votes ({n_a} vs {n_b})"
-        samples.append(
-            TripletSample(
-                triplet_id=triplet_id,
-                ref_id=ref_id,
-                option_a_id=a_id,
-                option_b_id=b_id,
-                votes=votes,
-                majority=majority,
-                consistent=consistent and rejection is None,
-                admitted=rejection is None,
-                rejection=rejection,
-            )
-        )
+    for i, ids in enumerate(zip(*(getattr(triplets, name) for name in TripletTable.IDS))):
+        n_a, n_b = int(triplets.n_a[i]), int(triplets.n_b[i])
+        votes = tuple(choices[ends[i] - n_a - n_b:ends[i]])
+        rejection = (f"only {len(votes)} valid votes (need {min_votes})"
+                     if len(votes) < min_votes else None if n_a != n_b
+                     else f"tied votes ({n_a} vs {n_b})")
+        samples.append(TripletSample(*ids, votes, MAJORITIES[triplets.majority[i]],
+                                     bool(triplets.consistent[i]), rejection is None, rejection))
     return samples
 
 
-def verify_target_consistency(samples: Sequence[TripletSample], table: EmbeddingTable) -> None:
-    """Check that each triplet's three images are swaps onto one target."""
-    for sample in samples:
-        rows = [table.row(sample.ref_id), table.row(sample.option_a_id),
-                table.row(sample.option_b_id)]
-        targets = {table.target_ids[row] for row in rows}
-        if any(table.roles[row] != "swapped" for row in rows) or len(targets) != 1:
-            raise IntegrityError(
-                f"triplet '{sample.triplet_id}' must reference swapped records"
-                f" sharing one target_id, got targets {sorted(str(t) for t in targets)}"
-            )
+def verify_target_consistency(samples, table: EmbeddingTable) -> None:
+    """Check that each triplet's three images are swaps onto one target.
+
+    `samples` is a `TripletTable` of `table` or a sequence of `TripletSample`s.
+    """
+    triplets = triplet_table(samples, table)
+    # row -1, an unknown image, reads as not swapped
+    swapped = np.append([role == "swapped" for role in table.roles], False)[triplets.rows]
+    targets = np.append(_codes(table.target_ids), -1)[triplets.rows]
+    bad = ~swapped.all(axis=0) | (targets[0] != targets[1]) | (targets[1] != targets[2])
+    if bad.any():
+        i = int(np.argmax(bad))
+        triplets.take([i]).known_rows()  # raises for an unknown image
+        names = {table.target_ids[row] for row in triplets.rows[:, i].tolist()}
+        raise IntegrityError(
+            f"triplet '{triplets.triplet_ids[i]}' must reference swapped records"
+            f" sharing one target_id, got targets {sorted(str(t) for t in names)}"
+        )
 
 
-def build_datasets(samples: Sequence[TripletSample]) -> Dict[str, List[TripletSample]]:
-    """D1 = all admitted samples; D2 = admitted samples with unanimous votes."""
-    d1 = [s for s in samples if s.admitted]
-    d2 = [s for s in d1 if s.consistent]
-    if not d2:
+def build_datasets(samples):
+    """D1 = all admitted samples; D2 = admitted samples with unanimous votes.
+
+    Of a `TripletTable`, both are `take`s of it; of `TripletSample` records, lists.
+    """
+    if isinstance(samples, TripletTable):
+        d1, d2 = samples.take(samples.admitted), samples.take(samples.consistent)
+    else:
+        d1 = [s for s in samples if s.admitted]
+        d2 = [s for s in d1 if s.consistent]
+    if not len(d2):
         log.warning("no consistent samples: D2 is empty")
     return {"D1": d1, "D2": d2}
 
@@ -1114,22 +1315,26 @@ def build_datasets(samples: Sequence[TripletSample]) -> Dict[str, List[TripletSa
 # Evaluation splits
 
 
-def _triplet_keys(sample: TripletSample, table: EmbeddingTable) -> Tuple[str, Set[str]]:
-    rows = [table.row(sample.ref_id), table.row(sample.option_a_id),
-            table.row(sample.option_b_id)]
-    target = table.target_ids[rows[0]] or sample.ref_id
-    sources = {table.identity_ids[row] for row in rows}
-    return target, sources
+def _triplet_keys(triplets: TripletTable, table: EmbeddingTable) -> Tuple[List[str], np.ndarray]:
+    """Each triplet's target, its reference's `target_id` or else the reference's own id,
+    and the (3, n) identity codes (`_codes`) of its three images."""
+    rows = triplets.known_rows()
+    targets = [table.target_ids[row] or ref_id
+               for row, ref_id in zip(rows[0].tolist(), triplets.ref_ids)]
+    return targets, _codes(table.identity_ids)[rows]
 
 
 def split_eval(
-    samples: Sequence[TripletSample],
+    samples,
     table: EmbeddingTable,
     mode: str,
     ratios: Tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
     seed: int = 0,
 ) -> DatasetPartition:
     """Deterministic train/val/test split honoring a source/target knowledge mode.
+
+    `samples` is a `TripletTable` of `table` or a sequence of `TripletSample`s;
+    only admitted triplets are split.
 
     mode "i":   test shares no source identity and no target with train.
     mode "ii":  test shares no target with train; every test source is in train.
@@ -1140,18 +1345,20 @@ def split_eval(
     # written to fail on NaN, which fails every comparison
     if len(ratios) != 3 or not abs(sum(ratios) - 1.0) <= 1e-9 or not all(r >= 0 for r in ratios):
         raise ValidationError(f"ratios must be three non-negatives summing to 1, got {ratios}")
-    admitted = [s for s in samples if s.admitted]
-    if not admitted:
+    triplets = triplet_table(samples, table)
+    admitted = triplets.take(triplets.admitted)
+    if not len(admitted):
         raise InfeasibleSplitError("no admitted samples to split")
 
-    keys = {s.triplet_id: _triplet_keys(s, table) for s in admitted}
+    targets, sources = _triplet_keys(admitted, table)
     rng = random.Random(seed)
 
     if mode in ("i", "ii"):
-        splits = _split_by_target(admitted, keys, mode, ratios, rng)
+        splits = _split_by_target(targets, sources, mode, ratios, rng)
     else:
-        splits = _split_mode_iii(admitted, keys, ratios, rng)
-    train, val, test = (sorted(s.triplet_id for s in split) for split in splits)
+        splits = _split_mode_iii(targets, sources, ratios, rng)
+    ids = admitted.triplet_ids
+    train, val, test = (sorted(ids[i] for i in split) for split in splits)
     partition = DatasetPartition(mode, seed, tuple(ratios), train, val, test)
 
     violations = audit_partition(admitted, table, partition)
@@ -1162,19 +1369,19 @@ def split_eval(
     return partition
 
 
-def _split_by_target(admitted, keys, mode, ratios, rng) -> Tuple[List[TripletSample], ...]:
-    by_target: Dict[str, List[TripletSample]] = {}
-    for s in admitted:
-        by_target.setdefault(keys[s.triplet_id][0], []).append(s)
-    targets = sorted(by_target)
-    rng.shuffle(targets)
+def _split_by_target(targets, sources, mode, ratios, rng) -> Tuple[List[int], ...]:
+    by_target: Dict[str, List[int]] = {}
+    for i, target in enumerate(targets):
+        by_target.setdefault(target, []).append(i)
+    order = sorted(by_target)
+    rng.shuffle(order)
 
-    total = len(admitted)
+    total = len(targets)
     test_quota = max(1, round(ratios[2] * total))
     val_quota = round(ratios[1] * total)
     test_t, val_t, train_t = [], [], []
     assigned = 0
-    for t in targets:
+    for t in order:
         n = len(by_target[t])
         if assigned < test_quota:
             test_t.append(t)
@@ -1188,19 +1395,21 @@ def _split_by_target(admitted, keys, mode, ratios, rng) -> Tuple[List[TripletSam
             f"mode [{mode}]: not enough distinct targets to populate a train split"
         )
 
-    train = [s for t in train_t for s in by_target[t]]
-    val = [s for t in val_t for s in by_target[t]]
-    test_pool = [s for t in test_t for s in by_target[t]]
-    train_sources = set().union(*(keys[s.triplet_id][1] for s in train))
+    train = [i for t in train_t for i in by_target[t]]
+    val = [i for t in val_t for i in by_target[t]]
+    test_pool = np.array([i for t in test_t for i in by_target[t]], dtype=np.intp)
+    in_train = np.zeros(sources.max() + 1, dtype=bool)
+    in_train[sources[:, train]] = True
+    seen = in_train[sources[:, test_pool]]  # per test candidate, which sources train holds
 
     if mode == "i":
-        test = [s for s in test_pool if not (keys[s.triplet_id][1] & train_sources)]
+        test = test_pool[~seen.any(axis=0)].tolist()
         if not test:
             raise InfeasibleSplitError(
                 "mode [i]: every candidate test triplet shares a source identity with train"
             )
     else:
-        test = [s for s in test_pool if keys[s.triplet_id][1] <= train_sources]
+        test = test_pool[seen.all(axis=0)].tolist()
         if not test:
             raise InfeasibleSplitError(
                 "mode [ii]: no candidate test triplet has all its source identities in train"
@@ -1208,39 +1417,34 @@ def _split_by_target(admitted, keys, mode, ratios, rng) -> Tuple[List[TripletSam
     return train, val, test
 
 
-def _split_mode_iii(admitted, keys, ratios, rng) -> Tuple[List[TripletSample], ...]:
-    targets = {keys[s.triplet_id][0] for s in admitted}
-    if len(targets) < 2:
+def _split_mode_iii(targets, sources, ratios, rng) -> Tuple[List[int], ...]:
+    if len(set(targets)) < 2:
         raise InfeasibleSplitError(
             "mode [iii]: corpus has a single target; the sole target cannot be both"
             " held out and present in training"
         )
-    pool = list(admitted)
-    quota = max(1, round(ratios[2] * len(admitted)))
-    n_sources = len(set().union(*(keys[s.triplet_id][1] for s in admitted)))
-    source_budget = max(3, round(ratios[2] * n_sources))
+    pool = list(range(len(targets)))
+    quota = max(1, round(ratios[2] * len(pool)))
+    source_budget = max(3, round(ratios[2] * len(np.unique(sources))))
+    source_sets = [set(column) for column in sources.T.tolist()]
 
     best = None
     for _ in range(20):
         rng.shuffle(pool)
-        held_out: Set[str] = set()
+        held_out: Set[int] = set()
         test_candidates = []
-        for s in pool:
+        for i in pool:
             if len(test_candidates) >= quota:
                 break
-            grown = held_out | keys[s.triplet_id][1]
+            grown = held_out | source_sets[i]
             if len(grown) > source_budget and test_candidates:
                 continue
-            test_candidates.append(s)
+            test_candidates.append(i)
             held_out = grown
-        test_ids = {s.triplet_id for s in test_candidates}
-        train = [
-            s
-            for s in pool
-            if s.triplet_id not in test_ids and not (keys[s.triplet_id][1] & held_out)
-        ]
-        train_targets = {keys[s.triplet_id][0] for s in train}
-        test = [s for s in test_candidates if keys[s.triplet_id][0] in train_targets]
+        chosen = set(test_candidates)
+        train = [i for i in pool if i not in chosen and not (source_sets[i] & held_out)]
+        train_targets = {targets[i] for i in train}
+        test = [i for i in test_candidates if targets[i] in train_targets]
         if train and test:
             best = (train, test)
             break
@@ -1252,47 +1456,48 @@ def _split_mode_iii(admitted, keys, ratios, rng) -> Tuple[List[TripletSample], .
     train, test = best
 
     # carve the validation set out of train, keeping every test target covered
-    val_quota = round(ratios[1] * len(admitted))
-    needed = {keys[s.triplet_id][0] for s in test}
+    val_quota = round(ratios[1] * len(pool))
+    needed = {targets[i] for i in test}
     covered: Dict[str, int] = {}
-    for s in train:
-        t = keys[s.triplet_id][0]
+    for i in train:
+        t = targets[i]
         if t in needed:
             covered[t] = covered.get(t, 0) + 1
     val = []
     remaining = []
-    for s in train:
-        t = keys[s.triplet_id][0]
+    for i in train:
+        t = targets[i]
         movable = t not in needed or covered.get(t, 0) > 1
         if len(val) < val_quota and movable:
-            val.append(s)
+            val.append(i)
             if t in needed:
                 covered[t] -= 1
         else:
-            remaining.append(s)
+            remaining.append(i)
     return remaining, val, test
 
 
 def audit_partition(
-    samples: Sequence[TripletSample],
+    samples,
     table: EmbeddingTable,
     partition: DatasetPartition,
 ) -> List[str]:
     """Independent set-intersection audit of a partition's mode constraints.
 
-    Deliberately recomputes everything from raw records; shares no logic with
+    `samples` is a `TripletTable` of `table` or a sequence of `TripletSample`s.
+    Deliberately recomputes everything from the image ids; shares no logic with
     the splitter. Returns a list of violation descriptions (empty = pass).
     """
-    by_id = {s.triplet_id: s for s in samples}
+    triplets = triplet_table(samples, table)
+    by_id = dict(zip(triplets.triplet_ids,
+                     zip(triplets.ref_ids, triplets.option_a_ids, triplets.option_b_ids)))
 
     def bucket_sets(ids):
         targets: Set[str] = set()
         sources: Set[str] = set()
         per_sample = []
         for tid in ids:
-            sample = by_id[tid]
-            rows = [table.row(sample.ref_id), table.row(sample.option_a_id),
-                    table.row(sample.option_b_id)]
+            rows = [table.row(image_id) for image_id in by_id[tid]]
             t = table.target_ids[rows[0]] or table.image_ids[rows[0]]
             srcs = {table.identity_ids[row] for row in rows}
             targets.add(t)

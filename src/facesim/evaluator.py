@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .corpus import EmbeddingTable, TripletSample, write_csv
+from .corpus import EmbeddingTable, triplet_table, write_csv
 from .errors import EvaluationError
-from .metric import ProjectionModel, rowwise_cosine
+from .metric import ProjectionModel, scale_rows, scaled_cosine
 
 
 @dataclass(frozen=True)
@@ -25,26 +25,28 @@ class PairRecord:
 
 def eval_triplets(
     model: ProjectionModel,
-    samples: Sequence[TripletSample],
+    samples,
     table: EmbeddingTable,
 ) -> Tuple[float, List[PairRecord]]:
-    """Accuracy and per-triplet pair scores over consistent samples."""
-    retained = sorted(
-        (s for s in samples if s.admitted and s.consistent),
-        key=lambda s: s.triplet_id,
-    )
-    if not retained:
+    """Accuracy and per-triplet pair scores over consistent samples, in `triplet_id` order.
+
+    `samples` is a `TripletTable` of `table` or a sequence of `TripletSample`s.
+    A table keeps its consistent triplets and their (3, n, d) vectors once
+    gathered, so scoring it again, as each epoch's validation does, gathers
+    nothing. The 3n rows are projected one by one (`project_block`), so a
+    triplet's scores do not depend on the other triplets.
+    """
+    retained, stack = triplet_table(samples, table).evaluated
+    if not len(retained):
         raise EvaluationError("no consistent samples to evaluate")
-
-    def projected(ids):
-        return model.project_block(table.vectors(ids), ids)
-
-    ref = projected([s.ref_id for s in retained])
-    sim = rowwise_cosine(ref, projected([s.chosen_id() for s in retained])).tolist()
-    dissim = rowwise_cosine(ref, projected([s.other_id() for s in retained])).tolist()
+    ids = [image_id for role in retained.role_ids() for image_id in role]
+    ref, chosen, other = model.project_block(stack.reshape(-1, table.dim), ids).reshape(stack.shape)
+    scaled_ref = scale_rows(ref)
+    sim, dissim = (scaled_cosine(ref, scaled_ref, rows, scale_rows(rows)).tolist()
+                   for rows in (chosen, other))
     records = [
-        PairRecord(triplet_id=s.triplet_id, sim_pair_score=a, dissim_pair_score=b, correct=a > b)
-        for s, a, b in zip(retained, sim, dissim)
+        PairRecord(triplet_id=t, sim_pair_score=a, dissim_pair_score=b, correct=a > b)
+        for t, a, b in zip(retained.triplet_ids, sim, dissim)
     ]
     accuracy = sum(r.correct for r in records) / len(records)
     return accuracy, records

@@ -10,12 +10,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from . import evaluator
-from .corpus import EmbeddingTable, TripletSample, write_csv
+from .corpus import EmbeddingTable, triplet_table, write_csv
 from .errors import DegenerateVectorError, DivergenceError, ValidationError
 from .metric import ProjectionModel, cosine
 
@@ -114,11 +114,12 @@ def batch_loss_and_gradient(
     return hinge[:, 0], np.add.reduce(np.matmul(g.transpose(0, 2, 1), x)) / len(ref)
 
 
-def _stack(samples: Sequence[TripletSample], table: EmbeddingTable) -> np.ndarray:
-    """Reference, chosen and other vectors of the samples as one (3, n, d) array."""
-    roles = zip(*((s.ref_id, s.chosen_id(), s.other_id()) for s in samples))
-    ids = [image_id for role in roles for image_id in role]
-    return table.vectors(ids).reshape(3, len(samples), table.matrix.shape[1])
+def _stack(samples, table: EmbeddingTable) -> np.ndarray:
+    """Reference, chosen and other vectors of the samples as one (3, n, d) array.
+
+    `samples` is a `TripletTable` of `table` or a sequence of `TripletSample`s.
+    """
+    return triplet_table(samples, table).gather()
 
 
 def gradient_check(
@@ -154,21 +155,27 @@ def gradient_check(
 
 def train(
     model: ProjectionModel,
-    train_samples: Sequence[TripletSample],
-    val_samples: Sequence[TripletSample],
+    train_samples,
+    val_samples,
     table: EmbeddingTable,
     config: TrainConfig,
 ) -> Tuple[ProjectionModel, TrainHistory]:
-    """Shuffled mini-batch SGD with momentum; deterministic given the seed."""
-    if not train_samples:
+    """Shuffled mini-batch SGD with momentum; deterministic given the seed.
+
+    Either set of samples is a `TripletTable` of `table` or a sequence of
+    `TripletSample`s. The consistent validation triplets are gathered at the
+    first validation and kept for the later epochs.
+    """
+    if not len(train_samples):
         raise ValidationError("training set is empty")
     if model.dim != table.dim:
         raise ValidationError(
             f"model dimension {model.dim} does not match embedding dimension {table.dim}"
         )
     stack = _stack(train_samples, table)
-    consistent_val = [s for s in val_samples if s.admitted and s.consistent]
-    order = list(range(len(train_samples)))
+    val = triplet_table(val_samples, table)
+    validate = bool((val.admitted & val.consistent).any())
+    order = list(range(stack.shape[1]))
     rng = random.Random(config.seed)
     weight = model.weight.copy()
     velocity = np.zeros_like(weight)
@@ -202,8 +209,8 @@ def train(
                 active += int(np.count_nonzero(losses))
         history.mean_loss.append(epoch_loss / len(order))
         history.active_fraction.append(active / len(order))
-        if consistent_val:
-            acc, _ = evaluator.eval_triplets(ProjectionModel(weight), consistent_val, table)
+        if validate:
+            acc, _ = evaluator.eval_triplets(ProjectionModel(weight), val, table)
             history.val_accuracy.append(acc)
         else:
             history.val_accuracy.append(float("nan"))

@@ -36,6 +36,17 @@ def table_of(records):
     return EmbeddingTable(columns, np.array([rec.vector for rec in records], dtype=float))
 
 
+def vectors(table, image_ids):
+    """The (len(image_ids), d) rows of `table.matrix` holding these images' vectors."""
+    return table.matrix[[table.row(i) for i in image_ids]]
+
+
+def role_ids(sample):
+    """A sample's reference, chosen and other image ids."""
+    a, b = sample.option_a_id, sample.option_b_id
+    return (sample.ref_id, a, b) if sample.majority == "A" else (sample.ref_id, b, a)
+
+
 def make_annotation(annotator, triplet, choice, is_dummy=False, dummy_answer=None):
     return RawAnnotation(
         annotator_id=annotator,

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -11,6 +12,8 @@ import pytest
 
 from facesim import attributes, cli, corpus, synth, trainer
 from facesim.metric import ProjectionModel
+
+import annotation_oracle
 
 
 @pytest.fixture(scope="module")
@@ -625,3 +628,251 @@ class TestExitCodes:
                         "--out", str(tmp_path / "p.json")])
         assert code == 5
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    """The three CSV files of a 40-triplet planted corpus, as text."""
+    out = tmp_path_factory.mktemp("tiny")
+    synth.planted(seed=21, n_triplets=40, dim=8, data_subspace=6, truth_rank=2).write(out)
+    return {name: (out / f"{name}.csv").read_text(encoding="utf-8")
+            for name in ("embeddings", "manifest", "annotations")}
+
+
+class TestAnnotationErrorParity:
+    """Exit code and exact stderr of each malformed annotation or manifest input."""
+
+    @staticmethod
+    def _write(tmp_path, files, **edits):
+        """Write the files, each edit a function of a file's lines; the paths."""
+        paths = {}
+        for name, text in files.items():
+            lines = text.splitlines()
+            if name in edits:
+                lines = edits[name](lines)
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return paths
+
+    @staticmethod
+    def _argv(command, paths, tmp_path):
+        argv = [command, *(f"--{name}={path}" for name, path in paths.items())]
+        if command == "split":
+            return argv + ["--mode", "i", "--out", str(tmp_path / "p.json")]
+        if command == "train":
+            return argv + ["--epochs", "1", "--out", str(tmp_path / "m.json")]
+        if command == "validate":
+            return [command, "--annotations", str(paths["annotations"])]
+        model = tmp_path / "identity.json"
+        ProjectionModel.identity(8).save(model)
+        return argv + ["--model", str(model), "--report", str(tmp_path / "r.json")]
+
+    def _run(self, tmp_path, capsys, files, command="split", **edits):
+        paths = self._write(tmp_path, files, **edits)
+        code = cli.run(self._argv(command, paths, tmp_path))
+        return code, capsys.readouterr().err, paths
+
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            (["p1,tri00000,A,maybe,"], 131, "is_dummy must be boolean, got 'maybe'"),
+            (["p1,tri00000,C,false,"], 131,
+             "annotation by 'p1' on 'tri00000': choice must be A or B, got 'C'"),
+            (["p1,dummy09,A,true,"], 131, "dummy annotation on 'dummy09' is missing its"
+             " dummy_answer"),
+            (["p1,dummy09,C,maybe,"], 131, "is_dummy must be boolean, got 'maybe'"),
+            (["p1,dummy09,C,true,"], 131,
+             "annotation by 'p1' on 'dummy09': choice must be A or B, got 'C'"),
+            (["p1,dummy09,A,TRUE,X", "p2,tri00001,A,1,"], 131,
+             "dummy annotation on 'dummy09' is missing its dummy_answer"),
+            (["p1,tri00000,B,0,", "p2,tri00001,C,false,", "p3,tri00001,A,no,"], 132,
+             "annotation by 'p2' on 'tri00001': choice must be A or B, got 'C'"),
+            (["p1,tri00000,B,0,", "p3,tri00001,A,no,", "p2,tri00001,C,false,"], 132,
+             "is_dummy must be boolean, got 'no'"),
+        ],
+        ids=["bad-is-dummy", "choice-C", "dummy-without-answer", "is-dummy-before-choice",
+             "choice-before-dummy-answer", "dummy-answer-not-A-or-B", "first-bad-row-choice",
+             "first-bad-row-is-dummy"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "split"])
+    def test_bad_annotation_row(self, tmp_path, capsys, tiny_files, command, rows, line,
+                                message):
+        code, err, paths = self._run(tmp_path, capsys, tiny_files, command,
+                                     annotations=lambda lines: lines + rows)
+        assert (code, err) == (3, f"error: {paths['annotations']}:{line}: {message}\n")
+
+    def test_unknown_triplet_names_the_first_non_dummy_row(self, tmp_path, capsys,
+                                                            tiny_files):
+        rows = ["p1,ghost,A,true,A", "p2,nope,B,false,", "p3,nope2,A,false,"]
+        code, err, _ = self._run(tmp_path, capsys, tiny_files,
+                                 annotations=lambda lines: lines[:5] + rows + lines[5:])
+        assert (code, err) == (
+            3, "error: annotation by 'p2' references unknown triplet_id 'nope'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["split", "train", "eval-triplets"])
+    def test_a_dummy_row_with_an_unknown_triplet_loads(self, tmp_path, capsys, tiny_files,
+                                                       command):
+        code, err, _ = self._run(tmp_path, capsys, tiny_files, command,
+                                 annotations=lambda lines: lines + ["p1,ghost,A,true,A"])
+        assert (code, err) == (0, "")
+
+    def test_duplicate_manifest_triplet(self, tmp_path, capsys, tiny_files):
+        code, err, paths = self._run(
+            tmp_path, capsys, tiny_files,
+            manifest=lambda lines: lines + ["tri00000,img00001c,img00001a,img00001b"],
+        )
+        assert (code, err) == (
+            3, f"error: {paths['manifest']}:42: duplicate triplet_id 'tri00000'\n"
+        )
+
+    @staticmethod
+    def _ghost(lines, triplet, column):
+        """The manifest with one image of one triplet renamed to 'ghost<column>'."""
+        out = []
+        for line in lines:
+            fields = line.split(",")
+            if fields[0] == triplet:
+                fields[column] = f"ghost{column}"
+            out.append(",".join(fields))
+        return out
+
+    @pytest.mark.parametrize("command", ["split", "train", "eval-triplets"])
+    def test_unknown_image_in_an_admitted_triplet(self, tmp_path, capsys, tiny_files,
+                                                  command):
+        def manifest(lines):
+            return self._ghost(self._ghost(lines, "tri00007", 1), "tri00003", 3)
+
+        code, err, _ = self._run(tmp_path, capsys, tiny_files, command, manifest=manifest)
+        # split checks triplet by triplet; train and eval gather each role's rows in turn
+        ghost = "ghost3" if command == "split" else "ghost1"
+        assert (code, err) == (3, f"error: unknown image_id '{ghost}'\n")
+
+    @pytest.mark.parametrize("command", ["split", "train", "eval-triplets"])
+    def test_unknown_image_in_a_rejected_triplet_loads(self, tmp_path, capsys, tiny_files,
+                                                       command):
+        code, err, _ = self._run(
+            tmp_path, capsys, tiny_files, command,
+            manifest=lambda lines: self._ghost(lines, "tri00003", 1),
+            annotations=lambda lines: [line for line in lines
+                                       if not line.startswith("p1,tri00003,")],
+        )
+        assert (code, err) == (0, "")
+
+    def test_non_swapped_reference(self, tmp_path, capsys, tiny_files):
+        def embeddings(lines):
+            return [line.replace(",swapped,", ",target,", 1)
+                    if line.startswith("img00004c,") else line for line in lines]
+
+        code, err, _ = self._run(tmp_path, capsys, tiny_files, embeddings=embeddings)
+        assert (code, err) == (
+            3, "error: triplet 'tri00004' must reference swapped records sharing one"
+               " target_id, got targets ['t004']\n"
+        )
+
+    def test_references_across_targets(self, tmp_path, capsys, tiny_files):
+        code, err, _ = self._run(
+            tmp_path, capsys, tiny_files,
+            manifest=lambda lines: [line.replace(",img00005b", ",img00006b")
+                                    for line in lines],
+        )
+        assert (code, err) == (
+            3, "error: triplet 'tri00005' must reference swapped records sharing one"
+               " target_id, got targets ['t005', 't006']\n"
+        )
+
+
+# sha256 of each output of split -> train -> eval-triplets on a 120-triplet planted
+# corpus with 10% noisy votes, per split mode; the eval report less its "funnel".
+# Recorded on x86-64 with OpenBLAS; the models' last bits depend on the BLAS kernels.
+GOLDEN_OUTPUTS = {
+    "i": {
+        "partition.json": "71d217cd8333170064cc6fb9b0f8934dc337792cdc51523a2d40ffa81e8a3b6a",
+        "model.json": "2d763de0c25bb9282aa6b66a837468445813e366d9cd8093e27be8b5966d0377",
+        "history.csv": "e9c741e5f6121a4c84e49abe56d9d72328a16325b8eb5bbef1498eec7f3d6479",
+        "scatter.csv": "f7309e8d75fb5fa05b6eba004b094bd12e72570231f889fc07b3d8c8ddb9faf5",
+        "eval.json": "3bd84efad9c0cacb6dfb5ae139bc8cbb891606578d97f5fe6a75df1bc7699681",
+    },
+    "ii": {
+        "partition.json": "01fd014ccd12e71160f0909db637f276ee92cd15fc8deba105014e1370de3672",
+        "model.json": "2d763de0c25bb9282aa6b66a837468445813e366d9cd8093e27be8b5966d0377",
+        "history.csv": "e9c741e5f6121a4c84e49abe56d9d72328a16325b8eb5bbef1498eec7f3d6479",
+        "scatter.csv": "de88700eda26ef72c1ae2c0cdf45d10fb4bc271bbfb5fd213b850fa0cdcc5043",
+        "eval.json": "3b763e13e6b6de13313b325ea8d059a5a814692e260f6624d129234cb71b6268",
+    },
+    "iii": {
+        "partition.json": "8e8e350abdd24cd113d1000e4b6394b934d14f37cc6a720013afc003678b8908",
+        "model.json": "4ce833865bc27a1828d70b918eae0321dbc0dfffe1a732cbc6401875427ed710",
+        "history.csv": "8342a23f3c4ba7242ea320ebc9f4f6b8a7104f3b90461f1829f67d5a5f651e08",
+        "scatter.csv": "b8cc740e5f6325ce72c4480aabbb7a808430fdb45106c6b8fcc962bf934d95a5",
+        "eval.json": "e4baef1351c6030a258ee58cabddf5b569e2829d854a169e9434d54598f1f982",
+    },
+}
+
+
+def _golden_hashes(work, mode):
+    """The sha256 of each output of one mode's pipeline, run in `work` with relative paths."""
+    synth.planted(seed=21, n_triplets=120, dim=8, data_subspace=6, truth_rank=2,
+                  noise_fraction=0.1).write(work)
+    inputs = ["--embeddings", "embeddings.csv", "--manifest", "manifest.csv",
+              "--annotations", "annotations.csv"]
+    for argv in (
+        ["split", *inputs, "--mode", mode, "--seed", "4", "--out", "partition.json"],
+        ["train", *inputs, "--partition", "partition.json", "--epochs", "4",
+         "--out", "model.json", "--history", "history.csv"],
+        ["eval-triplets", *inputs, "--partition", "partition.json", "--model", "model.json",
+         "--model", "truth_model.json", "--report", "eval.json", "--scatter", "scatter.csv"],
+    ):
+        assert cli.run(argv) == 0
+    report = json.loads((work / "eval.json").read_text(encoding="utf-8"))
+    report.pop("funnel", None)
+    texts = {name: (work / name).read_bytes()
+             for name in ("partition.json", "model.json", "history.csv", "scatter.csv")}
+    texts["eval.json"] = (json.dumps(report, indent=2) + "\n").encode("utf-8")
+    return {name: hashlib.sha256(text).hexdigest() for name, text in texts.items()}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_OUTPUTS))
+def test_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys, mode):
+    monkeypatch.chdir(tmp_path)
+    assert _golden_hashes(tmp_path, mode) == GOLDEN_OUTPUTS[mode]
+    capsys.readouterr()
+
+
+def test_eval_report_funnel_gives_the_dataset_sizes(tmp_path, capsys, tiny_files):
+    """D1 and D2 follow from the report alone, and equal the record loop's datasets."""
+    def annotations(lines):
+        dropped = ("p1,tri00001,", "p1,tri00002,", "p1,tri00003,", "p2,tri00003,")
+        kept = [line for line in lines if not line.startswith(dropped)]
+        kept = [line.replace("p2,tri00002,A,", "p2,tri00002,B,") for line in kept]
+        # q fails screening; r saw no dummy
+        return kept + ["q,dummy00,B,true,A", "q,tri00000,A,false,", "r,tri00000,A,false,"]
+
+    paths = TestAnnotationErrorParity._write(tmp_path, tiny_files, annotations=annotations)
+    report = tmp_path / "r.json"
+    model = tmp_path / "identity.json"
+    ProjectionModel.identity(8).save(model)
+    assert cli.run(["eval-triplets", *(f"--{name}={path}" for name, path in paths.items()),
+                    "--min-votes", "2", "--model", str(model), "--report", str(report)]) == 0
+    capsys.readouterr()
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    funnel = payload["funnel"]
+    assert funnel["triplets"] - sum(funnel["rejected"].values()) == funnel["D1"]
+    assert payload["samples"] == funnel["D2"]
+
+    records = annotation_oracle.load_annotations(paths["annotations"])
+    valid = annotation_oracle.validate_annotators(records)
+    samples = annotation_oracle.aggregate_triplets(
+        corpus.load_manifest(paths["manifest"]), records, valid, min_votes=2
+    )
+    rejections = [s.rejection for s in samples if s.rejection]
+    assert funnel == {
+        "annotators": 5,
+        "annotators_dropped": 2,
+        "triplets": 40,
+        "rejected": {"too_few_votes": sum(r.startswith("only") for r in rejections),
+                     "tied_votes": sum(r.startswith("tied") for r in rejections)},
+        "D1": sum(s.admitted for s in samples),
+        "D2": sum(s.consistent for s in samples),
+    }
+    assert funnel["rejected"] == {"too_few_votes": 1, "tied_votes": 1}

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,8 @@ from facesim.errors import (
     ValidationError,
 )
 
-from conftest import make_annotation, make_record, table_of
+import annotation_oracle as oracle
+from conftest import make_annotation, make_record, table_of, vectors
 
 
 def write_embeddings(path, rows, dim=4, newline="\n"):
@@ -124,10 +126,10 @@ class TestLoadEmbeddings:
                 assert np.array_equal(rec.vector, matrix[row])
             ids = [rec.image_id for rec in table][::-3]
             np.testing.assert_array_equal(
-                table.vectors(ids), np.array([table[i].vector for i in ids])
+                vectors(table, ids), np.array([table[i].vector for i in ids])
             )
         with pytest.raises(IntegrityError, match="nope"):
-            built.vectors(["nope"])
+            vectors(built, ["nope"])
 
     def test_records_are_built_once_and_kept(self, tmp_path, small_planted):
         path = tmp_path / "emb.csv"
@@ -438,3 +440,120 @@ def test_verify_target_consistency_catches_mismatch():
     )
     with pytest.raises(IntegrityError, match="x"):
         corpus.verify_target_consistency([sample], table)
+
+
+# ---------------------------------------------------------------------------
+# the columnar annotation path against the record loops of `annotation_oracle`
+
+# annotator ids whose sort order, trailing NULs and non-ASCII letters matter
+ANNOTATOR_IDS = st.text(alphabet="ab\x00é", max_size=3)
+
+
+@st.composite
+def annotated_corpora(draw):
+    """A manifest and annotation records: annotators who pass or fail screening or saw
+    no dummy, duplicate votes, ties, triplets without votes, and at times a vote on a
+    triplet the manifest lacks."""
+    manifest = {f"t{i}": (f"c{i}", f"a{i}", f"b{i}") for i in range(draw(st.integers(0, 5)))}
+    annotators = draw(st.lists(ANNOTATOR_IDS, min_size=1, max_size=5, unique=True))
+    annotations = []
+    for annotator in annotators:
+        for _ in range(draw(st.integers(0, 2))):  # no dummy at all for some
+            annotations.append(make_annotation(
+                annotator, draw(st.sampled_from(["d0", "d1", "nope", *manifest])),
+                draw(st.sampled_from("AB")), True, draw(st.sampled_from("AB")),
+            ))
+    voted = [*manifest, *(["nope"] if draw(st.integers(0, 9)) == 0 else [])]
+    if voted:
+        votes = st.tuples(st.sampled_from(annotators), st.sampled_from(voted),
+                          st.sampled_from("AB"))
+        annotations += [make_annotation(*vote) for vote in draw(st.lists(votes, max_size=30))]
+    return manifest, draw(st.permutations(annotations))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=annotated_corpora(), min_votes=st.integers(1, 4), data=st.data())
+def test_vote_columns_agree_with_the_record_loop(drawn, min_votes, data):
+    manifest, annotations = drawn
+    screened = oracle.validate_annotators(annotations)
+    assert corpus.validate_annotators(annotations) == screened
+    everyone = sorted({a.annotator_id for a in annotations})
+    chosen = data.draw(st.sets(st.sampled_from(everyone)) if everyone else st.just(set()))
+    for valid in (screened, chosen):
+        try:
+            expected = oracle.aggregate_triplets(manifest, annotations, valid, min_votes)
+        except IntegrityError as exc:
+            with pytest.raises(IntegrityError) as err:
+                corpus.aggregate_triplets(manifest, annotations, valid, min_votes)
+            assert str(err.value) == str(exc)
+            continue
+        got = corpus.aggregate_triplets(manifest, annotations, valid, min_votes)
+        fields = ("triplet_id", "ref_id", "option_a_id", "option_b_id", "votes", "majority",
+                  "consistent", "admitted", "rejection")
+        assert [[getattr(s, f) for f in fields] for s in got] == \
+            [[getattr(s, f) for f in fields] for s in expected]
+        table = corpus.AnnotationTable.of(annotations)
+        mask = np.array([a in valid for a in table.annotators], dtype=bool)
+        columns = corpus.count_votes(manifest, table, mask, min_votes)
+        assert columns.n_a.tolist() == [s.votes.count("A") for s in expected]
+        assert columns.n_b.tolist() == [s.votes.count("B") for s in expected]
+        assert columns.admitted.tolist() == [s.admitted for s in expected]
+        assert columns.consistent.tolist() == [s.consistent for s in expected]
+        rejections = [s.rejection or "" for s in expected]
+        assert columns.funnel()["rejected"] == {
+            "too_few_votes": sum(r.startswith("only") for r in rejections),
+            "tied_votes": sum(r.startswith("tied") for r in rejections),
+        }
+        assert [corpus.MAJORITIES[m] for m in columns.majority] == \
+            [s.majority for s in expected]
+
+
+@pytest.fixture(scope="module")
+def annotation_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("annotations") / "annotations.csv"
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.sampled_from(["p1", "p2"]), st.sampled_from(["t0", "d0"]),
+    st.sampled_from(["A", "B", "C", ""]),
+    st.sampled_from(["true", "false", "0", "1", "TRUE", "False", "yes", ""]),
+    st.sampled_from(["", "A", "B", "X"]),
+), max_size=8))
+def test_read_annotations_agrees_with_the_record_loop(annotation_file, rows):
+    corpus.write_csv(annotation_file, corpus.ANNOTATION_COLUMNS, rows)
+    try:
+        expected = oracle.load_annotations(annotation_file)
+    except (FormatError, ValidationError) as exc:
+        with pytest.raises(type(exc)) as err:
+            corpus.read_annotations(annotation_file)
+        assert str(err.value) == str(exc)
+        return
+    assert corpus.load_annotations(annotation_file) == expected
+    table = corpus.read_annotations(annotation_file)
+    assert table.records() == expected
+    assert table.annotators == tuple(sorted({a.annotator_id for a in expected}))
+
+
+def test_target_consistency_agrees_with_the_record_loop(planted_samples):
+    table, samples = planted_samples
+    admitted = [s for s in samples if s.admitted]
+    first_target = table.target_ids[table.row(admitted[0].ref_id)]
+    elsewhere = next(s for s in admitted if table.target_ids[table.row(s.ref_id)] != first_target)
+    edits = {
+        "consistent": {},
+        "crossed": {4: {"option_b_id": elsewhere.ref_id}},
+        "unknown": {9: {"ref_id": "ghost9"}, 3: {"option_b_id": "ghost3"}},
+        "crossed-before-unknown": {2: {"option_a_id": elsewhere.ref_id}, 5: {"ref_id": "ghost"}},
+    }
+    for name, edit in edits.items():
+        broken = [dataclasses.replace(s, **edit.get(i, {})) for i, s in enumerate(admitted)]
+        outcomes = []
+        for check in (oracle.verify_target_consistency, corpus.verify_target_consistency):
+            try:
+                check(broken, table)
+                outcomes.append(None)
+            except IntegrityError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], name
+        assert (outcomes[0] is None) == (name == "consistent")

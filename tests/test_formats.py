@@ -88,15 +88,18 @@ def test_only_corpus_reads_and_writes_files():
     assert len(modules) > 5 and not offenders, offenders
 
 
+RECORD_TYPES = ("EmbeddingRecord", "RawAnnotation", "TripletSample")
+
+
 def _record_builds(path: Path):
-    """`EmbeddingRecord(...)` calls and `object.__setattr__` uses in one module, as
+    """Calls of the record types and `object.__setattr__` uses in one module, as
     (line, what)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name == "EmbeddingRecord":
-                found.append((node.lineno, "EmbeddingRecord()"))
+            if name in RECORD_TYPES:
+                found.append((node.lineno, f"{name}()"))
         elif (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
               and getattr(node.value, "id", None) == "object"):
             found.append((node.lineno, "object.__setattr__"))
@@ -104,9 +107,15 @@ def _record_builds(path: Path):
 
 
 def test_only_corpus_builds_records_and_none_is_rebound():
-    """A table's records are built in one place, from its rows, and never changed after."""
+    """A table's records are built in one place, from its rows, and never changed after.
+
+    Besides `corpus`, only `synth` builds records: the annotations of a planted corpus.
+    """
     found = {path.name: _record_builds(path) for path in sorted(PACKAGE_DIR.glob("*.py"))}
-    assert [what for _, what in found.pop("corpus.py")] == ["EmbeddingRecord()"]
+    assert sorted(what for _, what in found.pop("corpus.py")) == [
+        f"{name}()" for name in RECORD_TYPES
+    ]
+    assert {what for _, what in found.pop("synth.py")} == {"RawAnnotation()"}
     offenders = [f"{name}:{line}: {what}" for name, hits in found.items() for line, what in hits]
     assert len(found) > 5 and not offenders, offenders
 

@@ -9,7 +9,7 @@ from facesim import corpus, evaluator, trainer
 from facesim.errors import DivergenceError, ValidationError
 from facesim.metric import ProjectionModel, cosine
 
-from conftest import make_record, table_of
+from conftest import make_record, role_ids, table_of, vectors
 
 
 def build_triplet_corpus(vector_rows, labels, dim):
@@ -49,8 +49,8 @@ def role_by_role_loss_and_gradient(weight, ref, pos, neg, margin):
 def per_batch_gather_train(model, train_samples, val_samples, table, config):
     """The training loop before one stacked array: three role arrays gathered per batch
     with a list of rows, and an update that makes new arrays. The oracle of `train`."""
-    ids = zip(*((s.ref_id, s.chosen_id(), s.other_id()) for s in train_samples))
-    ref, pos, neg = (table.vectors(role) for role in ids)
+    ids = zip(*map(role_ids, train_samples))
+    ref, pos, neg = (vectors(table, role) for role in ids)
     consistent_val = [s for s in val_samples if s.admitted and s.consistent]
     order = list(range(len(train_samples)))
     rng = random.Random(config.seed)
@@ -160,8 +160,7 @@ class TestGradients:
         fd = np.zeros((5, 5))
         for s in samples:
             fd += finite_difference_gradient(
-                model.weight, table[s.ref_id].vector, table[s.chosen_id()].vector,
-                table[s.other_id()].vector, 0.5, 1e-5,
+                model.weight, *(table[i].vector for i in role_ids(s)), 0.5, 1e-5,
             )
         fd /= len(samples)
         rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
@@ -200,8 +199,7 @@ class TestGradients:
         w = model.weight
         losses = [
             trainer.triplet_loss(
-                w @ table[s.ref_id].vector, w @ table[s.chosen_id()].vector,
-                w @ table[s.other_id()].vector, margin,
+                *(w @ table[i].vector for i in role_ids(s)), margin,
             )
             for s in samples
         ]
