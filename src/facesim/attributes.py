@@ -3,8 +3,6 @@ argmin-distance classifier with its precision/recall/accuracy/AUC report."""
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -12,9 +10,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import EmbeddingRecord
+from .corpus import EMBEDDING_FIXED_COLUMNS, EmbeddingRecord, EmbeddingTable
 from .errors import EvaluationError, IntegrityError, ValidationError
-from .metric import ProjectionModel, project_records, scale_rows, scaled_cosine
+from .metric import ProjectionModel, scale_rows, scaled_cosine
 
 INTERSECTION_GROUPS = ("older_female", "older_male", "young_female", "young_male")
 UNION_GROUPS = ("female", "male", "older", "young")
@@ -34,17 +32,26 @@ def group_label(age_group: str, gender: str) -> str:
     return f"{age_group}_{gender}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttributeGroup:
+    """An attribute group: rows of one candidates `EmbeddingTable`, in member order."""
+
     name: str
-    members: Tuple[EmbeddingRecord, ...]
+    table: EmbeddingTable
+    rows: np.ndarray
+
+    @property
+    def members(self) -> Tuple[EmbeddingRecord, ...]:
+        """The member records, built from the table (see `EmbeddingTable`)."""
+        records = list(self.table)
+        return tuple(records[row] for row in self.rows.tolist())
 
     @property
     def member_ids(self) -> List[str]:
-        return [m.image_id for m in self.members]
+        return [self.table.image_ids[row] for row in self.rows.tolist()]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -86,39 +93,40 @@ class ClassificationReport:
 
 
 def build_groups(
-    records: Sequence[EmbeddingRecord],
+    candidates: EmbeddingTable | Sequence[EmbeddingRecord],
     per_intersection: Optional[int] = None,
     seed: int = 0,
 ) -> Dict[str, AttributeGroup]:
-    """The four age/gender intersection groups plus their four unions.
+    """The four age/gender intersection groups plus their four unions, as rows of one table.
 
-    Records with unknown labels are skipped. When `per_intersection` is given,
-    that many members are sampled per intersection group with the seeded RNG;
-    union groups are always the concatenation of their two intersections.
+    `candidates` is an `EmbeddingTable` or a sequence of records. Rows with
+    unknown labels are skipped. When `per_intersection` is given, that many
+    members are sampled per intersection group with the seeded RNG; union
+    groups are always the concatenation of their two intersections.
     """
     if per_intersection is not None and per_intersection < 1:
         raise ValidationError(f"per-group sample size must be >= 1, got {per_intersection}")
-    pools: Dict[str, List[EmbeddingRecord]] = {name: [] for name in INTERSECTION_GROUPS}
-    for rec in records:
-        if rec.gender == "unknown" or rec.age_group == "unknown":
-            continue
-        pools[group_label(rec.age_group, rec.gender)].append(rec)
+    table = candidates if isinstance(candidates, EmbeddingTable) else _table_of(candidates)
+    pools: Dict[str, List[int]] = {name: [] for name in INTERSECTION_GROUPS}
+    for row, (gender, age_group) in enumerate(zip(table.genders, table.age_groups)):
+        if gender != "unknown" and age_group != "unknown":
+            pools[group_label(age_group, gender)].append(row)
 
     rng = random.Random(seed)
+    by_id = table.image_ids.__getitem__
     groups: Dict[str, AttributeGroup] = {}
     for name in INTERSECTION_GROUPS:
-        members = sorted(pools[name], key=lambda r: r.image_id)
+        members = sorted(pools[name], key=by_id)
         if per_intersection is not None:
             if len(members) < per_intersection:
                 raise ValidationError(
                     f"group '{name}' has {len(members)} candidates,"
                     f" {per_intersection} requested"
                 )
-            members = rng.sample(members, per_intersection)
-            members.sort(key=lambda r: r.image_id)
+            members = sorted(rng.sample(members, per_intersection), key=by_id)
         if not members:
             raise ValidationError(f"attribute group '{name}' is empty")
-        groups[name] = AttributeGroup(name=name, members=tuple(members))
+        groups[name] = AttributeGroup(name, table, np.array(members, dtype=np.intp))
 
     unions = {
         "male": ("young_male", "older_male"),
@@ -129,18 +137,30 @@ def build_groups(
     for name in UNION_GROUPS:
         a, b = unions[name]
         groups[name] = AttributeGroup(
-            name=name, members=groups[a].members + groups[b].members
+            name, table, np.concatenate([groups[a].rows, groups[b].rows])
         )
     return groups
 
 
+def _table_of(records: Sequence[EmbeddingRecord]) -> EmbeddingTable:
+    """One table of the records' labels and stacked vectors."""
+    columns = tuple(
+        tuple(getattr(record, name) for record in records) for name in EMBEDDING_FIXED_COLUMNS
+    )
+    try:
+        matrix = np.array([record.vector for record in records], dtype=np.float64)
+        matrix = matrix.reshape(len(records), -1 if records else 0)
+    except ValueError:
+        raise ValidationError("candidate vectors must all have one dimension") from None
+    return EmbeddingTable(columns, matrix)
+
+
 @dataclass(frozen=True)
 class Gallery:
-    """The distinct members of some attribute groups, projected and scaled once.
+    """The distinct table rows of some attribute groups, projected and scaled once.
 
-    Row i holds one member record. A record in several groups (an intersection
-    and its unions, as `build_groups` shares them) is one row, found by object
-    identity, and rows follow first appearance. `members[j]` indexes the rows
+    Row i holds one row of the groups' table, and rows follow first
+    appearance in the groups' member order. `members[j]` indexes the rows
     of the j-th group, in member order.
     """
 
@@ -152,20 +172,22 @@ class Gallery:
 
 
 def _gallery(model: ProjectionModel, groups: Sequence[AttributeGroup]) -> Gallery:
-    members = list(itertools.chain.from_iterable(g.members for g in groups))
-    # a dict keeps each key where it first appeared, so rows follow first appearance
-    records = dict(zip(map(id, members), members))
-    row_of = dict(zip(records, itertools.count()))
-    projected = project_records(model, list(records.values()))
+    table = groups[0].table if groups else None
+    if not groups or any(group.table is not table for group in groups):
+        raise ValidationError("scoring needs attribute groups, all rows of one table")
+    every = np.concatenate([group.rows for group in groups])
+    distinct, first = np.unique(every, return_index=True)
+    rows = distinct[np.argsort(first)]
+    position = np.empty(len(table), dtype=np.intp)
+    position[rows] = np.arange(len(rows))
+    image_ids = np.array(table.image_ids, dtype=object)[rows]
+    projected = model.project_block(table.matrix[rows], image_ids)
     return Gallery(
         projected=projected,
         scaled=scale_rows(projected),
-        image_ids=np.array([r.image_id for r in records.values()], dtype=object),
-        identity_ids=np.array([r.identity_id for r in records.values()], dtype=object),
-        members=[
-            np.fromiter(map(row_of.__getitem__, map(id, g.members)), np.intp, len(g))
-            for g in groups
-        ],
+        image_ids=image_ids,
+        identity_ids=np.array(table.identity_ids, dtype=object)[rows],
+        members=[position[group.rows] for group in groups],
     )
 
 
@@ -177,7 +199,8 @@ def similarity_table(
     """The groups' `Gallery`, and the cosine similarity of each query to each of its rows.
 
     `sims[q][gallery.members[g]]` are query q's similarities to group g's
-    members. The gallery is projected first, then the queries, each once.
+    members, which must all be rows of one table. The gallery is projected
+    first, then the queries, each once.
     Cosines are row-local, so an entry does not depend on the other queries,
     groups or rows in the call.
     """
@@ -185,7 +208,12 @@ def similarity_table(
         if len(group) == 0:
             raise ValidationError(f"attribute group '{group.name}' is empty")
     gallery = _gallery(model, groups)
-    query_rows = project_records(model, queries)
+    try:
+        block = np.array([q.vector for q in queries], dtype=np.float64)
+        block = block.reshape(len(queries), model.dim)
+    except ValueError:
+        raise ValidationError(f"queries do not all have the model dimension {model.dim}") from None
+    query_rows = model.project_block(block, [q.image_id for q in queries])
     sims = np.empty((len(queries), len(gallery.image_ids)))
     # one query at a time keeps the temporaries to one (n, d) block
     for i in range(len(queries)):
@@ -208,6 +236,8 @@ def group_distances(
     single distance. `use_t` swaps the z critical value for Student-t, for
     small groups.
     """
+    if not groups:
+        return [[] for _ in queries]
     gallery, table = similarity_table(model, queries, groups)
     names = [g.name for g in groups]
     stats = _group_stats(queries, gallery, table, use_t)
@@ -220,7 +250,7 @@ def group_distances(
 
 
 class GroupStats(NamedTuple):
-    """`summarize_distances` of every (query, group) pair, as `(Q, G)` arrays."""
+    """Size, mean, SD and CI upper bound of each (query, group) pair's distances, `(Q, G)`."""
 
     n: np.ndarray
     mean: np.ndarray
@@ -231,9 +261,9 @@ class GroupStats(NamedTuple):
 def _group_stats(
     queries: Sequence[EmbeddingRecord], gallery: Gallery, sims: np.ndarray, use_t: bool
 ) -> GroupStats:
-    """`summarize_distances` of each query's kept distances to each gallery group.
+    """`GroupStats` of each query's kept distances to each gallery group.
 
-    Bit-identical to the scalar oracle: sums run left to right (`cumsum`, as
+    Bit-identical to the scalar oracle of the tests: sums run left to right (`cumsum`, as
     Python's `sum` does; `np.sum` sums pairwise), a zero-spread sample gives its
     common value, and fewer than two kept distances give sd 0 and upper = mean.
     A pair whose group holds only the query image gets n = 0 and meaningless
@@ -275,31 +305,6 @@ def _require_other_members(
         raise ValidationError(
             f"group '{names[g]}' holds only the query image '{queries[q].image_id}'"
         )
-
-
-def summarize_distances(
-    name: str, ds: Sequence[float], use_t: bool = False
-) -> GroupDistanceResult:
-    """Mean, sample SD, and the 95% CI upper bound of a distance sample."""
-    n = len(ds)
-    if n == 0:
-        raise ValidationError("cannot summarize an empty distance sample")
-    # a zero-spread sample summarizes to its common value exactly
-    mean = ds[0] if all(d == ds[0] for d in ds) else sum(ds) / n
-    if n >= 2 and any(d != ds[0] for d in ds):
-        # a correctly rounded square; `** 2` goes through libm `pow`
-        sd = math.sqrt(sum((d - mean) * (d - mean) for d in ds) / (n - 1))
-        if use_t:
-            from scipy import stats
-
-            crit = float(stats.t.ppf(0.975, n - 1))
-        else:
-            crit = Z_95
-        upper = mean + crit * sd / math.sqrt(n)
-    else:
-        sd = 0.0
-        upper = mean
-    return GroupDistanceResult(group=name, n=n, mean_d=mean, sd_d=sd, upper=upper)
 
 
 def closest(names: Sequence[str], upper: np.ndarray) -> np.ndarray:

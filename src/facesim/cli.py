@@ -171,9 +171,7 @@ def cmd_eval_attributes(args) -> int:
     candidates = corpus.load_embeddings(args.candidates)
     queries = list(corpus.load_embeddings(args.queries))
     model = ProjectionModel.load(args.model)
-    groups = attributes.build_groups(
-        list(candidates), per_intersection=args.per_group, seed=args.seed
-    )
+    groups = attributes.build_groups(candidates, per_intersection=args.per_group, seed=args.seed)
     names = attributes.ALL_GROUPS if args.distances else attributes.task_categories(args.task)
     table = attributes.group_distances(
         model, queries, [groups[name] for name in names], use_t=args.student_t
@@ -201,21 +199,23 @@ def cmd_select(args) -> int:
         if not queries:
             raise DataError(f"query_id '{args.query_id}' not found in {args.query}")
     model = ProjectionModel.load(args.model)
-    groups = attributes.build_groups(
-        list(candidates), per_intersection=args.per_group, seed=args.seed
-    )
+    groups = attributes.build_groups(candidates, per_intersection=args.per_group, seed=args.seed)
     results = selector.recommend_batch(
         model, queries, groups, k=args.k, group_mode=args.group_mode
     )
     _write_report(args.out, args, {"recommendations": [rec.to_json() for rec, _ in results]})
     if args.ranking:
-        rows = (
-            [rec.query_id, rec.selected_group, cand.rank, cand.image_id, cand.similarity]
-            for rec, ranking in results
-            for cand in ranking
-        )
-        corpus.write_csv(
-            args.ranking, ["query_id", "group", "rank", "image_id", "similarity"], rows
+        ranks = [range(1, len(image_ids) + 1) for _, (image_ids, _) in results]
+        corpus.write_table(
+            args.ranking,
+            ["query_id", "group", "rank", "image_id", "similarity"],
+            [
+                [rec.query_id for (rec, _), rank in zip(results, ranks) for _ in rank],
+                [rec.selected_group for (rec, _), rank in zip(results, ranks) for _ in rank],
+                list(itertools.chain.from_iterable(ranks)),
+                list(itertools.chain.from_iterable(image_ids for _, (image_ids, _) in results)),
+            ],
+            np.concatenate([np.empty(0), *(sims for _, (_, sims) in results)])[:, None],
         )
     print(f"recommended {args.k} source candidates for {len(queries)} queries -> {args.out}")
     return EXIT_OK

@@ -7,6 +7,7 @@ the source/target-aware evaluation splits with an independent audit.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -318,36 +319,60 @@ class DatasetPartition:
 
 
 # ---------------------------------------------------------------------------
-# File formats: every file facesim reads or writes goes through these four helpers
+# File formats: every file facesim reads or writes goes through these helpers
 
 
-def read_csv(path) -> Tuple[List[str], List[Tuple[int, List[str]]]]:
-    """Header and (line number, fields) rows of a UTF-8 CSV file, blank lines skipped.
+def read_csv(path) -> Tuple[List[str], List[int], List[List[str]]]:
+    """Header, line numbers and rows of fields of a UTF-8 CSV file, blank lines skipped.
 
     A row whose width differs from the header's, malformed CSV and non-UTF-8
     bytes raise `FormatError` naming the path, and the line where it is exact.
+    Rows are listed in one pass and numbered by position when no record spans
+    lines; otherwise, or on an error, they are parsed again, one row at a time.
     """
+    lines: List[str] = []
+    decoding = None
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise FormatError(f"{path}: empty file")
-            rows = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise FormatError(
-                        f"{path}:{reader.line_num}: expected {len(header)} fields,"
-                        f" got {len(row)}"
-                    )
-                rows.append((reader.line_num, row))
+            lines.extend(fh)  # keeps the lines decoded before a bad byte
+    except UnicodeDecodeError as exc:
+        decoding = exc
+    reader = csv.reader(lines)
+    with contextlib.suppress(csv.Error):  # a malformed file is parsed again below
+        header, rows = next(reader, None), list(reader)
+        if not decoding and header is not None and reader.line_num == 1 + len(rows):
+            linenos = list(itertools.compress(range(2, 2 + len(rows)), rows))
+            rows = list(filter(None, rows))  # blank lines are empty rows
+            if set(map(len, rows)) <= {len(header)}:
+                return header, linenos, rows
+    reader = csv.reader(_then_raise(lines, decoding))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: empty file")
+        linenos, rows = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise FormatError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields,"
+                    f" got {len(row)}"
+                )
+            linenos.append(reader.line_num)
+            rows.append(row)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     except csv.Error as exc:
         raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
-    return header, rows
+    return header, linenos, rows
+
+
+def _then_raise(lines: List[str], error: Optional[Exception]) -> Iterator[str]:
+    """The lines, then `error` raised if there is one, as the file gave them."""
+    yield from lines
+    if error is not None:
+        raise error
 
 
 # rows a CSV write holds as text at once
@@ -378,6 +403,33 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for block in _csv_blocks(itertools.chain([header], rows)):
             fh.writelines(block)
+
+
+def _quoted(column: Sequence) -> Iterator[str]:
+    """Each field of a column as `csv` writes it within a row of several fields.
+
+    Each distinct value is quoted once, beside an empty field: `csv` writes a
+    lone empty field as `""`. Only the texts that differ from their value are kept."""
+    distinct = list(dict.fromkeys(column))
+    lines = itertools.chain.from_iterable(_csv_blocks([value, ""] for value in distinct))
+    text = {value: line[:-2] for value, line in zip(distinct, lines) if line[:-2] != value}
+    return map(text.get, column, column)
+
+
+def write_table(path, header: Sequence[str], labels: Sequence[Sequence],
+                matrix: np.ndarray) -> None:
+    """Like `write_csv` of rows that hold one entry of each label column, then a row of `matrix`.
+
+    Labels are strings, ints or None, quoted by `csv` (`_quoted`). The floats
+    are formatted by `_repr_rows` in `repr`'s text.
+    """
+    prefixes = map(",".join, zip(*map(_quoted, labels)))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(next(_csv_blocks([header])))
+        fh.writelines(
+            f"{prefix},{cells}\n"  # the cells first: `_repr_rows` logs once exhausted
+            for cells, prefix in zip(_repr_rows(path, matrix, b","), prefixes)
+        )
 
 
 def read_json(path, kind: str, fields: Sequence[str]) -> dict:
@@ -443,17 +495,17 @@ ParsedEmbeddings = Tuple[List[int], Columns, np.ndarray]
 
 def _parse_embeddings_per_cell(path) -> ParsedEmbeddings:
     """The general parser: `read_csv`, then Python's `float` for each vector cell."""
-    header, rows = read_csv(path)
+    header, linenos, rows = read_csv(path)
     dim = _embedding_dim(path, header)
     fixed_count = len(EMBEDDING_FIXED_COLUMNS)
     matrix = np.empty((len(rows), dim), dtype=np.float64)
-    for i, (lineno, row) in enumerate(rows):
+    for i, (lineno, row) in enumerate(zip(linenos, rows)):
         try:
             matrix[i] = [float(x) for x in row[fixed_count:]]
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: bad vector component ({exc})") from exc
-    columns = tuple(zip(*(row[:fixed_count] for _, row in rows))) or ((),) * fixed_count
-    return [lineno for lineno, _ in rows], columns, matrix
+    columns = tuple(zip(*(row[:fixed_count] for row in rows))) or ((),) * fixed_count
+    return linenos, columns, matrix
 
 
 # A vector block holds at most this many cells, so the text and the numbers of
@@ -993,24 +1045,10 @@ def load_embeddings(path) -> EmbeddingTable:
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
-    """Like `write_csv`: the fixed columns quoted by `csv`, each vector cell as `repr` writes it.
-
-    The vector cells are formatted by `_repr_block` about `_FORMAT_CELLS` at a
-    time, to `repr`'s text; how many cells it leaves to `repr`, and why, is
-    logged at debug level.
-    """
+    """The table as an embedding CSV: its six label columns, then its vectors (`write_table`)."""
     header = EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim)]
-    fixed = zip(
-        table.image_ids, table.identity_ids, table.roles,
-        (t or "" for t in table.target_ids), table.genders, table.age_groups,
-    )
-    lines = itertools.chain.from_iterable(_csv_blocks(itertools.chain([header], fixed)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(next(lines))
-        fh.writelines(
-            f"{line[:-1]},{cells}\n"
-            for cells, line in zip(_repr_rows(path, table.matrix, b","), lines)
-        )
+    write_table(path, header, (table.image_ids, table.identity_ids, table.roles,
+                               table.target_ids, table.genders, table.age_groups), table.matrix)
 
 
 # is_dummy texts, lower-cased, and the flags they stand for
@@ -1023,12 +1061,11 @@ def read_annotations(path) -> AnnotationTable:
     Within a row `is_dummy` is checked first, then `RawAnnotation`'s rules;
     the first bad row raises, naming `path:line`.
     """
-    header, rows = read_csv(path)
+    header, linenos, rows = read_csv(path)
     if header != ANNOTATION_COLUMNS:
         raise FormatError(f"{path}: header must be {','.join(ANNOTATION_COLUMNS)}")
-    linenos, fields = tuple(zip(*rows)) or ((), ())
     annotator_ids, triplet_ids, choices, flags, answers = (
-        tuple(zip(*fields)) or ((),) * len(ANNOTATION_COLUMNS)
+        tuple(zip(*rows)) or ((),) * len(ANNOTATION_COLUMNS)
     )
     is_dummy = list(map(_BOOLEANS.get, map(str.lower, flags)))
     bad = is_dummy.index(None) if None in is_dummy else len(rows)
@@ -1059,11 +1096,11 @@ def save_annotations(annotations: Sequence[RawAnnotation], path) -> None:
 
 def load_manifest(path) -> Dict[str, Tuple[str, str, str]]:
     """Triplet manifest: triplet_id -> (ref_id, option_a_id, option_b_id)."""
-    header, rows = read_csv(path)
+    header, linenos, rows = read_csv(path)
     if header != MANIFEST_COLUMNS:
         raise FormatError(f"{path}: header must be {','.join(MANIFEST_COLUMNS)}")
     manifest: Dict[str, Tuple[str, str, str]] = {}
-    for lineno, row in rows:
+    for lineno, row in zip(linenos, rows):
         triplet_id, ref_id, a_id, b_id = row
         if triplet_id in manifest:
             raise ValidationError(f"{path}:{lineno}: duplicate triplet_id '{triplet_id}'")

@@ -99,28 +99,6 @@ class ProjectionModel:
         return isinstance(other, ProjectionModel) and np.array_equal(self._weight, other._weight)
 
 
-def project(model: ProjectionModel, v: np.ndarray) -> np.ndarray:
-    """Apply the projection; output may be any finite vector including zero."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != model.dim:
-        raise ValidationError(
-            f"vector has dimension {v.shape}, model expects ({model.dim},)"
-        )
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("input vector contains non-finite entries")
-    return model.weight @ v
-
-
-def project_records(model: ProjectionModel, records: Sequence) -> np.ndarray:
-    """Projected rows of embedding records, row i for records[i] (see `project_block`)."""
-    try:
-        block = np.array([r.vector for r in records], dtype=np.float64)
-        block = block.reshape(len(records), model.dim)
-    except ValueError:
-        raise ValidationError(f"records do not all have the model dimension {model.dim}") from None
-    return model.project_block(block, [r.image_id for r in records])
-
-
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity, clamped into [-1, 1] against rounding.
 
@@ -155,9 +133,13 @@ def scaled_cosine(
     v: np.ndarray,
     scaled_v: Tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """`rowwise_cosine(u, v)` given `scale_rows(u)` and `scale_rows(v)`.
+    """Cosine of each row of u with the same row of v, given `scale_rows(u)` and `scale_rows(v)`.
 
-    Rows scaled once can be scored against many others without scaling them again.
+    Either side may be a single row, broadcast against every row of the other,
+    and rows scaled once can be scored against many others without scaling
+    them again. Each row is reduced on its own, so a row's value never depends
+    on the other rows of the block. Clamped into [-1, 1]; equal rows score
+    exactly 1.0. No row may be all zero.
     """
     (su, nu), (sv, nv) = scaled_u, scaled_v
     value = np.clip(np.sum(su * sv, axis=1) / (nu * nv), -1.0, 1.0)
@@ -166,29 +148,3 @@ def scaled_cosine(
     u, v = np.broadcast_arrays(u, v)
     value[same[(u[same] == v[same]).all(axis=1)]] = 1.0
     return value
-
-
-def rowwise_cosine(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cosine of each row of u with the same row of v, for rows that are not all zero.
-
-    Either side may be a single row, broadcast against every row of the other.
-    Rows are scaled by their largest absolute component first (`scale_rows`),
-    and each row is reduced on its own, so a row's value never depends on the
-    other rows of the block. Clamped into [-1, 1]; equal rows score exactly 1.0.
-    """
-    return scaled_cosine(u, scale_rows(u), v, scale_rows(v))
-
-
-def distance(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - cosine(u, v); lies in [0, 2]."""
-    return 1.0 - cosine(u, v)
-
-
-def similarity_score(model: ProjectionModel, a, b) -> float:
-    """Cosine similarity of two embedding records under the projection.
-
-    Computed like every block path (`project_records`, then `rowwise_cosine`),
-    so it agrees with them bit for bit.
-    """
-    rows = project_records(model, [a, b])
-    return float(rowwise_cosine(rows[:1], rows[1:])[0])

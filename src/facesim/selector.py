@@ -59,30 +59,26 @@ def _mode_groups(groups: Dict[str, AttributeGroup], group_mode: str) -> List[Att
     return [groups[n] for n in names]
 
 
-def _rank(
-    name: str, query: EmbeddingRecord, sims: np.ndarray, gallery: Gallery, rows: np.ndarray
-) -> List[RankedCandidate]:
-    """The group's eligible members by descending similarity to the query.
+def _ranking(
+    name: str, query: EmbeddingRecord, sims: np.ndarray, gallery: Gallery, rows: np.ndarray,
+    id_rank: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The image ids and similarities of the group's eligible members, by descending similarity.
 
-    `sims` is the query's row of the `similarity_table`, and `rows` are the
-    group's gallery rows. The query's own image and any candidate sharing its
-    identity are excluded from candidacy. Ties order by image_id.
-    """
+    `sims` is the query's row of the `similarity_table`, `rows` the group's
+    gallery rows, and `id_rank` each gallery row's place in image_id order.
+    The query's own image and any candidate sharing its identity are excluded
+    from candidacy. Ties order by image_id."""
     image_ids = gallery.image_ids[rows]
     eligible = (image_ids != query.image_id) & (gallery.identity_ids[rows] != query.identity_id)
     if not eligible.any():
         raise ValidationError(
             f"group '{name}' has no candidates distinct from query '{query.image_id}'"
         )
-    sims, image_ids = sims[rows][eligible], image_ids[eligible]
+    sims = sims[rows][eligible]
     # -0.0 and 0.0 tie, and ties order by image_id
-    order = np.lexsort((image_ids, -sims))
-    return [
-        RankedCandidate(image_id=image_id, similarity=sim, rank=i)
-        for i, (sim, image_id) in enumerate(
-            zip(sims[order].tolist(), image_ids[order].tolist()), start=1
-        )
-    ]
+    order = np.lexsort((id_rank[rows][eligible], -sims))
+    return image_ids[eligible][order], sims[order]
 
 
 def recommend_batch(
@@ -91,13 +87,14 @@ def recommend_batch(
     groups: Dict[str, AttributeGroup],
     k: int = 5,
     group_mode: str = "intersection",
-) -> List[Tuple[Recommendation, List[RankedCandidate]]]:
+) -> List[Tuple[Recommendation, Tuple[np.ndarray, np.ndarray]]]:
     """Each query's `recommend` result and the full ranking of its selected group.
 
     The selected group is the `closest` by CI upper bound: "intersection"
     classifies among the four age x gender groups (tightest attribute
     consistency); "all" competes all eight groups. One `similarity_table` row
-    per query serves both the group choice and the ranking of the chosen group.
+    per query serves both the group choice and the ranking of the chosen group,
+    two arrays of image ids and similarities, most similar (rank 1) first.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -105,14 +102,19 @@ def recommend_batch(
     gallery, table = similarity_table(model, queries, candidates)
     names = [g.name for g in candidates]
     stats = _group_stats(queries, gallery, table, use_t=False)
+    id_rank = np.argsort(np.argsort(gallery.image_ids))  # the ids are distinct
     results = []
     for query, sims, n, g in zip(queries, table, stats.n, closest(names, stats.upper).tolist()):
         _require_other_members(names, [query], n[None])
-        ranking = _rank(names[g], query, sims, gallery, gallery.members[g])
+        image_ids, similarities = ranking = _ranking(
+            names[g], query, sims, gallery, gallery.members[g], id_rank
+        )
+        last = len(image_ids)
         recommendation = Recommendation(
             query_id=query.image_id,
             selected_group=names[g],
-            candidates=tuple(ranking[::-1][:k]),
+            candidates=tuple(RankedCandidate(image_ids[r - 1], float(similarities[r - 1]), r)
+                             for r in range(last, max(last - k, 0), -1)),
             k=k,
         )
         results.append((recommendation, ranking))

@@ -19,11 +19,11 @@ from facesim.errors import FormatError, IntegrityError, ValidationError
 
 
 def load_annotations(path) -> List[RawAnnotation]:
-    header, rows = read_csv(path)
+    header, linenos, rows = read_csv(path)
     if header != ANNOTATION_COLUMNS:
         raise FormatError(f"{path}: header must be {','.join(ANNOTATION_COLUMNS)}")
     annotations = []
-    for lineno, row in rows:
+    for lineno, row in zip(linenos, rows):
         annotator_id, triplet_id, choice, is_dummy, dummy_answer = row
         if is_dummy.lower() not in ("true", "false", "0", "1"):
             raise FormatError(f"{path}:{lineno}: is_dummy must be boolean, got '{is_dummy}'")

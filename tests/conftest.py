@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from facesim import synth
+from facesim.attributes import AttributeGroup
 from facesim.corpus import EMBEDDING_FIXED_COLUMNS, EmbeddingRecord, EmbeddingTable, RawAnnotation
 
 
@@ -34,6 +35,26 @@ def table_of(records):
         tuple(getattr(rec, name) for rec in records) for name in EMBEDDING_FIXED_COLUMNS
     )
     return EmbeddingTable(columns, np.array([rec.vector for rec in records], dtype=float))
+
+
+def make_groups(members):
+    """Attribute groups named by the keys of `members`, each holding its records in order,
+    as rows of one table of the distinct records (the same image_id is the same record)."""
+    distinct = {}
+    for group in members.values():
+        for record in group:
+            assert distinct.setdefault(record.image_id, record) is record, record.image_id
+    table = table_of(list(distinct.values()))
+    return {
+        name: AttributeGroup(name, table, np.array([table.row(r.image_id) for r in group],
+                                                   dtype=np.intp))
+        for name, group in members.items()
+    }
+
+
+def make_group(name, members):
+    """One attribute group of these records (see `make_groups`)."""
+    return make_groups({name: members})[name]
 
 
 def vectors(table, image_ids):

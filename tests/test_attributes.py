@@ -6,26 +6,25 @@ from hypothesis import given, settings, strategies as st
 
 from facesim import attributes, selector
 from facesim.attributes import (
-    AttributeGroup,
     auc,
     build_groups,
     closest,
     evaluate_classification,
     group_distances,
     similarity_table,
-    summarize_distances,
 )
 from facesim.errors import DegenerateVectorError, EvaluationError, ValidationError
-from facesim.metric import (
-    ProjectionModel,
+from facesim.metric import ProjectionModel
+
+from conftest import make_group, make_groups, make_record
+from scalar_oracle import (
     distance,
     project,
     project_records,
     rowwise_cosine,
     similarity_score,
+    summarize_distances,
 )
-
-from conftest import make_record
 
 
 def labeled(image_id, vector, gender, age_group):
@@ -86,6 +85,15 @@ class TestBuildGroups:
             g1[n].member_ids != g3[n].member_ids for n in attributes.INTERSECTION_GROUPS
         )
 
+    @pytest.mark.parametrize("per_intersection", [None, 3])
+    def test_table_and_its_records_give_the_same_groups(self, clustered, per_intersection):
+        from_table = build_groups(clustered.candidates, per_intersection, seed=4)
+        from_records = build_groups(list(clustered.candidates), per_intersection, seed=4)
+        for name in attributes.ALL_GROUPS:
+            assert from_table[name].table is clustered.candidates
+            assert from_table[name].member_ids == from_records[name].member_ids
+            assert from_table[name].rows.tolist() == from_records[name].rows.tolist()
+
     def test_sampling_too_large_raises(self, labeled_pool):
         with pytest.raises(ValidationError):
             build_groups(labeled_pool, per_intersection=6)
@@ -100,7 +108,7 @@ class TestGroupDistance:
             for i, s in enumerate((1.0, -1.0))
         )
         res = group_distances(
-            ProjectionModel.identity(2), [query], [AttributeGroup("male", members)]
+            ProjectionModel.identity(2), [query], [make_group("male", members)]
         )[0][0]
         assert res.sd_d == pytest.approx(0.0, abs=1e-12)
         assert res.upper == pytest.approx(res.mean_d, abs=1e-12)
@@ -144,7 +152,7 @@ class TestGroupDistance:
 
     def test_query_excluded_from_own_group(self):
         query = labeled("shared", [1.0, 0.0], "male", "young")
-        group = AttributeGroup(
+        group = make_group(
             "male", (query, labeled("other", [0.0, 1.0], "male", "young"))
         )
         res = group_distances(ProjectionModel.identity(2), [query], [group])[0][0]
@@ -155,7 +163,7 @@ class TestGroupDistance:
         query = labeled("q", np.arange(1.0, 7.0), "male", "young")
         model = ProjectionModel.identity(6)
         direct = group_distances(model, [query], [groups["male"]])[0][0]
-        concat = AttributeGroup(
+        concat = make_group(
             "male", groups["young_male"].members + groups["older_male"].members
         )
         via_parts = group_distances(model, [query], [concat])[0][0]
@@ -184,7 +192,7 @@ class TestGroupDistance:
                     if m.image_id != query.image_id
                 ],
             )
-            res = group_distances(model, [query], [AttributeGroup("male", members)])[0][0]
+            res = group_distances(model, [query], [make_group("male", members)])[0][0]
             assert res.n == oracle.n
             for field in ("mean_d", "sd_d", "upper"):
                 assert getattr(res, field) == pytest.approx(
@@ -240,7 +248,7 @@ class TestGroupDistance:
 
     def test_zero_projection_member_is_named(self):
         model = ProjectionModel(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        group = AttributeGroup(
+        group = make_group(
             "male",
             (labeled("fine", [1.0, 1.0], "male", "young"),
              labeled("flat", [0.0, 2.0], "male", "young")),
@@ -278,7 +286,7 @@ class TestGallery:
         # a member equal to the query scores exactly 1.0
         queries = [labeled("q", rng.normal(size=dim), "male", "young"), pool[-1]]
         gallery, sims = similarity_table(model, queries, chosen)
-        assert len(gallery.image_ids) == len({id(m) for g in chosen for m in g.members})
+        assert len(gallery.image_ids) == len(set(np.concatenate([g.rows for g in chosen])))
         for q, row in zip(queries, sims):
             for g, rows in zip(chosen, gallery.members):
                 oracle = rowwise_cosine(project_records(model, [q]),
@@ -286,6 +294,15 @@ class TestGallery:
                 assert np.array_equal(row[rows], oracle)
                 assert gallery.image_ids[rows].tolist() == g.member_ids
         assert sims[1][gallery.image_ids == pool[-1].image_id].tolist() == [1.0]
+
+    def test_scoring_needs_groups_of_one_table(self, labeled_pool):
+        one, other = build_groups(labeled_pool), build_groups(labeled_pool)
+        query = labeled("q", np.arange(1.0, 7.0), "male", "young")
+        with pytest.raises(ValidationError, match="one table"):
+            similarity_table(ProjectionModel.identity(6), [query],
+                             [one["young_male"], other["older_male"]])
+        with pytest.raises(ValidationError, match="needs attribute groups"):
+            similarity_table(ProjectionModel.identity(6), [query], [])
 
     def test_union_rows_are_its_intersections_rows(self, labeled_pool):
         groups = build_groups(labeled_pool)
@@ -312,20 +329,23 @@ class TestGallery:
     )
     def test_rank_orders_by_similarity_then_image_id(self, members):
         query = labeled("query", [1.0, 0.0], "male", "young")
-        group = AttributeGroup(
+        group = make_group(
             "male", tuple(labeled(i, [0.5, 0.5], "male", "young") for i, _ in members)
         )
         model = ProjectionModel.identity(2)
         # equal vectors: image_id alone orders the ranking
         gallery, table = similarity_table(model, [query], [group])
-        ranking = selector._rank(group.name, query, table[0], gallery, gallery.members[0])
-        assert [c.image_id for c in ranking] == sorted(group.member_ids)
-        assert [c.rank for c in ranking] == list(range(1, len(members) + 1))
+        id_rank = np.argsort(np.argsort(gallery.image_ids))
+        image_ids, _ = selector._ranking(group.name, query, table[0], gallery,
+                                         gallery.members[0], id_rank)
+        assert image_ids.tolist() == sorted(group.member_ids)
+        assert len(image_ids) == len(members)
         # given similarities, signed zeros among them: -0.0 and 0.0 tie
         sims = np.array([sim for _, sim in members])
-        ranking = selector._rank(group.name, query, sims, gallery, gallery.members[0])
+        image_ids, similarities = selector._ranking(group.name, query, sims, gallery,
+                                                    gallery.members[0], id_rank)
         oracle = sorted(zip(sims.tolist(), group.member_ids), key=lambda p: (-p[0], p[1]))
-        assert [(c.similarity, c.image_id) for c in ranking] == oracle
+        assert list(zip(similarities.tolist(), image_ids.tolist())) == oracle
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4), st.sets(st.integers(0, 15), min_size=2, max_size=5),
@@ -347,7 +367,7 @@ class TestGallery:
         expected = None
         for g in chosen:  # the groups projected one at a time, in order
             try:
-                project_records(model, g.members)
+                model.project_block(g.table.matrix[g.rows], g.member_ids)
             except DegenerateVectorError as exc:
                 expected = str(exc)
                 break
@@ -375,11 +395,9 @@ class TestClassifyQuery:
     def test_tie_breaks_lexicographically(self):
         members = tuple(labeled(f"m{i}", [1.0, float(i)], "male", "young") for i in range(3))
         # four groups of the same members, "alpha" neither first nor last
-        groups = {
-            key: AttributeGroup(name, members)
-            for key, name in zip(attributes.INTERSECTION_GROUPS,
-                                 ("bravo", "alpha", "delta", "charlie"))
-        }
+        names = ("bravo", "alpha", "delta", "charlie")
+        built = make_groups({name: members for name in names})
+        groups = {key: built[name] for key, name in zip(attributes.INTERSECTION_GROUPS, names)}
         query = labeled("q", [1.0, 1.0], "male", "young")
         [(rec, _)] = selector.recommend_batch(ProjectionModel.identity(2), [query], groups)
         assert rec.selected_group == "alpha"
@@ -396,16 +414,13 @@ class TestClassifyQuery:
     def test_scale_invariance(self, clustered):
         groups = build_groups(list(clustered.candidates))
         model = ProjectionModel.identity(16)
-        scaled_groups = {
-            n: AttributeGroup(
-                n,
-                tuple(
-                    labeled(m.image_id, 3.5 * m.vector, m.gender, m.age_group)
-                    for m in groups[n].members
-                ),
+        scaled_groups = make_groups({
+            n: tuple(
+                labeled(m.image_id, 3.5 * m.vector, m.gender, m.age_group)
+                for m in groups[n].members
             )
             for n in attributes.INTERSECTION_GROUPS
-        }
+        })
         queries = list(clustered.queries)[:10]
         assert [
             rec.selected_group for rec, _ in selector.recommend_batch(model, queries, groups)

@@ -281,8 +281,8 @@ class TestPipeline:
 
         monkeypatch.setattr(attributes, "scaled_cosine",
                             counting(attributes.scaled_cosine, scored))
-        monkeypatch.setattr(attributes, "project_records",
-                            counting(attributes.project_records, projected))
+        monkeypatch.setattr(ProjectionModel, "project_block",
+                            counting(ProjectionModel.project_block, projected))
         model = tmp_path / "identity.json"
         ProjectionModel.identity(8).save(model)
         assert cli.run(["eval-attributes", "--model", str(model),
@@ -297,6 +297,36 @@ class TestPipeline:
         n_queries = len(corpus.load_embeddings(clustered_dir / "queries.csv"))
         assert projected == [n_candidates, n_queries] == [80, 12]
         assert scored == [n_candidates] * n_queries
+
+    def test_attribute_commands_build_no_candidate_records(
+        self, clustered_dir, tmp_path, monkeypatch
+    ):
+        """eval-attributes and select gather the candidates table's rows; only the
+        queries become records."""
+        built = []
+        post_init = corpus.EmbeddingRecord.__post_init__
+
+        def counting(record):
+            built.append(record.image_id)
+            post_init(record)
+
+        monkeypatch.setattr(corpus.EmbeddingRecord, "__post_init__", counting)
+        model = tmp_path / "identity.json"
+        ProjectionModel.identity(8).save(model)
+        inputs = ["--model", str(model), "--candidates", str(clustered_dir / "candidates.csv")]
+        queries = str(clustered_dir / "queries.csv")
+        for argv in (
+            ["eval-attributes", *inputs, "--queries", queries, "--per-group", "6",
+             "--report", str(tmp_path / "a.json"), "--distances", str(tmp_path / "d.csv")],
+            ["select", *inputs, "--query", queries, "--group-mode", "all",
+             "--out", str(tmp_path / "s.json"), "--ranking", str(tmp_path / "r.csv")],
+        ):
+            assert cli.run(argv) == 0
+        query_ids = [q.image_id for q in corpus.load_embeddings(queries)]
+        assert built == query_ids * 3
+        built.clear()
+        candidates = list(corpus.load_embeddings(clustered_dir / "candidates.csv"))
+        assert built == [rec.image_id for rec in candidates]  # the count sees records when built
 
     def test_attribute_commands_leave_scipy_unimported(self, clustered_dir, tmp_path):
         # importing scipy.stats costs ~1.2 s and ~69 MB; only --student-t needs it
@@ -836,6 +866,55 @@ def _golden_hashes(work, mode):
 def test_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys, mode):
     monkeypatch.chdir(tmp_path)
     assert _golden_hashes(tmp_path, mode) == GOLDEN_OUTPUTS[mode]
+    capsys.readouterr()
+
+
+ATTRIBUTE_GOLDEN_OUTPUTS = {
+    "attributes.json": "0c5bc3786ad254dab772e981326e49b8b5158dc34a2a53ff81bca6772029ff1c",
+    "distances.csv": "828ff51c790a9d3eafedb73de44c044e49eee3e93824a398337f26c888db71e6",
+    "recommendations.json": "ae662f17dee50a410ad3b4234f8568640c12a4d433111c2e2bd5a2ea0b3e8175",
+    "ranking.csv": "4a9a9c19d57ebfe1005bf02dab851eac2b38cfff44ddaf249bb78c93bb58faca",
+    "recommendations_all.json": "4ccae83d3f022b9bade23700c23b2f5cc46c4225b3ccfbb40afd1698d33dbe93",
+    "ranking_all.csv": "4a9a9c19d57ebfe1005bf02dab851eac2b38cfff44ddaf249bb78c93bb58faca",
+    "recommendations_sampled.json":
+        "916874afd21d58318f7cb753642664fdcfb902efa41e8b90b378a00e9918f7c2",
+    "ranking_sampled.csv": "c4a5d6fa2c9d0aee2e8fcd411b76a9d16838a49b48a3327f6a56b75a7048582c",
+}
+
+
+def _attribute_golden_hashes(work):
+    """The sha256 of each output of `eval-attributes` and three `select` runs in `work`.
+
+    The last `select` ranks the candidates against themselves, so each query's
+    own image is excluded from its groups, over `--per-group` samples; it picks
+    union groups for some queries.
+    """
+    synth.clustered_attributes(seed=13, per_cluster=9, n_queries=8, dim=6).write(work)
+    # a rank-2 map plus a little of the identity blurs the clusters, so that the
+    # sampled run picks union groups for some queries
+    rng = np.random.default_rng(13)
+    weight = 0.1 * np.eye(6) + rng.normal(size=(6, 2)) @ rng.normal(size=(2, 6))
+    ProjectionModel(weight).save(work / "model.json")
+    common = ["--model", "model.json", "--candidates", "candidates.csv"]
+    for argv in (
+        ["eval-attributes", *common, "--queries", "queries.csv", "--report", "attributes.json",
+         "--distances", "distances.csv"],
+        ["select", *common, "--query", "queries.csv", "--k", "3", "--group-mode",
+         "intersection", "--out", "recommendations.json", "--ranking", "ranking.csv"],
+        ["select", *common, "--query", "queries.csv", "--k", "4", "--group-mode", "all",
+         "--out", "recommendations_all.json", "--ranking", "ranking_all.csv"],
+        ["select", *common, "--query", "candidates.csv", "--group-mode", "all",
+         "--per-group", "5", "--seed", "2", "--out", "recommendations_sampled.json",
+         "--ranking", "ranking_sampled.csv"],
+    ):
+        assert cli.run(argv) == 0
+    return {name: hashlib.sha256((work / name).read_bytes()).hexdigest()
+            for name in ATTRIBUTE_GOLDEN_OUTPUTS}
+
+
+def test_attribute_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _attribute_golden_hashes(tmp_path) == ATTRIBUTE_GOLDEN_OUTPUTS
     capsys.readouterr()
 
 

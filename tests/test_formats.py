@@ -27,6 +27,7 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -124,10 +125,6 @@ REPO = Path(__file__).resolve().parents[1]
 
 # public names that no code under src/ or perfbench/ uses, kept on purpose
 UNREFERENCED_ALLOWED = {
-    "metric.project": "scalar oracle of `project_block`",
-    "metric.distance": "scalar oracle of the group distances",
-    "metric.similarity_score": "scalar oracle of the block cosines",
-    "attributes.summarize_distances": "scalar oracle of the group statistics",
     "attributes.evaluate_classification": "library entry: groups and queries to a report",
     "attributes.AttributeGroup.member_ids": "a group's image ids, for library users",
 }
@@ -796,8 +793,8 @@ def test_write_csv_reads_back(tmp_path, field):
     assert path.read_bytes().decode("utf-8") == "".join(
         _csv_module_lines([["a", "b", "c"], *rows])
     )
-    header, read = corpus.read_csv(path)
-    assert [header, *(fields for _, fields in read)] == [
+    header, _, read = corpus.read_csv(path)
+    assert [header, *read] == [
         ["a", "b", "c"], *[[field, "x", "0.1"], ["y", field, "-0.0"]] * 300
     ]
 
@@ -896,6 +893,57 @@ def test_save_embeddings_in_pieces(tmp_path, monkeypatch, dim, rows, piece_cells
     cells = np.concatenate(list(FORMATTER_CASES.values()))
     picked = np.random.default_rng(dim).choice(cells, rows * dim)
     _assert_saved_as_by_csv_module(_table_of_cells(picked, dim), tmp_path)
+
+
+AWKWARD_LABELS = ["plain", "a,b", 'say "hi"', "cr\rlf\n", "\r", "\n", "\r\n", "naïve 名前",
+                  " leading space", "", None, 7, 0]
+AWKWARD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-4, float(np.nextafter(1e-4, 0)), 1e16,
+                  float(np.nextafter(1e16, 0)), -1e16, float("nan"), float("inf"), 0.1, 1 / 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.data(),
+    st.booleans(),
+)
+def test_write_table_writes_what_the_csv_writer_and_repr_write(
+    tmp_path_factory, n_labels, dim, data, small_blocks
+):
+    """`write_table` and `save_embeddings` against `write_csv` and the csv module: labels
+    with a comma, a quote, CR, LF, non-ASCII text, a leading space and the empty
+    string; floats at signed zeros, subnormals, the 1e-4 and 1e16 boundaries and nan."""
+    label = st.sampled_from(AWKWARD_LABELS) | st.text(max_size=3)
+    cell = st.sampled_from(AWKWARD_FLOATS) | st.floats(width=64)
+    rows = data.draw(st.lists(st.tuples(st.lists(label, min_size=n_labels, max_size=n_labels),
+                                        st.lists(cell, min_size=dim, max_size=dim)),
+                              max_size=12))
+    header = [f"l{i}" for i in range(n_labels)] + [f"v{i}" for i in range(dim)]
+    labels = [list(column) for column in zip(*(row for row, _ in rows))] or [[]] * n_labels
+    matrix = np.array([cells for _, cells in rows], dtype=np.float64).reshape(len(rows), dim)
+    work = tmp_path_factory.mktemp("table")
+    with mock.patch.object(corpus, "_CSV_BLOCK_ROWS", 2 if small_blocks else 512):
+        corpus.write_table(work / "got.csv", header, labels, matrix)
+    corpus.write_csv(work / "expected.csv", header, (row + cells for row, cells in rows))
+    expected = (work / "expected.csv").read_bytes()
+    assert (work / "got.csv").read_bytes() == expected
+    assert expected.decode("utf-8") == "".join(
+        _csv_module_lines([header, *(row + cells for row, cells in rows)])
+    )
+
+    # the embedding writer over the same cells and labels, rows that a table holds
+    kept = np.flatnonzero(np.isfinite(matrix).all(axis=1) & matrix.any(axis=1)).tolist()
+    ids = [f"{i}:{labels[0][i]}" for i in kept]
+    texts = [str(labels[-1][i]) for i in kept]
+    table = corpus.EmbeddingTable(
+        (tuple(ids), tuple(texts), tuple("swapped" if t else "source" for t in texts),
+         tuple(t or None for t in texts), ("male",) * len(kept), ("young",) * len(kept)),
+        matrix[kept],
+    )
+    corpus.save_embeddings(table, work / "got.csv")
+    _csv_module_save_embeddings(table, work / "expected.csv")
+    assert (work / "got.csv").read_bytes() == (work / "expected.csv").read_bytes()
 
 
 def test_save_embeddings_writes_cells_outside_the_fixed_range_with_repr(tmp_path, caplog):

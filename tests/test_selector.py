@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from facesim import attributes, selector
-from facesim.attributes import (
-    AttributeGroup,
-    build_groups,
-    similarity_table,
-    summarize_distances,
-)
+from facesim.attributes import build_groups, similarity_table
 from facesim.errors import DegenerateVectorError, ValidationError
-from facesim.metric import ProjectionModel, cosine, project, similarity_score
+from facesim.metric import ProjectionModel, cosine
 
-from conftest import make_record
+import scalar_oracle
+from conftest import make_group, make_groups, make_record
+from scalar_oracle import project, similarity_score, summarize_distances
 
 
 def candidate(image_id, vector, identity_id=None, gender="male", age_group="young"):
@@ -29,7 +27,7 @@ def simple_group():
         candidate("mid", [1.0, 1.0]),
         candidate("low", [-0.5, 1.0]),
     )
-    return AttributeGroup("young_male", members)
+    return make_group("young_male", members)
 
 
 QUERY = make_record("query", [1.0, 0.0], identity_id="query_identity", role="target",
@@ -37,9 +35,28 @@ QUERY = make_record("query", [1.0, 0.0], identity_id="query_identity", role="tar
 
 
 def rank(model, query, group):
-    """The group's full ranking for the query, as `recommend_batch` ranks a selected group."""
+    """The group's full ranking for the query, as `recommend_batch` ranks a selected group,
+    one `RankedCandidate` per entry."""
     gallery, sims = similarity_table(model, [query], [group])
-    return selector._rank(group.name, query, sims[0], gallery, gallery.members[0])
+    image_ids, similarities = selector._ranking(
+        group.name, query, sims[0], gallery, gallery.members[0],
+        np.argsort(np.argsort(gallery.image_ids)),
+    )
+    return [selector.RankedCandidate(*entry) for entry in zip(
+        image_ids.tolist(), similarities.tolist(), range(1, len(image_ids) + 1)
+    )]
+
+
+def oracle_rank(model, query, group):
+    """The group's full ranking for the query, by the per-candidate oracle."""
+    gallery, sims = similarity_table(model, [query], [group])
+    return scalar_oracle.rank(group.name, query, sims[0], gallery, gallery.members[0])
+
+
+def as_arrays(ranking):
+    """A list of `RankedCandidate`s as `recommend_batch`'s two ranking arrays."""
+    assert [c.rank for c in ranking] == list(range(1, len(ranking) + 1))
+    return ([c.image_id for c in ranking], [c.similarity for c in ranking])
 
 
 class TestRankCandidates:
@@ -49,7 +66,7 @@ class TestRankCandidates:
         assert [c.rank for c in ranking] == [1, 2, 3]
 
     def test_equal_similarity_ordered_by_image_id(self):
-        group = AttributeGroup(
+        group = make_group(
             "young_male",
             (candidate("zeta", [0.0, 1.0]), candidate("alpha", [0.0, 2.0])),
         )
@@ -62,7 +79,7 @@ class TestRankCandidates:
         members = tuple(
             candidate(f"m{i:03d}", rng.normal(size=8)) for i in range(100)
         )
-        group = AttributeGroup("young_male", members)
+        group = make_group("young_male", members)
         query = make_record("q", rng.normal(size=8), role="target", target_id=None)
         ranking = rank(model, query, group)
         oracle = sorted(
@@ -84,23 +101,21 @@ class TestRankCandidates:
             query = make_record("q", rng.normal(size=dim), role="target", target_id=None)
             q = project(model, query.vector)
             oracle = {m.image_id: cosine(q, project(model, m.vector)) for m in members}
-            ranking = rank(
-                model, query, AttributeGroup("young_male", members)
-            )
+            ranking = rank(model, query, make_group("young_male", members))
             assert len(ranking) == len(members)
             for c in ranking:
                 assert c.similarity == pytest.approx(oracle[c.image_id], abs=1e-12)
 
     def test_zero_projection_member_is_named(self):
         model = ProjectionModel(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        group = AttributeGroup(
+        group = make_group(
             "young_male", (candidate("fine", [1.0, 1.0]), candidate("flat", [0.0, 2.0]))
         )
         with pytest.raises(DegenerateVectorError, match="flat"):
             rank(model, QUERY, group)
 
     def test_query_and_identity_excluded(self):
-        group = AttributeGroup(
+        group = make_group(
             "young_male",
             (
                 candidate("query", [1.0, 0.0]),
@@ -112,12 +127,12 @@ class TestRankCandidates:
         assert [c.image_id for c in ranking] == ["ok"]
 
     def test_all_excluded_raises(self):
-        group = AttributeGroup("young_male", (candidate("query", [1.0, 0.0]),))
+        group = make_group("young_male", (candidate("query", [1.0, 0.0]),))
         with pytest.raises(ValidationError):
             rank(ProjectionModel.identity(2), QUERY, group)
 
     def test_scale_invariant(self, simple_group):
-        scaled = AttributeGroup(
+        scaled = make_group(
             simple_group.name,
             tuple(
                 candidate(m.image_id, 7.0 * m.vector, identity_id=m.identity_id)
@@ -177,13 +192,9 @@ class TestRecommend:
     @staticmethod
     def _groups_with(simple_group):
         far = (candidate("far_a", [-1.0, 0.1]), candidate("far_b", [-1.0, -0.1]))
-        groups = {
-            name: AttributeGroup(name, far)
-            for name in attributes.INTERSECTION_GROUPS
-            if name != simple_group.name
-        }
-        groups[simple_group.name] = simple_group
-        return groups
+        members = {name: far for name in attributes.INTERSECTION_GROUPS}
+        members[simple_group.name] = simple_group.members
+        return make_groups(members)
 
     def test_k_clamps_to_group_size(self, simple_group):
         rec = selector.recommend(
@@ -200,7 +211,10 @@ class TestRecommend:
         batch = selector.recommend_batch(model, queries, groups, k=3, group_mode="all")
         for q, (rec, ranking) in zip(queries, batch):
             assert rec == selector.recommend(model, q, groups, k=3, group_mode="all")
-            assert ranking == rank(model, q, groups[rec.selected_group])
+            image_ids, sims = ranking
+            assert (image_ids.tolist(), sims.tolist()) == as_arrays(
+                oracle_rank(model, q, groups[rec.selected_group])
+            )
 
     def test_all_groups_tied_select_first_name(self):
         # every member vector equal: all eight upper bounds tie exactly, and
@@ -251,3 +265,40 @@ class TestRecommend:
         payload = rec.to_json()
         assert payload["query_id"] == "query"
         assert payload["candidates"][0]["image_id"] == "low"
+
+
+OTHER_IDS = st.text(min_size=1, max_size=3).filter(lambda image_id: image_id != "query")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(OTHER_IDS, st.booleans(), st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 5e-324])),
+        min_size=1, max_size=12, unique_by=lambda member: member[0],
+    ),
+    st.booleans(),
+)
+def test_array_ranking_equals_the_per_candidate_oracle(members, query_in_group):
+    """`selector._ranking` against the oracle, id for id and bit for bit: ties (signed zeros
+    among them), the query's image and identity excluded, and groups left with no one."""
+    records = [
+        candidate(image_id, [1.0, 0.5], identity_id="query_identity" if twin else None)
+        for image_id, twin, _ in members
+    ] + ([candidate("query", [1.0, 0.0])] if query_in_group else [])
+    group = make_group("young_male", records)
+    gallery, _ = similarity_table(ProjectionModel.identity(2), [QUERY], [group])
+    rows = gallery.members[0]
+    sims = np.zeros(len(gallery.image_ids))
+    sims[rows] = [sim for _, _, sim in members] + [0.5] * query_in_group
+
+    def outcome(ranking):
+        try:
+            image_ids, similarities = ranking()
+        except ValidationError as exc:
+            return str(exc)
+        return list(image_ids), [float(s).hex() for s in similarities]
+
+    expected = outcome(lambda: as_arrays(scalar_oracle.rank("g", QUERY, sims, gallery, rows)))
+    got = outcome(lambda: selector._ranking("g", QUERY, sims, gallery, rows,
+                                            np.argsort(np.argsort(gallery.image_ids))))
+    assert got == expected
