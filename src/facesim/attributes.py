@@ -10,9 +10,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import EMBEDDING_FIXED_COLUMNS, EmbeddingRecord, EmbeddingTable
+from .corpus import EmbeddingRecord, EmbeddingTable
 from .errors import EvaluationError, IntegrityError, ValidationError
-from .metric import ProjectionModel, scale_rows, scaled_cosine
+from .metric import ProjectionModel, project_records, scale_rows, scaled_cosine
 
 INTERSECTION_GROUPS = ("older_female", "older_male", "young_female", "young_male")
 UNION_GROUPS = ("female", "male", "older", "young")
@@ -106,7 +106,7 @@ def build_groups(
     """
     if per_intersection is not None and per_intersection < 1:
         raise ValidationError(f"per-group sample size must be >= 1, got {per_intersection}")
-    table = candidates if isinstance(candidates, EmbeddingTable) else _table_of(candidates)
+    table = candidates if isinstance(candidates, EmbeddingTable) else EmbeddingTable.of(candidates)
     pools: Dict[str, List[int]] = {name: [] for name in INTERSECTION_GROUPS}
     for row, (gender, age_group) in enumerate(zip(table.genders, table.age_groups)):
         if gender != "unknown" and age_group != "unknown":
@@ -142,19 +142,6 @@ def build_groups(
     return groups
 
 
-def _table_of(records: Sequence[EmbeddingRecord]) -> EmbeddingTable:
-    """One table of the records' labels and stacked vectors."""
-    columns = tuple(
-        tuple(getattr(record, name) for record in records) for name in EMBEDDING_FIXED_COLUMNS
-    )
-    try:
-        matrix = np.array([record.vector for record in records], dtype=np.float64)
-        matrix = matrix.reshape(len(records), -1 if records else 0)
-    except ValueError:
-        raise ValidationError("candidate vectors must all have one dimension") from None
-    return EmbeddingTable(columns, matrix)
-
-
 @dataclass(frozen=True)
 class Gallery:
     """The distinct table rows of some attribute groups, projected and scaled once.
@@ -175,6 +162,8 @@ def _gallery(model: ProjectionModel, groups: Sequence[AttributeGroup]) -> Galler
     table = groups[0].table if groups else None
     if not groups or any(group.table is not table for group in groups):
         raise ValidationError("scoring needs attribute groups, all rows of one table")
+    if table.dim != model.dim:
+        raise ValidationError(f"records do not all have the model dimension {model.dim}")
     every = np.concatenate([group.rows for group in groups])
     distinct, first = np.unique(every, return_index=True)
     rows = distinct[np.argsort(first)]
@@ -208,12 +197,7 @@ def similarity_table(
         if len(group) == 0:
             raise ValidationError(f"attribute group '{group.name}' is empty")
     gallery = _gallery(model, groups)
-    try:
-        block = np.array([q.vector for q in queries], dtype=np.float64)
-        block = block.reshape(len(queries), model.dim)
-    except ValueError:
-        raise ValidationError(f"queries do not all have the model dimension {model.dim}") from None
-    query_rows = model.project_block(block, [q.image_id for q in queries])
+    query_rows = project_records(model, queries)
     sims = np.empty((len(queries), len(gallery.image_ids)))
     # one query at a time keeps the temporaries to one (n, d) block
     for i in range(len(queries)):

@@ -7,7 +7,6 @@ the source/target-aware evaluation splits with an independent audit.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import itertools
@@ -141,6 +140,18 @@ class EmbeddingTable:
          self.age_groups) = columns
         self._rows: Dict[str, int] = dict(zip(self.image_ids, itertools.count()))
         self._records: Optional[List[EmbeddingRecord]] = None
+
+    @classmethod
+    def of(cls, records: Sequence[EmbeddingRecord]) -> "EmbeddingTable":
+        """One table of the records' labels and stacked vectors."""
+        columns = tuple(tuple(getattr(record, name) for record in records)
+                        for name in EMBEDDING_FIXED_COLUMNS)
+        try:
+            matrix = np.array([record.vector for record in records], dtype=np.float64)
+            matrix = matrix.reshape(len(records), -1 if records else 0)
+        except ValueError:
+            raise ValidationError("record vectors must all have one dimension") from None
+        return cls(columns, matrix)
 
     @property
     def dim(self) -> int:
@@ -327,52 +338,29 @@ def read_csv(path) -> Tuple[List[str], List[int], List[List[str]]]:
 
     A row whose width differs from the header's, malformed CSV and non-UTF-8
     bytes raise `FormatError` naming the path, and the line where it is exact.
-    Rows are listed in one pass and numbered by position when no record spans
-    lines; otherwise, or on an error, they are parsed again, one row at a time.
     """
-    lines: List[str] = []
-    decoding = None
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines.extend(fh)  # keeps the lines decoded before a bad byte
-    except UnicodeDecodeError as exc:
-        decoding = exc
-    reader = csv.reader(lines)
-    with contextlib.suppress(csv.Error):  # a malformed file is parsed again below
-        header, rows = next(reader, None), list(reader)
-        if not decoding and header is not None and reader.line_num == 1 + len(rows):
-            linenos = list(itertools.compress(range(2, 2 + len(rows)), rows))
-            rows = list(filter(None, rows))  # blank lines are empty rows
-            if set(map(len, rows)) <= {len(header)}:
-                return header, linenos, rows
-    reader = csv.reader(_then_raise(lines, decoding))
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise FormatError(f"{path}: empty file")
-        linenos, rows = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(
-                    f"{path}:{reader.line_num}: expected {len(header)} fields,"
-                    f" got {len(row)}"
-                )
-            linenos.append(reader.line_num)
-            rows.append(row)
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file")
+            linenos, rows = [], []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise FormatError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields,"
+                        f" got {len(row)}"
+                    )
+                linenos.append(reader.line_num)
+                rows.append(row)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     except csv.Error as exc:
         raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
     return header, linenos, rows
-
-
-def _then_raise(lines: List[str], error: Optional[Exception]) -> Iterator[str]:
-    """The lines, then `error` raised if there is one, as the file gave them."""
-    yield from lines
-    if error is not None:
-        raise error
 
 
 # rows a CSV write holds as text at once

@@ -99,6 +99,16 @@ class ProjectionModel:
         return isinstance(other, ProjectionModel) and np.array_equal(self._weight, other._weight)
 
 
+def project_records(model: ProjectionModel, records: Sequence) -> np.ndarray:
+    """Projected rows of embedding records, row i for records[i] (see `project_block`)."""
+    try:
+        block = np.array([r.vector for r in records], dtype=np.float64)
+        block = block.reshape(len(records), model.dim)
+    except ValueError:
+        raise ValidationError(f"records do not all have the model dimension {model.dim}") from None
+    return model.project_block(block, [r.image_id for r in records])
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity, clamped into [-1, 1] against rounding.
 

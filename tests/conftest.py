@@ -3,7 +3,7 @@ import pytest
 
 from facesim import synth
 from facesim.attributes import AttributeGroup
-from facesim.corpus import EMBEDDING_FIXED_COLUMNS, EmbeddingRecord, EmbeddingTable, RawAnnotation
+from facesim.corpus import EmbeddingRecord, EmbeddingTable, RawAnnotation
 
 
 @pytest.fixture(scope="session")
@@ -29,14 +29,6 @@ def make_record(image_id, vector, identity_id=None, role="swapped", target_id="t
     )
 
 
-def table_of(records):
-    """The table of these records' labels and stacked vectors."""
-    columns = tuple(
-        tuple(getattr(rec, name) for rec in records) for name in EMBEDDING_FIXED_COLUMNS
-    )
-    return EmbeddingTable(columns, np.array([rec.vector for rec in records], dtype=float))
-
-
 def make_groups(members):
     """Attribute groups named by the keys of `members`, each holding its records in order,
     as rows of one table of the distinct records (the same image_id is the same record)."""
@@ -44,7 +36,7 @@ def make_groups(members):
     for group in members.values():
         for record in group:
             assert distinct.setdefault(record.image_id, record) is record, record.image_id
-    table = table_of(list(distinct.values()))
+    table = EmbeddingTable.of(list(distinct.values()))
     return {
         name: AttributeGroup(name, table, np.array([table.row(r.image_id) for r in group],
                                                    dtype=np.intp))

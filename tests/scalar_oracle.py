@@ -9,7 +9,7 @@ import numpy as np
 
 from facesim.attributes import Z_95, Gallery, GroupDistanceResult
 from facesim.errors import ValidationError
-from facesim.metric import ProjectionModel, cosine, scale_rows, scaled_cosine
+from facesim.metric import ProjectionModel, cosine, project_records, scale_rows, scaled_cosine
 from facesim.selector import RankedCandidate
 
 
@@ -23,16 +23,6 @@ def project(model: ProjectionModel, v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValidationError("input vector contains non-finite entries")
     return model.weight @ v
-
-
-def project_records(model: ProjectionModel, records: Sequence) -> np.ndarray:
-    """Projected rows of embedding records, row i for records[i] (see `project_block`)."""
-    try:
-        block = np.array([r.vector for r in records], dtype=np.float64)
-        block = block.reshape(len(records), model.dim)
-    except ValueError:
-        raise ValidationError(f"records do not all have the model dimension {model.dim}") from None
-    return model.project_block(block, [r.image_id for r in records])
 
 
 def rowwise_cosine(u: np.ndarray, v: np.ndarray) -> np.ndarray:

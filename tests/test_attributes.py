@@ -14,13 +14,12 @@ from facesim.attributes import (
     similarity_table,
 )
 from facesim.errors import DegenerateVectorError, EvaluationError, ValidationError
-from facesim.metric import ProjectionModel
+from facesim.metric import ProjectionModel, project_records
 
 from conftest import make_group, make_groups, make_record
 from scalar_oracle import (
     distance,
     project,
-    project_records,
     rowwise_cosine,
     similarity_score,
     summarize_distances,

@@ -328,6 +328,22 @@ class TestPipeline:
         candidates = list(corpus.load_embeddings(clustered_dir / "candidates.csv"))
         assert built == [rec.image_id for rec in candidates]  # the count sees records when built
 
+    def test_attribute_commands_reject_a_model_of_another_width(
+        self, clustered_dir, tmp_path, capsys
+    ):
+        model = tmp_path / "narrow.json"
+        ProjectionModel.identity(6).save(model)
+        inputs = ["--model", str(model), "--candidates", str(clustered_dir / "candidates.csv")]
+        queries = str(clustered_dir / "queries.csv")
+        for argv in (
+            ["eval-attributes", *inputs, "--queries", queries, "--report", str(tmp_path / "a.json")],
+            ["select", *inputs, "--query", queries, "--out", str(tmp_path / "s.json")],
+        ):
+            assert cli.run(argv) == 3
+            assert capsys.readouterr().err == (
+                "error: records do not all have the model dimension 6\n"
+            )
+
     def test_attribute_commands_leave_scipy_unimported(self, clustered_dir, tmp_path):
         # importing scipy.stats costs ~1.2 s and ~69 MB; only --student-t needs it
         model = tmp_path / "identity.json"

@@ -17,7 +17,7 @@ from facesim.errors import (
 )
 
 import annotation_oracle as oracle
-from conftest import make_annotation, make_record, table_of, vectors
+from conftest import make_annotation, make_record, vectors
 
 
 def write_embeddings(path, rows, dim=4, newline="\n"):
@@ -395,7 +395,7 @@ class TestSplitEval:
                     consistent=True, admitted=True,
                 )
             )
-        table = table_of(records)
+        table = corpus.EmbeddingTable.of(records)
         with pytest.raises(InfeasibleSplitError, match="single target"):
             corpus.split_eval(samples, table, "iii", seed=0)
 
@@ -433,7 +433,7 @@ def test_verify_target_consistency_catches_mismatch():
         make_record("a", rng.normal(size=3), target_id="t1"),
         make_record("b", rng.normal(size=3), target_id="t2"),
     ]
-    table = table_of(records)
+    table = corpus.EmbeddingTable.of(records)
     sample = corpus.TripletSample(
         triplet_id="x", ref_id="c", option_a_id="a", option_b_id="b",
         votes=("A", "A", "A"), majority="A", consistent=True, admitted=True,

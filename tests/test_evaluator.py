@@ -7,7 +7,7 @@ from facesim import corpus, evaluator
 from facesim.errors import DegenerateVectorError, EvaluationError
 from facesim.metric import ProjectionModel
 
-from conftest import make_record, table_of
+from conftest import make_record
 
 
 def make_sample(i, label="A", consistent=True):
@@ -33,7 +33,7 @@ def aligned_corpus():
             make_record(f"i{i}b", far),
         ]
         samples.append(make_sample(i, "A"))
-    return table_of(records), samples
+    return corpus.EmbeddingTable.of(records), samples
 
 
 def test_perfect_model_scores_one(aligned_corpus):
@@ -49,7 +49,7 @@ def test_tied_scores_count_incorrect():
         make_record("i0a", [0.0, 1.0]),
         make_record("i0b", [0.0, 1.0]),
     ]
-    table = table_of(records)
+    table = corpus.EmbeddingTable.of(records)
     accuracy, (rec,) = evaluator.eval_triplets(
         ProjectionModel.identity(2), [make_sample(0, "A")], table
     )
@@ -66,7 +66,7 @@ def test_zero_projection_names_record():
         make_record("i1a", [0.0, 0.0, 2.0]),
         make_record("i1b", [1.0, 0.0, 0.0]),
     ]
-    table = table_of(records)
+    table = corpus.EmbeddingTable.of(records)
     model = ProjectionModel(np.diag([1.0, 1.0, 0.0]))  # maps only i1a to zero
     with pytest.raises(DegenerateVectorError, match="'i1a'"):
         evaluator.eval_triplets(model, [make_sample(0), make_sample(1)], table)

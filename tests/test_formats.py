@@ -38,7 +38,6 @@ from facesim import cli, corpus, synth
 from facesim.errors import FormatError
 from facesim.metric import MODEL_FORMAT_VERSION, ProjectionModel
 
-from conftest import table_of
 
 PACKAGE_DIR = Path(facesim.__file__).resolve().parent
 
@@ -769,7 +768,7 @@ AWKWARD_IDS = ["plain", "a,b", 'say "hi"', "two\nlines", "a\r\nb", "bare\rreturn
 
 @pytest.mark.parametrize("image_id", AWKWARD_IDS)
 def test_save_embeddings_writes_what_the_csv_module_writes(tmp_path, image_id):
-    table = table_of([
+    table = corpus.EmbeddingTable.of([
         corpus.EmbeddingRecord(image_id, "id,1", "swapped", 'target"1', "male", "older",
                                np.array([5e-324, -0.0, 1e308, 0.1])),
         corpus.EmbeddingRecord("other", "id2", "source", None, "female", "unknown",

@@ -35,16 +35,18 @@ QUERY = make_record("query", [1.0, 0.0], identity_id="query_identity", role="tar
 
 
 def rank(model, query, group):
-    """The group's full ranking for the query, as `recommend_batch` ranks a selected group,
-    one `RankedCandidate` per entry."""
+    """The group's full ranking for the query, as `recommend_batch` ranks a selected group:
+    (image_id, similarity) pairs, most similar first."""
     gallery, sims = similarity_table(model, [query], [group])
     image_ids, similarities = selector._ranking(
         group.name, query, sims[0], gallery, gallery.members[0],
         np.argsort(np.argsort(gallery.image_ids)),
     )
-    return [selector.RankedCandidate(*entry) for entry in zip(
-        image_ids.tolist(), similarities.tolist(), range(1, len(image_ids) + 1)
-    )]
+    return list(zip(image_ids.tolist(), similarities.tolist()))
+
+
+def ids(ranking):
+    return [image_id for image_id, _ in ranking]
 
 
 def oracle_rank(model, query, group):
@@ -55,15 +57,13 @@ def oracle_rank(model, query, group):
 
 def as_arrays(ranking):
     """A list of `RankedCandidate`s as `recommend_batch`'s two ranking arrays."""
-    assert [c.rank for c in ranking] == list(range(1, len(ranking) + 1))
     return ([c.image_id for c in ranking], [c.similarity for c in ranking])
 
 
 class TestRankCandidates:
     def test_descending_ranks(self, simple_group):
         ranking = rank(ProjectionModel.identity(2), QUERY, simple_group)
-        assert [c.image_id for c in ranking] == ["high", "mid", "low"]
-        assert [c.rank for c in ranking] == [1, 2, 3]
+        assert ids(ranking) == ["high", "mid", "low"]
 
     def test_equal_similarity_ordered_by_image_id(self):
         group = make_group(
@@ -71,7 +71,7 @@ class TestRankCandidates:
             (candidate("zeta", [0.0, 1.0]), candidate("alpha", [0.0, 2.0])),
         )
         ranking = rank(ProjectionModel.identity(2), QUERY, group)
-        assert [c.image_id for c in ranking] == ["alpha", "zeta"]
+        assert ids(ranking) == ["alpha", "zeta"]
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(14)
@@ -86,8 +86,7 @@ class TestRankCandidates:
             ((similarity_score(model, query, m), m.image_id) for m in members),
             key=lambda p: (-p[0], p[1]),
         )
-        assert [c.image_id for c in ranking] == [image_id for _, image_id in oracle]
-        assert sorted(c.rank for c in ranking) == list(range(1, 101))
+        assert ids(ranking) == [image_id for _, image_id in oracle]
 
     def test_similarities_match_scalar_oracle(self):
         rng = np.random.default_rng(15)
@@ -103,8 +102,8 @@ class TestRankCandidates:
             oracle = {m.image_id: cosine(q, project(model, m.vector)) for m in members}
             ranking = rank(model, query, make_group("young_male", members))
             assert len(ranking) == len(members)
-            for c in ranking:
-                assert c.similarity == pytest.approx(oracle[c.image_id], abs=1e-12)
+            for image_id, similarity in ranking:
+                assert similarity == pytest.approx(oracle[image_id], abs=1e-12)
 
     def test_zero_projection_member_is_named(self):
         model = ProjectionModel(np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -124,7 +123,7 @@ class TestRankCandidates:
             ),
         )
         ranking = rank(ProjectionModel.identity(2), QUERY, group)
-        assert [c.image_id for c in ranking] == ["ok"]
+        assert ids(ranking) == ["ok"]
 
     def test_all_excluded_raises(self):
         group = make_group("young_male", (candidate("query", [1.0, 0.0]),))
@@ -140,9 +139,7 @@ class TestRankCandidates:
             ),
         )
         model = ProjectionModel.identity(2)
-        assert [
-            c.image_id for c in rank(model, QUERY, simple_group)
-        ] == [c.image_id for c in rank(model, QUERY, scaled)]
+        assert ids(rank(model, QUERY, simple_group)) == ids(rank(model, QUERY, scaled))
 
 
 class TestSelectGroup:
@@ -201,7 +198,10 @@ class TestRecommend:
             ProjectionModel.identity(2), QUERY, self._groups_with(simple_group), k=99
         )
         assert rec.selected_group == "young_male"
-        assert len(rec.candidates) == 3
+        # least similar first, each with its place in the full ranking
+        assert [(c.image_id, c.rank) for c in rec.candidates] == [
+            ("low", 3), ("mid", 2), ("high", 1)
+        ]
 
     def test_batch_equals_one_query_calls(self, clustered):
         groups = build_groups(list(clustered.candidates))

@@ -9,7 +9,7 @@ from facesim import corpus, evaluator, trainer
 from facesim.errors import DivergenceError, ValidationError
 from facesim.metric import ProjectionModel, cosine
 
-from conftest import make_record, role_ids, table_of, vectors
+from conftest import make_record, role_ids, vectors
 
 
 def build_triplet_corpus(vector_rows, labels, dim):
@@ -27,7 +27,7 @@ def build_triplet_corpus(vector_rows, labels, dim):
                 consistent=True, admitted=True,
             )
         )
-    return table_of(records), samples
+    return corpus.EmbeddingTable.of(records), samples
 
 
 def role_by_role_loss_and_gradient(weight, ref, pos, neg, margin):
