@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import argparse
 import collections
-import dataclasses
 import itertools
-import statistics
 import sys
 from typing import List, Optional
 
 import numpy as np
 
-from . import __version__, attributes, corpus, evaluator, selector, synth, trainer
+from . import __version__, corpus
 from .errors import (
     DataError,
     DivergenceError,
@@ -28,7 +26,6 @@ from .errors import (
     IntegrityError,
     ValidationError,
 )
-from .metric import ProjectionModel
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -116,6 +113,11 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
+    import dataclasses
+
+    from . import trainer
+    from .metric import ProjectionModel
+
     table, triplets = _load_triplets(args)
     pool = corpus.build_datasets(triplets)[args.dataset]
     train_samples, val_samples = pool, []
@@ -141,6 +143,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_triplets(args) -> int:
+    import statistics
+
+    from . import evaluator
+    from .metric import ProjectionModel
+
     table, triplets = _load_triplets(args)
     pool = corpus.build_datasets(triplets)["D2"]
     if args.partition:
@@ -168,6 +175,9 @@ def cmd_eval_triplets(args) -> int:
 
 
 def cmd_eval_attributes(args) -> int:
+    from . import attributes
+    from .metric import ProjectionModel
+
     candidates = corpus.load_embeddings(args.candidates)
     queries = list(corpus.load_embeddings(args.queries))
     model = ProjectionModel.load(args.model)
@@ -192,6 +202,9 @@ def cmd_eval_attributes(args) -> int:
 
 
 def cmd_select(args) -> int:
+    from . import attributes, selector
+    from .metric import ProjectionModel
+
     candidates = corpus.load_embeddings(args.candidates)
     queries = list(corpus.load_embeddings(args.query))
     if args.query_id is not None:
@@ -226,6 +239,9 @@ GRADCHECK_DRAWS_PER_PROBE = 100
 
 
 def cmd_gradcheck(args) -> int:
+    from . import trainer
+    from .metric import ProjectionModel
+
     if args.dim < 1 or args.probes < 1:
         raise ValidationError(
             f"gradcheck needs --dim and --probes >= 1, got {args.dim} and {args.probes}"
@@ -257,28 +273,18 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     if args.preset == "planted":
-        data = synth.planted(
-            seed=args.seed,
-            n_triplets=args.triplets,
-            dim=args.dim,
-            data_subspace=min(12, args.dim),
-            noise_fraction=args.noise_fraction,
-        )
-        data.write(args.out_dir)
-        print(f"planted corpus with {args.triplets} triplets (d={args.dim}) -> {args.out_dir}")
+        data = synth.planted(seed=args.seed, n_triplets=args.triplets, dim=args.dim,
+                             data_subspace=min(12, args.dim), noise_fraction=args.noise_fraction)
+        done = f"planted corpus with {args.triplets} triplets (d={args.dim})"
     else:
-        data = synth.clustered_attributes(
-            seed=args.seed,
-            per_cluster=args.per_cluster,
-            n_queries=args.queries,
-            dim=args.dim,
-        )
-        data.write(args.out_dir)
-        print(
-            f"clustered-attributes corpus ({args.per_cluster}/cluster,"
-            f" {args.queries} queries) -> {args.out_dir}"
-        )
+        data = synth.clustered_attributes(seed=args.seed, per_cluster=args.per_cluster,
+                                          n_queries=args.queries, dim=args.dim)
+        done = f"clustered-attributes corpus ({args.per_cluster}/cluster, {args.queries} queries)"
+    data.write(args.out_dir)
+    print(f"{done} -> {args.out_dir}")
     return EXIT_OK
 
 
@@ -286,7 +292,9 @@ def cmd_synth(args) -> int:
 # argument parsing
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The facesim parser. Every subcommand is listed; given `command`, only that
+    one gets its arguments, so a run imports no other command's modules."""
     parser = argparse.ArgumentParser(
         prog="facesim",
         description="Human-perceptual face similarity: training, evaluation,"
@@ -294,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"facesim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    train_defaults = trainer.TrainConfig()
 
     def add_corpus_inputs(p):
         p.add_argument("--embeddings", required=True)
@@ -302,105 +309,114 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--annotations", required=True)
         p.add_argument("--min-votes", type=int, default=corpus.MIN_VALID_VOTES, dest="min_votes")
 
-    p = sub.add_parser("ingest", help="parse and validate an embedding table")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_ingest)
+    def ingest(p):
+        p.add_argument("--embeddings", required=True)
+        p.add_argument("--report")
 
-    p = sub.add_parser("validate", help="screen annotators via dummy samples")
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_validate)
+    def validate(p):
+        p.add_argument("--annotations", required=True)
+        p.add_argument("--report")
 
-    p = sub.add_parser("split", help="build a source/target-aware evaluation split")
-    add_corpus_inputs(p)
-    p.add_argument("--mode", required=True, choices=["i", "ii", "iii"])
-    p.add_argument("--ratios", type=float, nargs=3, default=corpus.DEFAULT_SPLIT_RATIOS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_split)
+    def split(p):
+        add_corpus_inputs(p)
+        p.add_argument("--mode", required=True, choices=["i", "ii", "iii"])
+        p.add_argument("--ratios", type=float, nargs=3, default=corpus.DEFAULT_SPLIT_RATIOS)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train", help="fit the projection with the triplet loss")
-    add_corpus_inputs(p)
-    p.add_argument("--dataset", choices=["D1", "D2"], default="D2")
-    p.add_argument("--partition", help="partition JSON; restricts to its train/val")
-    p.add_argument("--model", help="initial model (default: identity)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--history", help="per-epoch CSV")
-    p.add_argument("--learning-rate", type=float, default=train_defaults.learning_rate)
-    p.add_argument("--momentum", type=float, default=train_defaults.momentum)
-    p.add_argument("--weight-decay", type=float, default=train_defaults.weight_decay)
-    p.add_argument("--batch-size", type=int, default=train_defaults.batch_size)
-    p.add_argument("--margin", type=float, default=train_defaults.margin)
-    p.add_argument("--epochs", type=int, default=train_defaults.epochs)
-    p.add_argument("--seed", type=int, default=train_defaults.seed)
-    p.add_argument("--no-shuffle", action="store_false", dest="shuffle")
-    p.set_defaults(func=cmd_train)
+    def train(p):
+        from .trainer import TrainConfig
 
-    p = sub.add_parser("eval-triplets", help="pair accuracy on consistent samples")
-    add_corpus_inputs(p)
-    p.add_argument(
-        "--model",
-        action="append",
-        required=True,
-        help="model path; repeat for mean±SD across models",
-    )
-    p.add_argument("--partition")
-    p.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p.add_argument("--report", required=True)
-    p.add_argument("--scatter")
-    p.set_defaults(func=cmd_eval_triplets)
+        add_corpus_inputs(p)
+        p.add_argument("--dataset", choices=["D1", "D2"], default="D2")
+        p.add_argument("--partition", help="partition JSON; restricts to its train/val")
+        p.add_argument("--model", help="initial model (default: identity)")
+        p.add_argument("--out", required=True)
+        p.add_argument("--history", help="per-epoch CSV")
+        p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+        p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+        p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+        p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+        p.add_argument("--margin", type=float, default=TrainConfig.margin)
+        p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+        p.add_argument("--seed", type=int, default=TrainConfig.seed)
+        p.add_argument("--no-shuffle", action="store_false", dest="shuffle")
 
-    p = sub.add_parser("eval-attributes", help="attribute-group classification metrics")
-    p.add_argument("--model", required=True)
-    p.add_argument("--candidates", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--task", choices=["gender", "age", "four-way"], default="four-way")
-    p.add_argument("--per-group", type=int, default=None, dest="per_group")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--student-t", action="store_true", dest="student_t")
-    p.add_argument("--report", required=True)
-    p.add_argument("--distances", help="per-query per-group distance CSV")
-    p.set_defaults(func=cmd_eval_attributes)
+    def eval_triplets(p):
+        add_corpus_inputs(p)
+        p.add_argument("--model", action="append", required=True,
+                       help="model path; repeat for mean±SD across models")
+        p.add_argument("--partition")
+        p.add_argument("--split", choices=["train", "val", "test"], default="test")
+        p.add_argument("--report", required=True)
+        p.add_argument("--scatter")
 
-    p = sub.add_parser("select", help="recommend dissimilar face-swap sources")
-    p.add_argument("--model", required=True)
-    p.add_argument("--candidates", required=True)
-    p.add_argument("--query", required=True, help="query embedding table")
-    p.add_argument("--query-id", dest="query_id")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--group-mode", choices=["intersection", "all"], default="intersection")
-    p.add_argument("--per-group", type=int, default=None, dest="per_group")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--ranking", help="full ranking CSV")
-    p.set_defaults(func=cmd_select)
+    def eval_attributes(p):
+        p.add_argument("--model", required=True)
+        p.add_argument("--candidates", required=True)
+        p.add_argument("--queries", required=True)
+        p.add_argument("--task", choices=["gender", "age", "four-way"], default="four-way")
+        p.add_argument("--per-group", type=int, default=None, dest="per_group")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--student-t", action="store_true", dest="student_t")
+        p.add_argument("--report", required=True)
+        p.add_argument("--distances", help="per-query per-group distance CSV")
 
-    p = sub.add_parser("gradcheck", help="finite-difference audit of the loss gradient")
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--probes", type=int, default=20)
-    p.add_argument("--margin", type=float, default=train_defaults.margin)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
+    def select(p):
+        p.add_argument("--model", required=True)
+        p.add_argument("--candidates", required=True)
+        p.add_argument("--query", required=True, help="query embedding table")
+        p.add_argument("--query-id", dest="query_id")
+        p.add_argument("--k", type=int, default=5)
+        p.add_argument("--group-mode", choices=["intersection", "all"], default="intersection")
+        p.add_argument("--per-group", type=int, default=None, dest="per_group")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True)
+        p.add_argument("--ranking", help="full ranking CSV")
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--preset", required=True, choices=["planted", "clustered-attributes"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--triplets", type=int, default=600)
-    p.add_argument("--noise-fraction", type=float, default=0.0, dest="noise_fraction")
-    p.add_argument("--per-cluster", type=int, default=100)
-    p.add_argument("--queries", type=int, default=200)
-    p.set_defaults(func=cmd_synth)
+    def gradcheck(p):
+        from .trainer import TrainConfig
 
+        p.add_argument("--dim", type=int, default=8)
+        p.add_argument("--probes", type=int, default=20)
+        p.add_argument("--margin", type=float, default=TrainConfig.margin)
+        p.add_argument("--step", type=float, default=1e-5)
+        p.add_argument("--seed", type=int, default=0)
+
+    def synth(p):
+        p.add_argument("--preset", required=True, choices=["planted", "clustered-attributes"])
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out-dir", required=True)
+        p.add_argument("--dim", type=int, default=32)
+        p.add_argument("--triplets", type=int, default=600)
+        p.add_argument("--noise-fraction", type=float, default=0.0, dest="noise_fraction")
+        p.add_argument("--per-cluster", type=int, default=100)
+        p.add_argument("--queries", type=int, default=200)
+
+    # the `cmd_*` names are read at each call, so a function swapped on this module runs
+    for add_arguments, func, help_text in (
+        (ingest, cmd_ingest, "parse and validate an embedding table"),
+        (validate, cmd_validate, "screen annotators via dummy samples"),
+        (split, cmd_split, "build a source/target-aware evaluation split"),
+        (train, cmd_train, "fit the projection with the triplet loss"),
+        (eval_triplets, cmd_eval_triplets, "pair accuracy on consistent samples"),
+        (eval_attributes, cmd_eval_attributes, "attribute-group classification metrics"),
+        (select, cmd_select, "recommend dissimilar face-swap sources"),
+        (gradcheck, cmd_gradcheck, "finite-difference audit of the loss gradient"),
+        (synth, cmd_synth, "generate a synthetic corpus"),
+    ):
+        name = add_arguments.__name__.replace("_", "-")
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the first word that is not an option names the subcommand; argparse rejects any other
+    args = build_parser(next((a for a in argv if not a.startswith("-")), "")).parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleSplitError as exc:

@@ -1222,8 +1222,10 @@ def count_votes(
     Dummy annotations and votes of annotators not `screened` are dropped; a
     non-dummy annotation of a triplet the manifest lacks raises, the first in
     file order. Triplets with fewer than `min_votes` surviving votes, or with
-    tied votes, are kept but belong to no dataset.
+    tied votes, are kept but belong to no dataset. `min_votes` is at least 1.
     """
+    if min_votes < 1:
+        raise ValidationError(f"min_votes must be >= 1, got {min_votes}")
     triplet_ids = tuple(manifest)
     index = dict(zip(triplet_ids, itertools.count()))
     codes = np.fromiter(map(index.get, annotations.triplet_ids, itertools.repeat(-1)), np.intp,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .corpus import EmbeddingTable, triplet_table, write_csv
-from .errors import EvaluationError
+from .errors import EvaluationError, ValidationError
 from .metric import ProjectionModel, scale_rows, scaled_cosine
 
 
@@ -21,6 +21,14 @@ class PairRecord:
     sim_pair_score: float
     dissim_pair_score: float
     correct: bool
+
+
+def check_dimension(model: ProjectionModel, table: EmbeddingTable) -> None:
+    """The model maps vectors of the table's width, in training and in evaluation."""
+    if model.dim != table.dim:
+        raise ValidationError(
+            f"model dimension {model.dim} does not match embedding dimension {table.dim}"
+        )
 
 
 def eval_triplets(
@@ -36,6 +44,7 @@ def eval_triplets(
     nothing. The 3n rows are projected one by one (`project_block`), so a
     triplet's scores do not depend on the other triplets.
     """
+    check_dimension(model, table)
     retained, stack = triplet_table(samples, table).evaluated
     if not len(retained):
         raise EvaluationError("no consistent samples to evaluate")

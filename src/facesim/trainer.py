@@ -168,10 +168,7 @@ def train(
     """
     if not len(train_samples):
         raise ValidationError("training set is empty")
-    if model.dim != table.dim:
-        raise ValidationError(
-            f"model dimension {model.dim} does not match embedding dimension {table.dim}"
-        )
+    evaluator.check_dimension(model, table)
     stack = _stack(train_samples, table)
     val = triplet_table(val_samples, table)
     validate = bool((val.admitted & val.consistent).any())
@@ -181,6 +178,7 @@ def train(
     velocity = np.zeros_like(weight)
     step = np.empty_like(weight)
     history = TrainHistory()
+    last_grad = None  # the last gradient that left the weights finite; its norm, on divergence
 
     for epoch in range(config.epochs):
         if config.shuffle:
@@ -200,11 +198,14 @@ def train(
                 velocity -= step
                 weight += velocity
                 if not (np.isfinite(losses).all() and np.isfinite(weight).all()):
+                    norm = "none" if last_grad is None else f"{np.linalg.norm(last_grad):.6g}"
                     raise DivergenceError(
-                        f"non-finite loss or weights at epoch {epoch + 1}, batch {batch}",
+                        f"non-finite loss or weights at epoch {epoch + 1}, batch {batch};"
+                        f" last finite gradient norm {norm}",
                         epoch=epoch + 1,
                         batch=batch,
                     )
+                last_grad = grad
                 epoch_loss += float(losses.sum())
                 active += int(np.count_nonzero(losses))
         history.mean_loss.append(epoch_loss / len(order))

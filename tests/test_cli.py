@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,16 @@ def clustered_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("clustered")
     synth.clustered_attributes(seed=6, per_cluster=20, n_queries=12, dim=8).write(out)
     return out
+
+
+def run_fresh(script: str) -> str:
+    """The last line `script` prints in a fresh interpreter that imports facesim from here."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout.splitlines()[-1]
 
 
 def corpus_args(d):
@@ -344,6 +355,17 @@ class TestPipeline:
                 "error: records do not all have the model dimension 6\n"
             )
 
+    def test_eval_triplets_rejects_a_model_of_another_width(self, planted_dir, tmp_path, capsys):
+        model = tmp_path / "wide.json"
+        ProjectionModel.identity(12).save(model)
+        report = tmp_path / "eval.json"
+        assert cli.run(["eval-triplets", *corpus_args(planted_dir), "--model", str(model),
+                        "--report", str(report)]) == 3
+        assert capsys.readouterr().err == (
+            "error: model dimension 12 does not match embedding dimension 8\n"
+        )
+        assert not report.exists()
+
     def test_attribute_commands_leave_scipy_unimported(self, clustered_dir, tmp_path):
         # importing scipy.stats costs ~1.2 s and ~69 MB; only --student-t needs it
         model = tmp_path / "identity.json"
@@ -361,12 +383,49 @@ class TestPipeline:
             f"codes = [cli.run(c) for c in {commands!r}]\n"
             "print(codes, 'scipy' in sys.modules)"
         )
-        src = str(pathlib.Path(cli.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
-        assert done.stdout.splitlines()[-1] == "[0, 0] False"
+        assert run_fresh(script) == "[0, 0] False"
+
+    def test_commands_import_only_their_modules(self, planted_dir, clustered_dir, tmp_path):
+        # a process started per command compiles every module it imports
+        model = tmp_path / "identity.json"
+        ProjectionModel.identity(8).save(model)
+        inputs = ["--model", str(model), "--candidates", str(clustered_dir / "candidates.csv")]
+        queries = str(clustered_dir / "queries.csv")
+        corpus_commands = [
+            ["ingest", "--embeddings", str(planted_dir / "embeddings.csv")],
+            ["validate", "--annotations", str(planted_dir / "annotations.csv")],
+            ["split", *corpus_args(planted_dir), "--mode", "i", "--out", str(tmp_path / "p.json")],
+        ]
+        attribute_commands = [
+            ["eval-attributes", *inputs, "--queries", queries, "--report", str(tmp_path / "a.json")],
+            ["select", *inputs, "--query", queries, "--out", str(tmp_path / "s.json")],
+        ]
+        train_commands = [["train", *corpus_args(planted_dir), "--epochs", "1",
+                           "--out", str(tmp_path / "m.json")]]
+        lazy = [*(f"facesim.{name}" for name in
+                  ("trainer", "evaluator", "attributes", "selector", "synth", "metric")),
+                "statistics"]
+
+        def imported_after(*groups):
+            """The lazy modules imported after `import facesim.cli` and after each group."""
+            script = (
+                "import json, sys\nfrom facesim import cli\n"
+                f"lazy = {lazy!r}\n"
+                "seen = [[m for m in lazy if m in sys.modules]]\n"
+                f"for group in {list(groups)!r}:\n"
+                "    assert [cli.run(c) for c in group] == [0] * len(group)\n"
+                "    seen.append([m for m in lazy if m in sys.modules])\n"
+                "print(json.dumps(seen))"
+            )
+            return json.loads(run_fresh(script))
+
+        on_import, after_corpus, after_attributes = imported_after(corpus_commands,
+                                                                   attribute_commands)
+        assert on_import == after_corpus == []
+        assert not {"facesim.trainer", "facesim.evaluator", "facesim.synth"} & set(
+            after_attributes)
+        _, after_train = imported_after(train_commands)
+        assert not {"facesim.attributes", "facesim.selector", "facesim.synth"} & set(after_train)
 
     def test_select_single_query_id(self, clustered_dir, tmp_path):
         model = tmp_path / "identity.json"
@@ -469,6 +528,29 @@ class TestDefaults:
         assert tuple(split.ratios) == corpus.DEFAULT_SPLIT_RATIOS
         assert train.min_votes == split.min_votes == corpus.MIN_VALID_VOTES
 
+    def test_run_calls_the_command_the_module_holds(self, tmp_path, monkeypatch, capsys):
+        # a tracer times a command by swapping `cli.cmd_*`; no parser may keep the old one
+        argv = ["validate", "--annotations", str(tmp_path / "absent.csv")]
+        assert cli.run(argv) == 3
+        monkeypatch.setattr(cli, "cmd_validate", lambda args: 7)
+        assert cli.run(argv) == 7
+        capsys.readouterr()
+
+
+USAGE = json.loads(pathlib.Path(__file__).with_name("cli_usage.json").read_text("utf-8"))
+
+
+@pytest.mark.skipif(f"{sys.version_info.major}.{sys.version_info.minor}" != USAGE["python"],
+                    reason="argparse lays out its text differently in other Python versions")
+@pytest.mark.parametrize("case", USAGE["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_parser_text_is_unchanged(case, monkeypatch, capsys):
+    """Help and usage errors as `facesim` printed them when the parser was built whole."""
+    monkeypatch.setenv("COLUMNS", str(USAGE["columns"]))
+    with pytest.raises(SystemExit) as exc:
+        cli.run(case["argv"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical_model(self, planted_dir, tmp_path):
@@ -540,7 +622,18 @@ class TestExitCodes:
                         "--learning-rate", "1e18", "--weight-decay", "1e18",
                         "--out", str(tmp_path / "m.json")])
         assert code == 4
-        capsys.readouterr()
+        named = re.fullmatch(r"error: non-finite loss or weights at epoch \d+, batch \d+;"
+                             r" last finite gradient norm (\S+)\n", capsys.readouterr().err)
+        assert named and float(named[1]) > 0
+
+    @pytest.mark.parametrize("votes", ["0", "-1"])
+    def test_min_votes_below_one_is_3(self, planted_dir, tmp_path, capsys, votes):
+        # with no lower bound, a triplet with no votes counted as tied, not as too few votes
+        out = tmp_path / "p.json"
+        assert cli.run(["split", *corpus_args(planted_dir), "--min-votes", votes, "--mode", "i",
+                        "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: min_votes must be >= 1, got {votes}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value",

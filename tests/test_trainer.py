@@ -351,6 +351,17 @@ class TestTrain:
             )
         assert err.value.epoch is not None
 
+    def test_divergence_at_the_first_batch_has_no_finite_gradient_to_name(self):
+        table, samples = self._corpus(n=20)
+        with pytest.raises(DivergenceError) as err:
+            trainer.train(
+                ProjectionModel.identity(6), samples, [], table,
+                trainer.TrainConfig(epochs=1, learning_rate=1e308, weight_decay=1e308),
+            )
+        assert (err.value.epoch, err.value.batch) == (1, 1)
+        assert str(err.value) == ("non-finite loss or weights at epoch 1, batch 1;"
+                                  " last finite gradient norm none")
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 60), dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
