@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import EmbeddingRecord, EmbeddingTable
 from .errors import EvaluationError, IntegrityError, ValidationError
-from .metric import ProjectionModel, project_records, scale_rows, scaled_cosine
+from .metric import ProjectionModel, check_dimension, scale_rows, scaled_cosine
 
 INTERSECTION_GROUPS = ("older_female", "older_male", "young_female", "young_male")
 UNION_GROUPS = ("female", "male", "older", "young")
@@ -52,15 +52,6 @@ class AttributeGroup:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-@dataclass(frozen=True)
-class GroupDistanceResult:
-    group: str
-    n: int
-    mean_d: float
-    sd_d: float
-    upper: float  # 95% CI upper bound on the mean distance
 
 
 @dataclass
@@ -142,125 +133,83 @@ def build_groups(
     return groups
 
 
-@dataclass(frozen=True)
-class Gallery:
-    """The distinct table rows of some attribute groups, projected and scaled once.
+class Scores(NamedTuple):
+    """Queries scored against attribute groups (see `score_groups`).
 
-    Row i holds one row of the groups' table, and rows follow first
-    appearance in the groups' member order. `members[j]` indexes the rows
-    of the j-th group, in member order.
+    The gallery is the groups' distinct table rows, in table order:
+    `image_ids` and `identity_ids` (object arrays) label its rows,
+    `members[g]` holds the gallery positions of group g's members in member
+    order, and `sims[q, i]` is query q's cosine similarity to gallery row i.
+    `n`, `mean`, `sd` and `upper` are `(Q, G)`: the size, mean, SD and 95% CI
+    upper bound of each (query, group) pair's distances.
     """
 
-    projected: np.ndarray
-    scaled: Tuple[np.ndarray, np.ndarray]  # `scale_rows(projected)`
-    image_ids: np.ndarray  # object arrays, one entry per row
+    image_ids: np.ndarray
     identity_ids: np.ndarray
     members: List[np.ndarray]
-
-
-def _gallery(model: ProjectionModel, groups: Sequence[AttributeGroup]) -> Gallery:
-    table = groups[0].table if groups else None
-    if not groups or any(group.table is not table for group in groups):
-        raise ValidationError("scoring needs attribute groups, all rows of one table")
-    if table.dim != model.dim:
-        raise ValidationError(f"records do not all have the model dimension {model.dim}")
-    every = np.concatenate([group.rows for group in groups])
-    distinct, first = np.unique(every, return_index=True)
-    rows = distinct[np.argsort(first)]
-    position = np.empty(len(table), dtype=np.intp)
-    position[rows] = np.arange(len(rows))
-    image_ids = np.array(table.image_ids, dtype=object)[rows]
-    projected = model.project_block(table.matrix[rows], image_ids)
-    return Gallery(
-        projected=projected,
-        scaled=scale_rows(projected),
-        image_ids=image_ids,
-        identity_ids=np.array(table.identity_ids, dtype=object)[rows],
-        members=[position[group.rows] for group in groups],
-    )
-
-
-def similarity_table(
-    model: ProjectionModel,
-    queries: Sequence[EmbeddingRecord],
-    groups: Sequence[AttributeGroup],
-) -> Tuple[Gallery, np.ndarray]:
-    """The groups' `Gallery`, and the cosine similarity of each query to each of its rows.
-
-    `sims[q][gallery.members[g]]` are query q's similarities to group g's
-    members, which must all be rows of one table. The gallery is projected
-    first, then the queries, each once.
-    Cosines are row-local, so an entry does not depend on the other queries,
-    groups or rows in the call.
-    """
-    for group in groups:
-        if len(group) == 0:
-            raise ValidationError(f"attribute group '{group.name}' is empty")
-    gallery = _gallery(model, groups)
-    query_rows = project_records(model, queries)
-    sims = np.empty((len(queries), len(gallery.image_ids)))
-    # one query at a time keeps the temporaries to one (n, d) block
-    for i in range(len(queries)):
-        q = query_rows[i : i + 1]
-        sims[i] = scaled_cosine(q, scale_rows(q), gallery.projected, gallery.scaled)
-    return gallery, sims
-
-
-def group_distances(
-    model: ProjectionModel,
-    queries: Sequence[EmbeddingRecord],
-    groups: Sequence[AttributeGroup],
-    use_t: bool = False,
-) -> List[List[GroupDistanceResult]]:
-    """Each query's distance to each group, from one `similarity_table`.
-
-    A distance is the mean member distance plus a 95% CI upper bound on that
-    mean. The query's own entry is left out of its groups. Sample SD uses the
-    n-1 denominator; a singleton group degenerates to sd = 0 and upper = the
-    single distance. `use_t` swaps the z critical value for Student-t, for
-    small groups.
-    """
-    if not groups:
-        return [[] for _ in queries]
-    gallery, table = similarity_table(model, queries, groups)
-    names = [g.name for g in groups]
-    stats = _group_stats(queries, gallery, table, use_t)
-    _require_other_members(names, queries, stats.n)
-    # one row of results per query
-    return [
-        [GroupDistanceResult(*result) for result in zip(names, *row)]
-        for row in zip(*(column.tolist() for column in stats))
-    ]
-
-
-class GroupStats(NamedTuple):
-    """Size, mean, SD and CI upper bound of each (query, group) pair's distances, `(Q, G)`."""
-
+    sims: np.ndarray
     n: np.ndarray
     mean: np.ndarray
     sd: np.ndarray
     upper: np.ndarray
 
 
-def _group_stats(
-    queries: Sequence[EmbeddingRecord], gallery: Gallery, sims: np.ndarray, use_t: bool
-) -> GroupStats:
-    """`GroupStats` of each query's kept distances to each gallery group.
+def score_groups(
+    model: ProjectionModel,
+    queries: EmbeddingTable,
+    groups: Sequence[AttributeGroup],
+    use_t: bool = False,
+) -> Scores:
+    """Each query's similarity to each group member and its distance to each group.
 
-    Bit-identical to the scalar oracle of the tests: sums run left to right (`cumsum`, as
-    Python's `sum` does; `np.sum` sums pairwise), a zero-spread sample gives its
-    common value, and fewer than two kept distances give sd 0 and upper = mean.
-    A pair whose group holds only the query image gets n = 0 and meaningless
-    statistics (see `_require_other_members`).
+    The groups must be rows of one table, none of them empty, and the model
+    must map vectors of both tables' width. The distinct group rows are
+    projected first, then the queries, each once. Cosines are row-local, so an
+    entry does not depend on the other queries, groups or rows in the call.
+
+    A distance is the mean member distance plus a 95% CI upper bound on that
+    mean; a query never measures its own image. The statistics are
+    bit-identical to the scalar oracle of the tests: sums run left to right
+    (`cumsum`, as Python's `sum` does; `np.sum` sums pairwise), sample SD uses
+    the n-1 denominator, a zero-spread sample gives its common value, and
+    fewer than two kept distances give sd 0 and upper = mean. `use_t` swaps
+    the z critical value for Student-t, for small groups. The first
+    (query, group) pair, query-major, whose group holds only the query image
+    raises `ValidationError`.
     """
-    # a query never measures its own candidate entry
-    own = gallery.image_ids == np.array([q.image_id for q in queries], dtype=object)[:, None]
+    table = groups[0].table if groups else None
+    if not groups or any(group.table is not table for group in groups):
+        raise ValidationError("scoring needs attribute groups, all rows of one table")
+    for group in groups:
+        if len(group) == 0:
+            raise ValidationError(f"attribute group '{group.name}' is empty")
+    check_dimension(model, table)
+    check_dimension(model, queries)
+
+    # a mask, not `np.unique`, which imports `numpy.ma`
+    in_gallery = np.zeros(len(table), dtype=bool)
+    for group in groups:
+        in_gallery[group.rows] = True
+    rows = np.flatnonzero(in_gallery)
+    position = np.cumsum(in_gallery) - 1  # each table row's place in the gallery
+    image_ids = np.array(table.image_ids, dtype=object)[rows]
+    gallery = model.project_block(table.matrix[rows], image_ids)
+    scaled = scale_rows(gallery)
+    projected = model.project_block(queries.matrix, queries.image_ids)
+    sims = np.empty((len(queries), len(rows)))
+    # one query at a time keeps the temporaries to one (n, d) block
+    for i in range(len(queries)):
+        q = projected[i : i + 1]
+        sims[i] = scaled_cosine(q, scale_rows(q), gallery, scaled)
+    members = [position[group.rows] for group in groups]
+
+    own = image_ids == np.array(queries.image_ids, dtype=object)[:, None]
     every_query = np.arange(len(queries))
-    n = np.zeros((len(queries), len(gallery.members)), dtype=np.intp)
+    n = np.zeros((len(queries), len(groups)), dtype=np.intp)
     spread = np.zeros(n.shape, dtype=bool)  # implies n >= 2
     mean, squares = np.zeros(n.shape), np.zeros(n.shape)
-    for g, rows in enumerate(gallery.members):
-        keep, ds = ~own[:, rows], 1.0 - sims[:, rows]
+    for g, member in enumerate(members):
+        keep, ds = ~own[:, member], 1.0 - sims[:, member]
         first = ds[every_query, keep.argmax(axis=1)]
         spread[:, g] = (keep & (ds != first[:, None])).any(axis=1)
         n[:, g] = keep.sum(axis=1)
@@ -276,19 +225,15 @@ def _group_stats(
         crit = np.full(n.shape, Z_95)
         crit[spread] = stats.t.ppf(0.975, n[spread] - 1)
     upper = np.where(spread, mean + crit * sd / np.sqrt(np.maximum(n, 1)), mean)
-    return GroupStats(n=n, mean=mean, sd=sd, upper=upper)
 
-
-def _require_other_members(
-    names: Sequence[str], queries: Sequence[EmbeddingRecord], n: np.ndarray
-) -> None:
-    """Raise for the first (query, group) pair, query-major, left with no distance."""
     empty = np.argwhere(n == 0)
     if empty.size:
         q, g = empty[0]
         raise ValidationError(
-            f"group '{names[g]}' holds only the query image '{queries[q].image_id}'"
+            f"group '{groups[g].name}' holds only the query image '{queries.image_ids[q]}'"
         )
+    return Scores(image_ids, np.array(table.identity_ids, dtype=object)[rows], members, sims,
+                  n, mean, sd, upper)
 
 
 def closest(names: Sequence[str], upper: np.ndarray) -> np.ndarray:
@@ -314,18 +259,15 @@ def auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
     return float(twice_u) / 2 / (pos.size * neg.size)
 
 
-def _true_category(record: EmbeddingRecord, task: str) -> str:
-    if task == "gender":
-        if record.gender == "unknown":
-            raise IntegrityError(f"query '{record.image_id}' has no gender label")
-        return record.gender
-    if task == "age":
-        if record.age_group == "unknown":
-            raise IntegrityError(f"query '{record.image_id}' has no age label")
-        return record.age_group
+def _true_categories(queries: EmbeddingTable, task: str) -> List[str]:
+    """Each query's category in a known task, from its label columns."""
     if task == "four-way":
-        return group_label(record.age_group, record.gender)
-    raise ValidationError(f"unknown task '{task}'")
+        return list(map(group_label, queries.age_groups, queries.genders))
+    labels = queries.genders if task == "gender" else queries.age_groups
+    if "unknown" in labels:
+        image_id = queries.image_ids[labels.index("unknown")]
+        raise IntegrityError(f"query '{image_id}' has no {task} label")
+    return list(labels)
 
 
 def task_categories(task: str) -> List[str]:
@@ -337,7 +279,7 @@ def task_categories(task: str) -> List[str]:
 
 def evaluate_classification(
     model: ProjectionModel,
-    queries: Sequence[EmbeddingRecord],
+    queries: EmbeddingTable,
     groups: Dict[str, AttributeGroup],
     task: str,
     use_t: bool = False,
@@ -348,40 +290,29 @@ def evaluate_classification(
     intersection groups. The AUC score for a category is the negated
     CI-upper-bound distance to that category's group.
     """
-    candidates = [groups[c] for c in task_categories(task)]
-    table = group_distances(model, queries, candidates, use_t=use_t)
-    return classification_report(task, queries, table)
+    names = task_categories(task)
+    scores = score_groups(model, queries, [groups[name] for name in names], use_t=use_t)
+    return classification_report(task, queries, names, scores.upper)
 
 
 def classification_report(
-    task: str,
-    queries: Sequence[EmbeddingRecord],
-    table: Sequence[Sequence[GroupDistanceResult]],
+    task: str, queries: EmbeddingTable, names: Sequence[str], upper: np.ndarray
 ) -> ClassificationReport:
-    """The `evaluate_classification` report from the queries' `group_distances` table.
+    """The `evaluate_classification` report from the queries' CI upper bounds.
 
-    Each query is classified into the `closest` of the task's groups, and a
-    category's AUC scores each query by its negated upper bound to that
-    group. Every row lists the same groups in the same order, as
-    `group_distances` gives them; groups outside the task's categories are ignored.
+    `upper` is `(Q, G)`, column g holding group `names[g]`, as `score_groups`
+    gives it; groups outside the task's categories are ignored. Each query is
+    classified into the `closest` of the task's groups, and a category's AUC
+    scores each query by its negated upper bound to that group.
     """
     categories = task_categories(task)
-    if not queries:
+    if not len(queries):
         raise EvaluationError("no query records")
-
-    truths: List[str] = []
-    for query in queries:
-        truth = _true_category(query, task)
-        if truth not in categories:
-            raise IntegrityError(
-                f"query '{query.image_id}' label '{truth}' outside task categories"
-            )
-        truths.append(truth)
-
-    column = {r.group: j for j, r in enumerate(table[0])}
+    truths = _true_categories(queries, task)
+    column = {name: j for j, name in enumerate(names)}
     if not column.keys() >= set(categories):
         raise ValidationError(f"the distance table lacks a group of task '{task}'")
-    upper = np.array([[row[column[c]].upper for c in categories] for row in table])
+    upper = upper[:, [column[c] for c in categories]]
     predicted = [categories[j] for j in closest(categories, upper).tolist()]
     confusion = dict(Counter(zip(truths, predicted)))
 

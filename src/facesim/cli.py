@@ -179,23 +179,25 @@ def cmd_eval_attributes(args) -> int:
     from .metric import ProjectionModel
 
     candidates = corpus.load_embeddings(args.candidates)
-    queries = list(corpus.load_embeddings(args.queries))
+    queries = corpus.load_embeddings(args.queries)
     model = ProjectionModel.load(args.model)
     groups = attributes.build_groups(candidates, per_intersection=args.per_group, seed=args.seed)
     names = attributes.ALL_GROUPS if args.distances else attributes.task_categories(args.task)
-    table = attributes.group_distances(
+    scores = attributes.score_groups(
         model, queries, [groups[name] for name in names], use_t=args.student_t
     )
-    report = attributes.classification_report(args.task, queries, table)
+    report = attributes.classification_report(args.task, queries, names, scores.upper)
     _write_report(args.report, args, report.to_json())
     if args.distances:
-        rows = (
-            [query.image_id, r.group, r.n, r.mean_d, r.sd_d, r.upper]
-            for query, results in zip(queries, table)
-            for r in results
-        )
-        corpus.write_csv(
-            args.distances, ["query_id", "group", "n", "mean_d", "sd_d", "upper"], rows
+        corpus.write_table(
+            args.distances,
+            ["query_id", "group", "n", "mean_d", "sd_d", "upper"],
+            [
+                [query_id for query_id in queries.image_ids for _ in names],
+                list(names) * len(queries),
+                scores.n.ravel().tolist(),
+            ],
+            np.stack([scores.mean, scores.sd, scores.upper], axis=2).reshape(-1, 3),
         )
     print(f"{args.task} accuracy {report.accuracy:.3f} over {len(queries)} queries")
     return EXIT_OK
@@ -206,11 +208,11 @@ def cmd_select(args) -> int:
     from .metric import ProjectionModel
 
     candidates = corpus.load_embeddings(args.candidates)
-    queries = list(corpus.load_embeddings(args.query))
+    queries = corpus.load_embeddings(args.query)
     if args.query_id is not None:
-        queries = [q for q in queries if q.image_id == args.query_id]
-        if not queries:
+        if args.query_id not in queries:
             raise DataError(f"query_id '{args.query_id}' not found in {args.query}")
+        queries = queries.take([queries.row(args.query_id)])
     model = ProjectionModel.load(args.model)
     groups = attributes.build_groups(candidates, per_intersection=args.per_group, seed=args.seed)
     results = selector.recommend_batch(

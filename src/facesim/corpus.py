@@ -188,6 +188,13 @@ class EmbeddingTable:
         row = self.row(image_id)
         return self._built()[row]
 
+    def take(self, rows: Sequence[int]) -> "EmbeddingTable":
+        """A table of these rows, in this order."""
+        columns = (self.image_ids, self.identity_ids, self.roles, self.target_ids, self.genders,
+                   self.age_groups)
+        return EmbeddingTable(tuple(tuple(map(c.__getitem__, rows)) for c in columns),
+                              self.matrix[rows])
+
 
 def _annotation_error(
     annotator_id: str, triplet_id: str, choice: str, is_dummy: bool, dummy_answer: Optional[str]

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .corpus import EmbeddingTable, triplet_table, write_csv
-from .errors import EvaluationError, ValidationError
-from .metric import ProjectionModel, scale_rows, scaled_cosine
+from .errors import EvaluationError
+from .metric import ProjectionModel, check_dimension, scale_rows, scaled_cosine
 
 
 @dataclass(frozen=True)
@@ -21,14 +21,6 @@ class PairRecord:
     sim_pair_score: float
     dissim_pair_score: float
     correct: bool
-
-
-def check_dimension(model: ProjectionModel, table: EmbeddingTable) -> None:
-    """The model maps vectors of the table's width, in training and in evaluation."""
-    if model.dim != table.dim:
-        raise ValidationError(
-            f"model dimension {model.dim} does not match embedding dimension {table.dim}"
-        )
 
 
 def eval_triplets(

@@ -11,7 +11,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .corpus import read_json, write_json
+from .corpus import EmbeddingTable, read_json, write_json
 from .errors import DegenerateVectorError, FormatError, ValidationError
 
 MODEL_FORMAT_VERSION = "facesim-projection-1"
@@ -99,14 +99,12 @@ class ProjectionModel:
         return isinstance(other, ProjectionModel) and np.array_equal(self._weight, other._weight)
 
 
-def project_records(model: ProjectionModel, records: Sequence) -> np.ndarray:
-    """Projected rows of embedding records, row i for records[i] (see `project_block`)."""
-    try:
-        block = np.array([r.vector for r in records], dtype=np.float64)
-        block = block.reshape(len(records), model.dim)
-    except ValueError:
-        raise ValidationError(f"records do not all have the model dimension {model.dim}") from None
-    return model.project_block(block, [r.image_id for r in records])
+def check_dimension(model: ProjectionModel, table: EmbeddingTable) -> None:
+    """The model maps vectors of the table's width, as every command that projects a table needs."""
+    if model.dim != table.dim:
+        raise ValidationError(
+            f"model dimension {model.dim} does not match embedding dimension {table.dim}"
+        )
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -4,7 +4,7 @@ then recommend its least-similar members."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -12,13 +12,11 @@ from .attributes import (
     ALL_GROUPS,
     INTERSECTION_GROUPS,
     AttributeGroup,
-    Gallery,
-    _group_stats,
-    _require_other_members,
+    Scores,
     closest,
-    similarity_table,
+    score_groups,
 )
-from .corpus import EmbeddingRecord
+from .corpus import EmbeddingRecord, EmbeddingTable
 from .errors import ValidationError
 from .metric import ProjectionModel
 
@@ -60,20 +58,20 @@ def _mode_groups(groups: Dict[str, AttributeGroup], group_mode: str) -> List[Att
 
 
 def _ranking(
-    name: str, query: EmbeddingRecord, sims: np.ndarray, gallery: Gallery, rows: np.ndarray,
-    id_rank: np.ndarray,
+    name: str, query_id: str, identity_id: str, sims: np.ndarray, scores: Scores,
+    rows: np.ndarray, id_rank: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The image ids and similarities of the group's eligible members, by descending similarity.
 
-    `sims` is the query's row of the `similarity_table`, `rows` the group's
-    gallery rows, and `id_rank` each gallery row's place in image_id order.
+    `sims` is the query's row of `scores.sims`, `rows` the group's gallery
+    positions, and `id_rank` each gallery row's place in image_id order.
     The query's own image and any candidate sharing its identity are excluded
     from candidacy. Ties order by image_id."""
-    image_ids = gallery.image_ids[rows]
-    eligible = (image_ids != query.image_id) & (gallery.identity_ids[rows] != query.identity_id)
+    image_ids = scores.image_ids[rows]
+    eligible = (image_ids != query_id) & (scores.identity_ids[rows] != identity_id)
     if not eligible.any():
         raise ValidationError(
-            f"group '{name}' has no candidates distinct from query '{query.image_id}'"
+            f"group '{name}' has no candidates distinct from query '{query_id}'"
         )
     sims = sims[rows][eligible]
     # -0.0 and 0.0 tie, and ties order by image_id
@@ -83,7 +81,7 @@ def _ranking(
 
 def recommend_batch(
     model: ProjectionModel,
-    queries: Sequence[EmbeddingRecord],
+    queries: EmbeddingTable,
     groups: Dict[str, AttributeGroup],
     k: int = 5,
     group_mode: str = "intersection",
@@ -92,26 +90,25 @@ def recommend_batch(
 
     The selected group is the `closest` by CI upper bound: "intersection"
     classifies among the four age x gender groups (tightest attribute
-    consistency); "all" competes all eight groups. One `similarity_table` row
-    per query serves both the group choice and the ranking of the chosen group,
+    consistency); "all" competes all eight groups. One `score_groups` row per
+    query serves both the group choice and the ranking of the chosen group,
     two arrays of image ids and similarities, most similar (rank 1) first.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     candidates = _mode_groups(groups, group_mode)
-    gallery, table = similarity_table(model, queries, candidates)
     names = [g.name for g in candidates]
-    stats = _group_stats(queries, gallery, table, use_t=False)
-    id_rank = np.argsort(np.argsort(gallery.image_ids))  # the ids are distinct
+    scores = score_groups(model, queries, candidates)
+    id_rank = np.argsort(np.argsort(scores.image_ids))  # the ids are distinct
     results = []
-    for query, sims, n, g in zip(queries, table, stats.n, closest(names, stats.upper).tolist()):
-        _require_other_members(names, [query], n[None])
+    for query_id, identity_id, sims, g in zip(queries.image_ids, queries.identity_ids,
+                                              scores.sims, closest(names, scores.upper).tolist()):
         image_ids, similarities = ranking = _ranking(
-            names[g], query, sims, gallery, gallery.members[g], id_rank
+            names[g], query_id, identity_id, sims, scores, scores.members[g], id_rank
         )
         last = len(image_ids)
         recommendation = Recommendation(
-            query_id=query.image_id,
+            query_id=query_id,
             selected_group=names[g],
             candidates=tuple(RankedCandidate(image_ids[r - 1], float(similarities[r - 1]), r)
                              for r in range(last, max(last - k, 0), -1)),
@@ -129,4 +126,5 @@ def recommend(
     group_mode: str = "intersection",
 ) -> Recommendation:
     """The k least-similar members of the query's closest attribute group."""
-    return recommend_batch(model, [query], groups, k=k, group_mode=group_mode)[0][0]
+    queries = EmbeddingTable.of([query])
+    return recommend_batch(model, queries, groups, k=k, group_mode=group_mode)[0][0]

@@ -17,7 +17,7 @@ import numpy as np
 from . import evaluator
 from .corpus import EmbeddingTable, triplet_table, write_csv
 from .errors import DegenerateVectorError, DivergenceError, ValidationError
-from .metric import ProjectionModel, cosine
+from .metric import ProjectionModel, check_dimension, cosine
 
 
 @dataclass
@@ -168,7 +168,7 @@ def train(
     """
     if not len(train_samples):
         raise ValidationError("training set is empty")
-    evaluator.check_dimension(model, table)
+    check_dimension(model, table)
     stack = _stack(train_samples, table)
     val = triplet_table(val_samples, table)
     validate = bool((val.admitted & val.consistent).any())

@@ -3,14 +3,24 @@ tested against: projection, cosine distance and similarity, a group's distance
 summary, and a group's ranking for one query, built of one object per candidate."""
 
 import math
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from facesim.attributes import Z_95, Gallery, GroupDistanceResult
+from facesim.attributes import Z_95, Scores
 from facesim.errors import ValidationError
-from facesim.metric import ProjectionModel, cosine, project_records, scale_rows, scaled_cosine
+from facesim.metric import ProjectionModel, cosine, scale_rows, scaled_cosine
 from facesim.selector import RankedCandidate
+
+
+class GroupDistance(NamedTuple):
+    """One group's distance summary for one query."""
+
+    group: str
+    n: int
+    mean_d: float
+    sd_d: float
+    upper: float  # 95% CI upper bound on the mean distance
 
 
 def project(model: ProjectionModel, v: np.ndarray) -> np.ndarray:
@@ -23,6 +33,12 @@ def project(model: ProjectionModel, v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValidationError("input vector contains non-finite entries")
     return model.weight @ v
+
+
+def project_rows(model: ProjectionModel, records) -> np.ndarray:
+    """The records' vectors projected as one block, row i for records[i] (`project_block`)."""
+    block = np.array([r.vector for r in records], dtype=np.float64)
+    return model.project_block(block, [r.image_id for r in records])
 
 
 def rowwise_cosine(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -38,16 +54,16 @@ def distance(u: np.ndarray, v: np.ndarray) -> float:
 def similarity_score(model: ProjectionModel, a, b) -> float:
     """Cosine similarity of two embedding records under the projection.
 
-    Computed like every block path (`project_records`, then `rowwise_cosine`),
+    Computed like every block path (`project_rows`, then `rowwise_cosine`),
     so it agrees with them bit for bit.
     """
-    rows = project_records(model, [a, b])
+    rows = project_rows(model, [a, b])
     return float(rowwise_cosine(rows[:1], rows[1:])[0])
 
 
 def summarize_distances(
     name: str, ds: Sequence[float], use_t: bool = False
-) -> GroupDistanceResult:
+) -> GroupDistance:
     """Mean, sample SD, and the 95% CI upper bound of a distance sample."""
     n = len(ds)
     if n == 0:
@@ -67,20 +83,20 @@ def summarize_distances(
     else:
         sd = 0.0
         upper = mean
-    return GroupDistanceResult(group=name, n=n, mean_d=mean, sd_d=sd, upper=upper)
+    return GroupDistance(group=name, n=n, mean_d=mean, sd_d=sd, upper=upper)
 
 
 def rank(
-    name: str, query, sims: np.ndarray, gallery: Gallery, rows: np.ndarray
+    name: str, query, sims: np.ndarray, scores: Scores, rows: np.ndarray
 ) -> List[RankedCandidate]:
     """The group's eligible members by descending similarity to the query.
 
-    `sims` is the query's row of the `similarity_table`, and `rows` are the
-    group's gallery rows. The query's own image and any candidate sharing its
+    `sims` is the query's row of `scores.sims`, and `rows` are the group's
+    gallery positions. The query's own image and any candidate sharing its
     identity are excluded from candidacy. Ties order by image_id.
     """
-    image_ids = gallery.image_ids[rows]
-    eligible = (image_ids != query.image_id) & (gallery.identity_ids[rows] != query.identity_id)
+    image_ids = scores.image_ids[rows]
+    eligible = (image_ids != query.image_id) & (scores.identity_ids[rows] != query.identity_id)
     if not eligible.any():
         raise ValidationError(
             f"group '{name}' has no candidates distinct from query '{query.image_id}'"

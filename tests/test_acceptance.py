@@ -200,7 +200,7 @@ def test_criterion_08_attribute_classification():
     c = synth.clustered_attributes(seed=5)
     groups = attributes.build_groups(list(c.candidates))
     model = ProjectionModel.identity(32)
-    queries = list(c.queries)
+    queries = c.queries
     report = attributes.evaluate_classification(model, queries, groups, "four-way")
 
     # brute-force nearest-centroid audit over the intersection groups
@@ -253,7 +253,8 @@ def test_criterion_09_selector_correctness():
             key=lambda p: (p[0], p[1]),
         )[: min(k, len(eligible))]
         got = [(c.similarity, c.image_id) for c in rec.candidates]
-        image_ids, _ = selector.recommend_batch(model, [query], groups, k=k)[0][1]
+        queries = corpus.EmbeddingTable.of([query])
+        image_ids, _ = selector.recommend_batch(model, queries, groups, k=k)[0][1]
         ok = ok and got == oracle
         # the ranking holds each eligible member once, and rank r is its entry r - 1
         ok = ok and sorted(image_ids) == sorted(m.image_id for m in eligible)

@@ -10,16 +10,18 @@ from facesim.attributes import (
     build_groups,
     closest,
     evaluate_classification,
-    group_distances,
-    similarity_table,
+    score_groups,
 )
+from facesim.corpus import EmbeddingTable
 from facesim.errors import DegenerateVectorError, EvaluationError, ValidationError
-from facesim.metric import ProjectionModel, project_records
+from facesim.metric import ProjectionModel
 
 from conftest import make_group, make_groups, make_record
 from scalar_oracle import (
+    GroupDistance,
     distance,
     project,
+    project_rows,
     rowwise_cosine,
     similarity_score,
     summarize_distances,
@@ -30,6 +32,14 @@ def labeled(image_id, vector, gender, age_group):
     return make_record(
         image_id, vector, role="source", target_id=None, gender=gender, age_group=age_group
     )
+
+
+def group_distances(model, queries, groups, use_t=False):
+    """`score_groups`' statistics of each (query, group) pair, as the oracle's results."""
+    scores = score_groups(model, EmbeddingTable.of(queries), groups, use_t=use_t)
+    columns = (scores.n, scores.mean, scores.sd, scores.upper)
+    return [[GroupDistance(g.name, *stats) for g, *stats in zip(groups, *row)]
+            for row in zip(*(column.tolist() for column in columns))]
 
 
 @pytest.fixture()
@@ -222,6 +232,7 @@ class TestGroupDistance:
         # a member as query leaves its own entry out; a singleton's member empties it
         queries = [labeled("q", rng.normal(size=3), "male", "young"), pool[-1]]
         queries += [groups[n].members[0] for n in names if len(groups[n]) == 1]
+        queries = list({q.image_id: q for q in queries}.values())  # a table's ids are distinct
         expected, empty = [], None
         for query in queries:
             results = []
@@ -238,12 +249,8 @@ class TestGroupDistance:
                 group_distances(model, queries, chosen, use_t=use_t)
             assert str(info.value) == empty
         else:
-            # dataclass equality: == on n, mean_d, sd_d and upper
+            # tuple equality: == on group, n, mean_d, sd_d and upper
             assert group_distances(model, queries, chosen, use_t=use_t) == expected
-
-    def test_no_groups_give_empty_rows(self):
-        queries = [labeled(f"q{i}", [1.0, float(i)], "male", "young") for i in range(3)]
-        assert group_distances(ProjectionModel.identity(2), queries, []) == [[], [], []]
 
     def test_zero_projection_member_is_named(self):
         model = ProjectionModel(np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -268,7 +275,8 @@ def _pool(rng, dim, per_intersection):
 
 
 class TestGallery:
-    """`similarity_table` against per-group projection and `rowwise_cosine`."""
+    """`score_groups`' gallery and similarities against per-group projection and
+    `rowwise_cosine`."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 12), st.integers(1, 6), st.integers(0, 2**32 - 1),
@@ -283,33 +291,36 @@ class TestGallery:
                  "unions": attributes.UNION_GROUPS}[mode]
         chosen = [groups[n] for n in names]
         # a member equal to the query scores exactly 1.0
-        queries = [labeled("q", rng.normal(size=dim), "male", "young"), pool[-1]]
-        gallery, sims = similarity_table(model, queries, chosen)
-        assert len(gallery.image_ids) == len(set(np.concatenate([g.rows for g in chosen])))
-        for q, row in zip(queries, sims):
-            for g, rows in zip(chosen, gallery.members):
-                oracle = rowwise_cosine(project_records(model, [q]),
-                                        project_records(model, g.members))
-                assert np.array_equal(row[rows], oracle)
-                assert gallery.image_ids[rows].tolist() == g.member_ids
-        assert sims[1][gallery.image_ids == pool[-1].image_id].tolist() == [1.0]
+        twin = labeled("twin", pool[-1].vector, "male", "young")
+        queries = [labeled("q", rng.normal(size=dim), "male", "young"), twin]
+        scores = score_groups(model, EmbeddingTable.of(queries), chosen)
+        rows = np.concatenate([g.rows for g in chosen])
+        assert scores.image_ids.tolist() == [pool[r].image_id for r in sorted(set(rows))]
+        for q, row in zip(queries, scores.sims):
+            for g, members in zip(chosen, scores.members):
+                oracle = rowwise_cosine(project_rows(model, [q]), project_rows(model, g.members))
+                assert np.array_equal(row[members], oracle)
+                assert scores.image_ids[members].tolist() == g.member_ids
+        assert scores.sims[1][scores.image_ids == pool[-1].image_id].tolist() == [1.0]
 
     def test_scoring_needs_groups_of_one_table(self, labeled_pool):
         one, other = build_groups(labeled_pool), build_groups(labeled_pool)
         query = labeled("q", np.arange(1.0, 7.0), "male", "young")
+        queries = EmbeddingTable.of([query])
         with pytest.raises(ValidationError, match="one table"):
-            similarity_table(ProjectionModel.identity(6), [query],
-                             [one["young_male"], other["older_male"]])
+            score_groups(ProjectionModel.identity(6), queries,
+                         [one["young_male"], other["older_male"]])
         with pytest.raises(ValidationError, match="needs attribute groups"):
-            similarity_table(ProjectionModel.identity(6), [query], [])
+            score_groups(ProjectionModel.identity(6), queries, [])
 
     def test_union_rows_are_its_intersections_rows(self, labeled_pool):
         groups = build_groups(labeled_pool)
         chosen = [groups[n] for n in attributes.ALL_GROUPS]
         query = labeled("q", np.arange(1.0, 7.0), "male", "young")
-        gallery, sims = similarity_table(ProjectionModel.identity(6), [query], chosen)
-        assert len(gallery.image_ids) == len(labeled_pool)
-        rows = dict(zip(attributes.ALL_GROUPS, gallery.members))
+        scores = score_groups(ProjectionModel.identity(6), EmbeddingTable.of([query]), chosen)
+        sims = scores.sims
+        assert len(scores.image_ids) == len(labeled_pool)
+        rows = dict(zip(attributes.ALL_GROUPS, scores.members))
         for union, (a, b) in (("male", ("young_male", "older_male")),
                               ("female", ("young_female", "older_female")),
                               ("young", ("young_male", "young_female")),
@@ -333,23 +344,25 @@ class TestGallery:
         )
         model = ProjectionModel.identity(2)
         # equal vectors: image_id alone orders the ranking
-        gallery, table = similarity_table(model, [query], [group])
-        id_rank = np.argsort(np.argsort(gallery.image_ids))
-        image_ids, _ = selector._ranking(group.name, query, table[0], gallery,
-                                         gallery.members[0], id_rank)
+        scores = score_groups(model, EmbeddingTable.of([query]), [group])
+        id_rank = np.argsort(np.argsort(scores.image_ids))
+        image_ids, _ = selector._ranking(group.name, query.image_id, query.identity_id,
+                                         scores.sims[0], scores, scores.members[0], id_rank)
         assert image_ids.tolist() == sorted(group.member_ids)
         assert len(image_ids) == len(members)
         # given similarities, signed zeros among them: -0.0 and 0.0 tie
         sims = np.array([sim for _, sim in members])
-        image_ids, similarities = selector._ranking(group.name, query, sims, gallery,
-                                                    gallery.members[0], id_rank)
+        image_ids, similarities = selector._ranking(group.name, query.image_id,
+                                                    query.identity_id, sims, scores,
+                                                    scores.members[0], id_rank)
         oracle = sorted(zip(sims.tolist(), group.member_ids), key=lambda p: (-p[0], p[1]))
         assert list(zip(similarities.tolist(), image_ids.tolist())) == oracle
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4), st.sets(st.integers(0, 15), min_size=2, max_size=5),
            st.integers(0, 2**32 - 1), st.permutations(attributes.ALL_GROUPS), st.integers(2, 8))
-    def test_first_zero_projection_is_named_as_per_group(self, per, zero, seed, names, n_groups):
+    def test_first_zero_projection_is_named_in_table_order(self, per, zero, seed, names,
+                                                           n_groups):
         rng = np.random.default_rng(seed)
         weight = np.eye(4)
         weight[:, 0] = 0.0  # a vector that is zero past its first component projects to zero
@@ -363,20 +376,17 @@ class TestGallery:
         ]
         groups = build_groups(pool)
         chosen = [groups[n] for n in names[:n_groups]]
-        expected = None
-        for g in chosen:  # the groups projected one at a time, in order
-            try:
-                model.project_block(g.table.matrix[g.rows], g.member_ids)
-            except DegenerateVectorError as exc:
-                expected = str(exc)
-                break
-        query = labeled("q", np.ones(4), "male", "young")
-        if expected is None:  # no chosen group holds a zero row
-            similarity_table(model, [query], chosen)
+        # the gallery holds the chosen groups' rows in table (pool) order
+        in_chosen = set(np.concatenate([g.rows for g in chosen]).tolist())
+        flat = [r.image_id for i, r in enumerate(pool)
+                if i in in_chosen and not project(model, r.vector).any()]
+        queries = EmbeddingTable.of([labeled("q", np.ones(4), "male", "young")])
+        if not flat:  # no chosen group holds a zero row
+            score_groups(model, queries, chosen)
         else:
             with pytest.raises(DegenerateVectorError) as info:
-                similarity_table(model, [query], chosen)
-            assert str(info.value) == expected
+                score_groups(model, queries, chosen)
+            assert str(info.value) == f"projection of record '{flat[0]}' has zero norm"
 
 
 class TestClassifyQuery:
@@ -386,7 +396,7 @@ class TestClassifyQuery:
         groups = build_groups(list(clustered.candidates))
         model = ProjectionModel.identity(16)
         hits = 0
-        queries = list(clustered.queries)
+        queries = clustered.queries
         for q, (rec, _) in zip(queries, selector.recommend_batch(model, queries, groups)):
             hits += rec.selected_group == attributes.group_label(q.age_group, q.gender)
         assert hits / len(queries) >= 0.95
@@ -398,7 +408,8 @@ class TestClassifyQuery:
         built = make_groups({name: members for name in names})
         groups = {key: built[name] for key, name in zip(attributes.INTERSECTION_GROUPS, names)}
         query = labeled("q", [1.0, 1.0], "male", "young")
-        [(rec, _)] = selector.recommend_batch(ProjectionModel.identity(2), [query], groups)
+        [(rec, _)] = selector.recommend_batch(ProjectionModel.identity(2),
+                                              EmbeddingTable.of([query]), groups)
         assert rec.selected_group == "alpha"
 
     @settings(max_examples=50, deadline=None)
@@ -420,7 +431,7 @@ class TestClassifyQuery:
             )
             for n in attributes.INTERSECTION_GROUPS
         })
-        queries = list(clustered.queries)[:10]
+        queries = EmbeddingTable.of(list(clustered.queries)[:10])
         assert [
             rec.selected_group for rec, _ in selector.recommend_batch(model, queries, groups)
         ] == [
@@ -468,7 +479,7 @@ class TestEvaluateClassification:
     def test_perfect_separation(self, clustered):
         groups = build_groups(list(clustered.candidates))
         report = evaluate_classification(
-            ProjectionModel.identity(16), list(clustered.queries), groups, "four-way"
+            ProjectionModel.identity(16), clustered.queries, groups, "four-way"
         )
         assert report.accuracy >= 0.95
         assert all(v >= 0.95 for v in report.auc_per_category.values())
@@ -476,14 +487,14 @@ class TestEvaluateClassification:
     def test_binary_gender(self, clustered):
         groups = build_groups(list(clustered.candidates))
         report = evaluate_classification(
-            ProjectionModel.identity(16), list(clustered.queries), groups, "gender"
+            ProjectionModel.identity(16), clustered.queries, groups, "gender"
         )
         assert report.categories == ["female", "male"]
         assert report.accuracy >= 0.95
 
     def test_confusion_counts_sum_to_queries(self, clustered):
         groups = build_groups(list(clustered.candidates))
-        queries = list(clustered.queries)
+        queries = clustered.queries
         report = evaluate_classification(
             ProjectionModel.identity(16), queries, groups, "four-way"
         )
@@ -491,14 +502,12 @@ class TestEvaluateClassification:
 
     def test_recall_times_positives_is_integer(self, clustered):
         groups = build_groups(list(clustered.candidates))
-        queries = list(clustered.queries)
+        queries = clustered.queries
         report = evaluate_classification(
             ProjectionModel.identity(16), queries, groups, "age"
         )
         for c in report.categories:
-            positives = sum(
-                1 for q in queries if attributes._true_category(q, "age") == c
-            )
+            positives = queries.age_groups.count(c)
             assert (report.recall[c] * positives) == pytest.approx(
                 round(report.recall[c] * positives), abs=1e-9
             )
@@ -523,22 +532,22 @@ class TestEvaluateClassification:
         weight = np.zeros((4, 4))
         weight[0, :] = 1.0
         report = evaluate_classification(
-            ProjectionModel(weight), queries, build_groups(pool), "gender"
+            ProjectionModel(weight), EmbeddingTable.of(queries), build_groups(pool), "gender"
         )
         for c in report.categories:
             assert report.auc_per_category[c] == pytest.approx(0.5, abs=1e-9)
 
     def test_report_needs_each_task_group_in_the_table(self, clustered):
         groups = build_groups(list(clustered.candidates))
-        queries = list(clustered.queries)
-        table = group_distances(ProjectionModel.identity(16), queries, [groups["female"]])
+        queries = clustered.queries
+        scores = score_groups(ProjectionModel.identity(16), queries, [groups["female"]])
         with pytest.raises(ValidationError, match="gender"):
-            attributes.classification_report("gender", queries, table)
+            attributes.classification_report("gender", queries, ["female"], scores.upper)
 
     def test_report_json_rounds_to_three_places(self, clustered):
         groups = build_groups(list(clustered.candidates))
         report = evaluate_classification(
-            ProjectionModel.identity(16), list(clustered.queries), groups, "gender"
+            ProjectionModel.identity(16), clustered.queries, groups, "gender"
         )
         payload = report.to_json()
         assert payload["accuracy"] == round(report.accuracy, 3)

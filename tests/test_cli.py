@@ -267,16 +267,16 @@ class TestPipeline:
         groups = attributes.build_groups(
             list(corpus.load_embeddings(clustered_dir / "candidates.csv"))
         )
-        queries = {q.image_id: q for q in corpus.load_embeddings(clustered_dir / "queries.csv")}
+        queries = corpus.load_embeddings(clustered_dir / "queries.csv")
         with open(distances) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(queries) * len(attributes.ALL_GROUPS)
         for row in rows:
-            r = attributes.group_distances(
-                model, [queries[row["query_id"]]], [groups[row["group"]]], use_t=use_t
-            )[0][0]
+            # the pair scored on its own: one query, one group
+            one = queries.take([queries.row(row["query_id"])])
+            r = attributes.score_groups(model, one, [groups[row["group"]]], use_t=use_t)
             assert (int(row["n"]), float(row["mean_d"]), float(row["sd_d"]),
-                    float(row["upper"])) == (r.n, r.mean_d, r.sd_d, r.upper)
+                    float(row["upper"])) == (r.n[0, 0], r.mean[0, 0], r.sd[0, 0], r.upper[0, 0])
 
     def test_distances_score_each_query_against_each_group_once(
         self, clustered_dir, tmp_path, monkeypatch
@@ -312,8 +312,8 @@ class TestPipeline:
     def test_attribute_commands_build_no_candidate_records(
         self, clustered_dir, tmp_path, monkeypatch
     ):
-        """eval-attributes and select gather the candidates table's rows; only the
-        queries become records."""
+        """eval-attributes and select work on the rows of the candidates' and the
+        queries' tables, and build no records."""
         built = []
         post_init = corpus.EmbeddingRecord.__post_init__
 
@@ -333,9 +333,7 @@ class TestPipeline:
              "--out", str(tmp_path / "s.json"), "--ranking", str(tmp_path / "r.csv")],
         ):
             assert cli.run(argv) == 0
-        query_ids = [q.image_id for q in corpus.load_embeddings(queries)]
-        assert built == query_ids * 3
-        built.clear()
+        assert built == []
         candidates = list(corpus.load_embeddings(clustered_dir / "candidates.csv"))
         assert built == [rec.image_id for rec in candidates]  # the count sees records when built
 
@@ -352,7 +350,7 @@ class TestPipeline:
         ):
             assert cli.run(argv) == 3
             assert capsys.readouterr().err == (
-                "error: records do not all have the model dimension 6\n"
+                "error: model dimension 6 does not match embedding dimension 8\n"
             )
 
     def test_eval_triplets_rejects_a_model_of_another_width(self, planted_dir, tmp_path, capsys):
@@ -397,14 +395,20 @@ class TestPipeline:
             ["split", *corpus_args(planted_dir), "--mode", "i", "--out", str(tmp_path / "p.json")],
         ]
         attribute_commands = [
-            ["eval-attributes", *inputs, "--queries", queries, "--report", str(tmp_path / "a.json")],
+            ["eval-attributes", *inputs, "--queries", queries, "--report", str(tmp_path / "a.json"),
+             "--distances", str(tmp_path / "d.csv")],
             ["select", *inputs, "--query", queries, "--out", str(tmp_path / "s.json")],
+            ["select", *inputs, "--query", queries, "--group-mode", "all",
+             "--out", str(tmp_path / "s.json"), "--ranking", str(tmp_path / "r.csv")],
         ]
         train_commands = [["train", *corpus_args(planted_dir), "--epochs", "1",
-                           "--out", str(tmp_path / "m.json")]]
+                           "--out", str(tmp_path / "m.json")],
+                          ["eval-triplets", *corpus_args(planted_dir), "--model", str(model),
+                           "--report", str(tmp_path / "e.json")]]
+        # `numpy.ma` is no command's: `np.unique` without `return_index` imports it
         lazy = [*(f"facesim.{name}" for name in
                   ("trainer", "evaluator", "attributes", "selector", "synth", "metric")),
-                "statistics"]
+                "statistics", "numpy.ma"]
 
         def imported_after(*groups):
             """The lazy modules imported after `import facesim.cli` and after each group."""
@@ -422,23 +426,35 @@ class TestPipeline:
         on_import, after_corpus, after_attributes = imported_after(corpus_commands,
                                                                    attribute_commands)
         assert on_import == after_corpus == []
-        assert not {"facesim.trainer", "facesim.evaluator", "facesim.synth"} & set(
+        assert not {"facesim.trainer", "facesim.evaluator", "facesim.synth", "numpy.ma"} & set(
             after_attributes)
         _, after_train = imported_after(train_commands)
-        assert not {"facesim.attributes", "facesim.selector", "facesim.synth"} & set(after_train)
+        assert not {"facesim.attributes", "facesim.selector", "facesim.synth", "numpy.ma"} & set(
+            after_train)
 
     def test_select_single_query_id(self, clustered_dir, tmp_path):
-        model = tmp_path / "identity.json"
-        ProjectionModel.identity(8).save(model)
-        out = tmp_path / "one.json"
-        queries = (clustered_dir / "queries.csv").read_text().splitlines()
-        query_id = queries[1].split(",")[0]
-        assert cli.run(["select", "--model", str(model),
-                        "--candidates", str(clustered_dir / "candidates.csv"),
-                        "--query", str(clustered_dir / "queries.csv"),
-                        "--query-id", query_id, "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert [r["query_id"] for r in payload["recommendations"]] == [query_id]
+        """`--query-id` gives that query's recommendation and ranking rows of a full run."""
+        model = tmp_path / "model.json"
+        rng = np.random.default_rng(9)
+        ProjectionModel(np.eye(8) + 0.1 * rng.normal(size=(8, 8))).save(model)
+        inputs = ["--model", str(model), "--candidates", str(clustered_dir / "candidates.csv"),
+                  "--query", str(clustered_dir / "queries.csv")]
+
+        def select(*extra):
+            out, ranking = tmp_path / "select.json", tmp_path / "ranking.csv"
+            assert cli.run(["select", *inputs, *extra, "--out", str(out),
+                            "--ranking", str(ranking)]) == 0
+            with open(ranking) as fh:
+                return json.loads(out.read_text())["recommendations"], list(csv.DictReader(fh))
+
+        for mode in ("intersection", "all"):
+            recommendations, ranking = select("--group-mode", mode)
+            assert len(recommendations) == 12
+            for rec in (recommendations[0], recommendations[5], recommendations[11]):
+                query_id = rec["query_id"]
+                assert select("--group-mode", mode, "--query-id", query_id) == (
+                    [rec], [row for row in ranking if row["query_id"] == query_id]
+                )
 
 
 def _invalid_utf8(data: bytes) -> bytes:

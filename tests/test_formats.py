@@ -166,6 +166,28 @@ def test_every_public_name_is_used_by_the_program():
     assert len(public) > 50 and not unused, unused
 
 
+def test_no_module_imports_another_modules_private_name():
+    """A `_`-prefixed name is its module's own: another module that needs it needs a public door.
+
+    Neither `from .module import _name` nor `module._name` may reach one."""
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    modules = {path.stem for path in paths}
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
+                          if private(alias.name)]
+            elif (isinstance(node, ast.Attribute) and private(node.attr)
+                  and getattr(node.value, "id", None) in modules):
+                found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert len(paths) > 5 and not found, found
+
+
 # ---------------------------------------------------------------------------
 # fuzz: mutated inputs exit with a documented code
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from facesim import attributes, selector
-from facesim.attributes import build_groups, similarity_table
+from facesim.attributes import build_groups, score_groups
+from facesim.corpus import EmbeddingTable
 from facesim.errors import DegenerateVectorError, ValidationError
 from facesim.metric import ProjectionModel, cosine
 
@@ -37,10 +38,10 @@ QUERY = make_record("query", [1.0, 0.0], identity_id="query_identity", role="tar
 def rank(model, query, group):
     """The group's full ranking for the query, as `recommend_batch` ranks a selected group:
     (image_id, similarity) pairs, most similar first."""
-    gallery, sims = similarity_table(model, [query], [group])
+    scores = score_groups(model, EmbeddingTable.of([query]), [group])
     image_ids, similarities = selector._ranking(
-        group.name, query, sims[0], gallery, gallery.members[0],
-        np.argsort(np.argsort(gallery.image_ids)),
+        group.name, query.image_id, query.identity_id, scores.sims[0], scores,
+        scores.members[0], np.argsort(np.argsort(scores.image_ids)),
     )
     return list(zip(image_ids.tolist(), similarities.tolist()))
 
@@ -51,8 +52,8 @@ def ids(ranking):
 
 def oracle_rank(model, query, group):
     """The group's full ranking for the query, by the per-candidate oracle."""
-    gallery, sims = similarity_table(model, [query], [group])
-    return scalar_oracle.rank(group.name, query, sims[0], gallery, gallery.members[0])
+    scores = score_groups(model, EmbeddingTable.of([query]), [group])
+    return scalar_oracle.rank(group.name, query, scores.sims[0], scores, scores.members[0])
 
 
 def as_arrays(ranking):
@@ -147,7 +148,7 @@ class TestSelectGroup:
         groups = build_groups(list(clustered.candidates))
         model = ProjectionModel.identity(16)
         q = next(iter(clustered.queries))
-        name = selector.recommend_batch(model, [q], groups)[0][0].selected_group
+        name = selector.recommend_batch(model, EmbeddingTable.of([q]), groups)[0][0].selected_group
         assert name in attributes.INTERSECTION_GROUPS
         assert name == attributes.group_label(q.age_group, q.gender)
 
@@ -155,7 +156,8 @@ class TestSelectGroup:
         groups = build_groups(list(clustered.candidates))
         model = ProjectionModel.identity(16)
         q = next(iter(clustered.queries))
-        [(rec, _)] = selector.recommend_batch(model, [q], groups, group_mode="all")
+        [(rec, _)] = selector.recommend_batch(model, EmbeddingTable.of([q]), groups,
+                                              group_mode="all")
         name = rec.selected_group
         assert name in attributes.ALL_GROUPS
 
@@ -163,8 +165,7 @@ class TestSelectGroup:
         groups = build_groups(list(clustered.candidates))
         with pytest.raises(ValidationError):
             selector.recommend_batch(
-                ProjectionModel.identity(16), [next(iter(clustered.queries))], groups,
-                group_mode="both",
+                ProjectionModel.identity(16), clustered.queries, groups, group_mode="both",
             )
 
 
@@ -208,7 +209,8 @@ class TestRecommend:
         rng = np.random.default_rng(16)
         model = ProjectionModel(np.eye(16) + 0.1 * rng.normal(size=(16, 16)))
         queries = list(clustered.queries)[:8]
-        batch = selector.recommend_batch(model, queries, groups, k=3, group_mode="all")
+        batch = selector.recommend_batch(model, EmbeddingTable.of(queries), groups, k=3,
+                                         group_mode="all")
         for q, (rec, ranking) in zip(queries, batch):
             assert rec == selector.recommend(model, q, groups, k=3, group_mode="all")
             image_ids, sims = ranking
@@ -226,7 +228,8 @@ class TestRecommend:
         ]
         groups = build_groups(pool)
         [(rec, _)] = selector.recommend_batch(
-            ProjectionModel.identity(2), [QUERY], groups, k=1, group_mode="all"
+            ProjectionModel.identity(2), EmbeddingTable.of([QUERY]), groups, k=1,
+            group_mode="all",
         )
         assert rec.selected_group == "female"
 
@@ -286,9 +289,9 @@ def test_array_ranking_equals_the_per_candidate_oracle(members, query_in_group):
         for image_id, twin, _ in members
     ] + ([candidate("query", [1.0, 0.0])] if query_in_group else [])
     group = make_group("young_male", records)
-    gallery, _ = similarity_table(ProjectionModel.identity(2), [QUERY], [group])
-    rows = gallery.members[0]
-    sims = np.zeros(len(gallery.image_ids))
+    scores = score_groups(ProjectionModel.identity(2), EmbeddingTable.of([QUERY]), [group])
+    rows = scores.members[0]
+    sims = np.zeros(len(scores.image_ids))
     sims[rows] = [sim for _, _, sim in members] + [0.5] * query_in_group
 
     def outcome(ranking):
@@ -298,7 +301,7 @@ def test_array_ranking_equals_the_per_candidate_oracle(members, query_in_group):
             return str(exc)
         return list(image_ids), [float(s).hex() for s in similarities]
 
-    expected = outcome(lambda: as_arrays(scalar_oracle.rank("g", QUERY, sims, gallery, rows)))
-    got = outcome(lambda: selector._ranking("g", QUERY, sims, gallery, rows,
-                                            np.argsort(np.argsort(gallery.image_ids))))
+    expected = outcome(lambda: as_arrays(scalar_oracle.rank("g", QUERY, sims, scores, rows)))
+    got = outcome(lambda: selector._ranking("g", QUERY.image_id, QUERY.identity_id, sims,
+                                            scores, rows, np.argsort(np.argsort(scores.image_ids))))
     assert got == expected
