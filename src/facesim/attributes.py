@@ -41,12 +41,6 @@ class AttributeGroup:
     rows: np.ndarray
 
     @property
-    def members(self) -> Tuple[EmbeddingRecord, ...]:
-        """The member records, built from the table (see `EmbeddingTable`)."""
-        records = list(self.table)
-        return tuple(records[row] for row in self.rows.tolist())
-
-    @property
     def member_ids(self) -> List[str]:
         return [self.table.image_ids[row] for row in self.rows.tolist()]
 

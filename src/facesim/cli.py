@@ -46,14 +46,13 @@ def _write_report(path, args, body: dict) -> None:
     corpus.write_json(path, report, indent=2)
 
 
-def _load_triplets(args) -> tuple:
-    """The embedding table, and the triplet table of the manifest and annotations."""
+def _load_triplets(args) -> corpus.TripletTable:
+    """The triplet table of the manifest and annotations, over the embedding table."""
     table = corpus.load_embeddings(args.embeddings)
     manifest = corpus.load_manifest(args.manifest)
     annotations = corpus.read_annotations(args.annotations)
-    triplets = corpus.count_votes(manifest, annotations, annotations.screened(),
-                                  min_votes=args.min_votes, table=table)
-    return table, triplets
+    return corpus.count_votes(manifest, annotations, annotations.screened(),
+                              min_votes=args.min_votes, table=table)
 
 
 def _load_partition(path: str, triplets: corpus.TripletTable) -> corpus.DatasetPartition:
@@ -99,11 +98,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_split(args) -> int:
-    table, triplets = _load_triplets(args)
-    corpus.verify_target_consistency(triplets.take(triplets.admitted), table)
-    partition = corpus.split_eval(
-        triplets, table, args.mode, ratios=tuple(args.ratios), seed=args.seed
-    )
+    triplets = _load_triplets(args)
+    corpus.verify_target_consistency(triplets.take(triplets.admitted))
+    partition = corpus.split_eval(triplets, args.mode, ratios=tuple(args.ratios), seed=args.seed)
     partition.save(args.out)
     print(
         f"mode [{args.mode}] split: {len(partition.train)} train,"
@@ -118,9 +115,9 @@ def cmd_train(args) -> int:
     from . import trainer
     from .metric import ProjectionModel
 
-    table, triplets = _load_triplets(args)
+    triplets = _load_triplets(args)
     pool = corpus.build_datasets(triplets)[args.dataset]
-    train_samples, val_samples = pool, []
+    train_samples, val_samples = pool, pool.take([])
     if args.partition:
         partition = _load_partition(args.partition, triplets)
         train_samples = _in_split(pool, partition, "train")
@@ -128,11 +125,11 @@ def cmd_train(args) -> int:
     if args.model:
         model = ProjectionModel.load(args.model)
     else:
-        model = ProjectionModel.identity(table.dim)
+        model = ProjectionModel.identity(triplets.table.dim)
     config = trainer.TrainConfig(
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(trainer.TrainConfig)}
     )
-    trained, history = trainer.train(model, train_samples, val_samples, table, config)
+    trained, history = trainer.train(model, train_samples, val_samples, config)
     trained.save(args.out)
     if args.history:
         history.save_csv(args.history)
@@ -148,7 +145,7 @@ def cmd_eval_triplets(args) -> int:
     from . import evaluator
     from .metric import ProjectionModel
 
-    table, triplets = _load_triplets(args)
+    triplets = _load_triplets(args)
     pool = corpus.build_datasets(triplets)["D2"]
     if args.partition:
         pool = _in_split(pool, _load_partition(args.partition, triplets), args.split)
@@ -157,7 +154,7 @@ def cmd_eval_triplets(args) -> int:
     records = None
     for model_path in args.model:
         model = ProjectionModel.load(model_path)
-        accuracy, records = evaluator.eval_triplets(model, pool, table)
+        accuracy, records = evaluator.eval_triplets(model, pool)
         accuracies.append(accuracy)
         per_model.append({"model": model_path, "accuracy": round(accuracy, 3)})
     body = {

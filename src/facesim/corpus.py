@@ -1138,22 +1138,16 @@ class TripletTable:
     `rows` holds the rows of `table` of the reference, option A and option B
     images as a (3, n) array, -1 for an image `table` lacks, which raises only
     where its triplet is used. `count_votes` builds the table of a manifest
-    and its annotations, `triplet_table` that of `TripletSample` records.
+    and its annotations.
     """
 
     IDS = ("triplet_ids", "ref_ids", "option_a_ids", "option_b_ids")
     ARRAYS = ("n_a", "n_b", "majority", "admitted", "consistent")
 
-    def __init__(self, columns: dict, table: Optional[EmbeddingTable],
-                 min_votes: int = MIN_VALID_VOTES, screened: Optional[np.ndarray] = None):
+    def __init__(self, columns: dict, table: EmbeddingTable, min_votes: int,
+                 screened: np.ndarray):
         self.__dict__.update(columns)
-        self.table, self.min_votes = table, min_votes
-        self.screened = np.zeros(0, bool) if screened is None else screened
-        if "rows" not in columns:
-            self.rows = None if table is None else np.array([
-                np.fromiter(map(table._rows.get, ids, itertools.repeat(-1)), np.intp, len(ids))
-                for ids in (self.ref_ids, self.option_a_ids, self.option_b_ids)
-            ])
+        self.table, self.min_votes, self.screened = table, min_votes, screened
 
     def __len__(self) -> int:
         return len(self.triplet_ids)
@@ -1165,7 +1159,7 @@ class TripletTable:
         at = index.tolist()
         columns = {name: tuple(map(getattr(self, name).__getitem__, at)) for name in self.IDS}
         columns.update({name: getattr(self, name)[index] for name in self.ARRAYS})
-        columns["rows"] = None if self.rows is None else self.rows[:, index]
+        columns["rows"] = self.rows[:, index]
         return TripletTable(columns, self.table, self.min_votes, self.screened)
 
     def role_ids(self) -> Tuple[Sequence[str], ...]:
@@ -1217,20 +1211,14 @@ class TripletTable:
         }
 
 
-def count_votes(
+def _tally(
     manifest: Dict[str, Tuple[str, str, str]],
     annotations: AnnotationTable,
     screened: np.ndarray,
-    min_votes: int = MIN_VALID_VOTES,
-    table: Optional[EmbeddingTable] = None,
-) -> TripletTable:
-    """Fold annotations into one row per manifest triplet, in manifest order.
-
-    Dummy annotations and votes of annotators not `screened` are dropped; a
-    non-dummy annotation of a triplet the manifest lacks raises, the first in
-    file order. Triplets with fewer than `min_votes` surviving votes, or with
-    tied votes, are kept but belong to no dataset. `min_votes` is at least 1.
-    """
+    min_votes: int,
+) -> Tuple[dict, np.ndarray, np.ndarray]:
+    """The id and vote columns of `TripletTable`, and per annotation its triplet's
+    position and whether its vote counts."""
     if min_votes < 1:
         raise ValidationError(f"min_votes must be >= 1, got {min_votes}")
     triplet_ids = tuple(manifest)
@@ -1252,27 +1240,30 @@ def count_votes(
                                                          or ((),) * 3))))
     columns.update(n_a=n_a, n_b=n_b, majority=majority, admitted=admitted,
                    consistent=admitted & ((n_a == 0) | (n_b == 0)))
-    triplets = TripletTable(columns, table, min_votes, screened)
-    triplets._ballots = codes, kept  # the votes, which `aggregate_triplets` lists
-    return triplets
+    return columns, codes, kept
 
 
-def triplet_table(samples, table: EmbeddingTable) -> TripletTable:
-    """`samples`, a `TripletTable` of `table` or `TripletSample` records, as a table."""
-    if isinstance(samples, TripletTable):
-        return samples
-    samples = list(samples)
-    fields = ("triplet_id", "ref_id", "option_a_id", "option_b_id")
-    columns = {name: tuple(getattr(s, field) for s in samples)
-               for name, field in zip(TripletTable.IDS, fields)}
-    columns.update(
-        n_a=np.array([s.votes.count("A") for s in samples], np.intp),
-        n_b=np.array([s.votes.count("B") for s in samples], np.intp),
-        majority=np.array([MAJORITIES.index(s.majority) for s in samples], np.intp),
-        admitted=np.array([s.admitted for s in samples], bool),
-        consistent=np.array([s.consistent for s in samples], bool),
-    )
-    return TripletTable(columns, table)
+def count_votes(
+    manifest: Dict[str, Tuple[str, str, str]],
+    annotations: AnnotationTable,
+    screened: np.ndarray,
+    min_votes: int = MIN_VALID_VOTES,
+    *,
+    table: EmbeddingTable,
+) -> TripletTable:
+    """Fold annotations into one row per manifest triplet, in manifest order, over `table`.
+
+    Dummy annotations and votes of annotators not `screened` are dropped; a
+    non-dummy annotation of a triplet the manifest lacks raises, the first in
+    file order. Triplets with fewer than `min_votes` surviving votes, or with
+    tied votes, are kept but belong to no dataset. `min_votes` is at least 1.
+    """
+    columns, _, _ = _tally(manifest, annotations, screened, min_votes)
+    columns["rows"] = np.array([
+        np.fromiter(map(table._rows.get, ids, itertools.repeat(-1)), np.intp, len(ids))
+        for ids in (columns["ref_ids"], columns["option_a_ids"], columns["option_b_ids"])
+    ])
+    return TripletTable(columns, table, min_votes, screened)
 
 
 def validate_annotators(annotations: Sequence[RawAnnotation]) -> Set[str]:
@@ -1291,31 +1282,27 @@ def aggregate_triplets(
     choice, and why a rejected triplet belongs to no dataset."""
     table = AnnotationTable.of(annotations)
     screened = np.array([a in valid_annotators for a in table.annotators], dtype=bool)
-    triplets = count_votes(manifest, table, screened, min_votes)
-    codes, kept = triplets._ballots
+    columns, codes, kept = _tally(manifest, table, screened, min_votes)
     voters = np.flatnonzero(kept)
     voters = voters[np.lexsort((~table.is_a[voters], table.annotator_codes[voters],
                                 codes[voters]))]
     choices = [table.choices[i] for i in voters.tolist()]
-    ends = np.cumsum(triplets.n_a + triplets.n_b).tolist()
+    ends = np.cumsum(columns["n_a"] + columns["n_b"]).tolist()
     samples = []
-    for i, ids in enumerate(zip(*(getattr(triplets, name) for name in TripletTable.IDS))):
-        n_a, n_b = int(triplets.n_a[i]), int(triplets.n_b[i])
+    for i, ids in enumerate(zip(*(columns[name] for name in TripletTable.IDS))):
+        n_a, n_b = int(columns["n_a"][i]), int(columns["n_b"][i])
         votes = tuple(choices[ends[i] - n_a - n_b:ends[i]])
         rejection = (f"only {len(votes)} valid votes (need {min_votes})"
                      if len(votes) < min_votes else None if n_a != n_b
                      else f"tied votes ({n_a} vs {n_b})")
-        samples.append(TripletSample(*ids, votes, MAJORITIES[triplets.majority[i]],
-                                     bool(triplets.consistent[i]), rejection is None, rejection))
+        samples.append(TripletSample(*ids, votes, MAJORITIES[columns["majority"][i]],
+                                     bool(columns["consistent"][i]), rejection is None, rejection))
     return samples
 
 
-def verify_target_consistency(samples, table: EmbeddingTable) -> None:
-    """Check that each triplet's three images are swaps onto one target.
-
-    `samples` is a `TripletTable` of `table` or a sequence of `TripletSample`s.
-    """
-    triplets = triplet_table(samples, table)
+def verify_target_consistency(triplets: TripletTable) -> None:
+    """Check that each triplet's three images are swaps onto one target."""
+    table = triplets.table
     # row -1, an unknown image, reads as not swapped
     swapped = np.append([role == "swapped" for role in table.roles], False)[triplets.rows]
     targets = np.append(_codes(table.target_ids), -1)[triplets.rows]
@@ -1349,26 +1336,24 @@ def build_datasets(samples):
 # Evaluation splits
 
 
-def _triplet_keys(triplets: TripletTable, table: EmbeddingTable) -> Tuple[List[str], np.ndarray]:
+def _triplet_keys(triplets: TripletTable) -> Tuple[List[str], np.ndarray]:
     """Each triplet's target, its reference's `target_id` or else the reference's own id,
     and the (3, n) identity codes (`_codes`) of its three images."""
-    rows = triplets.known_rows()
+    rows, table = triplets.known_rows(), triplets.table
     targets = [table.target_ids[row] or ref_id
                for row, ref_id in zip(rows[0].tolist(), triplets.ref_ids)]
     return targets, _codes(table.identity_ids)[rows]
 
 
 def split_eval(
-    samples,
-    table: EmbeddingTable,
+    triplets: TripletTable,
     mode: str,
     ratios: Tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
     seed: int = 0,
 ) -> DatasetPartition:
     """Deterministic train/val/test split honoring a source/target knowledge mode.
 
-    `samples` is a `TripletTable` of `table` or a sequence of `TripletSample`s;
-    only admitted triplets are split.
+    Only admitted triplets are split.
 
     mode "i":   test shares no source identity and no target with train.
     mode "ii":  test shares no target with train; every test source is in train.
@@ -1379,12 +1364,11 @@ def split_eval(
     # written to fail on NaN, which fails every comparison
     if len(ratios) != 3 or not abs(sum(ratios) - 1.0) <= 1e-9 or not all(r >= 0 for r in ratios):
         raise ValidationError(f"ratios must be three non-negatives summing to 1, got {ratios}")
-    triplets = triplet_table(samples, table)
     admitted = triplets.take(triplets.admitted)
     if not len(admitted):
         raise InfeasibleSplitError("no admitted samples to split")
 
-    targets, sources = _triplet_keys(admitted, table)
+    targets, sources = _triplet_keys(admitted)
     rng = random.Random(seed)
 
     if mode in ("i", "ii"):
@@ -1395,7 +1379,7 @@ def split_eval(
     train, val, test = (sorted(ids[i] for i in split) for split in splits)
     partition = DatasetPartition(mode, seed, tuple(ratios), train, val, test)
 
-    violations = audit_partition(admitted, table, partition)
+    violations = audit_partition(admitted, admitted.table, partition)
     if violations:
         raise InfeasibleSplitError(
             "split construction failed its own audit: " + "; ".join(violations)
@@ -1518,13 +1502,15 @@ def audit_partition(
 ) -> List[str]:
     """Independent set-intersection audit of a partition's mode constraints.
 
-    `samples` is a `TripletTable` of `table` or a sequence of `TripletSample`s.
+    `samples` is a `TripletTable` over `table` or `TripletSample` records.
     Deliberately recomputes everything from the image ids; shares no logic with
     the splitter. Returns a list of violation descriptions (empty = pass).
     """
-    triplets = triplet_table(samples, table)
-    by_id = dict(zip(triplets.triplet_ids,
-                     zip(triplets.ref_ids, triplets.option_a_ids, triplets.option_b_ids)))
+    if isinstance(samples, TripletTable):
+        by_id = dict(zip(samples.triplet_ids,
+                         zip(samples.ref_ids, samples.option_a_ids, samples.option_b_ids)))
+    else:
+        by_id = {s.triplet_id: (s.ref_id, s.option_a_id, s.option_b_id) for s in samples}
 
     def bucket_sets(ids):
         targets: Set[str] = set()

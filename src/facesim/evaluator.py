@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .corpus import EmbeddingTable, triplet_table, write_csv
+from .corpus import TripletTable, write_csv
 from .errors import EvaluationError
 from .metric import ProjectionModel, check_dimension, scale_rows, scaled_cosine
 
@@ -24,24 +24,21 @@ class PairRecord:
 
 
 def eval_triplets(
-    model: ProjectionModel,
-    samples,
-    table: EmbeddingTable,
+    model: ProjectionModel, triplets: TripletTable
 ) -> Tuple[float, List[PairRecord]]:
-    """Accuracy and per-triplet pair scores over consistent samples, in `triplet_id` order.
+    """Accuracy and per-triplet pair scores over consistent triplets, in `triplet_id` order.
 
-    `samples` is a `TripletTable` of `table` or a sequence of `TripletSample`s.
-    A table keeps its consistent triplets and their (3, n, d) vectors once
+    `triplets` keeps its consistent triplets and their (3, n, d) vectors once
     gathered, so scoring it again, as each epoch's validation does, gathers
     nothing. The 3n rows are projected one by one (`project_block`), so a
     triplet's scores do not depend on the other triplets.
     """
-    check_dimension(model, table)
-    retained, stack = triplet_table(samples, table).evaluated
+    check_dimension(model, triplets.table)
+    retained, stack = triplets.evaluated
     if not len(retained):
         raise EvaluationError("no consistent samples to evaluate")
     ids = [image_id for role in retained.role_ids() for image_id in role]
-    ref, chosen, other = model.project_block(stack.reshape(-1, table.dim), ids).reshape(stack.shape)
+    ref, chosen, other = model.project_block(stack.reshape(-1, model.dim), ids).reshape(stack.shape)
     scaled_ref = scale_rows(ref)
     sim, dissim = (scaled_cosine(ref, scaled_ref, rows, scale_rows(rows)).tolist()
                    for rows in (chosen, other))

@@ -15,7 +15,7 @@ from typing import List, Tuple
 import numpy as np
 
 from . import evaluator
-from .corpus import EmbeddingTable, triplet_table, write_csv
+from .corpus import TripletTable, write_csv
 from .errors import DegenerateVectorError, DivergenceError, ValidationError
 from .metric import ProjectionModel, check_dimension, cosine
 
@@ -114,14 +114,6 @@ def batch_loss_and_gradient(
     return hinge[:, 0], np.add.reduce(np.matmul(g.transpose(0, 2, 1), x)) / len(ref)
 
 
-def _stack(samples, table: EmbeddingTable) -> np.ndarray:
-    """Reference, chosen and other vectors of the samples as one (3, n, d) array.
-
-    `samples` is a `TripletTable` of `table` or a sequence of `TripletSample`s.
-    """
-    return triplet_table(samples, table).gather()
-
-
 def gradient_check(
     model: ProjectionModel,
     ref: np.ndarray,
@@ -155,22 +147,19 @@ def gradient_check(
 
 def train(
     model: ProjectionModel,
-    train_samples,
-    val_samples,
-    table: EmbeddingTable,
+    train: TripletTable,
+    val: TripletTable,
     config: TrainConfig,
 ) -> Tuple[ProjectionModel, TrainHistory]:
     """Shuffled mini-batch SGD with momentum; deterministic given the seed.
 
-    Either set of samples is a `TripletTable` of `table` or a sequence of
-    `TripletSample`s. The consistent validation triplets are gathered at the
-    first validation and kept for the later epochs.
+    The consistent validation triplets are gathered at the first validation
+    and kept for the later epochs.
     """
-    if not len(train_samples):
+    if not len(train):
         raise ValidationError("training set is empty")
-    check_dimension(model, table)
-    stack = _stack(train_samples, table)
-    val = triplet_table(val_samples, table)
+    check_dimension(model, train.table)
+    stack = train.gather()
     validate = bool((val.admitted & val.consistent).any())
     order = list(range(stack.shape[1]))
     rng = random.Random(config.seed)
@@ -211,7 +200,7 @@ def train(
         history.mean_loss.append(epoch_loss / len(order))
         history.active_fraction.append(active / len(order))
         if validate:
-            acc, _ = evaluator.eval_triplets(ProjectionModel(weight), val, table)
+            acc, _ = evaluator.eval_triplets(ProjectionModel(weight), val)
             history.val_accuracy.append(acc)
         else:
             history.val_accuracy.append(float("nan"))

@@ -3,7 +3,13 @@ import pytest
 
 from facesim import synth
 from facesim.attributes import AttributeGroup
-from facesim.corpus import EmbeddingRecord, EmbeddingTable, RawAnnotation
+from facesim.corpus import (
+    AnnotationTable,
+    EmbeddingRecord,
+    EmbeddingTable,
+    RawAnnotation,
+    count_votes,
+)
 
 
 @pytest.fixture(scope="session")
@@ -49,15 +55,32 @@ def make_group(name, members):
     return make_groups({name: members})[name]
 
 
+def member_records(group):
+    """A group's member records, in member order."""
+    return tuple(group.table[image_id] for image_id in group.member_ids)
+
+
 def vectors(table, image_ids):
     """The (len(image_ids), d) rows of `table.matrix` holding these images' vectors."""
     return table.matrix[[table.row(i) for i in image_ids]]
 
 
-def role_ids(sample):
-    """A sample's reference, chosen and other image ids."""
-    a, b = sample.option_a_id, sample.option_b_id
-    return (sample.ref_id, a, b) if sample.majority == "A" else (sample.ref_id, b, a)
+def planted_triplets(c):
+    """A synthetic corpus's triplet table, counted over its embedding table from the
+    votes of the annotators who pass screening."""
+    annotations = AnnotationTable.of(c.annotations)
+    return count_votes(c.manifest, annotations, annotations.screened(), table=c.table)
+
+
+def make_triplets(table, manifest, votes):
+    """The triplet table `count_votes` makes over `table` for `manifest`, where `votes`
+    maps a triplet id to its choices ("AAB"), each cast by its own screened annotator."""
+    annotations = AnnotationTable.of([
+        make_annotation(f"p{i}", triplet_id, choice)
+        for triplet_id, choices in votes.items() for i, choice in enumerate(choices)
+    ])
+    screened = np.ones(len(annotations.annotators), bool)
+    return count_votes(manifest, annotations, screened, table=table)
 
 
 def make_annotation(annotator, triplet, choice, is_dummy=False, dummy_answer=None):

@@ -15,19 +15,13 @@ from facesim import attributes, corpus, evaluator, selector, synth, trainer
 from facesim.errors import InfeasibleSplitError
 from facesim.metric import ProjectionModel, cosine
 
-from conftest import make_groups
+from conftest import make_groups, member_records, planted_triplets
 from scalar_oracle import similarity_score, summarize_distances
 
 
 def verdict(number, description, ok):
     print(f"criterion {number:02d} [{'PASS' if ok else 'FAIL'}]: {description}")
     assert ok, f"criterion {number} failed: {description}"
-
-
-def aggregate(c):
-    return corpus.aggregate_triplets(
-        c.manifest, c.annotations, corpus.validate_annotators(c.annotations)
-    )
 
 
 def test_criterion_01_gradient_fidelity():
@@ -116,14 +110,14 @@ def test_criterion_03_identity_baseline_equivalence():
 def test_criterion_04_planted_metric_recovery():
     start = time.monotonic()
     c = synth.planted(seed=7)
-    samples = aggregate(c)
-    train_samples, held = samples[:500], samples[500:]
+    triplets = planted_triplets(c)
+    train_samples, held = triplets.take(range(500)), triplets.take(range(500, len(triplets)))
     identity = ProjectionModel.identity(32)
-    id_acc, _ = evaluator.eval_triplets(identity, held, c.table)
+    id_acc, _ = evaluator.eval_triplets(identity, held)
     trained, _ = trainer.train(
-        identity, train_samples, [], c.table, trainer.TrainConfig(epochs=200, seed=7)
+        identity, train_samples, triplets.take([]), trainer.TrainConfig(epochs=200, seed=7)
     )
-    trained_acc, _ = evaluator.eval_triplets(trained, held, c.table)
+    trained_acc, _ = evaluator.eval_triplets(trained, held)
     elapsed = time.monotonic() - start
     verdict(
         4,
@@ -137,16 +131,16 @@ def test_criterion_05_dataset_quality_ordering():
     diffs = []
     for seed in (7, 11, 19):
         c = synth.planted(seed=seed, noise_fraction=0.3)
-        samples = aggregate(c)
-        pool, held = samples[:500], samples[500:]
+        triplets = planted_triplets(c)
+        pool, held = triplets.take(range(500)), triplets.take(range(500, len(triplets)))
         datasets = corpus.build_datasets(pool)
         accs = {}
         for name in ("D1", "D2"):
             model, _ = trainer.train(
-                ProjectionModel.identity(32), datasets[name], [], c.table,
+                ProjectionModel.identity(32), datasets[name], triplets.take([]),
                 trainer.TrainConfig(epochs=100, seed=seed),
             )
-            accs[name], _ = evaluator.eval_triplets(model, held, c.table)
+            accs[name], _ = evaluator.eval_triplets(model, held)
         diffs.append(accs["D2"] - accs["D1"])
     mean_diff = sum(diffs) / len(diffs)
     verdict(
@@ -205,7 +199,7 @@ def test_criterion_08_attribute_classification():
 
     # brute-force nearest-centroid audit over the intersection groups
     centroids = {
-        name: np.mean([m.vector for m in groups[name].members], axis=0)
+        name: np.mean([m.vector for m in member_records(groups[name])], axis=0)
         for name in attributes.INTERSECTION_GROUPS
     }
     agreement = 0
@@ -277,15 +271,15 @@ def test_criterion_09_selector_correctness():
 
 def test_criterion_10_split_audits():
     c = synth.planted(seed=31, n_triplets=120, dim=8, data_subspace=6, truth_rank=2)
-    samples = aggregate(c)
+    triplets = planted_triplets(c)
     violations = {}
     for mode in ("i", "ii", "iii"):
-        partition = corpus.split_eval(samples, c.table, mode, seed=1)
-        violations[mode] = corpus.audit_partition(samples, c.table, partition)
+        partition = corpus.split_eval(triplets, mode, seed=1)
+        violations[mode] = corpus.audit_partition(triplets, c.table, partition)
     single = synth.planted(seed=2, n_triplets=20, dim=8, data_subspace=6,
                            truth_rank=2, n_targets=1)
     try:
-        corpus.split_eval(aggregate(single), single.table, "iii", seed=0)
+        corpus.split_eval(planted_triplets(single), "iii", seed=0)
         raised = False
     except InfeasibleSplitError:
         raised = True
@@ -310,21 +304,20 @@ def test_criterion_11_published_data_pipeline():
         pytest.skip("no external data directory supplied")
     table = corpus.load_embeddings(os.path.join(data_dir, "embeddings.csv"))
     manifest = corpus.load_manifest(os.path.join(data_dir, "manifest.csv"))
-    annotations = corpus.load_annotations(os.path.join(data_dir, "annotations.csv"))
-    valid = corpus.validate_annotators(annotations)
-    samples = corpus.aggregate_triplets(manifest, annotations, valid)
-    partition = corpus.split_eval(samples, table, "i", seed=0)
-    d2 = corpus.build_datasets(samples)["D2"]
+    annotations = corpus.read_annotations(os.path.join(data_dir, "annotations.csv"))
+    triplets = corpus.count_votes(manifest, annotations, annotations.screened(), table=table)
+    partition = corpus.split_eval(triplets, "i", seed=0)
+    d2 = corpus.build_datasets(triplets)["D2"]
     train_ids, test_ids = set(partition.train), set(partition.test)
-    train_samples = [s for s in d2 if s.triplet_id in train_ids]
-    test_samples = [s for s in d2 if s.triplet_id in test_ids]
+    train_samples = d2.take([t in train_ids for t in d2.triplet_ids])
+    test_samples = d2.take([t in test_ids for t in d2.triplet_ids])
     accs = []
     for seed in (0, 1, 2):
         model, _ = trainer.train(
-            ProjectionModel.identity(table.dim), train_samples, [], table,
+            ProjectionModel.identity(table.dim), train_samples, d2.take([]),
             trainer.TrainConfig(epochs=50, seed=seed),
         )
-        acc, _ = evaluator.eval_triplets(model, test_samples, table)
+        acc, _ = evaluator.eval_triplets(model, test_samples)
         accs.append(acc)
     mean = sum(accs) / len(accs)
     sd = (sum((a - mean) ** 2 for a in accs) / (len(accs) - 1)) ** 0.5

@@ -16,7 +16,7 @@ from facesim.corpus import EmbeddingTable
 from facesim.errors import DegenerateVectorError, EvaluationError, ValidationError
 from facesim.metric import ProjectionModel
 
-from conftest import make_group, make_groups, make_record
+from conftest import make_group, make_groups, make_record, member_records
 from scalar_oracle import (
     GroupDistance,
     distance,
@@ -173,7 +173,7 @@ class TestGroupDistance:
         model = ProjectionModel.identity(6)
         direct = group_distances(model, [query], [groups["male"]])[0][0]
         concat = make_group(
-            "male", groups["young_male"].members + groups["older_male"].members
+            "male", member_records(groups["young_male"]) + member_records(groups["older_male"])
         )
         via_parts = group_distances(model, [query], [concat])[0][0]
         assert direct == via_parts
@@ -231,14 +231,14 @@ class TestGroupDistance:
         chosen = [groups[n] for n in names[: int(rng.integers(1, 9))]]
         # a member as query leaves its own entry out; a singleton's member empties it
         queries = [labeled("q", rng.normal(size=3), "male", "young"), pool[-1]]
-        queries += [groups[n].members[0] for n in names if len(groups[n]) == 1]
+        queries += [member_records(groups[n])[0] for n in names if len(groups[n]) == 1]
         queries = list({q.image_id: q for q in queries}.values())  # a table's ids are distinct
         expected, empty = [], None
         for query in queries:
             results = []
             for g in chosen:
                 ds = [1.0 - similarity_score(model, query, m)
-                      for m in g.members if m.image_id != query.image_id]
+                      for m in member_records(g) if m.image_id != query.image_id]
                 if not ds:
                     empty = empty or f"group '{g.name}' holds only the query image '{query.image_id}'"
                     continue
@@ -298,7 +298,7 @@ class TestGallery:
         assert scores.image_ids.tolist() == [pool[r].image_id for r in sorted(set(rows))]
         for q, row in zip(queries, scores.sims):
             for g, members in zip(chosen, scores.members):
-                oracle = rowwise_cosine(project_rows(model, [q]), project_rows(model, g.members))
+                oracle = rowwise_cosine(project_rows(model, [q]), project_rows(model, member_records(g)))
                 assert np.array_equal(row[members], oracle)
                 assert scores.image_ids[members].tolist() == g.member_ids
         assert scores.sims[1][scores.image_ids == pool[-1].image_id].tolist() == [1.0]
@@ -427,7 +427,7 @@ class TestClassifyQuery:
         scaled_groups = make_groups({
             n: tuple(
                 labeled(m.image_id, 3.5 * m.vector, m.gender, m.age_group)
-                for m in groups[n].members
+                for m in member_records(groups[n])
             )
             for n in attributes.INTERSECTION_GROUPS
         })

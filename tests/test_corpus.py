@@ -17,7 +17,7 @@ from facesim.errors import (
 )
 
 import annotation_oracle as oracle
-from conftest import make_annotation, make_record, vectors
+from conftest import make_annotation, make_record, make_triplets, planted_triplets, vectors
 
 
 def write_embeddings(path, rows, dim=4, newline="\n"):
@@ -353,32 +353,31 @@ class TestBuildDatasets:
 
 
 @pytest.fixture(scope="module")
-def planted_samples():
-    c = synth.planted(seed=21, n_triplets=120, dim=8, data_subspace=6, truth_rank=2)
-    samples = corpus.aggregate_triplets(
-        c.manifest, c.annotations, corpus.validate_annotators(c.annotations)
-    )
-    return c.table, samples
+def planted():
+    return synth.planted(seed=21, n_triplets=120, dim=8, data_subspace=6, truth_rank=2)
+
+
+@pytest.fixture(scope="module")
+def triplets(planted):
+    return planted_triplets(planted)
 
 
 class TestSplitEval:
     @pytest.mark.parametrize("mode", ["i", "ii", "iii"])
-    def test_modes_pass_independent_audit(self, planted_samples, mode):
-        table, samples = planted_samples
-        partition = corpus.split_eval(samples, table, mode, seed=3)
+    def test_modes_pass_independent_audit(self, triplets, mode):
+        partition = corpus.split_eval(triplets, mode, seed=3)
         assert partition.train and partition.test
-        assert corpus.audit_partition(samples, table, partition) == []
+        assert corpus.audit_partition(triplets, triplets.table, partition) == []
 
     @pytest.mark.parametrize("mode", ["i", "ii", "iii"])
-    def test_deterministic_replay(self, planted_samples, mode):
-        table, samples = planted_samples
-        p1 = corpus.split_eval(samples, table, mode, seed=9)
-        p2 = corpus.split_eval(samples, table, mode, seed=9)
+    def test_deterministic_replay(self, triplets, mode):
+        p1 = corpus.split_eval(triplets, mode, seed=9)
+        p2 = corpus.split_eval(triplets, mode, seed=9)
         assert p1.to_json() == p2.to_json()
 
     def test_mode_iii_single_target_infeasible(self):
         rng = np.random.default_rng(0)
-        records, manifest, samples = [], {}, []
+        records, manifest = [], {}
         for i in range(6):
             ids = []
             for part in "cab":
@@ -388,20 +387,13 @@ class TestSplitEval:
                                 target_id="only_target")
                 )
             manifest[f"t{i}"] = tuple(ids)
-            samples.append(
-                corpus.TripletSample(
-                    triplet_id=f"t{i}", ref_id=ids[0], option_a_id=ids[1],
-                    option_b_id=ids[2], votes=("A", "A", "A"), majority="A",
-                    consistent=True, admitted=True,
-                )
-            )
         table = corpus.EmbeddingTable.of(records)
+        triplets = make_triplets(table, manifest, dict.fromkeys(manifest, "AAA"))
         with pytest.raises(InfeasibleSplitError, match="single target"):
-            corpus.split_eval(samples, table, "iii", seed=0)
+            corpus.split_eval(triplets, "iii", seed=0)
 
-    def test_partition_json_roundtrip(self, planted_samples, tmp_path):
-        table, samples = planted_samples
-        partition = corpus.split_eval(samples, table, "i", seed=1)
+    def test_partition_json_roundtrip(self, triplets, tmp_path):
+        partition = corpus.split_eval(triplets, "i", seed=1)
         path = tmp_path / "partition.json"
         partition.save(path)
         loaded = corpus.DatasetPartition.load(path)
@@ -409,21 +401,42 @@ class TestSplitEval:
         payload = json.loads(path.read_text())
         assert payload["mode"] == "i" and payload["seed"] == 1
 
-    def test_bad_ratios_rejected(self, planted_samples):
-        table, samples = planted_samples
+    def test_bad_ratios_rejected(self, triplets):
         with pytest.raises(ValidationError):
-            corpus.split_eval(samples, table, "i", ratios=(0.5, 0.5, 0.5))
+            corpus.split_eval(triplets, "i", ratios=(0.5, 0.5, 0.5))
 
-    def test_audit_flags_violations(self, planted_samples):
-        table, samples = planted_samples
-        partition = corpus.split_eval(samples, table, "i", seed=2)
+    def test_audit_flags_violations(self, triplets):
+        partition = corpus.split_eval(triplets, "i", seed=2)
         # corrupt: move a train triplet into test
         bad = corpus.DatasetPartition(
             mode="i", seed=2, ratios=partition.ratios,
             train=partition.train, val=partition.val,
             test=partition.test + [partition.train[0]],
         )
-        assert corpus.audit_partition(samples, table, bad) != []
+        assert corpus.audit_partition(triplets, triplets.table, bad) != []
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_record_edges_agree_with_the_triplet_table(seed):
+    """`build_datasets` and `audit_partition` give the same answer for the records of
+    `aggregate_triplets` as for the triplet table of `count_votes`, on noisy votes."""
+    c = synth.planted(seed=seed, n_triplets=120, dim=8, data_subspace=6, truth_rank=2,
+                      noise_fraction=0.2)
+    triplets = planted_triplets(c)
+    records = corpus.aggregate_triplets(c.manifest, c.annotations,
+                                        corpus.validate_annotators(c.annotations))
+    from_table, from_records = corpus.build_datasets(triplets), corpus.build_datasets(records)
+    for name in ("D1", "D2"):
+        assert list(from_table[name].triplet_ids) == [s.triplet_id for s in from_records[name]]
+    assert len(from_table["D2"]) < len(from_table["D1"])
+    for mode in ("i", "ii", "iii"):
+        partition = corpus.split_eval(triplets, mode, seed=seed)
+        moved = dataclasses.replace(partition, train=partition.train + partition.test[:1],
+                                    test=partition.test[1:])
+        for checked, clean in ((partition, True), (moved, False)):
+            violations = corpus.audit_partition(triplets, c.table, checked)
+            assert corpus.audit_partition(records, c.table, checked) == violations
+            assert (violations == []) == clean, (mode, violations)
 
 
 def test_verify_target_consistency_catches_mismatch():
@@ -433,13 +446,10 @@ def test_verify_target_consistency_catches_mismatch():
         make_record("a", rng.normal(size=3), target_id="t1"),
         make_record("b", rng.normal(size=3), target_id="t2"),
     ]
-    table = corpus.EmbeddingTable.of(records)
-    sample = corpus.TripletSample(
-        triplet_id="x", ref_id="c", option_a_id="a", option_b_id="b",
-        votes=("A", "A", "A"), majority="A", consistent=True, admitted=True,
-    )
+    triplets = make_triplets(corpus.EmbeddingTable.of(records), {"x": ("c", "a", "b")},
+                             {"x": "AAA"})
     with pytest.raises(IntegrityError, match="x"):
-        corpus.verify_target_consistency([sample], table)
+        corpus.verify_target_consistency(triplets)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +504,8 @@ def test_vote_columns_agree_with_the_record_loop(drawn, min_votes, data):
             [[getattr(s, f) for f in fields] for s in expected]
         table = corpus.AnnotationTable.of(annotations)
         mask = np.array([a in valid for a in table.annotators], dtype=bool)
-        columns = corpus.count_votes(manifest, table, mask, min_votes)
+        columns = corpus.count_votes(manifest, table, mask, min_votes,
+                                     table=corpus.EmbeddingTable.of([]))
         assert columns.n_a.tolist() == [s.votes.count("A") for s in expected]
         assert columns.n_b.tolist() == [s.votes.count("B") for s in expected]
         assert columns.admitted.tolist() == [s.admitted for s in expected]
@@ -506,6 +517,17 @@ def test_vote_columns_agree_with_the_record_loop(drawn, min_votes, data):
         }
         assert [corpus.MAJORITIES[m] for m in columns.majority] == \
             [s.majority for s in expected]
+
+
+def test_count_votes_takes_its_embedding_table_by_name_only():
+    """A call without `table`, or with it in `min_votes`' place, fails at once."""
+    annotations = corpus.AnnotationTable.of([make_annotation("p1", "t1", "A")])
+    screened = np.ones(1, bool)
+    with pytest.raises(TypeError, match="table"):
+        corpus.count_votes({"t1": ("c", "a", "b")}, annotations, screened, 1)
+    with pytest.raises(TypeError):
+        corpus.count_votes({"t1": ("c", "a", "b")}, annotations, screened, 1,
+                           corpus.EmbeddingTable.of([]))
 
 
 @pytest.fixture(scope="module")
@@ -535,8 +557,11 @@ def test_read_annotations_agrees_with_the_record_loop(annotation_file, rows):
     assert table.annotators == tuple(sorted({a.annotator_id for a in expected}))
 
 
-def test_target_consistency_agrees_with_the_record_loop(planted_samples):
-    table, samples = planted_samples
+def test_target_consistency_agrees_with_the_record_loop(planted):
+    table = planted.table
+    samples = corpus.aggregate_triplets(
+        planted.manifest, planted.annotations, corpus.validate_annotators(planted.annotations)
+    )
     admitted = [s for s in samples if s.admitted]
     first_target = table.target_ids[table.row(admitted[0].ref_id)]
     elsewhere = next(s for s in admitted if table.target_ids[table.row(s.ref_id)] != first_target)
@@ -548,10 +573,13 @@ def test_target_consistency_agrees_with_the_record_loop(planted_samples):
     }
     for name, edit in edits.items():
         broken = [dataclasses.replace(s, **edit.get(i, {})) for i, s in enumerate(admitted)]
+        manifest = {s.triplet_id: (s.ref_id, s.option_a_id, s.option_b_id) for s in broken}
+        triplets = make_triplets(table, manifest, {s.triplet_id: "".join(s.votes) for s in broken})
         outcomes = []
-        for check in (oracle.verify_target_consistency, corpus.verify_target_consistency):
+        for check in (lambda: oracle.verify_target_consistency(broken, table),
+                      lambda: corpus.verify_target_consistency(triplets)):
             try:
-                check(broken, table)
+                check()
                 outcomes.append(None)
             except IntegrityError as exc:
                 outcomes.append(str(exc))

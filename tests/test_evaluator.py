@@ -7,22 +7,21 @@ from facesim import corpus, evaluator
 from facesim.errors import DegenerateVectorError, EvaluationError
 from facesim.metric import ProjectionModel
 
-from conftest import make_record
+from conftest import make_record, make_triplets
 
 
-def make_sample(i, label="A", consistent=True):
-    return corpus.TripletSample(
-        triplet_id=f"t{i:03d}", ref_id=f"i{i}c", option_a_id=f"i{i}a",
-        option_b_id=f"i{i}b", votes=(label,) * 3 if consistent else (label, label, "B" if label == "A" else "A"),
-        majority=label, consistent=consistent, admitted=True,
-    )
+def triplets_of(table, votes):
+    """Triplets over `table`, `votes` mapping i to its choices ("AAB"): triplet i is
+    t{i:03d}, on images i{i}c, i{i}a and i{i}b."""
+    manifest = {f"t{i:03d}": (f"i{i}c", f"i{i}a", f"i{i}b") for i in votes}
+    return make_triplets(table, manifest, {f"t{i:03d}": v for i, v in votes.items()})
 
 
 @pytest.fixture()
 def aligned_corpus():
     """Base cosines already encode the annotated ordering."""
     rng = np.random.default_rng(10)
-    records, samples = [], []
+    records = []
     for i in range(10):
         ref = rng.normal(size=5)
         near = ref + 0.1 * rng.normal(size=5)
@@ -32,13 +31,11 @@ def aligned_corpus():
             make_record(f"i{i}a", near),
             make_record(f"i{i}b", far),
         ]
-        samples.append(make_sample(i, "A"))
-    return corpus.EmbeddingTable.of(records), samples
+    return triplets_of(corpus.EmbeddingTable.of(records), {i: "AAA" for i in range(10)})
 
 
 def test_perfect_model_scores_one(aligned_corpus):
-    table, samples = aligned_corpus
-    accuracy, records = evaluator.eval_triplets(ProjectionModel.identity(5), samples, table)
+    accuracy, records = evaluator.eval_triplets(ProjectionModel.identity(5), aligned_corpus)
     assert accuracy == 1.0
     assert all(r.sim_pair_score > r.dissim_pair_score for r in records)
 
@@ -51,7 +48,7 @@ def test_tied_scores_count_incorrect():
     ]
     table = corpus.EmbeddingTable.of(records)
     accuracy, (rec,) = evaluator.eval_triplets(
-        ProjectionModel.identity(2), [make_sample(0, "A")], table
+        ProjectionModel.identity(2), triplets_of(table, {0: "AAA"})
     )
     assert rec.sim_pair_score == rec.dissim_pair_score
     assert not rec.correct and accuracy == 0.0
@@ -69,36 +66,33 @@ def test_zero_projection_names_record():
     table = corpus.EmbeddingTable.of(records)
     model = ProjectionModel(np.diag([1.0, 1.0, 0.0]))  # maps only i1a to zero
     with pytest.raises(DegenerateVectorError, match="'i1a'"):
-        evaluator.eval_triplets(model, [make_sample(0), make_sample(1)], table)
+        evaluator.eval_triplets(model, triplets_of(table, {0: "AAA", 1: "AAA"}))
 
 
 def test_inconsistent_samples_filtered(aligned_corpus):
-    table, samples = aligned_corpus
-    noisy = samples + [make_sample(99, "A", consistent=False)]
-    _, records = evaluator.eval_triplets(ProjectionModel.identity(5), noisy, table)
+    votes = {**{i: "AAA" for i in range(10)}, 99: "AAB"}
+    noisy = triplets_of(aligned_corpus.table, votes)
+    _, records = evaluator.eval_triplets(ProjectionModel.identity(5), noisy)
     assert all(r.triplet_id != "t099" for r in records)
 
 
 def test_empty_retained_set_raises(aligned_corpus):
-    table, _ = aligned_corpus
     with pytest.raises(EvaluationError, match="no consistent samples"):
         evaluator.eval_triplets(
-            ProjectionModel.identity(5), [make_sample(0, "A", consistent=False)], table
+            ProjectionModel.identity(5), triplets_of(aligned_corpus.table, {0: "AAB"})
         )
 
 
 def test_evaluation_is_repeatable(aligned_corpus):
-    table, samples = aligned_corpus
     model = ProjectionModel.identity(5)
-    first = evaluator.eval_triplets(model, samples, table)
-    second = evaluator.eval_triplets(model, samples, table)
+    first = evaluator.eval_triplets(model, aligned_corpus)
+    second = evaluator.eval_triplets(model, aligned_corpus)
     assert first == second
 
 
 def test_records_ordered_by_triplet_id(aligned_corpus):
-    table, samples = aligned_corpus
     _, records = evaluator.eval_triplets(
-        ProjectionModel.identity(5), samples[::-1], table
+        ProjectionModel.identity(5), aligned_corpus.take(range(9, -1, -1))
     )
     ids = [r.triplet_id for r in records]
     assert ids == sorted(ids)
@@ -106,8 +100,9 @@ def test_records_ordered_by_triplet_id(aligned_corpus):
 
 class TestExportScatter:
     def test_rows_and_header(self, aligned_corpus, tmp_path):
-        table, samples = aligned_corpus
-        _, records = evaluator.eval_triplets(ProjectionModel.identity(5), samples[:3], table)
+        _, records = evaluator.eval_triplets(
+            ProjectionModel.identity(5), aligned_corpus.take(range(3))
+        )
         path = tmp_path / "scatter.csv"
         evaluator.export_scatter(records, path)
         lines = path.read_text().splitlines()
@@ -115,10 +110,7 @@ class TestExportScatter:
         assert len(lines) == 4
 
     def test_accuracy_recomputable_from_csv(self, aligned_corpus, tmp_path):
-        table, samples = aligned_corpus
-        accuracy, records = evaluator.eval_triplets(
-            ProjectionModel.identity(5), samples, table
-        )
+        accuracy, records = evaluator.eval_triplets(ProjectionModel.identity(5), aligned_corpus)
         path = tmp_path / "scatter.csv"
         evaluator.export_scatter(records, path)
         with open(path) as fh:
@@ -131,8 +123,7 @@ class TestExportScatter:
         assert below / len(rows) == accuracy
 
     def test_reexport_byte_identical(self, aligned_corpus, tmp_path):
-        table, samples = aligned_corpus
-        _, records = evaluator.eval_triplets(ProjectionModel.identity(5), samples, table)
+        _, records = evaluator.eval_triplets(ProjectionModel.identity(5), aligned_corpus)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         evaluator.export_scatter(records, p1)
         evaluator.export_scatter(records, p2)

@@ -166,6 +166,46 @@ def test_every_public_name_is_used_by_the_program():
     assert len(public) > 50 and not unused, unused
 
 
+def _class_members(path: Path):
+    """Per public class of one module, its name, its public methods and properties, and
+    its declared fields (annotated names of its body, as dataclasses and NamedTuples
+    declare them)."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            methods = {item.name for item in node.body
+                       if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+            fields = {item.target.id for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+            found.append((f"{path.stem}.{node.name}", methods, fields))
+    return found
+
+
+def test_no_public_method_shares_a_name_with_another_class_field():
+    """The used-name test matches bare names, so a method named like another class's field
+    counts as used wherever that field is read: such a name would hide an unused method."""
+    classes = [c for path in sorted(PACKAGE_DIR.glob("*.py")) for c in _class_members(path)]
+    shared = [f"{owner}.{name} ~ {other}.{name}"
+              for owner, methods, _ in classes for other, _, fields in classes
+              if other != owner for name in sorted(methods & fields)]
+    assert len(classes) > 10 and not shared, shared
+
+
+def test_triplet_tables_and_records_meet_only_at_the_record_edges():
+    """Every library function takes triplets as a `TripletTable`; only the record edges
+    that still take `TripletSample`s, `build_datasets` and `audit_partition`, test for one."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and "TripletTable" in ast.unparse(node.args[-1])):
+                inside = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((path.name, inside[-1].name if inside else "<module>"))
+    assert sorted(found) == [("corpus.py", "audit_partition"), ("corpus.py", "build_datasets")]
+
+
 def test_no_module_imports_another_modules_private_name():
     """A `_`-prefixed name is its module's own: another module that needs it needs a public door.
 

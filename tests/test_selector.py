@@ -9,7 +9,7 @@ from facesim.errors import DegenerateVectorError, ValidationError
 from facesim.metric import ProjectionModel, cosine
 
 import scalar_oracle
-from conftest import make_group, make_groups, make_record
+from conftest import make_group, make_groups, make_record, member_records
 from scalar_oracle import project, similarity_score, summarize_distances
 
 
@@ -136,7 +136,7 @@ class TestRankCandidates:
             simple_group.name,
             tuple(
                 candidate(m.image_id, 7.0 * m.vector, identity_id=m.identity_id)
-                for m in simple_group.members
+                for m in member_records(simple_group)
             ),
         )
         model = ProjectionModel.identity(2)
@@ -181,7 +181,7 @@ class TestRecommend:
         # exhaustive-scan check of the minimum
         group = groups[rec.selected_group]
         eligible = [
-            m for m in group.members
+            m for m in member_records(group)
             if m.image_id != q.image_id and m.identity_id != q.identity_id
         ]
         best = min(similarity_score(model, q, m) for m in eligible)
@@ -191,7 +191,7 @@ class TestRecommend:
     def _groups_with(simple_group):
         far = (candidate("far_a", [-1.0, 0.1]), candidate("far_b", [-1.0, -0.1]))
         members = {name: far for name in attributes.INTERSECTION_GROUPS}
-        members[simple_group.name] = simple_group.members
+        members[simple_group.name] = member_records(simple_group)
         return make_groups(members)
 
     def test_k_clamps_to_group_size(self, simple_group):
@@ -241,7 +241,7 @@ class TestRecommend:
             # the scalar oracle: least CI upper bound over the intersections, ties by name
             closest = min(
                 (summarize_distances(name, [1.0 - similarity_score(model, q, m)
-                                            for m in groups[name].members
+                                            for m in member_records(groups[name])
                                             if m.image_id != q.image_id]).upper, name)
                 for name in attributes.INTERSECTION_GROUPS
             )

@@ -6,6 +6,8 @@ from facesim import corpus, evaluator, synth
 from facesim.errors import ValidationError
 from facesim.metric import ProjectionModel
 
+from conftest import planted_triplets
+
 
 def aggregate(c):
     return corpus.aggregate_triplets(
@@ -15,18 +17,12 @@ def aggregate(c):
 
 class TestPlanted:
     def test_truth_model_scores_perfectly(self, small_planted):
-        samples = aggregate(small_planted)
-        accuracy, _ = evaluator.eval_triplets(
-            small_planted.truth, samples, small_planted.table
-        )
+        accuracy, _ = evaluator.eval_triplets(small_planted.truth, planted_triplets(small_planted))
         assert accuracy == 1.0
 
     def test_identity_model_near_chance(self):
         c = synth.planted(seed=77, n_triplets=300)
-        samples = aggregate(c)
-        accuracy, _ = evaluator.eval_triplets(
-            ProjectionModel.identity(32), samples, c.table
-        )
+        accuracy, _ = evaluator.eval_triplets(ProjectionModel.identity(32), planted_triplets(c))
         assert accuracy <= 0.7
 
     def test_annotations_unanimous_without_noise(self, small_planted):
@@ -41,8 +37,7 @@ class TestPlanted:
         assert all(s.admitted for s in samples)
 
     def test_triplets_share_target(self, small_planted):
-        samples = aggregate(small_planted)
-        corpus.verify_target_consistency(samples, small_planted.table)
+        corpus.verify_target_consistency(planted_triplets(small_planted))
 
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

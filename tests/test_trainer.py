@@ -9,25 +9,24 @@ from facesim import corpus, evaluator, trainer
 from facesim.errors import DivergenceError, ValidationError
 from facesim.metric import ProjectionModel, cosine
 
-from conftest import make_record, role_ids, vectors
+from conftest import make_record, make_triplets, vectors
 
 
 def build_triplet_corpus(vector_rows, labels, dim):
-    """Tiny corpus: one triplet per (c, a, b) vector row."""
-    records, manifest, samples = [], {}, []
-    for i, ((c, a, b), label) in enumerate(zip(vector_rows, labels)):
+    """Tiny corpus: one unanimous triplet per (c, a, b) vector row, as a triplet table."""
+    records, manifest = [], {}
+    for i, (c, a, b) in enumerate(vector_rows):
         ids = [f"i{i}c", f"i{i}a", f"i{i}b"]
         for image_id, vec in zip(ids, (c, a, b)):
             records.append(make_record(image_id, vec))
         manifest[f"t{i}"] = tuple(ids)
-        samples.append(
-            corpus.TripletSample(
-                triplet_id=f"t{i}", ref_id=ids[0], option_a_id=ids[1],
-                option_b_id=ids[2], votes=(label,) * 3, majority=label,
-                consistent=True, admitted=True,
-            )
-        )
-    return corpus.EmbeddingTable.of(records), samples
+    votes = {t: label * 3 for t, label in zip(manifest, labels)}
+    return make_triplets(corpus.EmbeddingTable.of(records), manifest, votes)
+
+
+def role_ids(triplets, i):
+    """Triplet i's reference, chosen and other image ids."""
+    return [role[i] for role in triplets.role_ids()]
 
 
 def role_by_role_loss_and_gradient(weight, ref, pos, neg, margin):
@@ -46,13 +45,12 @@ def role_by_role_loss_and_gradient(weight, ref, pos, neg, margin):
     return hinge[:, 0], (g_ref.T @ ref + g_pos.T @ pos + g_neg.T @ neg) / len(ref)
 
 
-def per_batch_gather_train(model, train_samples, val_samples, table, config):
+def per_batch_gather_train(model, train, val, config):
     """The training loop before one stacked array: three role arrays gathered per batch
     with a list of rows, and an update that makes new arrays. The oracle of `train`."""
-    ids = zip(*map(role_ids, train_samples))
-    ref, pos, neg = (vectors(table, role) for role in ids)
-    consistent_val = [s for s in val_samples if s.admitted and s.consistent]
-    order = list(range(len(train_samples)))
+    ref, pos, neg = (vectors(train.table, role) for role in train.role_ids())
+    consistent_val = val.take(val.admitted & val.consistent)
+    order = list(range(len(train)))
     rng = random.Random(config.seed)
     weight = model.weight.copy()
     velocity = np.zeros_like(weight)
@@ -75,8 +73,8 @@ def per_batch_gather_train(model, train_samples, val_samples, table, config):
             active += int(np.count_nonzero(losses))
         history.mean_loss.append(epoch_loss / len(order))
         history.active_fraction.append(active / len(order))
-        if consistent_val:
-            acc, _ = evaluator.eval_triplets(ProjectionModel(weight), consistent_val, table)
+        if len(consistent_val):
+            acc, _ = evaluator.eval_triplets(ProjectionModel(weight), consistent_val)
             history.val_accuracy.append(acc)
         else:
             history.val_accuracy.append(float("nan"))
@@ -139,42 +137,37 @@ def finite_difference_gradient(weight, ref, pos, neg, margin, step):
 
 class TestGradients:
     def test_inactive_batch_has_zero_gradient(self):
-        table, samples = build_triplet_corpus(
+        triplets = build_triplet_corpus(
             [([1.0, 0.0], [1.0, 0.1], [0.0, 1.0])], ["A"], dim=2
         )
-        losses, grad = trainer.batch_loss_and_gradient(
-            np.eye(2), *trainer._stack(samples, table), 0.1
-        )
+        losses, grad = trainer.batch_loss_and_gradient(np.eye(2), *triplets.gather(), 0.1)
         assert losses.mean() == 0.0
         np.testing.assert_array_equal(grad, np.zeros((2, 2)))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         rows = [tuple(rng.normal(size=5) for _ in range(3)) for _ in range(4)]
-        table, samples = build_triplet_corpus(rows, ["A"] * 4, dim=5)
+        triplets = build_triplet_corpus(rows, ["A"] * 4, dim=5)
         model = ProjectionModel(np.eye(5) + 0.05 * rng.normal(size=(5, 5)))
-        losses, grad = trainer.batch_loss_and_gradient(
-            model.weight, *trainer._stack(samples, table), 0.5
-        )
+        losses, grad = trainer.batch_loss_and_gradient(model.weight, *triplets.gather(), 0.5)
         assert losses.mean() > 0
         fd = np.zeros((5, 5))
-        for s in samples:
+        for i in range(len(triplets)):
             fd += finite_difference_gradient(
-                model.weight, *(table[i].vector for i in role_ids(s)), 0.5, 1e-5,
+                model.weight, *(triplets.table[j].vector for j in role_ids(triplets, i)),
+                0.5, 1e-5,
             )
-        fd /= len(samples)
+        fd /= len(triplets)
         rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
         assert rel.max() <= 1e-4
 
     def test_duplicate_triplet_keeps_mean(self):
         rng = np.random.default_rng(6)
         row = tuple(rng.normal(size=4) for _ in range(3))
-        table, singleton = build_triplet_corpus([row], ["B"], dim=4)
-        losses1, grad1 = trainer.batch_loss_and_gradient(
-            np.eye(4), *trainer._stack(singleton, table), 0.3
-        )
+        singleton = build_triplet_corpus([row], ["B"], dim=4)
+        losses1, grad1 = trainer.batch_loss_and_gradient(np.eye(4), *singleton.gather(), 0.3)
         losses2, grad2 = trainer.batch_loss_and_gradient(
-            np.eye(4), *trainer._stack(singleton * 2, table), 0.3
+            np.eye(4), *singleton.take([0, 0]).gather(), 0.3
         )
         assert losses1.mean() == pytest.approx(losses2.mean(), abs=1e-15)
         np.testing.assert_allclose(grad1, grad2, atol=1e-15)
@@ -182,34 +175,32 @@ class TestGradients:
     def test_permutation_invariant_batch_loss(self):
         rng = np.random.default_rng(7)
         rows = [tuple(rng.normal(size=4) for _ in range(3)) for _ in range(6)]
-        table, samples = build_triplet_corpus(rows, ["A"] * 6, dim=4)
+        triplets = build_triplet_corpus(rows, ["A"] * 6, dim=4)
         weight = np.eye(4)
-        fwd, _ = trainer.batch_loss_and_gradient(weight, *trainer._stack(samples, table), 0.4)
+        fwd, _ = trainer.batch_loss_and_gradient(weight, *triplets.gather(), 0.4)
         rev, _ = trainer.batch_loss_and_gradient(
-            weight, *trainer._stack(samples[::-1], table), 0.4
+            weight, *triplets.take(range(5, -1, -1)).gather(), 0.4
         )
         assert fwd.mean() == pytest.approx(rev.mean(), abs=1e-12)
 
     def test_mixed_batch_matches_per_triplet_reference(self):
         rng = np.random.default_rng(12)
         rows = [tuple(rng.normal(size=5) for _ in range(3)) for _ in range(12)]
-        table, samples = build_triplet_corpus(rows, ["A", "B"] * 6, dim=5)
+        triplets = build_triplet_corpus(rows, ["A", "B"] * 6, dim=5)
         model = ProjectionModel(np.eye(5) + 0.1 * rng.normal(size=(5, 5)))
         margin = 0.2
         w = model.weight
         losses = [
             trainer.triplet_loss(
-                *(w @ table[i].vector for i in role_ids(s)), margin,
+                *(w @ triplets.table[j].vector for j in role_ids(triplets, i)), margin,
             )
-            for s in samples
+            for i in range(len(triplets))
         ]
         assert 0 < sum(l > 0 for l in losses) < len(losses)
-        batch, grad = trainer.batch_loss_and_gradient(
-            w, *trainer._stack(samples, table), margin
-        )
+        batch, grad = trainer.batch_loss_and_gradient(w, *triplets.gather(), margin)
         singles = [
-            trainer.batch_loss_and_gradient(w, *trainer._stack([s], table), margin)[1]
-            for s in samples
+            trainer.batch_loss_and_gradient(w, *triplets.take([i]).gather(), margin)[1]
+            for i in range(len(triplets))
         ]
         np.testing.assert_allclose(batch, losses, rtol=0, atol=1e-12)
         assert batch.mean() == pytest.approx(np.mean(losses), abs=1e-12)
@@ -274,47 +265,47 @@ class TestTrain:
         return build_triplet_corpus(rows, labels, dim)
 
     def test_zero_epochs_is_noop(self):
-        table, samples = self._corpus(n=10)
+        samples = self._corpus(n=10)
         model = ProjectionModel.identity(6)
         out, history = trainer.train(
-            model, samples, [], table, trainer.TrainConfig(epochs=0)
+            model, samples, samples.take([]), trainer.TrainConfig(epochs=0)
         )
         assert out is model and history.mean_loss == []
 
     def test_same_seed_identical_history(self):
-        table, samples = self._corpus(n=20)
+        samples = self._corpus(n=20)
         model = ProjectionModel.identity(6)
         cfg = trainer.TrainConfig(epochs=5, seed=11)
-        out1, h1 = trainer.train(model, samples, samples[:5], table, cfg)
-        out2, h2 = trainer.train(model, samples, samples[:5], table, cfg)
+        out1, h1 = trainer.train(model, samples, samples.take(range(5)), cfg)
+        out2, h2 = trainer.train(model, samples, samples.take(range(5)), cfg)
         assert h1.mean_loss == h2.mean_loss
         assert h1.val_accuracy == h2.val_accuracy
         np.testing.assert_array_equal(out1.weight, out2.weight)
 
     def test_loss_decreases_on_separable_set(self):
-        table, samples = self._corpus(n=50)
+        samples = self._corpus(n=50)
         model = ProjectionModel.identity(6)
         _, history = trainer.train(
-            model, samples, [], table, trainer.TrainConfig(epochs=10, seed=0)
+            model, samples, samples.take([]), trainer.TrainConfig(epochs=10, seed=0)
         )
         assert history.mean_loss[9] < history.mean_loss[0]
 
     def test_zero_gradient_step_keeps_weights(self):
         # every hinge inactive: chosen option nearly equals the reference
         rows = [(np.array([1.0, 0.0]), np.array([1.0, 0.01]), np.array([0.0, 1.0]))]
-        table, samples = build_triplet_corpus(rows, ["A"], dim=2)
+        samples = build_triplet_corpus(rows, ["A"], dim=2)
         model = ProjectionModel.identity(2)
         cfg = trainer.TrainConfig(
             epochs=1, momentum=0.0, weight_decay=0.0, margin=0.1, shuffle=False
         )
-        out, history = trainer.train(model, samples, [], table, cfg)
+        out, history = trainer.train(model, samples, samples.take([]), cfg)
         np.testing.assert_array_equal(out.weight, model.weight)
         assert history.mean_loss == [0.0] and history.active_fraction == [0.0]
 
     def test_history_lengths_match_epochs(self):
-        table, samples = self._corpus(n=12)
+        samples = self._corpus(n=12)
         _, history = trainer.train(
-            ProjectionModel.identity(6), samples, samples[:3], table,
+            ProjectionModel.identity(6), samples, samples.take(range(3)),
             trainer.TrainConfig(epochs=4, seed=1),
         )
         assert (
@@ -325,37 +316,38 @@ class TestTrain:
         )
 
     def test_val_accuracy_uses_consistent_only(self):
-        table, samples = self._corpus(n=12)
-        inconsistent = corpus.TripletSample(
-            triplet_id="odd", ref_id=samples[0].ref_id,
-            option_a_id=samples[0].option_a_id, option_b_id=samples[0].option_b_id,
-            votes=("A", "A", "B"), majority="A", consistent=False, admitted=True,
-        )
+        samples = self._corpus(n=12)
+        # the first four triplets, and an inconsistent one on triplet 0's images
+        ids = list(zip(samples.ref_ids, samples.option_a_ids, samples.option_b_ids))
+        manifest = {**dict(zip(samples.triplet_ids[:4], ids)), "odd": ids[0]}
+        votes = {t: corpus.MAJORITIES[m] * 3
+                 for t, m in zip(samples.triplet_ids[:4], samples.majority.tolist())}
+        mixed = make_triplets(samples.table, manifest, {**votes, "odd": "AAB"})
         _, h_clean = trainer.train(
-            ProjectionModel.identity(6), samples, samples[:4], table,
+            ProjectionModel.identity(6), samples, samples.take(range(4)),
             trainer.TrainConfig(epochs=2, seed=3),
         )
         _, h_mixed = trainer.train(
-            ProjectionModel.identity(6), samples, samples[:4] + [inconsistent], table,
+            ProjectionModel.identity(6), samples, mixed,
             trainer.TrainConfig(epochs=2, seed=3),
         )
         assert h_clean.val_accuracy == h_mixed.val_accuracy
 
     def test_divergent_learning_rate_raises(self):
-        table, samples = self._corpus(n=20)
+        samples = self._corpus(n=20)
         with warnings.catch_warnings(), pytest.raises(DivergenceError) as err:
             warnings.simplefilter("error", RuntimeWarning)
             trainer.train(
-                ProjectionModel.identity(6), samples, [], table,
+                ProjectionModel.identity(6), samples, samples.take([]),
                 trainer.TrainConfig(epochs=50, learning_rate=1e18, weight_decay=1e18),
             )
         assert err.value.epoch is not None
 
     def test_divergence_at_the_first_batch_has_no_finite_gradient_to_name(self):
-        table, samples = self._corpus(n=20)
+        samples = self._corpus(n=20)
         with pytest.raises(DivergenceError) as err:
             trainer.train(
-                ProjectionModel.identity(6), samples, [], table,
+                ProjectionModel.identity(6), samples, samples.take([]),
                 trainer.TrainConfig(epochs=1, learning_rate=1e308, weight_decay=1e308),
             )
         assert (err.value.epoch, err.value.batch) == (1, 1)
@@ -374,13 +366,13 @@ class TestTrain:
         n, that do not, and that exceed it."""
         rng = np.random.default_rng(seed)
         rows = [tuple(rng.normal(size=dim) for _ in range(3)) for _ in range(n)]
-        table, samples = build_triplet_corpus(rows, list(rng.choice(["A", "B"], n)), dim)
-        val = samples[: max(1, n // 4)] if with_val else []
+        samples = build_triplet_corpus(rows, list(rng.choice(["A", "B"], n)), dim)
+        val = samples.take(range(max(1, n // 4)) if with_val else [])
         model = ProjectionModel(np.eye(dim) + 0.1 * rng.normal(size=(dim, dim)))
         config = trainer.TrainConfig(epochs=epochs, batch_size=batch_size, shuffle=shuffle,
                                      seed=seed % 1000, margin=margin)
-        got, history = trainer.train(model, samples, val, table, config)
-        want, oracle = per_batch_gather_train(model, samples, val, table, config)
+        got, history = trainer.train(model, samples, val, config)
+        want, oracle = per_batch_gather_train(model, samples, val, config)
         assert np.array_equal(got.weight, want.weight)
         assert history.mean_loss == oracle.mean_loss
         assert history.active_fraction == oracle.active_fraction
@@ -388,11 +380,9 @@ class TestTrain:
         assert list(map(repr, history.val_accuracy)) == list(map(repr, oracle.val_accuracy))
 
     def test_empty_training_set_rejected(self):
-        table, _ = self._corpus(n=5)
+        empty = self._corpus(n=5).take([])
         with pytest.raises(ValidationError):
-            trainer.train(
-                ProjectionModel.identity(6), [], [], table, trainer.TrainConfig(epochs=1)
-            )
+            trainer.train(ProjectionModel.identity(6), empty, empty, trainer.TrainConfig(epochs=1))
 
 
 class TestTrainConfig:
