@@ -40,10 +40,6 @@ class AttributeGroup:
     table: EmbeddingTable
     rows: np.ndarray
 
-    @property
-    def member_ids(self) -> List[str]:
-        return [self.table.image_ids[row] for row in self.rows.tolist()]
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -271,28 +267,10 @@ def task_categories(task: str) -> List[str]:
     return list(TASK_CATEGORIES[task])
 
 
-def evaluate_classification(
-    model: ProjectionModel,
-    queries: EmbeddingTable,
-    groups: Dict[str, AttributeGroup],
-    task: str,
-    use_t: bool = False,
-) -> ClassificationReport:
-    """Confusion-matrix metrics plus one-vs-rest AUC for an attribute task.
-
-    task "gender": male vs female; "age": young vs older; "four-way": the
-    intersection groups. The AUC score for a category is the negated
-    CI-upper-bound distance to that category's group.
-    """
-    names = task_categories(task)
-    scores = score_groups(model, queries, [groups[name] for name in names], use_t=use_t)
-    return classification_report(task, queries, names, scores.upper)
-
-
 def classification_report(
     task: str, queries: EmbeddingTable, names: Sequence[str], upper: np.ndarray
 ) -> ClassificationReport:
-    """The `evaluate_classification` report from the queries' CI upper bounds.
+    """Confusion-matrix metrics and one-vs-rest AUC for a task, from the queries' CI upper bounds.
 
     `upper` is `(Q, G)`, column g holding group `names[g]`, as `score_groups`
     gives it; groups outside the task's categories are ignored. Each query is

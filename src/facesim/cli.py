@@ -56,15 +56,22 @@ def _load_triplets(args) -> corpus.TripletTable:
 
 
 def _load_partition(path: str, triplets: corpus.TripletTable) -> corpus.DatasetPartition:
-    """The partition at `path`, checked to name only triplets of the corpus."""
+    """The partition at `path`, checked to name only triplets of the corpus, none of them
+    in two splits."""
     partition = corpus.DatasetPartition.load(path)
     known = set(triplets.triplet_ids)
+    split_of = {}
     for split in ("train", "val", "test"):
-        unknown = next((t for t in getattr(partition, split) if t not in known), None)
-        if unknown is not None:
-            raise IntegrityError(
-                f"partition file {path}: {split} id '{unknown}' is not a triplet of the corpus"
-            )
+        for t in getattr(partition, split):
+            if t not in known:
+                raise IntegrityError(
+                    f"partition file {path}: {split} id '{t}' is not a triplet of the corpus"
+                )
+            first = split_of.setdefault(t, split)
+            if first != split:
+                raise IntegrityError(
+                    f"partition file {path}: id '{t}' is in both {first} and {split}"
+                )
     return partition
 
 
@@ -151,14 +158,14 @@ def cmd_eval_triplets(args) -> int:
         pool = _in_split(pool, _load_partition(args.partition, triplets), args.split)
     accuracies = []
     per_model = []
-    records = None
+    pairs = None
     for model_path in args.model:
         model = ProjectionModel.load(model_path)
-        accuracy, records = evaluator.eval_triplets(model, pool)
+        accuracy, pairs = evaluator.eval_triplets(model, pool)
         accuracies.append(accuracy)
         per_model.append({"model": model_path, "accuracy": round(accuracy, 3)})
     body = {
-        "samples": len(records),
+        "samples": len(pairs[0]),
         "models": per_model,
         "accuracy_mean": round(statistics.mean(accuracies), 3),
         "accuracy_sd": round(statistics.stdev(accuracies), 3) if len(accuracies) > 1 else 0.0,
@@ -166,8 +173,8 @@ def cmd_eval_triplets(args) -> int:
     }
     _write_report(args.report, args, body)
     if args.scatter:
-        evaluator.export_scatter(records, args.scatter)
-    print(f"triplet accuracy {body['accuracy_mean']:.3f} over {len(records)} samples")
+        evaluator.export_scatter(pairs, args.scatter)
+    print(f"triplet accuracy {body['accuracy_mean']:.3f} over {body['samples']} samples")
     return EXIT_OK
 
 
@@ -254,7 +261,7 @@ def cmd_gradcheck(args) -> int:
         weight = np.eye(args.dim) + 0.1 * rng.normal(size=(args.dim, args.dim))
         ref, pos, neg = (rng.normal(size=args.dim) for _ in range(3))
         # an inactive hinge has zero analytic and numeric gradients, which check nothing
-        if trainer.triplet_loss(weight @ ref, weight @ pos, weight @ neg, args.margin) <= 0:
+        if trainer.triplet_hinge(weight, ref, pos, neg, args.margin) <= 0:
             continue
         model = ProjectionModel(weight)
         err = trainer.gradient_check(model, ref, pos, neg, args.margin, step=args.step)

@@ -107,29 +107,11 @@ def check_dimension(model: ProjectionModel, table: EmbeddingTable) -> None:
         )
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, clamped into [-1, 1] against rounding.
-
-    Each vector is scaled by its largest absolute component first, so tiny
-    and huge components neither underflow nor overflow.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if not (u.any() and v.any()):
-        raise DegenerateVectorError("cosine similarity is undefined for zero-norm vectors")
-    if np.array_equal(u, v):
-        return 1.0  # exact self-similarity regardless of rounding
-    u = u / np.max(np.abs(u))
-    v = v / np.max(np.abs(v))
-    value = float(np.dot(u, v)) / (float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
-    return min(1.0, max(-1.0, value))
-
-
 def scale_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Rows divided by their largest absolute component, and the norms of the scaled rows.
 
-    Scaling first, like `cosine`, keeps tiny and huge components from
-    underflowing or overflowing. Each row is scaled and reduced on its own.
+    Scaling first keeps tiny and huge components from underflowing or
+    overflowing. Each row is scaled and reduced on its own.
     """
     scaled = rows / np.abs(rows).max(axis=1, keepdims=True)
     return scaled, np.linalg.norm(scaled, axis=1)

@@ -17,7 +17,7 @@ import numpy as np
 from . import evaluator
 from .corpus import TripletTable, write_csv
 from .errors import DegenerateVectorError, DivergenceError, ValidationError
-from .metric import ProjectionModel, check_dimension, cosine
+from .metric import ProjectionModel, check_dimension
 
 
 @dataclass
@@ -76,11 +76,6 @@ class TrainHistory:
         )
 
 
-def triplet_loss(x: np.ndarray, x_plus: np.ndarray, x_minus: np.ndarray, margin: float) -> float:
-    """max(0, cos(x, x-) - cos(x, x+) + margin)."""
-    return max(0.0, cosine(x, x_minus) - cosine(x, x_plus) + margin)
-
-
 def batch_loss_and_gradient(
     weight: np.ndarray, ref: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -114,6 +109,13 @@ def batch_loss_and_gradient(
     return hinge[:, 0], np.add.reduce(np.matmul(g.transpose(0, 2, 1), x)) / len(ref)
 
 
+def triplet_hinge(
+    weight: np.ndarray, ref: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float
+) -> float:
+    """The `batch_loss_and_gradient` hinge of one triplet of (d,) vectors under `weight`."""
+    return float(batch_loss_and_gradient(weight, ref[None], pos[None], neg[None], margin)[0][0])
+
+
 def gradient_check(
     model: ProjectionModel,
     ref: np.ndarray,
@@ -122,15 +124,12 @@ def gradient_check(
     margin: float,
     step: float = 1e-5,
 ) -> float:
-    """Max relative error between analytic and central finite-difference gradients."""
+    """Max relative error between the analytic gradient of `batch_loss_and_gradient` and
+    the central finite differences of its own hinge, over one triplet."""
     check_margin(margin)
     check_step(step)
     weight = model.weight
     _, analytic = batch_loss_and_gradient(weight, ref[None], pos[None], neg[None], margin)
-
-    def loss_at(w):
-        return triplet_loss(w @ ref, w @ pos, w @ neg, margin)
-
     max_err = 0.0
     d = weight.shape[0]
     for i in range(d):
@@ -139,7 +138,8 @@ def gradient_check(
             w_plus[i, j] += step
             w_minus = weight.copy()
             w_minus[i, j] -= step
-            numeric = (loss_at(w_plus) - loss_at(w_minus)) / (2 * step)
+            numeric = (triplet_hinge(w_plus, ref, pos, neg, margin)
+                       - triplet_hinge(w_minus, ref, pos, neg, margin)) / (2 * step)
             denom = max(abs(numeric), abs(analytic[i, j]), 1e-8)
             max_err = max(max_err, abs(numeric - analytic[i, j]) / denom)
     return max_err

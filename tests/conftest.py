@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from facesim import synth
-from facesim.attributes import AttributeGroup
+from facesim.attributes import (
+    AttributeGroup,
+    classification_report,
+    score_groups,
+    task_categories,
+)
 from facesim.corpus import (
     AnnotationTable,
     EmbeddingRecord,
@@ -55,9 +60,22 @@ def make_group(name, members):
     return make_groups({name: members})[name]
 
 
+def member_ids(group):
+    """A group's member image ids, in member order."""
+    return [group.table.image_ids[row] for row in group.rows.tolist()]
+
+
 def member_records(group):
     """A group's member records, in member order."""
-    return tuple(group.table[image_id] for image_id in group.member_ids)
+    return tuple(group.table[image_id] for image_id in member_ids(group))
+
+
+def classify(model, queries, groups, task, use_t=False):
+    """The report of an attribute task, composed as `eval-attributes` composes it: the
+    queries scored against the task's groups, then classified by their CI upper bounds."""
+    names = task_categories(task)
+    scores = score_groups(model, queries, [groups[name] for name in names], use_t=use_t)
+    return classification_report(task, queries, names, scores.upper)
 
 
 def vectors(table, image_ids):

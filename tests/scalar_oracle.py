@@ -1,6 +1,7 @@
 """The one-vector, one-pair and one-candidate definitions that facesim's block paths are
-tested against: projection, cosine distance and similarity, a group's distance
-summary, and a group's ranking for one query, built of one object per candidate."""
+tested against: projection, cosine distance and similarity, the triplet hinge, a
+group's distance summary, and a group's ranking for one query, built of one object
+per candidate."""
 
 import math
 from typing import List, NamedTuple, Sequence
@@ -8,8 +9,8 @@ from typing import List, NamedTuple, Sequence
 import numpy as np
 
 from facesim.attributes import Z_95, Scores
-from facesim.errors import ValidationError
-from facesim.metric import ProjectionModel, cosine, scale_rows, scaled_cosine
+from facesim.errors import DegenerateVectorError, ValidationError
+from facesim.metric import ProjectionModel, scale_rows, scaled_cosine
 from facesim.selector import RankedCandidate
 
 
@@ -39,6 +40,29 @@ def project_rows(model: ProjectionModel, records) -> np.ndarray:
     """The records' vectors projected as one block, row i for records[i] (`project_block`)."""
     block = np.array([r.vector for r in records], dtype=np.float64)
     return model.project_block(block, [r.image_id for r in records])
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity, clamped into [-1, 1] against rounding.
+
+    Each vector is scaled by its largest absolute component first, so tiny
+    and huge components neither underflow nor overflow.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if not (u.any() and v.any()):
+        raise DegenerateVectorError("cosine similarity is undefined for zero-norm vectors")
+    if np.array_equal(u, v):
+        return 1.0  # exact self-similarity regardless of rounding
+    u = u / np.max(np.abs(u))
+    v = v / np.max(np.abs(v))
+    value = float(np.dot(u, v)) / (float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
+    return min(1.0, max(-1.0, value))
+
+
+def triplet_loss(x: np.ndarray, x_plus: np.ndarray, x_minus: np.ndarray, margin: float) -> float:
+    """max(0, cos(x, x-) - cos(x, x+) + margin), over projected vectors."""
+    return max(0.0, cosine(x, x_minus) - cosine(x, x_plus) + margin)
 
 
 def rowwise_cosine(u: np.ndarray, v: np.ndarray) -> np.ndarray:

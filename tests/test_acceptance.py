@@ -13,10 +13,10 @@ import pytest
 
 from facesim import attributes, corpus, evaluator, selector, synth, trainer
 from facesim.errors import InfeasibleSplitError
-from facesim.metric import ProjectionModel, cosine
+from facesim.metric import ProjectionModel
 
-from conftest import make_groups, member_records, planted_triplets
-from scalar_oracle import similarity_score, summarize_distances
+from conftest import classify, make_groups, member_records, planted_triplets
+from scalar_oracle import cosine, similarity_score, summarize_distances
 
 
 def verdict(number, description, ok):
@@ -70,16 +70,17 @@ def test_criterion_01_gradient_fidelity():
 def test_criterion_02_loss_unit_behavior():
     rng = np.random.default_rng(1)
     x = np.array([1.0, 0.0])
-    inactive = trainer.triplet_loss(
-        x, np.array([1.0, 0.05]), np.array([0.0, 1.0]), 0.1
+    # the hinge `train` runs, on one triplet of vectors already projected (W = I)
+    inactive = trainer.triplet_hinge(
+        np.eye(2), x, np.array([1.0, 0.05]), np.array([0.0, 1.0]), 0.1
     )
     y = rng.normal(size=5)
     z = rng.normal(size=5)
-    equal_options = trainer.triplet_loss(y, z, z, 0.1)
+    equal_options = trainer.triplet_hinge(np.eye(5), y, z, z, 0.1)
     a, p, n = (rng.normal(size=5) for _ in range(3))
-    base = trainer.triplet_loss(a, p, n, 0.1)
+    base = trainer.triplet_hinge(np.eye(5), a, p, n, 0.1)
     rescaled_ok = all(
-        abs(trainer.triplet_loss(sa * a, sp * p, sn * n, 0.1) - base) <= 1e-12
+        abs(trainer.triplet_hinge(np.eye(5), sa * a, sp * p, sn * n, 0.1) - base) <= 1e-12
         for sa, sp, sn in [(2.0, 3.0, 0.5), (1e-4, 1.0, 1e4), (7.0, 7.0, 7.0)]
     )
     verdict(
@@ -195,7 +196,7 @@ def test_criterion_08_attribute_classification():
     groups = attributes.build_groups(list(c.candidates))
     model = ProjectionModel.identity(32)
     queries = c.queries
-    report = attributes.evaluate_classification(model, queries, groups, "four-way")
+    report = classify(model, queries, groups, "four-way")
 
     # brute-force nearest-centroid audit over the intersection groups
     centroids = {
@@ -290,18 +291,10 @@ def test_criterion_10_split_audits():
     )
 
 
-def test_criterion_11_published_data_pipeline():
-    """Optional end-to-end run on externally supplied annotations + embeddings.
-
-    Point FACESIM_DATA_DIR at a directory holding embeddings.csv, manifest.csv,
-    and annotations.csv in this package's formats. No accuracy threshold is
-    asserted; the criterion is that the full pipeline runs and reports mean+-SD
-    over three training seeds.
-    """
-    data_dir = os.environ.get("FACESIM_DATA_DIR")
-    if not data_dir:
-        print("criterion 11 [SKIP]: set FACESIM_DATA_DIR to run the published-data check")
-        pytest.skip("no external data directory supplied")
+def data_pipeline(data_dir):
+    """Mean and SD of mode-i test accuracy over three training seeds, on D2 of the corpus
+    in `data_dir`: embeddings.csv, manifest.csv and annotations.csv in this package's
+    formats."""
     table = corpus.load_embeddings(os.path.join(data_dir, "embeddings.csv"))
     manifest = corpus.load_manifest(os.path.join(data_dir, "manifest.csv"))
     annotations = corpus.read_annotations(os.path.join(data_dir, "annotations.csv"))
@@ -321,6 +314,29 @@ def test_criterion_11_published_data_pipeline():
         accs.append(acc)
     mean = sum(accs) / len(accs)
     sd = (sum((a - mean) ** 2 for a in accs) / (len(accs) - 1)) ** 0.5
+    return mean, sd
+
+
+def test_data_pipeline_runs_on_a_planted_corpus(tmp_path):
+    """Criterion 11's pipeline, run on a small planted corpus written in the same formats."""
+    synth.planted(seed=31, n_triplets=120, dim=8, data_subspace=6, truth_rank=2).write(tmp_path)
+    mean, sd = data_pipeline(tmp_path)
+    assert 0.0 <= mean <= 1.0 and sd >= 0.0
+
+
+def test_criterion_11_published_data_pipeline():
+    """Optional end-to-end run on externally supplied annotations + embeddings.
+
+    Point FACESIM_DATA_DIR at a directory holding embeddings.csv, manifest.csv,
+    and annotations.csv in this package's formats. No accuracy threshold is
+    asserted; the criterion is that the full pipeline runs and reports mean+-SD
+    over three training seeds.
+    """
+    data_dir = os.environ.get("FACESIM_DATA_DIR")
+    if not data_dir:
+        print("criterion 11 [SKIP]: set FACESIM_DATA_DIR to run the published-data check")
+        pytest.skip("no external data directory supplied")
+    mean, sd = data_pipeline(data_dir)
     verdict(
         11,
         f"published-data pipeline ran end-to-end: accuracy {mean:.3f} +- {sd:.3f}",

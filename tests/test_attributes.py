@@ -9,14 +9,13 @@ from facesim.attributes import (
     auc,
     build_groups,
     closest,
-    evaluate_classification,
     score_groups,
 )
 from facesim.corpus import EmbeddingTable
 from facesim.errors import DegenerateVectorError, EvaluationError, ValidationError
 from facesim.metric import ProjectionModel
 
-from conftest import make_group, make_groups, make_record, member_records
+from conftest import classify, make_group, make_groups, make_record, member_ids, member_records
 from scalar_oracle import (
     GroupDistance,
     distance,
@@ -64,13 +63,13 @@ class TestBuildGroups:
     def test_membership_predicate(self, labeled_pool):
         groups = build_groups(labeled_pool)
         target = "young_male_0"
-        containing = {n for n, g in groups.items() if target in g.member_ids}
+        containing = {n for n, g in groups.items() if target in member_ids(g)}
         assert containing == {"young_male", "young", "male"}
 
     def test_union_is_concatenation_of_intersections(self, labeled_pool):
         groups = build_groups(labeled_pool)
-        assert set(groups["male"].member_ids) == set(
-            groups["young_male"].member_ids + groups["older_male"].member_ids
+        assert set(member_ids(groups["male"])) == set(
+            member_ids(groups["young_male"]) + member_ids(groups["older_male"])
         )
 
     def test_unknown_labels_excluded(self, labeled_pool):
@@ -78,7 +77,7 @@ class TestBuildGroups:
             make_record("mystery", np.ones(6), role="source", target_id=None)
         ]
         groups = build_groups(extra)
-        assert all("mystery" not in g.member_ids for g in groups.values())
+        assert all("mystery" not in member_ids(g) for g in groups.values())
 
     def test_empty_group_raises(self, labeled_pool):
         pool = [r for r in labeled_pool if not (r.age_group == "older" and r.gender == "female")]
@@ -89,9 +88,9 @@ class TestBuildGroups:
         g1 = build_groups(labeled_pool, per_intersection=3, seed=5)
         g2 = build_groups(labeled_pool, per_intersection=3, seed=5)
         g3 = build_groups(labeled_pool, per_intersection=3, seed=6)
-        assert g1["young_male"].member_ids == g2["young_male"].member_ids
+        assert member_ids(g1["young_male"]) == member_ids(g2["young_male"])
         assert any(
-            g1[n].member_ids != g3[n].member_ids for n in attributes.INTERSECTION_GROUPS
+            member_ids(g1[n]) != member_ids(g3[n]) for n in attributes.INTERSECTION_GROUPS
         )
 
     @pytest.mark.parametrize("per_intersection", [None, 3])
@@ -100,7 +99,7 @@ class TestBuildGroups:
         from_records = build_groups(list(clustered.candidates), per_intersection, seed=4)
         for name in attributes.ALL_GROUPS:
             assert from_table[name].table is clustered.candidates
-            assert from_table[name].member_ids == from_records[name].member_ids
+            assert member_ids(from_table[name]) == member_ids(from_records[name])
             assert from_table[name].rows.tolist() == from_records[name].rows.tolist()
 
     def test_sampling_too_large_raises(self, labeled_pool):
@@ -300,7 +299,7 @@ class TestGallery:
             for g, members in zip(chosen, scores.members):
                 oracle = rowwise_cosine(project_rows(model, [q]), project_rows(model, member_records(g)))
                 assert np.array_equal(row[members], oracle)
-                assert scores.image_ids[members].tolist() == g.member_ids
+                assert scores.image_ids[members].tolist() == member_ids(g)
         assert scores.sims[1][scores.image_ids == pool[-1].image_id].tolist() == [1.0]
 
     def test_scoring_needs_groups_of_one_table(self, labeled_pool):
@@ -348,14 +347,14 @@ class TestGallery:
         id_rank = np.argsort(np.argsort(scores.image_ids))
         image_ids, _ = selector._ranking(group.name, query.image_id, query.identity_id,
                                          scores.sims[0], scores, scores.members[0], id_rank)
-        assert image_ids.tolist() == sorted(group.member_ids)
+        assert image_ids.tolist() == sorted(member_ids(group))
         assert len(image_ids) == len(members)
         # given similarities, signed zeros among them: -0.0 and 0.0 tie
         sims = np.array([sim for _, sim in members])
         image_ids, similarities = selector._ranking(group.name, query.image_id,
                                                     query.identity_id, sims, scores,
                                                     scores.members[0], id_rank)
-        oracle = sorted(zip(sims.tolist(), group.member_ids), key=lambda p: (-p[0], p[1]))
+        oracle = sorted(zip(sims.tolist(), member_ids(group)), key=lambda p: (-p[0], p[1]))
         assert list(zip(similarities.tolist(), image_ids.tolist())) == oracle
 
     @settings(max_examples=25, deadline=None)
@@ -478,7 +477,7 @@ class TestAuc:
 class TestEvaluateClassification:
     def test_perfect_separation(self, clustered):
         groups = build_groups(list(clustered.candidates))
-        report = evaluate_classification(
+        report = classify(
             ProjectionModel.identity(16), clustered.queries, groups, "four-way"
         )
         assert report.accuracy >= 0.95
@@ -486,7 +485,7 @@ class TestEvaluateClassification:
 
     def test_binary_gender(self, clustered):
         groups = build_groups(list(clustered.candidates))
-        report = evaluate_classification(
+        report = classify(
             ProjectionModel.identity(16), clustered.queries, groups, "gender"
         )
         assert report.categories == ["female", "male"]
@@ -495,7 +494,7 @@ class TestEvaluateClassification:
     def test_confusion_counts_sum_to_queries(self, clustered):
         groups = build_groups(list(clustered.candidates))
         queries = clustered.queries
-        report = evaluate_classification(
+        report = classify(
             ProjectionModel.identity(16), queries, groups, "four-way"
         )
         assert sum(report.confusion.values()) == len(queries)
@@ -503,7 +502,7 @@ class TestEvaluateClassification:
     def test_recall_times_positives_is_integer(self, clustered):
         groups = build_groups(list(clustered.candidates))
         queries = clustered.queries
-        report = evaluate_classification(
+        report = classify(
             ProjectionModel.identity(16), queries, groups, "age"
         )
         for c in report.categories:
@@ -531,7 +530,7 @@ class TestEvaluateClassification:
         ]
         weight = np.zeros((4, 4))
         weight[0, :] = 1.0
-        report = evaluate_classification(
+        report = classify(
             ProjectionModel(weight), EmbeddingTable.of(queries), build_groups(pool), "gender"
         )
         for c in report.categories:
@@ -546,7 +545,7 @@ class TestEvaluateClassification:
 
     def test_report_json_rounds_to_three_places(self, clustered):
         groups = build_groups(list(clustered.candidates))
-        report = evaluate_classification(
+        report = classify(
             ProjectionModel.identity(16), clustered.queries, groups, "gender"
         )
         payload = report.to_json()

@@ -96,8 +96,7 @@ class TestBasicCommands:
         checked = []
 
         def counting_check(model, ref, pos, neg, margin, step):
-            w = model.weight
-            checked.append(trainer.triplet_loss(w @ ref, w @ pos, w @ neg, margin))
+            checked.append(trainer.triplet_hinge(model.weight, ref, pos, neg, margin))
             return 0.0
 
         monkeypatch.setattr(trainer, "gradient_check", counting_check)
@@ -106,7 +105,7 @@ class TestBasicCommands:
         assert "over 20 active probes" in capsys.readouterr().out
 
     def test_gradcheck_that_runs_out_of_draws_is_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(trainer, "triplet_loss", lambda *args: 0.0)
+        monkeypatch.setattr(trainer, "triplet_hinge", lambda *args: 0.0)
         assert cli.run(["gradcheck", "--probes", "2"]) == 3
         captured = capsys.readouterr()
         assert not captured.out
@@ -731,6 +730,23 @@ class TestExitCodes:
         code = cli.run(self._partition_argv(command, planted_dir, tmp_path, partition))
         assert code == 3
         assert f"{split} id 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval-triplets"])
+    def test_overlapping_partition_splits_are_3(self, planted_dir, tmp_path, capsys, command):
+        # a triplet in both train and test would be trained on and then scored as held out
+        partition = tmp_path / "p.json"
+        assert cli.run(["split", *corpus_args(planted_dir), "--mode", "i",
+                        "--out", str(partition)]) == 0
+        payload = json.loads(partition.read_text())
+        payload["test"] += payload["train"][:5]
+        partition.write_text(json.dumps(payload))
+        argv = self._partition_argv(command, planted_dir, tmp_path, partition)
+        capsys.readouterr()
+        assert cli.run(argv) == 3
+        captured = capsys.readouterr()
+        assert not captured.out and not (tmp_path / "m.json").exists()
+        assert (f"partition file {partition}: id '{payload['train'][0]}'"
+                f" is in both train and test") in captured.err
 
     def test_unknown_model_version_is_3(self, planted_dir, tmp_path, capsys):
         model = tmp_path / "model.json"

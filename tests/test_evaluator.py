@@ -35,23 +35,28 @@ def aligned_corpus():
 
 
 def test_perfect_model_scores_one(aligned_corpus):
-    accuracy, records = evaluator.eval_triplets(ProjectionModel.identity(5), aligned_corpus)
+    accuracy, (_, sim, dissim) = evaluator.eval_triplets(
+        ProjectionModel.identity(5), aligned_corpus
+    )
     assert accuracy == 1.0
-    assert all(r.sim_pair_score > r.dissim_pair_score for r in records)
+    assert (sim > dissim).all()
 
 
-def test_tied_scores_count_incorrect():
+def test_tied_scores_count_incorrect(tmp_path):
     records = [
         make_record("i0c", [1.0, 0.0]),
         make_record("i0a", [0.0, 1.0]),
         make_record("i0b", [0.0, 1.0]),
     ]
     table = corpus.EmbeddingTable.of(records)
-    accuracy, (rec,) = evaluator.eval_triplets(
+    accuracy, pairs = evaluator.eval_triplets(
         ProjectionModel.identity(2), triplets_of(table, {0: "AAA"})
     )
-    assert rec.sim_pair_score == rec.dissim_pair_score
-    assert not rec.correct and accuracy == 0.0
+    _, (sim,), (dissim,) = pairs
+    assert sim == dissim
+    evaluator.export_scatter(pairs, tmp_path / "scatter.csv")
+    assert (tmp_path / "scatter.csv").read_text().splitlines()[1].endswith(",false")
+    assert accuracy == 0.0
 
 
 def test_zero_projection_names_record():
@@ -72,8 +77,8 @@ def test_zero_projection_names_record():
 def test_inconsistent_samples_filtered(aligned_corpus):
     votes = {**{i: "AAA" for i in range(10)}, 99: "AAB"}
     noisy = triplets_of(aligned_corpus.table, votes)
-    _, records = evaluator.eval_triplets(ProjectionModel.identity(5), noisy)
-    assert all(r.triplet_id != "t099" for r in records)
+    _, (triplet_ids, _, _) = evaluator.eval_triplets(ProjectionModel.identity(5), noisy)
+    assert "t099" not in triplet_ids
 
 
 def test_empty_retained_set_raises(aligned_corpus):
@@ -85,34 +90,34 @@ def test_empty_retained_set_raises(aligned_corpus):
 
 def test_evaluation_is_repeatable(aligned_corpus):
     model = ProjectionModel.identity(5)
-    first = evaluator.eval_triplets(model, aligned_corpus)
-    second = evaluator.eval_triplets(model, aligned_corpus)
-    assert first == second
+    first_accuracy, (first_ids, *first_scores) = evaluator.eval_triplets(model, aligned_corpus)
+    accuracy, (triplet_ids, *scores) = evaluator.eval_triplets(model, aligned_corpus)
+    assert (accuracy, triplet_ids) == (first_accuracy, first_ids)
+    assert all(map(np.array_equal, scores, first_scores))
 
 
 def test_records_ordered_by_triplet_id(aligned_corpus):
-    _, records = evaluator.eval_triplets(
+    _, (ids, _, _) = evaluator.eval_triplets(
         ProjectionModel.identity(5), aligned_corpus.take(range(9, -1, -1))
     )
-    ids = [r.triplet_id for r in records]
-    assert ids == sorted(ids)
+    assert list(ids) == sorted(ids)
 
 
 class TestExportScatter:
     def test_rows_and_header(self, aligned_corpus, tmp_path):
-        _, records = evaluator.eval_triplets(
+        _, pairs = evaluator.eval_triplets(
             ProjectionModel.identity(5), aligned_corpus.take(range(3))
         )
         path = tmp_path / "scatter.csv"
-        evaluator.export_scatter(records, path)
+        evaluator.export_scatter(pairs, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "triplet_id,sim_pair_score,dissim_pair_score,correct"
         assert len(lines) == 4
 
     def test_accuracy_recomputable_from_csv(self, aligned_corpus, tmp_path):
-        accuracy, records = evaluator.eval_triplets(ProjectionModel.identity(5), aligned_corpus)
+        accuracy, pairs = evaluator.eval_triplets(ProjectionModel.identity(5), aligned_corpus)
         path = tmp_path / "scatter.csv"
-        evaluator.export_scatter(records, path)
+        evaluator.export_scatter(pairs, path)
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         # independent recomputation: fraction of points with y < x
@@ -123,12 +128,12 @@ class TestExportScatter:
         assert below / len(rows) == accuracy
 
     def test_reexport_byte_identical(self, aligned_corpus, tmp_path):
-        _, records = evaluator.eval_triplets(ProjectionModel.identity(5), aligned_corpus)
+        _, pairs = evaluator.eval_triplets(ProjectionModel.identity(5), aligned_corpus)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        evaluator.export_scatter(records, p1)
-        evaluator.export_scatter(records, p2)
+        evaluator.export_scatter(pairs, p1)
+        evaluator.export_scatter(pairs, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(EvaluationError):
-            evaluator.export_scatter([], tmp_path / "x.csv")
+            evaluator.export_scatter(((), np.empty(0), np.empty(0)), tmp_path / "x.csv")

@@ -123,10 +123,7 @@ def test_only_corpus_builds_records_and_none_is_rebound():
 REPO = Path(__file__).resolve().parents[1]
 
 # public names that no code under src/ or perfbench/ uses, kept on purpose
-UNREFERENCED_ALLOWED = {
-    "attributes.evaluate_classification": "library entry: groups and queries to a report",
-    "attributes.AttributeGroup.member_ids": "a group's image ids, for library users",
-}
+UNREFERENCED_ALLOWED = {}
 
 
 def _public_definitions(path: Path):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from facesim.errors import DegenerateVectorError, FormatError, ValidationError
-from facesim.metric import MODEL_FORMAT_VERSION, ProjectionModel, cosine
+from facesim.metric import MODEL_FORMAT_VERSION, ProjectionModel
 
 from conftest import make_record
-from scalar_oracle import distance, project, rowwise_cosine, similarity_score
+from scalar_oracle import cosine, distance, project, rowwise_cosine, similarity_score
 
 
 def test_identity_projection_is_noop():

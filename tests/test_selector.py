@@ -6,11 +6,11 @@ from facesim import attributes, selector
 from facesim.attributes import build_groups, score_groups
 from facesim.corpus import EmbeddingTable
 from facesim.errors import DegenerateVectorError, ValidationError
-from facesim.metric import ProjectionModel, cosine
+from facesim.metric import ProjectionModel
 
 import scalar_oracle
 from conftest import make_group, make_groups, make_record, member_records
-from scalar_oracle import project, similarity_score, summarize_distances
+from scalar_oracle import cosine, project, similarity_score, summarize_distances
 
 
 def candidate(image_id, vector, identity_id=None, gender="male", age_group="young"):

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from facesim import corpus, evaluator, trainer
 from facesim.errors import DivergenceError, ValidationError
-from facesim.metric import ProjectionModel, cosine
+from facesim.metric import ProjectionModel
 
 from conftest import make_record, make_triplets, vectors
+from scalar_oracle import cosine, triplet_loss
 
 
 def build_triplet_corpus(vector_rows, labels, dim):
@@ -81,33 +82,36 @@ def per_batch_gather_train(model, train, val, config):
     return (model if config.epochs == 0 else ProjectionModel(weight)), history
 
 
+def hinge(x, x_plus, x_minus, margin):
+    """The kernel's hinge of one triplet of vectors already projected: W = I."""
+    return trainer.triplet_hinge(np.eye(len(x)), x, x_plus, x_minus, margin)
+
+
 class TestTripletLoss:
     def test_inactive_hinge_is_exactly_zero(self):
         # cos(x, x+) = 0.8, cos(x, x-) = 0.5
         x = np.array([1.0, 0.0])
         x_plus = np.array([0.8, 0.6])
         x_minus = np.array([0.5, np.sqrt(1 - 0.25)])
-        assert trainer.triplet_loss(x, x_plus, x_minus, 0.1) == 0.0
+        assert hinge(x, x_plus, x_minus, 0.1) == 0.0
 
     def test_active_hinge_value(self):
         x = np.array([1.0, 0.0])
         x_plus = np.array([0.5, np.sqrt(0.75)])
         x_minus = np.array([0.8, 0.6])
-        assert trainer.triplet_loss(x, x_plus, x_minus, 0.1) == pytest.approx(0.4, abs=1e-12)
+        assert hinge(x, x_plus, x_minus, 0.1) == pytest.approx(0.4, abs=1e-12)
 
     def test_identical_options_give_margin(self):
         x = np.array([1.0, 2.0, 3.0])
         y = np.array([-2.0, 0.5, 1.0])
-        assert trainer.triplet_loss(x, y, y, 0.1) == 0.1
+        assert hinge(x, y, y, 0.1) == 0.1
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(4)
         x, p, n = (rng.normal(size=6) for _ in range(3))
-        base = trainer.triplet_loss(x, p, n, 0.1)
+        base = hinge(x, p, n, 0.1)
         for a, b, c in [(2.0, 3.0, 0.5), (1e-3, 1.0, 1e3)]:
-            assert trainer.triplet_loss(a * x, b * p, c * n, 0.1) == pytest.approx(
-                base, abs=1e-12
-            )
+            assert hinge(a * x, b * p, c * n, 0.1) == pytest.approx(base, abs=1e-12)
 
     def test_hinge_boundary(self):
         # constructed so cos(x, x+) exceeds cos(x, x-) by more than m
@@ -115,7 +119,19 @@ class TestTripletLoss:
         p = np.array([1.0, 0.1])
         n = np.array([0.0, 1.0])
         assert cosine(x, p) > cosine(x, n) + 0.1
-        assert trainer.triplet_loss(x, p, n, 0.1) == 0.0
+        assert hinge(x, p, n, 0.1) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.tuples(*[st.sampled_from([1e-3, 1e-1, 1.0, 1e1, 1e3])] * 3),
+           st.sampled_from([0.0, 0.1, 0.7]))
+    def test_kernel_hinge_matches_the_scalar_oracle(self, dim, seed, scales, margin):
+        """At W = I the kernel's hinge is the oracle's `triplet_loss`, for components from
+        1e-3 to 1e3. The kernel takes plain norms, without `cosine`'s max-abs scaling, so
+        components whose squares underflow or overflow are outside this range."""
+        rng = np.random.default_rng(seed)
+        x, p, n = (scale * rng.normal(size=dim) for scale in scales)
+        assert abs(hinge(x, p, n, margin) - triplet_loss(x, p, n, margin)) <= 1e-12
 
 
 def finite_difference_gradient(weight, ref, pos, neg, margin, step):
@@ -191,7 +207,7 @@ class TestGradients:
         margin = 0.2
         w = model.weight
         losses = [
-            trainer.triplet_loss(
+            triplet_loss(
                 *(w @ triplets.table[j].vector for j in role_ids(triplets, i)), margin,
             )
             for i in range(len(triplets))
@@ -227,9 +243,7 @@ class TestGradients:
         model = ProjectionModel(np.eye(6) + 0.1 * rng.normal(size=(6, 6)))
         for _ in range(10):
             ref, pos, neg = (rng.normal(size=6) for _ in range(3))
-            if trainer.triplet_loss(
-                model.weight @ ref, model.weight @ pos, model.weight @ neg, 0.5
-            ) > 0:
+            if trainer.triplet_hinge(model.weight, ref, pos, neg, 0.5) > 0:
                 assert trainer.gradient_check(model, ref, pos, neg, 0.5) <= 1e-4
 
     def test_gradient_check_inactive_is_flat(self):
