@@ -483,8 +483,9 @@ def _embedding_dim(path, header: List[str]) -> int:
     return dim
 
 
-# An embedding CSV parsed: the line number of each row, the six fixed fields
-# as columns, as the file holds them, and the (rows, d) matrix of the vectors.
+# An embedding CSV parsed: the line number of each row (the block parser takes no
+# blank line), the six fixed fields as columns, as the file holds them, and the
+# (rows, d) matrix of the vectors.
 ParsedEmbeddings = Tuple[List[int], Columns, np.ndarray]
 
 
@@ -822,7 +823,7 @@ def _newlines(data) -> int:
 
 
 # Of a file's lines after the header: the bytes [start, end) that hold some,
-# the index of the first, and how many there are at most
+# the index of the first, and how many there are
 _LineRange = Tuple[int, int, int, int]
 
 
@@ -831,8 +832,8 @@ def _line_ranges(fh) -> List[_LineRange]:
 
     A range is at least about `_RANGE_BYTES` long. The lines are counted in
     one read, `_READ_BYTES` at a time, and a range ends just after the
-    first b"\\n" at or past its share of the bytes. The last range counts a last
-    line with no b"\\n".
+    first b"\\n" at or past its share of the bytes, so it holds exactly as many
+    lines as b"\\n" bytes. Raises ValueError for a last line with no b"\\n".
     """
     start = at = fh.tell()
     size = os.fstat(fh.fileno()).st_size
@@ -841,6 +842,7 @@ def _line_ranges(fh) -> List[_LineRange]:
     target = next(targets, None)
     cuts = [(start, 0)]  # where a range starts, and the lines before it
     lines = 0
+    last = b"\n"  # the file's last byte, or the header's line end
     while data := fh.read(_READ_BYTES):
         while target is not None and target < at + len(data):
             i = data.find(b"\n", max(target - at, 0))
@@ -851,13 +853,16 @@ def _line_ranges(fh) -> List[_LineRange]:
             target = next((t for t in targets if t >= cut), None)
         lines += _newlines(data)
         at += len(data)
-    bounds = cuts[:1] + [cut for cut in cuts[1:] if cut[0] < at] + [(at, lines + 1)]
+        last = data[-1:]
+    if last != b"\n":
+        raise ValueError("a last line with no line end")
+    bounds = cuts[:1] + [cut for cut in cuts[1:] if cut[0] < at] + [(at, lines)]
     return [(begin, end, first, after - first)
             for (begin, first), (end, after) in zip(bounds, bounds[1:])]
 
 
 def _read_lines(fh, size: int) -> Iterator[List[bytes]]:
-    """The lines of the next `size` bytes of `fh`, without line ends, a list per read.
+    """The whole lines of the next `size` bytes of `fh`, without line ends, a list per read.
 
     Raises ValueError for a quote or a carriage return that does not end a line.
     """
@@ -876,29 +881,24 @@ def _read_lines(fh, size: int) -> Iterator[List[bytes]]:
                 start = end + 1
             pending = [data[start:]]
             yield _without_crs(lines) if b"\r" in data else lines
-    tail = b"".join(pending)
-    if tail:
-        yield _without_crs([tail])
 
 
-def _parse_range(path, identity, line_range: _LineRange,
-                 matrix: np.ndarray) -> Tuple[List[int], List[bytes]]:
-    """The line numbers and six fixed fields (as bytes, up to the sixth comma) of the
-    rows of one range of the file.
+def _parse_range(path, identity, line_range: _LineRange, matrix: np.ndarray) -> List[bytes]:
+    """The six fixed fields (as bytes, up to the sixth comma) of the rows of one range of
+    the file, one row per line.
 
     Its vectors are written to the rows of `matrix` from the range's first line
     index on, one block of up to `_BLOCK_CELLS` cells at a time. The file is
     opened again, and ValueError is raised, saying why, for one that is not the
-    file `identity` names or for a row this does not take as it is.
+    file `identity` names, for a range that does not fill exactly its rows, or
+    for a line this does not take as a row as it is, a blank one among them.
     """
     start, end, row, count = line_range
-    stop = row + count  # the rows of `matrix` this range may fill
+    stop = row + count  # the rows of `matrix` this range fills
     dim = matrix.shape[1]
     fixed_count = len(EMBEDDING_FIXED_COLUMNS)
     limit = csv.field_size_limit()  # in characters, so a field of more bytes defers
     per_block = max(1, _BLOCK_CELLS // dim)
-    lineno = row + 1  # the header is line 1
-    linenos: List[int] = []
     fields: List[bytes] = []
     texts: List[bytes] = []
 
@@ -916,9 +916,8 @@ def _parse_range(path, identity, line_range: _LineRange,
         fh.seek(start)
         for lines in _read_lines(fh, end - start):
             for line in lines:
-                lineno += 1
                 if not line:
-                    continue  # a blank line, as `read_csv` skips it
+                    raise ValueError("a blank line, which csv skips")
                 parts = line.split(b",", fixed_count)
                 if len(parts) <= fixed_count:
                     raise ValueError(f"a row of fewer than {fixed_count + 1} fields")
@@ -929,37 +928,39 @@ def _parse_range(path, identity, line_range: _LineRange,
                     raise ValueError("a row with no vector text")
                 if text.endswith(b","):  # `fromstring` reads 0 there, or nothing at a block's end
                     raise ValueError("a row whose last vector cell is empty")
-                linenos.append(lineno)
                 fields.append(line[:len(line) - len(text) - 1])
                 texts.append(text)
                 if len(texts) == per_block:
                     put_block()
     if texts:
         put_block()
-    return linenos, fields
+    if row != stop:
+        raise ValueError("the file changed while it was read")
+    return fields
 
 
 def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
     """The vector block parsed by numpy, or None where `float` must decide.
 
-    A regular file is split into ranges of whole lines by a count of its
+    It takes one row per line, with LF or CR LF ends and one after the last
+    row. A regular file is split into ranges of whole lines by a count of its
     lines, one range per CPU (see `_CPUS`), and the matrix is allocated once
-    for all the lines. The calling thread parses the first range and a thread
-    of its own each other one: each row is split into its six fixed fields and
-    its vector text, and numpy parses the vector texts of rows holding up to
-    `_BLOCK_CELLS` cells at once, to the values Python's `float` gives, into
-    the range's rows of the matrix. Rows are then moved down over blank lines,
-    and the labels are decoded at once. The result does not depend on
-    the number of ranges. A file this cannot take as it is gives None, and the
-    reason of the first range that fails is logged at debug level: one that is
-    not a regular file (so it is read once, by the per-cell parser), is not
-    UTF-8, has a bad header or a quote, a carriage return that does not end a
-    line, a row of fewer than seven fields, a field over
-    `csv.field_size_limit()`, no vector text, a byte that is not in a decimal
-    number or a comma, a row whose width is not the header's or whose last
-    vector cell is empty, or text numpy does not parse, or one that changed
-    while it was read. Any other error of a range is raised, as the calling
-    thread raises its own.
+    with a row per line, so row i is line i + 2. The calling thread parses the
+    first range and a thread of its own each other one: each row is split into
+    its six fixed fields and its vector text, and numpy parses the vector texts
+    of rows holding up to `_BLOCK_CELLS` cells at once, to the values Python's
+    `float` gives, into the range's rows of the matrix. The labels are then
+    decoded at once. The result does not depend on the number of ranges. A
+    file this cannot take as it is gives None, and the reason of the first
+    range that fails is logged at debug level: one that is not a regular file
+    (so it is read once, by the per-cell parser), is not UTF-8, has a bad
+    header, a blank line, a last line with no line end, a quote, a carriage
+    return that does not end a line, a row of fewer than seven fields, a field
+    over `csv.field_size_limit()`, no vector text, a byte that is not in a
+    decimal number or a comma, a row whose width is not the header's or whose
+    last vector cell is empty, or text numpy does not parse, or one that
+    changed while it was read. Any other error of a range is raised, as the
+    calling thread raises its own.
     """
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
@@ -993,25 +994,14 @@ def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
         for outcome in outcomes:
             if isinstance(outcome, BaseException):
                 raise outcome
-        linenos: List[int] = []
-        fields: List[bytes] = []
-        flat = matrix.reshape(-1)  # 1-D, so a copy between overlapping rows is exact
-        for (_, _, first, _), (range_linenos, range_fields) in zip(ranges, outcomes):
-            row, rows = len(linenos), len(range_linenos)
-            if first > row:  # blank lines before
-                flat[row * dim:(row + rows) * dim] = flat[first * dim:(first + rows) * dim]
-            linenos += range_linenos
-            fields += range_fields
-        del flat  # no view of the matrix outlives its resize
         # one decode checks every label's UTF-8; no label holds a comma
-        cells = b",".join(fields).decode().split(",") if fields else []
+        cells = b",".join(itertools.chain(*outcomes)).decode().split(",") if len(matrix) else []
         columns = tuple(tuple(cells[k::len(EMBEDDING_FIXED_COLUMNS)])
                         for k in range(len(EMBEDDING_FIXED_COLUMNS)))
     except (FormatError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
         log.debug("%s: parsing cell by cell: %s", path, exc)
         return None
-    matrix.resize((len(linenos), dim), refcheck=False)
-    return linenos, columns, matrix
+    return list(range(2, len(matrix) + 2)), columns, matrix  # line 1 is the header
 
 
 def load_embeddings(path) -> EmbeddingTable:

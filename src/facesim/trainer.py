@@ -77,16 +77,15 @@ class TrainHistory:
 
 
 def batch_loss_and_gradient(
-    weight: np.ndarray, ref: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float
+    weight: np.ndarray, x: np.ndarray, margin: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-triplet hinge of stacked (B, d) rows, B >= 1, and its batch-mean gradient.
+    """Per-triplet hinge of (3, B, d) ref, pos and neg rows, B >= 1, and its batch-mean gradient.
 
     d cos(Wa, Wb)/dW = ga aᵀ + gb bᵀ with ga = Wb/(|Wa||Wb|) - cos(Wa, Wb) Wa/|Wa|², gb alike.
-    The three roles are one (3, B, d) block, so each step over them is one call;
-    every element is computed by the same operations, in the same order, as
-    role by role, so the results are bit-identical to a role-by-role kernel.
+    The three roles are one block, so each step over them is one call; every
+    element is computed by the same operations, in the same order, as role by
+    role, so the results are bit-identical to a role-by-role kernel.
     """
-    x = np.concatenate((ref, pos, neg)).reshape(3, *ref.shape)
     p = x @ weight.T  # u, v, w
     n = np.sqrt(np.sum(p * p, axis=2, keepdims=True))  # |u|, |v|, |w|
     if not n.all():
@@ -106,14 +105,14 @@ def batch_loss_and_gradient(
     np.subtract(along[0], own[0], out=g[1])
     np.subtract(own[1], along[1], out=g[2])
     g *= (~inactive).astype(np.float64)  # as a float mask: a bool one multiplies slower
-    return hinge[:, 0], np.add.reduce(np.matmul(g.transpose(0, 2, 1), x)) / len(ref)
+    return hinge[:, 0], np.add.reduce(np.matmul(g.transpose(0, 2, 1), x)) / x.shape[1]
 
 
 def triplet_hinge(
     weight: np.ndarray, ref: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float
 ) -> float:
     """The `batch_loss_and_gradient` hinge of one triplet of (d,) vectors under `weight`."""
-    return float(batch_loss_and_gradient(weight, ref[None], pos[None], neg[None], margin)[0][0])
+    return float(batch_loss_and_gradient(weight, np.stack([ref, pos, neg])[:, None], margin)[0][0])
 
 
 def gradient_check(
@@ -129,7 +128,7 @@ def gradient_check(
     check_margin(margin)
     check_step(step)
     weight = model.weight
-    _, analytic = batch_loss_and_gradient(weight, ref[None], pos[None], neg[None], margin)
+    _, analytic = batch_loss_and_gradient(weight, np.stack([ref, pos, neg])[:, None], margin)
     max_err = 0.0
     d = weight.shape[0]
     for i in range(d):
@@ -167,7 +166,7 @@ def train(
     velocity = np.zeros_like(weight)
     step = np.empty_like(weight)
     history = TrainHistory()
-    last_grad = None  # the last gradient that left the weights finite; its norm, on divergence
+    last_finite = None  # (gradient, hinges) of the last batch that left the weights finite
 
     for epoch in range(config.epochs):
         if config.shuffle:
@@ -178,7 +177,7 @@ def train(
         with np.errstate(all="ignore"):  # overflow surfaces as non-finite values, checked below
             for batch, start in enumerate(range(0, len(order), config.batch_size), start=1):
                 block = stack[:, perm[start : start + config.batch_size]]
-                losses, grad = batch_loss_and_gradient(weight, *block, config.margin)
+                losses, grad = batch_loss_and_gradient(weight, block, config.margin)
                 # velocity = momentum * velocity - lr * (grad + decay * weight), in place
                 np.multiply(weight, config.weight_decay, out=step)
                 step += grad
@@ -187,14 +186,15 @@ def train(
                 velocity -= step
                 weight += velocity
                 if not (np.isfinite(losses).all() and np.isfinite(weight).all()):
-                    norm = "none" if last_grad is None else f"{np.linalg.norm(last_grad):.6g}"
+                    norm, hinge = ("none", "none") if last_finite is None else (
+                        f"{np.linalg.norm(last_finite[0]):.6g}", f"{last_finite[1].mean():.6g}")
                     raise DivergenceError(
                         f"non-finite loss or weights at epoch {epoch + 1}, batch {batch};"
-                        f" last finite gradient norm {norm}",
+                        f" last finite gradient norm {norm}, mean hinge {hinge}",
                         epoch=epoch + 1,
                         batch=batch,
                     )
-                last_grad = grad
+                last_finite = grad, losses
                 epoch_loss += float(losses.sum())
                 active += int(np.count_nonzero(losses))
         history.mean_loss.append(epoch_loss / len(order))

@@ -44,7 +44,8 @@ def test_criterion_01_gradient_fidelity():
             continue
         probes += 1
         # the kernel `train` runs, on a batch of one triplet
-        _, grad = trainer.batch_loss_and_gradient(weight, ref[None], pos[None], neg[None], margin)
+        x = np.stack([ref, pos, neg])[:, None]
+        _, grad = trainer.batch_loss_and_gradient(weight, x, margin)
         step = 1e-5
         fd = np.zeros_like(weight)
         for i in range(dim):

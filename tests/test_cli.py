@@ -638,8 +638,9 @@ class TestExitCodes:
                         "--out", str(tmp_path / "m.json")])
         assert code == 4
         named = re.fullmatch(r"error: non-finite loss or weights at epoch \d+, batch \d+;"
-                             r" last finite gradient norm (\S+)\n", capsys.readouterr().err)
-        assert named and float(named[1]) > 0
+                             r" last finite gradient norm (\S+), mean hinge (\S+)\n",
+                             capsys.readouterr().err)
+        assert named and float(named[1]) > 0 and float(named[2]) >= 0
 
     @pytest.mark.parametrize("votes", ["0", "-1"])
     def test_min_votes_below_one_is_3(self, planted_dir, tmp_path, capsys, votes):

@@ -231,6 +231,36 @@ def test_load_names_the_first_invalid_row_as_row_by_row_checks_did(
     assert (err.value.row, str(err.value)) == (expected[0] - 2, expected[1])
 
 
+@pytest.mark.parametrize("bad_row, message", [
+    ("s37,id37,bogus,,,,1,2", "record 's37': unknown role 'bogus'"),
+    ("s37,id37,source,,,,0,0", "record 's37': zero vector"),
+], ids=["label", "zero-vector"])
+def test_a_bad_row_in_the_last_range_is_named_at_the_per_cell_parsers_line(
+    tmp_path, monkeypatch, bad_row, message
+):
+    """The block parser's row i is line i + 2 in every range: in one to four ranges, a bad
+    row in the last one gets the message the per-cell parser's line numbers give."""
+    rows = [f"s{i},id{i},source,,,,{i + 1},0.5" for i in range(40)]
+    rows[37] = bad_row
+    path = tmp_path / "emb.csv"
+    write_embeddings(path, rows, dim=2)
+    with monkeypatch.context() as per_cell, pytest.raises(ValidationError) as err:
+        per_cell.setattr(corpus, "_parse_embedding_block", lambda path: None)
+        corpus.load_embeddings(path)
+    assert str(err.value) == f"{path}:39: {message}"
+    monkeypatch.setattr(corpus, "_RANGE_BYTES", 1)
+    for ranges in (1, 2, 3, 4):
+        monkeypatch.setattr(corpus, "_CPUS", ranges)
+        with open(path, "rb") as fh:
+            fh.readline()
+            line_ranges = corpus._line_ranges(fh)
+        assert len(line_ranges) == ranges and line_ranges[-1][2] <= 37
+        assert corpus._parse_embedding_block(path) is not None
+        with pytest.raises(ValidationError) as block:
+            corpus.load_embeddings(path)
+        assert str(block.value) == str(err.value)
+
+
 class TestValidateAnnotators:
     def test_all_dummies_correct_is_valid(self):
         anns = [make_annotation("p1", f"d{i}", "A", True, "A") for i in range(5)]

@@ -609,7 +609,10 @@ def test_x86_reads_blocks_in_x87_extended_precision(hard_csv):
     (f"{_HEADER},v0,v1\ns,i,source,,,,1,2,3\n", "width"),
     (f"{_HEADER},v0\ns,i,source,,,,1e\n", "does not parse"),
     (f"{_HEADER},v0\ns,i\r,source,,,,1\n", "a carriage return"),
-], ids=["quote", "field-limit", "no-vector-text", "byte", "width", "unparsable", "bare-cr"])
+    (f"{_HEADER},v0\ns,i,source,,,,1\n\n", "a blank line"),
+    (f"{_HEADER},v0\ns,i,source,,,,1", "a last line with no line end"),
+], ids=["quote", "field-limit", "no-vector-text", "byte", "width", "unparsable", "bare-cr",
+        "blank-line", "no-final-line-end"])
 def test_block_parser_logs_why_it_defers(tmp_path, caplog, text, reason):
     path = tmp_path / "emb.csv"
     path.write_text(text, encoding="utf-8")
@@ -625,20 +628,14 @@ def _rows_csv(cells, newline="\n"):
                          ""]).encode()
 
 
-def test_ranges_meet_blank_lines_and_line_ends(tmp_path, monkeypatch):
-    """Blank lines and CR LF ends at range boundaries, and a last line with no LF: the
-    same lines, fields and values as the per-cell parser, whatever the ranges and reads."""
+def test_ranges_meet_line_ends(tmp_path, monkeypatch):
+    """LF and CR LF ends at range boundaries: the same lines, fields and values as the
+    per-cell parser, bit for bit, whatever the ranges and reads."""
     path = tmp_path / "emb.csv"
-    boundary_lines = set()
+    after_crlf = False
     for newline in ("\n", "\r\n"):
-        for blanks in range(4):  # shifts every boundary by a line or so
-            lines = _rows_csv([f"{i}.25,-{i}e-3" for i in range(16)], newline).split(
-                newline.encode())
-            for i in range(len(lines) - 1, 1, -3):
-                lines[i:i] = [b""] * (i % 3)  # a run of blank lines every third row
-            lines[1:1] = [b""] * blanks
-            # the last line ends in no line end, or in a CR, which csv takes as one
-            path.write_bytes(newline.encode().join(lines).rstrip(b"\r\n") + newline[:-1].encode())
+        for rows in range(16, 20):  # shifts every boundary by a line or so
+            path.write_bytes(_rows_csv([f"{i}.25,-{i}e-3" for i in range(rows)], newline))
             expected = corpus._parse_embeddings_per_cell(path)
             for ranges in (1, 2, 3, 4):
                 for read_bytes in (1, 2, 3, 7, 1 << 16):
@@ -646,10 +643,54 @@ def test_ranges_meet_blank_lines_and_line_ends(tmp_path, monkeypatch):
                     _assert_same_parse(corpus._parse_embedding_block(path), expected)
                 with open(path, "rb") as fh:
                     fh.readline()
-                    for line_range in corpus._line_ranges(fh)[1:]:
-                        fh.seek(line_range[0])
-                        boundary_lines.add(fh.readline())
-    assert {b"\n", b"\r\n"} <= boundary_lines, "a range starts on a blank line"
+                    starts = [line_range[0] for line_range in corpus._line_ranges(fh)[1:]]
+                data = path.read_bytes()
+                after_crlf |= any(data[start - 2:start] == b"\r\n" for start in starts)
+    assert after_crlf, "a range starts right after a CR LF"
+
+
+def _with_blank_line(lines, where):
+    """`lines`, the lines of a file, with a blank line inserted: before the first row,
+    at the start of the second of two ranges, or after the last row."""
+    if where == "first-row":
+        return lines[:1] + [b""] + lines[1:]
+    if where == "end":
+        return lines[:-1] + [b"", b""]
+    middle = len(lines) // 2 + 1  # the second range's first line, with the blank one
+    return lines[:middle] + [b""] + lines[middle:]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("where, reason", [
+    ("first-row", "a blank line"),
+    ("range-boundary", "a blank line"),
+    ("end", "a blank line"),
+    ("no-final-line-end", "a last line with no line end"),
+])
+def test_a_blank_line_or_no_final_line_end_is_read_cell_by_cell(
+    tmp_path, monkeypatch, caplog, newline, where, reason
+):
+    """The block parser defers once, saying why, and the per-cell parser reads the file."""
+    path = tmp_path / "emb.csv"
+    data = _rows_csv([f"{i}.25,-{i}e-3" for i in range(16)], newline)
+    if where == "no-final-line-end":
+        data = data.removesuffix(newline.encode())
+    else:
+        data = newline.encode().join(_with_blank_line(data.split(newline.encode()), where))
+    path.write_bytes(data)
+    _split_into_ranges(monkeypatch, 2)
+    if where == "range-boundary":
+        with open(path, "rb") as fh:
+            fh.readline()
+            fh.seek(corpus._line_ranges(fh)[1][0])
+            assert fh.readline() == newline.encode(), "the second range starts on the blank line"
+    with caplog.at_level(logging.DEBUG, logger="facesim.corpus"):
+        assert corpus._parse_embedding_block(path) is None
+    assert [(str(path) in m and reason in m) for m in caplog.messages] == [True]
+    _, columns, matrix = corpus._parse_embeddings_per_cell(path)
+    table = corpus.load_embeddings(path)
+    assert table.image_ids == columns[0] and len(table) == 16
+    assert table.matrix.tobytes() == matrix.tobytes()
 
 
 @pytest.mark.parametrize("bad, reason", [
@@ -728,16 +769,27 @@ def test_threads_start_one_per_range(tmp_path, monkeypatch):
         assert len(started) == threads
 
 
-@pytest.mark.parametrize("replaced", [True, False], ids=["replaced", "rewritten-in-place"])
+# a row of the first of two ranges in the same bytes: made two, or merged with the next
+_ROW_10 = b"r10,i,source,,,,10.5,1\n"
+_TWO_ROWS = b"a,,,,,,1,2\nb,,,,,,1,20\n"
+_ROWS_10_11 = _ROW_10 + b"r11,i,source,,,,11.5,1\n"
+_MERGED_ROW = b"m,i,source,,,,10." + b"5" * 26 + b",1\n"
+
+
+@pytest.mark.parametrize("replaced, old, new, ids", [
+    (True, _ROW_10, _TWO_ROWS, ("a", "b")),
+    (False, _ROW_10, _TWO_ROWS, ("a", "b")),
+    (False, _ROWS_10_11, _MERGED_ROW, ("m", "r12")),
+], ids=["replaced", "rewritten-in-place", "rows-merged-in-place"])
 def test_a_file_changed_after_its_lines_are_counted_is_not_read_in_ranges(
-    tmp_path, monkeypatch, caplog, replaced
+    tmp_path, monkeypatch, caplog, replaced, old, new, ids
 ):
-    """Another file at the path, or more lines in the same bytes, size and mtime: the
-    per-cell parser reads what is there then."""
+    """Another file at the path, or more or fewer lines in the same bytes, size and mtime:
+    the per-cell parser reads what is there then."""
     path = tmp_path / "emb.csv"
     path.write_bytes(_rows_csv([f"{i}.5,1" for i in range(40)]))
-    # the same number of bytes, with one row of the first range made two
-    changed = path.read_bytes().replace(b"r10,i,source,,,,10.5,1\n", b"a,,,,,,1,2\nb,,,,,,1,2\n\n")
+    assert len(old) == len(new)
+    changed = path.read_bytes().replace(old, new)
     line_ranges = corpus._line_ranges
 
     def changing_the_file(fh):
@@ -757,7 +809,7 @@ def test_a_file_changed_after_its_lines_are_counted_is_not_read_in_ranges(
     with caplog.at_level(logging.DEBUG, logger="facesim.corpus"):
         assert corpus._parse_embedding_block(path) is None
     assert ["changed while it was read" in m for m in caplog.messages] == [True]
-    assert corpus._parse_embeddings_per_cell(path)[1][0][10:12] == ("a", "b")
+    assert corpus._parse_embeddings_per_cell(path)[1][0][10:12] == ids
 
 
 def _read_through_fifo(path, data: bytes, read):

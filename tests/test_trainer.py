@@ -64,7 +64,7 @@ def per_batch_gather_train(model, train, val, config):
         for start in range(0, len(order), config.batch_size):
             rows = order[start : start + config.batch_size]
             losses, grad = trainer.batch_loss_and_gradient(
-                weight, ref[rows], pos[rows], neg[rows], config.margin
+                weight, np.stack([ref[rows], pos[rows], neg[rows]]), config.margin
             )
             velocity = config.momentum * velocity - config.learning_rate * (
                 grad + config.weight_decay * weight
@@ -156,7 +156,7 @@ class TestGradients:
         triplets = build_triplet_corpus(
             [([1.0, 0.0], [1.0, 0.1], [0.0, 1.0])], ["A"], dim=2
         )
-        losses, grad = trainer.batch_loss_and_gradient(np.eye(2), *triplets.gather(), 0.1)
+        losses, grad = trainer.batch_loss_and_gradient(np.eye(2), triplets.gather(), 0.1)
         assert losses.mean() == 0.0
         np.testing.assert_array_equal(grad, np.zeros((2, 2)))
 
@@ -165,7 +165,7 @@ class TestGradients:
         rows = [tuple(rng.normal(size=5) for _ in range(3)) for _ in range(4)]
         triplets = build_triplet_corpus(rows, ["A"] * 4, dim=5)
         model = ProjectionModel(np.eye(5) + 0.05 * rng.normal(size=(5, 5)))
-        losses, grad = trainer.batch_loss_and_gradient(model.weight, *triplets.gather(), 0.5)
+        losses, grad = trainer.batch_loss_and_gradient(model.weight, triplets.gather(), 0.5)
         assert losses.mean() > 0
         fd = np.zeros((5, 5))
         for i in range(len(triplets)):
@@ -181,9 +181,9 @@ class TestGradients:
         rng = np.random.default_rng(6)
         row = tuple(rng.normal(size=4) for _ in range(3))
         singleton = build_triplet_corpus([row], ["B"], dim=4)
-        losses1, grad1 = trainer.batch_loss_and_gradient(np.eye(4), *singleton.gather(), 0.3)
+        losses1, grad1 = trainer.batch_loss_and_gradient(np.eye(4), singleton.gather(), 0.3)
         losses2, grad2 = trainer.batch_loss_and_gradient(
-            np.eye(4), *singleton.take([0, 0]).gather(), 0.3
+            np.eye(4), singleton.take([0, 0]).gather(), 0.3
         )
         assert losses1.mean() == pytest.approx(losses2.mean(), abs=1e-15)
         np.testing.assert_allclose(grad1, grad2, atol=1e-15)
@@ -193,9 +193,9 @@ class TestGradients:
         rows = [tuple(rng.normal(size=4) for _ in range(3)) for _ in range(6)]
         triplets = build_triplet_corpus(rows, ["A"] * 6, dim=4)
         weight = np.eye(4)
-        fwd, _ = trainer.batch_loss_and_gradient(weight, *triplets.gather(), 0.4)
+        fwd, _ = trainer.batch_loss_and_gradient(weight, triplets.gather(), 0.4)
         rev, _ = trainer.batch_loss_and_gradient(
-            weight, *triplets.take(range(5, -1, -1)).gather(), 0.4
+            weight, triplets.take(range(5, -1, -1)).gather(), 0.4
         )
         assert fwd.mean() == pytest.approx(rev.mean(), abs=1e-12)
 
@@ -213,9 +213,9 @@ class TestGradients:
             for i in range(len(triplets))
         ]
         assert 0 < sum(l > 0 for l in losses) < len(losses)
-        batch, grad = trainer.batch_loss_and_gradient(w, *triplets.gather(), margin)
+        batch, grad = trainer.batch_loss_and_gradient(w, triplets.gather(), margin)
         singles = [
-            trainer.batch_loss_and_gradient(w, *triplets.take([i]).gather(), margin)[1]
+            trainer.batch_loss_and_gradient(w, triplets.take([i]).gather(), margin)[1]
             for i in range(len(triplets))
         ]
         np.testing.assert_allclose(batch, losses, rtol=0, atol=1e-12)
@@ -233,7 +233,7 @@ class TestGradients:
         if seed % 3 == 0:
             pos = ref.copy()  # equal options: every hinge is the margin
         with np.errstate(all="ignore"):
-            got = trainer.batch_loss_and_gradient(weight, ref, pos, neg, margin)
+            got = trainer.batch_loss_and_gradient(weight, np.stack([ref, pos, neg]), margin)
             want = role_by_role_loss_and_gradient(weight, ref, pos, neg, margin)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()  # bit for bit, signs of zeros included
@@ -366,7 +366,7 @@ class TestTrain:
             )
         assert (err.value.epoch, err.value.batch) == (1, 1)
         assert str(err.value) == ("non-finite loss or weights at epoch 1, batch 1;"
-                                  " last finite gradient norm none")
+                                  " last finite gradient norm none, mean hinge none")
 
     @settings(max_examples=60, deadline=None)
     @given(
