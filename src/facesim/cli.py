@@ -252,6 +252,8 @@ def cmd_gradcheck(args) -> int:
         raise ValidationError(
             f"gradcheck needs --dim and --probes >= 1, got {args.dim} and {args.probes}"
         )
+    if args.seed < 0:
+        raise ValidationError(f"gradcheck needs --seed >= 0, got {args.seed}")
     trainer.check_margin(args.margin)
     trainer.check_step(args.step)
     rng = np.random.default_rng(args.seed)

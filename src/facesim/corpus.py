@@ -123,9 +123,8 @@ class EmbeddingTable:
     `genders` and `age_groups`, as `EmbeddingRecord` names them. Labels, finite
     non-zero rows and unique ids are checked once over the whole table; the
     first invalid row raises `ValidationError`, its `row` set. Records are
-    built on the first iteration or lookup, each `vector` a view of its row,
-    and kept, so every lookup returns the same objects; `load_embeddings` and
-    `synth` build none.
+    built on each iteration or lookup, each `vector` a read-only view of its
+    row, and not kept; `load_embeddings` and `synth` build none.
     """
 
     def __init__(self, columns: Columns, matrix: np.ndarray):
@@ -139,7 +138,6 @@ class EmbeddingTable:
         (self.image_ids, self.identity_ids, self.roles, self.target_ids, self.genders,
          self.age_groups) = columns
         self._rows: Dict[str, int] = dict(zip(self.image_ids, itertools.count()))
-        self._records: Optional[List[EmbeddingRecord]] = None
 
     @classmethod
     def of(cls, records: Sequence[EmbeddingRecord]) -> "EmbeddingTable":
@@ -158,21 +156,17 @@ class EmbeddingTable:
         """The vector width."""
         return self.matrix.shape[1]
 
-    def _built(self) -> List[EmbeddingRecord]:
-        """The records, built from the columns and rows on the first call."""
-        if self._records is None:
-            self._records = [
-                EmbeddingRecord(*fields)  # the six labels, then the vector
-                for fields in zip(self.image_ids, self.identity_ids, self.roles,
-                                  self.target_ids, self.genders, self.age_groups, self.matrix)
-            ]
-        return self._records
-
     def __len__(self) -> int:
         return len(self._rows)
 
+    def _record(self, row: int) -> EmbeddingRecord:
+        """A new record of this row: its six labels, and its vector a view of the row."""
+        return EmbeddingRecord(self.image_ids[row], self.identity_ids[row], self.roles[row],
+                               self.target_ids[row], self.genders[row], self.age_groups[row],
+                               self.matrix[row])
+
     def __iter__(self) -> Iterator[EmbeddingRecord]:
-        return iter(self._built())
+        return map(self._record, range(len(self)))
 
     def __contains__(self, image_id: str) -> bool:
         return image_id in self._rows
@@ -185,8 +179,7 @@ class EmbeddingTable:
             raise IntegrityError(f"unknown image_id '{image_id}'") from None
 
     def __getitem__(self, image_id: str) -> EmbeddingRecord:
-        row = self.row(image_id)
-        return self._built()[row]
+        return self._record(self.row(image_id))
 
     def take(self, rows: Sequence[int]) -> "EmbeddingTable":
         """A table of these rows, in this order."""
@@ -486,7 +479,7 @@ def _embedding_dim(path, header: List[str]) -> int:
 # An embedding CSV parsed: the line number of each row (the block parser takes no
 # blank line), the six fixed fields as columns, as the file holds them, and the
 # (rows, d) matrix of the vectors.
-ParsedEmbeddings = Tuple[List[int], Columns, np.ndarray]
+ParsedEmbeddings = Tuple[Sequence[int], Columns, np.ndarray]
 
 
 def _parse_embeddings_per_cell(path) -> ParsedEmbeddings:
@@ -1001,7 +994,7 @@ def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
     except (FormatError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
         log.debug("%s: parsing cell by cell: %s", path, exc)
         return None
-    return list(range(2, len(matrix) + 2)), columns, matrix  # line 1 is the header
+    return range(2, len(matrix) + 2), columns, matrix  # line 1 is the header
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -1180,12 +1173,12 @@ class TripletTable:
         return self.table.matrix[self.role_rows()]
 
     @functools.cached_property
-    def evaluated(self) -> Tuple["TripletTable", np.ndarray]:
-        """The admitted, unanimous triplets in `triplet_id` order, and their vectors,
-        taken and gathered on first use."""
+    def evaluated(self) -> Tuple["TripletTable", List[str], np.ndarray]:
+        """The admitted, unanimous triplets in `triplet_id` order, the image ids of their
+        (3, n, d) vectors, flat, and the vectors, taken and gathered on first use."""
         kept = np.flatnonzero(self.admitted & self.consistent).tolist()
         retained = self.take(sorted(kept, key=self.triplet_ids.__getitem__))
-        return retained, retained.gather()
+        return retained, list(itertools.chain(*retained.role_ids())), retained.gather()
 
     def funnel(self) -> dict:
         """Annotators seen and dropped, triplets rejected by reason, and D1 and D2 sizes."""
@@ -1436,7 +1429,6 @@ def _split_mode_iii(targets, sources, ratios, rng) -> Tuple[List[int], ...]:
     source_budget = max(3, round(ratios[2] * len(np.unique(sources))))
     source_sets = [set(column) for column in sources.T.tolist()]
 
-    best = None
     for _ in range(20):
         rng.shuffle(pool)
         held_out: Set[int] = set()
@@ -1454,14 +1446,12 @@ def _split_mode_iii(targets, sources, ratios, rng) -> Tuple[List[int], ...]:
         train_targets = {targets[i] for i in train}
         test = [i for i in test_candidates if targets[i] in train_targets]
         if train and test:
-            best = (train, test)
             break
-    if best is None:
+    else:
         raise InfeasibleSplitError(
             "mode [iii]: no source hold-out yields test triplets whose targets"
             " also appear in training"
         )
-    train, test = best
 
     # carve the validation set out of train, keeping every test target covered
     val_quota = round(ratios[1] * len(pool))

@@ -23,16 +23,16 @@ def eval_triplets(
 
     `sim` and `dissim` are float arrays of each triplet's (reference, chosen)
     and (reference, other) similarity; a triplet is correct when `sim > dissim`.
-    `triplets` keeps its consistent triplets and their (3, n, d) vectors once
-    gathered, so scoring it again, as each epoch's validation does, gathers
-    nothing. The 3n rows are projected one by one (`project_block`), so a
-    triplet's scores do not depend on the other triplets.
+    `triplets` keeps its consistent triplets, their image ids and their
+    (3, n, d) vectors once gathered, so scoring it again, as each epoch's
+    validation does, gathers nothing. The 3n rows are projected one by one
+    (`project_block`), so a triplet's scores do not depend on the other
+    triplets.
     """
     check_dimension(model, triplets.table)
-    retained, stack = triplets.evaluated
+    retained, ids, stack = triplets.evaluated
     if not len(retained):
         raise EvaluationError("no consistent samples to evaluate")
-    ids = [image_id for role in retained.role_ids() for image_id in role]
     ref, chosen, other = model.project_block(stack.reshape(-1, model.dim), ids).reshape(stack.shape)
     scaled_ref = scale_rows(ref)
     sim, dissim = (scaled_cosine(ref, scaled_ref, rows, scale_rows(rows))

@@ -113,6 +113,18 @@ class TestBasicCommands:
             captured.err
         )
 
+    @pytest.mark.parametrize("argv", [["synth", "--preset", "planted"],
+                                      ["synth", "--preset", "clustered-attributes"],
+                                      ["gradcheck"]])
+    def test_negative_seed_is_3(self, tmp_path, capsys, argv):
+        # numpy's generators take no negative seed; random.Random, used by other commands, does
+        out = tmp_path / "gen"
+        extra = ["--out-dir", str(out)] if argv[0] == "synth" else []
+        assert cli.run([*argv, "--seed", "-1", *extra]) == 3
+        captured = capsys.readouterr()
+        assert not captured.out and not out.exists()
+        assert re.fullmatch(r"error: .*>= 0, got -1\n", captured.err)
+
     def test_synth_roundtrip(self, tmp_path):
         out = tmp_path / "gen"
         code = cli.run(["synth", "--preset", "planted", "--seed", "3",
