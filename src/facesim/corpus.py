@@ -16,8 +16,8 @@ import operator
 import os
 import random
 import stat
-import threading
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -61,7 +61,7 @@ def _label_error(
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingRecord:
     image_id: str
     identity_id: str
@@ -498,7 +498,7 @@ def _parse_embeddings_per_cell(path) -> ParsedEmbeddings:
 
 
 # A vector block holds at most this many cells, so the text and the numbers of
-# one block are all that a range holds beside the matrix
+# a few blocks are all that a load holds beside the matrix
 _BLOCK_CELLS = 1 << 12
 
 # The bytes of decimal numbers: a vector text holds only these and commas.
@@ -515,11 +515,9 @@ _BLOCK_DTYPE = np.longdouble if np.finfo(np.longdouble).nmant == 63 else np.floa
 
 _SMALLEST_NORMAL = np.finfo(np.float64).smallest_normal
 
-# A file is parsed in ranges of whole lines, one per CPU this process may run
-# on, each after the first on a thread of its own; `fromstring` releases the
-# GIL. A file shorter than two ranges of `_RANGE_BYTES` starts no thread.
+# Vector blocks are parsed by the calling thread and one more thread per other
+# CPU this process may run on; `fromstring` releases the GIL
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_RANGE_BYTES = 1 << 18
 
 # A file is read this many bytes at a time: less than glibc's first mmap
 # threshold, so freeing a read does not raise it and keep more memory resident
@@ -797,11 +795,6 @@ def _repr_rows(path, matrix: np.ndarray, sep: bytes) -> Iterator[str]:
                   matrix.size, outside, other)
 
 
-def _identity(path_stat: os.stat_result) -> Tuple[int, int, int, int]:
-    """What tells a file apart from another one, or from itself after a write."""
-    return path_stat.st_dev, path_stat.st_ino, path_stat.st_size, path_stat.st_mtime_ns
-
-
 def _without_crs(lines: List[bytes]) -> List[bytes]:
     """`lines` less the CR of each CR LF line end, or ValueError for any other CR."""
     lines = [line[:-1] if line.endswith(b"\r") else line for line in lines]
@@ -810,58 +803,28 @@ def _without_crs(lines: List[bytes]) -> List[bytes]:
     return lines
 
 
-def _newlines(data) -> int:
-    """The b"\\n" bytes in `data`; numpy counts several times faster than `bytes.count`."""
-    return int(np.count_nonzero(np.frombuffer(data, np.uint8) == ord("\n")))
+def _count_lines(fh) -> int:
+    """The b"\\n" bytes in the rest of `fh`, or ValueError if it ends with another byte.
 
-
-# Of a file's lines after the header: the bytes [start, end) that hold some,
-# the index of the first, and how many there are
-_LineRange = Tuple[int, int, int, int]
-
-
-def _line_ranges(fh) -> List[_LineRange]:
-    """The rest of `fh` in up to `_CPUS` ranges of whole lines, about equal in bytes.
-
-    A range is at least about `_RANGE_BYTES` long. The lines are counted in
-    one read, `_READ_BYTES` at a time, and a range ends just after the
-    first b"\\n" at or past its share of the bytes, so it holds exactly as many
-    lines as b"\\n" bytes. Raises ValueError for a last line with no b"\\n".
+    numpy counts them several times faster than `bytes.count`.
     """
-    start = at = fh.tell()
-    size = os.fstat(fh.fileno()).st_size
-    count = max(1, min(_CPUS, (size - start) // _RANGE_BYTES))
-    targets = iter([start + (size - start) * k // count for k in range(1, count)])
-    target = next(targets, None)
-    cuts = [(start, 0)]  # where a range starts, and the lines before it
     lines = 0
     last = b"\n"  # the file's last byte, or the header's line end
     while data := fh.read(_READ_BYTES):
-        while target is not None and target < at + len(data):
-            i = data.find(b"\n", max(target - at, 0))
-            if i < 0:
-                break  # the line ends in a later read
-            cut = at + i + 1
-            cuts.append((cut, lines + _newlines(memoryview(data)[:i + 1])))
-            target = next((t for t in targets if t >= cut), None)
-        lines += _newlines(data)
-        at += len(data)
+        lines += int(np.count_nonzero(np.frombuffer(data, np.uint8) == ord("\n")))
         last = data[-1:]
     if last != b"\n":
         raise ValueError("a last line with no line end")
-    bounds = cuts[:1] + [cut for cut in cuts[1:] if cut[0] < at] + [(at, lines)]
-    return [(begin, end, first, after - first)
-            for (begin, first), (end, after) in zip(bounds, bounds[1:])]
+    return lines
 
 
-def _read_lines(fh, size: int) -> Iterator[List[bytes]]:
-    """The whole lines of the next `size` bytes of `fh`, without line ends, a list per read.
+def _read_lines(fh) -> Iterator[List[bytes]]:
+    """The whole lines of the rest of `fh`, without line ends, a list per read.
 
     Raises ValueError for a quote or a carriage return that does not end a line.
     """
     pending: List[bytes] = []  # reads since the last line end, so a long line is joined once
-    while size > 0 and (data := fh.read(min(_READ_BYTES, size))):
-        size -= len(data)
+    while data := fh.read(_READ_BYTES):
         if b'"' in data:
             raise ValueError("a quote, which needs the csv module")
         pending.append(data)
@@ -876,119 +839,104 @@ def _read_lines(fh, size: int) -> Iterator[List[bytes]]:
             yield _without_crs(lines) if b"\r" in data else lines
 
 
-def _parse_range(path, identity, line_range: _LineRange, matrix: np.ndarray) -> List[bytes]:
-    """The six fixed fields (as bytes, up to the sixth comma) of the rows of one range of
-    the file, one row per line.
-
-    Its vectors are written to the rows of `matrix` from the range's first line
-    index on, one block of up to `_BLOCK_CELLS` cells at a time. The file is
-    opened again, and ValueError is raised, saying why, for one that is not the
-    file `identity` names, for a range that does not fill exactly its rows, or
-    for a line this does not take as a row as it is, a blank one among them.
-    """
-    start, end, row, count = line_range
-    stop = row + count  # the rows of `matrix` this range fills
-    dim = matrix.shape[1]
+def _vector_texts(fh, dim: int, fields: List[bytes]) -> Iterator[List[bytes]]:
+    """The vector texts of the rest of `fh`'s lines, one row per line, in blocks of
+    up to `_BLOCK_CELLS` cells, each row's six fixed fields (as bytes, up to the
+    sixth comma) appended to `fields` first. Raises ValueError, saying why, for
+    a line this does not take as a row as it is, a blank one among them."""
     fixed_count = len(EMBEDDING_FIXED_COLUMNS)
     limit = csv.field_size_limit()  # in characters, so a field of more bytes defers
     per_block = max(1, _BLOCK_CELLS // dim)
-    fields: List[bytes] = []
     texts: List[bytes] = []
-
-    def put_block() -> None:
-        nonlocal row
-        if row + len(texts) > stop:
-            raise ValueError("the file changed while it was read")
-        matrix[row:row + len(texts)] = _vector_block(texts, dim)
-        row += len(texts)
-        texts.clear()
-
-    with open(path, "rb") as fh:
-        if _identity(os.fstat(fh.fileno())) != identity:
-            raise ValueError("the file changed while it was read")
-        fh.seek(start)
-        for lines in _read_lines(fh, end - start):
-            for line in lines:
-                if not line:
-                    raise ValueError("a blank line, which csv skips")
-                parts = line.split(b",", fixed_count)
-                if len(parts) <= fixed_count:
-                    raise ValueError(f"a row of fewer than {fixed_count + 1} fields")
-                if len(line) > limit and max(map(len, line.split(b","))) > limit:
-                    raise ValueError("a field over the csv field size limit")
-                text = parts[fixed_count]
-                if not text:
-                    raise ValueError("a row with no vector text")
-                if text.endswith(b","):  # `fromstring` reads 0 there, or nothing at a block's end
-                    raise ValueError("a row whose last vector cell is empty")
-                fields.append(line[:len(line) - len(text) - 1])
-                texts.append(text)
-                if len(texts) == per_block:
-                    put_block()
+    for lines in _read_lines(fh):
+        for line in lines:
+            if not line:
+                raise ValueError("a blank line, which csv skips")
+            parts = line.split(b",", fixed_count)
+            if len(parts) <= fixed_count:
+                raise ValueError(f"a row of fewer than {fixed_count + 1} fields")
+            if len(line) > limit and max(map(len, line.split(b","))) > limit:
+                raise ValueError("a field over the csv field size limit")
+            text = parts[fixed_count]
+            if not text:
+                raise ValueError("a row with no vector text")
+            if text.endswith(b","):  # `fromstring` reads 0 there, or nothing at a block's end
+                raise ValueError("a row whose last vector cell is empty")
+            fields.append(line[:len(line) - len(text) - 1])
+            texts.append(text)
+            if len(texts) == per_block:
+                yield texts
+                texts = []
     if texts:
-        put_block()
-    if row != stop:
-        raise ValueError("the file changed while it was read")
-    return fields
+        yield texts
 
 
 def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
     """The vector block parsed by numpy, or None where `float` must decide.
 
     It takes one row per line, with LF or CR LF ends and one after the last
-    row. A regular file is split into ranges of whole lines by a count of its
-    lines, one range per CPU (see `_CPUS`), and the matrix is allocated once
-    with a row per line, so row i is line i + 2. The calling thread parses the
-    first range and a thread of its own each other one: each row is split into
-    its six fixed fields and its vector text, and numpy parses the vector texts
-    of rows holding up to `_BLOCK_CELLS` cells at once, to the values Python's
-    `float` gives, into the range's rows of the matrix. The labels are then
-    decoded at once. The result does not depend on the number of ranges. A
-    file this cannot take as it is gives None, and the reason of the first
-    range that fails is logged at debug level: one that is not a regular file
-    (so it is read once, by the per-cell parser), is not UTF-8, has a bad
-    header, a blank line, a last line with no line end, a quote, a carriage
-    return that does not end a line, a row of fewer than seven fields, a field
-    over `csv.field_size_limit()`, no vector text, a byte that is not in a
-    decimal number or a comma, a row whose width is not the header's or whose
-    last vector cell is empty, or text numpy does not parse, or one that
-    changed while it was read. Any other error of a range is raised, as the
-    calling thread raises its own.
+    row. A regular file is opened once: a first pass counts its lines, so the
+    matrix is allocated once with a row per line (row i is line i + 2), and a
+    second pass splits each row into its six fixed fields and its vector text.
+    The vector texts of rows holding up to `_BLOCK_CELLS` cells are parsed at
+    once, to the values Python's `float` gives, into their rows of the matrix:
+    by a pool of `_CPUS - 1` threads while fewer than two blocks a thread wait
+    there, else, and for the last block, by the calling thread, so a file of
+    one block starts no thread. The result does not depend on the number of
+    threads. A file replaced at the path after it is opened is read as the one
+    opened. A file this cannot take as it is gives None, and the reason is
+    logged at debug level, the first failing block's before a later line's:
+    one that is not a regular file (so it is read once, by the per-cell
+    parser), is not UTF-8, has a bad header, a blank line, a last line with
+    no line end, a quote, a carriage return that does not end a line, a row
+    of fewer than seven fields, a field over `csv.field_size_limit()`, no
+    vector text, a byte that is not in a decimal number or a comma, a row
+    whose width is not the header's or whose last vector cell is empty, or
+    text numpy does not parse, or one whose lines changed in number while it
+    was read. Any other error is raised.
     """
+    from concurrent.futures import ThreadPoolExecutor  # not at the top: ~7 ms to import
+
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise ValueError("not a regular file, so it is read only once")
         with open(path, "rb") as fh:
-            identity = _identity(os.fstat(fh.fileno()))
             header = _without_crs([fh.readline().removesuffix(b"\n")])[0]
             if b'"' in header:
                 raise ValueError("a quote, which needs the csv module")
             dim = _embedding_dim(path, header.decode().split(","))
-            ranges = _line_ranges(fh)
-        matrix = np.empty((sum(line_range[3] for line_range in ranges), dim))
-        outcomes: list = [None] * len(ranges)
+            start = fh.tell()
+            matrix = np.empty((_count_lines(fh), dim))
+            fh.seek(start)
+            fields: List[bytes] = []
 
-        def parse(k: int) -> None:
-            try:
-                outcomes[k] = _parse_range(path, identity, ranges[k], matrix)
-            except BaseException as exc:  # raised by the calling thread
-                outcomes[k] = exc
+            def parse(row: int, texts: List[bytes]) -> None:
+                matrix[row:row + len(texts)] = _vector_block(texts, dim)
 
-        with warnings.catch_warnings():
-            # older numpy warns on unparsable text and returns what it read; the
-            # filters are the process's, so this holds in every thread
-            warnings.simplefilter("error", DeprecationWarning)
-            threads = [threading.Thread(target=parse, args=(k,)) for k in range(1, len(ranges))]
-            for thread in threads:
-                thread.start()
-            parse(0)
-            for thread in threads:
-                thread.join()
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
+            with warnings.catch_warnings(), ThreadPoolExecutor(max(1, _CPUS - 1)) as pool:
+                # older numpy warns on unparsable text and returns what it read; the
+                # filters are the process's, so this holds in every thread
+                warnings.simplefilter("error", DeprecationWarning)
+                parsing = deque()  # the pool's blocks, in file order
+                try:
+                    for texts in _vector_texts(fh, dim, fields):
+                        if len(fields) > len(matrix):
+                            raise ValueError("the file changed while it was read")
+                        while parsing and parsing[0].done():
+                            parsing[0].result()  # kept until it succeeds, for `finally`
+                            parsing.popleft()
+                        row = len(fields) - len(texts)
+                        if len(parsing) < 2 * (_CPUS - 1) and len(fields) < len(matrix):
+                            parsing.append(pool.submit(parse, row, texts))
+                        else:  # the pool has two blocks a thread, or this is the last
+                            parse(row, texts)
+                finally:  # the first failing block's error, before a later line's
+                    for future in parsing:
+                        future.result()
+        if len(fields) != len(matrix):
+            raise ValueError("the file changed while it was read")
         # one decode checks every label's UTF-8; no label holds a comma
-        cells = b",".join(itertools.chain(*outcomes)).decode().split(",") if len(matrix) else []
+        cells = b",".join(fields).decode().split(",") if fields else []
         columns = tuple(tuple(cells[k::len(EMBEDDING_FIXED_COLUMNS)])
                         for k in range(len(EMBEDDING_FIXED_COLUMNS)))
     except (FormatError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
@@ -1000,9 +948,10 @@ def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
 def load_embeddings(path) -> EmbeddingTable:
     """Parse an embedding CSV into a validated table.
 
-    The vector block goes through numpy a few thousand cells at a time, in one
-    range of lines per CPU; a file it cannot take as it is goes through the
-    per-cell parser, which names the line of any error.
+    The block parser opens the file once and parses its vector block a few
+    thousand cells at a time, on the calling thread and one more thread per
+    other CPU; a file it cannot take as it is goes through the per-cell
+    parser, which names the line of any error.
     Labels are validated as columns; no record is built until one is asked for.
     """
     parsed = _parse_embedding_block(path)

@@ -144,6 +144,12 @@ class TestLoadEmbeddings:
             assert getattr(looked_up, name) == getattr(first[5], name)
         assert np.array_equal(looked_up.vector, first[5].vector)
 
+    def test_records_of_one_row_compare_without_raising(self, small_planted):
+        """Records compare by identity: a vector field would make `==` ambiguous."""
+        table, (first, second) = small_planted.table, small_planted.table.image_ids[:2]
+        record = table[first]
+        assert record == record and table[first] != table[first] != table[second]
+
 
 LABELS = {"role": ("target", "source", "swapped"), "gender": ("male", "female", "unknown", ""),
           "age_group": ("young", "older", "unknown", "")}
@@ -238,8 +244,9 @@ def test_load_names_the_first_invalid_row_as_row_by_row_checks_did(
 def test_a_bad_row_in_the_last_range_is_named_at_the_per_cell_parsers_line(
     tmp_path, monkeypatch, bad_row, message
 ):
-    """The block parser's row i is line i + 2 in every range: in one to four ranges, a bad
-    row in the last one gets the message the per-cell parser's line numbers give."""
+    """The block parser's row i is line i + 2 in every block: on one to four threads, a
+    bad row in the last of several blocks gets the message the per-cell parser's line
+    numbers give."""
     rows = [f"s{i},id{i},source,,,,{i + 1},0.5" for i in range(40)]
     rows[37] = bad_row
     path = tmp_path / "emb.csv"
@@ -248,13 +255,9 @@ def test_a_bad_row_in_the_last_range_is_named_at_the_per_cell_parsers_line(
         per_cell.setattr(corpus, "_parse_embedding_block", lambda path: None)
         corpus.load_embeddings(path)
     assert str(err.value) == f"{path}:39: {message}"
-    monkeypatch.setattr(corpus, "_RANGE_BYTES", 1)
-    for ranges in (1, 2, 3, 4):
-        monkeypatch.setattr(corpus, "_CPUS", ranges)
-        with open(path, "rb") as fh:
-            fh.readline()
-            line_ranges = corpus._line_ranges(fh)
-        assert len(line_ranges) == ranges and line_ranges[-1][2] <= 37
+    monkeypatch.setattr(corpus, "_BLOCK_CELLS", 14)  # blocks of 7 rows: the last is 35-39
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(corpus, "_CPUS", cpus)
         assert corpus._parse_embedding_block(path) is not None
         with pytest.raises(ValidationError) as block:
             corpus.load_embeddings(path)
