@@ -50,7 +50,7 @@ def _load_triplets(args) -> corpus.TripletTable:
     """The triplet table of the manifest and annotations, over the embedding table."""
     table = corpus.load_embeddings(args.embeddings)
     manifest = corpus.load_manifest(args.manifest)
-    annotations = corpus.read_annotations(args.annotations)
+    annotations = corpus.load_annotations(args.annotations)
     return corpus.count_votes(manifest, annotations, annotations.screened(),
                               min_votes=args.min_votes, table=table)
 
@@ -95,7 +95,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    annotations = corpus.read_annotations(args.annotations)
+    annotations = corpus.load_annotations(args.annotations)
     valid = list(itertools.compress(annotations.annotators, annotations.screened()))
     body = {"annotators": len(annotations.annotators), "valid_annotators": valid}
     if args.report:

@@ -12,7 +12,6 @@ import functools
 import itertools
 import json
 import logging
-import operator
 import os
 import random
 import stat
@@ -201,27 +200,12 @@ def _annotation_error(
     return None
 
 
-@dataclass(frozen=True)
-class RawAnnotation:
-    annotator_id: str
-    triplet_id: str
-    choice: str
-    is_dummy: bool
-    dummy_answer: Optional[str] = None
-
-    def __post_init__(self):
-        error = _annotation_error(self.annotator_id, self.triplet_id, self.choice,
-                                  self.is_dummy, self.dummy_answer)
-        if error is not None:
-            raise ValidationError(error)
-
-
 class AnnotationTable:
     """Annotation rows as columns: `annotator_ids`, `triplet_ids`, `choices` and
     `dummy_answers` (None where there is none) as tuples, `is_dummy` and `is_a`
     (the row chose A) as bool arrays.
 
-    Every row is checked once, by `RawAnnotation`'s rules; the first invalid
+    Every row is checked once, by `_annotation_error`; the first invalid
     row raises `ValidationError`, its `row` set. `annotators` holds the
     distinct annotator ids, sorted, and `annotator_codes` each row's index into
     it, found with a dict: numpy string arrays drop trailing NULs.
@@ -247,17 +231,6 @@ class AnnotationTable:
         index = dict(zip(self.annotators, itertools.count()))
         self.annotator_codes = np.fromiter(map(index.__getitem__, annotator_ids), np.intp,
                                            len(annotator_ids))
-
-    @classmethod
-    def of(cls, annotations: Iterable[RawAnnotation]) -> "AnnotationTable":
-        fields = operator.attrgetter("annotator_id", "triplet_id", "choice", "is_dummy",
-                                     "dummy_answer")
-        return cls(*(tuple(zip(*map(fields, annotations))) or ((),) * len(ANNOTATION_COLUMNS)))
-
-    def records(self) -> List[RawAnnotation]:
-        return [RawAnnotation(*fields) for fields in zip(
-            self.annotator_ids, self.triplet_ids, self.choices, self.is_dummy.tolist(),
-            self.dummy_answers)]
 
     def screened(self) -> np.ndarray:
         """Per annotator, whether they answered dummy samples and every one correctly.
@@ -982,10 +955,10 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
 _BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
 
 
-def read_annotations(path) -> AnnotationTable:
+def load_annotations(path) -> AnnotationTable:
     """The annotation CSV as one checked table.
 
-    Within a row `is_dummy` is checked first, then `RawAnnotation`'s rules;
+    Within a row `is_dummy` is checked first, then `_annotation_error`'s rules;
     the first bad row raises, naming `path:line`.
     """
     header, linenos, rows = read_csv(path)
@@ -1007,22 +980,16 @@ def read_annotations(path) -> AnnotationTable:
     return table
 
 
-def load_annotations(path) -> List[RawAnnotation]:
-    """The records of `read_annotations(path)`."""
-    return read_annotations(path).records()
-
-
-def save_annotations(annotations: Sequence[RawAnnotation], path) -> None:
-    rows = (
-        [ann.annotator_id, ann.triplet_id, ann.choice, "true" if ann.is_dummy else "false",
-         ann.dummy_answer or ""]
-        for ann in annotations
-    )
-    write_csv(path, ANNOTATION_COLUMNS, rows)
+def save_annotations(table: AnnotationTable, path) -> None:
+    """The table as an annotation CSV, `is_dummy` written as true or false."""
+    flags = map(("false", "true").__getitem__, table.is_dummy.tolist())
+    answers = (answer or "" for answer in table.dummy_answers)
+    write_csv(path, ANNOTATION_COLUMNS,
+              zip(table.annotator_ids, table.triplet_ids, table.choices, flags, answers))
 
 
 def load_manifest(path) -> Dict[str, Tuple[str, str, str]]:
-    """Triplet manifest: triplet_id -> (ref_id, option_a_id, option_b_id)."""
+    """Triplet manifest: triplet_id -> (ref_id, option_a_id, option_b_id), three distinct ids."""
     header, linenos, rows = read_csv(path)
     if header != MANIFEST_COLUMNS:
         raise FormatError(f"{path}: header must be {','.join(MANIFEST_COLUMNS)}")
@@ -1031,6 +998,11 @@ def load_manifest(path) -> Dict[str, Tuple[str, str, str]]:
         triplet_id, ref_id, a_id, b_id = row
         if triplet_id in manifest:
             raise ValidationError(f"{path}:{lineno}: duplicate triplet_id '{triplet_id}'")
+        if len({ref_id, a_id, b_id}) < 3:
+            repeated = ref_id if ref_id in (a_id, b_id) else a_id
+            raise ValidationError(
+                f"{path}:{lineno}: triplet '{triplet_id}' names image '{repeated}' more than once"
+            )
         manifest[triplet_id] = (ref_id, a_id, b_id)
     return manifest
 
@@ -1198,21 +1170,19 @@ def count_votes(
     return TripletTable(columns, table, min_votes, screened)
 
 
-def validate_annotators(annotations: Sequence[RawAnnotation]) -> Set[str]:
+def validate_annotators(table: AnnotationTable) -> Set[str]:
     """Annotators whose every dummy answer is correct (`AnnotationTable.screened`)."""
-    table = AnnotationTable.of(annotations)
     return set(itertools.compress(table.annotators, table.screened()))
 
 
 def aggregate_triplets(
     manifest: Dict[str, Tuple[str, str, str]],
-    annotations: Sequence[RawAnnotation],
+    table: AnnotationTable,
     valid_annotators: Set[str],
     min_votes: int = MIN_VALID_VOTES,
 ) -> List[TripletSample]:
     """The records of `count_votes`: each triplet's votes sorted by annotator id and
     choice, and why a rejected triplet belongs to no dataset."""
-    table = AnnotationTable.of(annotations)
     screened = np.array([a in valid_annotators for a in table.annotators], dtype=bool)
     columns, codes, kept = _tally(manifest, table, screened, min_votes)
     voters = np.flatnonzero(kept)

@@ -15,8 +15,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .corpus import (
+    AnnotationTable,
     EmbeddingTable,
-    RawAnnotation,
     save_annotations,
     save_embeddings,
     save_manifest,
@@ -35,9 +35,8 @@ CLUSTER_SPREAD = 0.12  # per-component SD of a clustered-attributes sample aroun
 class PlantedCorpus:
     table: EmbeddingTable
     manifest: Dict[str, Tuple[str, str, str]]
-    annotations: List[RawAnnotation]
+    annotations: AnnotationTable
     truth: ProjectionModel
-    triplet_ids: List[str]
 
     def write(self, out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)
@@ -99,8 +98,7 @@ def planted(
     labels: List[Tuple[str, ...]] = []  # the six labels of each row of the table
     matrix = np.empty((3 * n_triplets, dim))  # the vectors of each triplet, three rows
     manifest: Dict[str, Tuple[str, str, str]] = {}
-    annotations: List[RawAnnotation] = []
-    triplet_ids: List[str] = []
+    votes_cast: List[Tuple[str, str, str]] = []  # (annotator, triplet, choice) of each vote
 
     def hidden_cos(u, v):
         # rows past truth_rank are zero and add nothing to the dot product or the norms
@@ -127,41 +125,27 @@ def planted(
         label = "A" if sim_a >= sim_b else "B"
         triplet_id = f"tri{i:05d}"
         manifest[triplet_id] = tuple(image_ids)
-        triplet_ids.append(triplet_id)
         if i in noisy:
             flipped = "B" if label == "A" else "A"
             votes = [flipped, flipped, label]
         else:
             votes = [label, label, label]
-        for annotator, vote in zip(ANNOTATORS, votes):
-            annotations.append(
-                RawAnnotation(
-                    annotator_id=annotator,
-                    triplet_id=triplet_id,
-                    choice=vote,
-                    is_dummy=False,
-                )
-            )
+        votes_cast.extend((annotator, triplet_id, vote)
+                          for annotator, vote in zip(ANNOTATORS, votes))
 
     # dummy screening samples, answered correctly by every annotator
-    for d in range(3):
-        for annotator in ANNOTATORS:
-            annotations.append(
-                RawAnnotation(
-                    annotator_id=annotator,
-                    triplet_id=f"dummy{d:02d}",
-                    choice="A",
-                    is_dummy=True,
-                    dummy_answer="A",
-                )
-            )
-
+    dummies = [(annotator, f"dummy{d:02d}", "A") for d in range(3) for annotator in ANNOTATORS]
+    annotator_ids, triplet_ids, choices = zip(*votes_cast, *dummies)
+    annotations = AnnotationTable(
+        annotator_ids, triplet_ids, choices,
+        is_dummy=(False,) * len(votes_cast) + (True,) * len(dummies),
+        dummy_answers=(None,) * len(votes_cast) + ("A",) * len(dummies),
+    )
     return PlantedCorpus(
         table=EmbeddingTable(tuple(zip(*labels)), matrix),
         manifest=manifest,
         annotations=annotations,
         truth=ProjectionModel(truth),
-        triplet_ids=triplet_ids,
     )
 
 

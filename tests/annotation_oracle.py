@@ -2,20 +2,49 @@
 
 These are the loops `corpus` ran before annotations and triplets became
 columns (`AnnotationTable`, `TripletTable`). The tests check the column path
-against them field for field.
+against them field for field. The annotation record and its two rules are
+restated here, not taken from `corpus`, so that the oracle checks them too.
 """
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from facesim.corpus import (
     ANNOTATION_COLUMNS,
     MIN_VALID_VOTES,
+    AnnotationTable,
     EmbeddingTable,
-    RawAnnotation,
     TripletSample,
     read_csv,
 )
 from facesim.errors import FormatError, IntegrityError, ValidationError
+
+
+@dataclass(frozen=True)
+class RawAnnotation:
+    """One annotation row: the choice is A or B, and a dummy row has an answer A or B."""
+
+    annotator_id: str
+    triplet_id: str
+    choice: str
+    is_dummy: bool
+    dummy_answer: Optional[str] = None
+
+    def __post_init__(self):
+        if self.choice not in ("A", "B"):
+            raise ValidationError(f"annotation by '{self.annotator_id}' on '{self.triplet_id}':"
+                                  f" choice must be A or B, got '{self.choice}'")
+        if self.is_dummy and self.dummy_answer not in ("A", "B"):
+            raise ValidationError(
+                f"dummy annotation on '{self.triplet_id}' is missing its dummy_answer"
+            )
+
+
+def records(table: AnnotationTable) -> List[RawAnnotation]:
+    """The rows of an annotation table as records, in row order."""
+    return [RawAnnotation(*row) for row in zip(
+        table.annotator_ids, table.triplet_ids, table.choices, table.is_dummy.tolist(),
+        table.dummy_answers)]
 
 
 def load_annotations(path) -> List[RawAnnotation]:

@@ -12,9 +12,10 @@ from facesim.corpus import (
     AnnotationTable,
     EmbeddingRecord,
     EmbeddingTable,
-    RawAnnotation,
     count_votes,
 )
+
+from annotation_oracle import RawAnnotation
 
 
 @pytest.fixture(scope="session")
@@ -86,14 +87,13 @@ def vectors(table, image_ids):
 def planted_triplets(c):
     """A synthetic corpus's triplet table, counted over its embedding table from the
     votes of the annotators who pass screening."""
-    annotations = AnnotationTable.of(c.annotations)
-    return count_votes(c.manifest, annotations, annotations.screened(), table=c.table)
+    return count_votes(c.manifest, c.annotations, c.annotations.screened(), table=c.table)
 
 
 def make_triplets(table, manifest, votes):
     """The triplet table `count_votes` makes over `table` for `manifest`, where `votes`
     maps a triplet id to its choices ("AAB"), each cast by its own screened annotator."""
-    annotations = AnnotationTable.of([
+    annotations = annotation_table([
         make_annotation(f"p{i}", triplet_id, choice)
         for triplet_id, choices in votes.items() for i, choice in enumerate(choices)
     ])
@@ -109,3 +109,9 @@ def make_annotation(annotator, triplet, choice, is_dummy=False, dummy_answer=Non
         is_dummy=is_dummy,
         dummy_answer=dummy_answer,
     )
+
+
+def annotation_table(records):
+    """The annotation table of these records (`make_annotation`), in their order."""
+    return AnnotationTable(*(tuple(getattr(r, name) for r in records) for name in (
+        "annotator_id", "triplet_id", "choice", "is_dummy", "dummy_answer")))

@@ -298,7 +298,7 @@ def data_pipeline(data_dir):
     formats."""
     table = corpus.load_embeddings(os.path.join(data_dir, "embeddings.csv"))
     manifest = corpus.load_manifest(os.path.join(data_dir, "manifest.csv"))
-    annotations = corpus.read_annotations(os.path.join(data_dir, "annotations.csv"))
+    annotations = corpus.load_annotations(os.path.join(data_dir, "annotations.csv"))
     triplets = corpus.count_votes(manifest, annotations, annotations.screened(), table=table)
     partition = corpus.split_eval(triplets, "i", seed=0)
     d2 = corpus.build_datasets(triplets)["D2"]

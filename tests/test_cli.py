@@ -910,6 +910,17 @@ class TestAnnotationErrorParity:
             3, f"error: {paths['manifest']}:42: duplicate triplet_id 'tri00000'\n"
         )
 
+    @pytest.mark.parametrize("command", ["split", "train", "eval-triplets"])
+    def test_manifest_row_naming_one_image_twice(self, tmp_path, capsys, tiny_files, command):
+        code, err, paths = self._run(
+            tmp_path, capsys, tiny_files, command,
+            manifest=lambda lines: [line.replace(",img00000a,", ",img00000c,") for line in lines],
+        )
+        assert (code, err) == (
+            3, f"error: {paths['manifest']}:2: triplet 'tri00000' names image 'img00000c'"
+               " more than once\n"
+        )
+
     @staticmethod
     def _ghost(lines, triplet, column):
         """The manifest with one image of one triplet renamed to 'ghost<column>'."""
@@ -964,6 +975,37 @@ class TestAnnotationErrorParity:
             3, "error: triplet 'tri00005' must reference swapped records sharing one"
                " target_id, got targets ['t005', 't006']\n"
         )
+
+
+# sha256 of every file `facesim synth` writes, per preset, for the arguments in
+# SYNTH_ARGS: a 40-triplet planted corpus with 10% noisy votes and a small
+# clustered corpus. Recorded on x86-64 with numpy's seeded generator.
+SYNTH_ARGS = {
+    "planted": ["--seed", "5", "--triplets", "40", "--dim", "8", "--noise-fraction", "0.1"],
+    "clustered-attributes": ["--seed", "4", "--per-cluster", "10", "--queries", "8",
+                             "--dim", "8"],
+}
+SYNTH_GOLDEN = {
+    "planted": {
+        "annotations.csv": "01f599b2ad75a1f4fca554c22c3b91255ef9effb5b5291505ae2592c9e617ebc",
+        "embeddings.csv": "b5d590efc37819da1419b87444cda6009b99ab92e4cdc3af352342f40ad9a7e3",
+        "manifest.csv": "ee4b4ddd7e9538c969c79dc21db9874c568e78d9fa0e3ad9548b807d613211d3",
+        "truth_model.json": "2542dac7fdcb50eb6ca763214e028fedcb17ef4af07a24f52fcdabb9d070a169",
+    },
+    "clustered-attributes": {
+        "candidates.csv": "faebf64da5f9c2e5d0d1a7145b99aa6e2a5d229d0af71106ef86d33387eaf50e",
+        "queries.csv": "c9db424c683ca445a6c96b58e0056fac2652e45e0f5c57852610387e097f56e7",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(SYNTH_GOLDEN))
+def test_synth_files_keep_their_bytes(tmp_path, capsys, preset):
+    assert cli.run(["synth", "--preset", preset, *SYNTH_ARGS[preset],
+                    "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == SYNTH_GOLDEN[preset]
 
 
 # sha256 of each output of split -> train -> eval-triplets on a 120-triplet planted

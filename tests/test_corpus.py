@@ -17,7 +17,14 @@ from facesim.errors import (
 )
 
 import annotation_oracle as oracle
-from conftest import make_annotation, make_record, make_triplets, planted_triplets, vectors
+from conftest import (
+    annotation_table,
+    make_annotation,
+    make_record,
+    make_triplets,
+    planted_triplets,
+    vectors,
+)
 
 
 def write_embeddings(path, rows, dim=4, newline="\n"):
@@ -267,16 +274,16 @@ def test_a_bad_row_in_the_last_range_is_named_at_the_per_cell_parsers_line(
 class TestValidateAnnotators:
     def test_all_dummies_correct_is_valid(self):
         anns = [make_annotation("p1", f"d{i}", "A", True, "A") for i in range(5)]
-        assert corpus.validate_annotators(anns) == {"p1"}
+        assert corpus.validate_annotators(annotation_table(anns)) == {"p1"}
 
     def test_one_wrong_dummy_invalidates(self):
         anns = [make_annotation("p2", f"d{i}", "A", True, "A") for i in range(4)]
         anns.append(make_annotation("p2", "d4", "B", True, "A"))
-        assert corpus.validate_annotators(anns) == set()
+        assert corpus.validate_annotators(annotation_table(anns)) == set()
 
     def test_no_dummies_seen_is_invalid(self):
         anns = [make_annotation("p3", "t1", "A")]
-        assert corpus.validate_annotators(anns) == set()
+        assert corpus.validate_annotators(annotation_table(anns)) == set()
 
     def test_idempotent(self):
         anns = [
@@ -284,12 +291,15 @@ class TestValidateAnnotators:
             make_annotation("p2", "d0", "B", True, "A"),
             make_annotation("p1", "t1", "B"),
         ]
-        first = corpus.validate_annotators(anns)
-        assert corpus.validate_annotators(anns) == first == {"p1"}
+        first = corpus.validate_annotators(annotation_table(anns))
+        assert corpus.validate_annotators(annotation_table(anns)) == first == {"p1"}
 
 
 class TestAggregateTriplets:
     MANIFEST = {"t1": ("c1", "a1", "b1")}
+
+    def _aggregate(self, anns, valid):
+        return corpus.aggregate_triplets(self.MANIFEST, annotation_table(anns), valid)
 
     def test_strict_majority(self):
         anns = [
@@ -297,12 +307,12 @@ class TestAggregateTriplets:
             make_annotation("p2", "t1", "A"),
             make_annotation("p3", "t1", "B"),
         ]
-        (sample,) = corpus.aggregate_triplets(self.MANIFEST, anns, {"p1", "p2", "p3"})
+        (sample,) = self._aggregate(anns, {"p1", "p2", "p3"})
         assert sample.majority == "A" and not sample.consistent and sample.admitted
 
     def test_unanimous_is_consistent(self):
         anns = [make_annotation(p, "t1", "A") for p in ("p1", "p2", "p3")]
-        (sample,) = corpus.aggregate_triplets(self.MANIFEST, anns, {"p1", "p2", "p3"})
+        (sample,) = self._aggregate(anns, {"p1", "p2", "p3"})
         assert sample.consistent and sample.majority == "A"
 
     def test_too_few_votes_rejected(self):
@@ -311,27 +321,25 @@ class TestAggregateTriplets:
             make_annotation("p2", "t1", "B"),
             make_annotation("bad", "t1", "A"),
         ]
-        (sample,) = corpus.aggregate_triplets(self.MANIFEST, anns, {"p1", "p2"})
+        (sample,) = self._aggregate(anns, {"p1", "p2"})
         assert not sample.admitted and "valid votes" in sample.rejection
 
     def test_tie_rejected(self):
         anns = [make_annotation(p, "t1", c) for p, c in
                 [("p1", "A"), ("p2", "A"), ("p3", "B"), ("p4", "B")]]
-        (sample,) = corpus.aggregate_triplets(
-            self.MANIFEST, anns, {"p1", "p2", "p3", "p4"}
-        )
+        (sample,) = self._aggregate(anns, {"p1", "p2", "p3", "p4"})
         assert not sample.admitted and "tied" in sample.rejection
 
     def test_unknown_triplet_raises(self):
         anns = [make_annotation("p1", "nope", "A")]
         with pytest.raises(IntegrityError, match="nope"):
-            corpus.aggregate_triplets(self.MANIFEST, anns, {"p1"})
+            self._aggregate(anns, {"p1"})
 
     def test_dummies_and_invalid_annotators_dropped(self):
         anns = [make_annotation(p, "t1", "A") for p in ("p1", "p2", "p3")]
         anns.append(make_annotation("cheater", "t1", "B"))
         anns.append(make_annotation("p1", "d0", "A", True, "A"))
-        (sample,) = corpus.aggregate_triplets(self.MANIFEST, anns, {"p1", "p2", "p3"})
+        (sample,) = self._aggregate(anns, {"p1", "p2", "p3"})
         assert sample.votes == ("A", "A", "A")
 
 
@@ -518,8 +526,9 @@ def annotated_corpora(draw):
 @given(drawn=annotated_corpora(), min_votes=st.integers(1, 4), data=st.data())
 def test_vote_columns_agree_with_the_record_loop(drawn, min_votes, data):
     manifest, annotations = drawn
+    table = annotation_table(annotations)
     screened = oracle.validate_annotators(annotations)
-    assert corpus.validate_annotators(annotations) == screened
+    assert corpus.validate_annotators(table) == screened
     everyone = sorted({a.annotator_id for a in annotations})
     chosen = data.draw(st.sets(st.sampled_from(everyone)) if everyone else st.just(set()))
     for valid in (screened, chosen):
@@ -527,15 +536,14 @@ def test_vote_columns_agree_with_the_record_loop(drawn, min_votes, data):
             expected = oracle.aggregate_triplets(manifest, annotations, valid, min_votes)
         except IntegrityError as exc:
             with pytest.raises(IntegrityError) as err:
-                corpus.aggregate_triplets(manifest, annotations, valid, min_votes)
+                corpus.aggregate_triplets(manifest, table, valid, min_votes)
             assert str(err.value) == str(exc)
             continue
-        got = corpus.aggregate_triplets(manifest, annotations, valid, min_votes)
+        got = corpus.aggregate_triplets(manifest, table, valid, min_votes)
         fields = ("triplet_id", "ref_id", "option_a_id", "option_b_id", "votes", "majority",
                   "consistent", "admitted", "rejection")
         assert [[getattr(s, f) for f in fields] for s in got] == \
             [[getattr(s, f) for f in fields] for s in expected]
-        table = corpus.AnnotationTable.of(annotations)
         mask = np.array([a in valid for a in table.annotators], dtype=bool)
         columns = corpus.count_votes(manifest, table, mask, min_votes,
                                      table=corpus.EmbeddingTable.of([]))
@@ -554,7 +562,7 @@ def test_vote_columns_agree_with_the_record_loop(drawn, min_votes, data):
 
 def test_count_votes_takes_its_embedding_table_by_name_only():
     """A call without `table`, or with it in `min_votes`' place, fails at once."""
-    annotations = corpus.AnnotationTable.of([make_annotation("p1", "t1", "A")])
+    annotations = annotation_table([make_annotation("p1", "t1", "A")])
     screened = np.ones(1, bool)
     with pytest.raises(TypeError, match="table"):
         corpus.count_votes({"t1": ("c", "a", "b")}, annotations, screened, 1)
@@ -575,18 +583,17 @@ def annotation_file(tmp_path_factory):
     st.sampled_from(["true", "false", "0", "1", "TRUE", "False", "yes", ""]),
     st.sampled_from(["", "A", "B", "X"]),
 ), max_size=8))
-def test_read_annotations_agrees_with_the_record_loop(annotation_file, rows):
+def test_load_annotations_agrees_with_the_record_loop(annotation_file, rows):
     corpus.write_csv(annotation_file, corpus.ANNOTATION_COLUMNS, rows)
     try:
         expected = oracle.load_annotations(annotation_file)
     except (FormatError, ValidationError) as exc:
         with pytest.raises(type(exc)) as err:
-            corpus.read_annotations(annotation_file)
+            corpus.load_annotations(annotation_file)
         assert str(err.value) == str(exc)
         return
-    assert corpus.load_annotations(annotation_file) == expected
-    table = corpus.read_annotations(annotation_file)
-    assert table.records() == expected
+    table = corpus.load_annotations(annotation_file)
+    assert oracle.records(table) == expected
     assert table.annotators == tuple(sorted({a.annotator_id for a in expected}))
 
 

@@ -2,8 +2,8 @@
 
 `corpus.py` is the only code in the package that opens files, uses
 `csv`/`json`, calls numpy's file readers and writers, parses numbers from text
-with numpy, starts threads or builds `EmbeddingRecord`s, no module rebinds a
-frozen field with `object.__setattr__`, and each public function, class and
+with numpy, starts threads or builds records (`EmbeddingRecord`, `TripletSample`);
+no module rebinds a frozen field with `object.__setattr__`, and each public function, class and
 method is used by the program (or allowlisted); the fuzz tests mutate valid corpus,
 partition, model, candidate and query files and require `cli.run` to answer
 every mutation with a documented exit code instead of an exception. The embedding CSV's vector-block
@@ -90,7 +90,7 @@ def test_only_corpus_reads_and_writes_files():
     assert len(modules) > 5 and not offenders, offenders
 
 
-RECORD_TYPES = ("EmbeddingRecord", "RawAnnotation", "TripletSample")
+RECORD_TYPES = ("EmbeddingRecord", "TripletSample")
 
 
 def _record_builds(path: Path):
@@ -109,15 +109,12 @@ def _record_builds(path: Path):
 
 
 def test_only_corpus_builds_records_and_none_is_rebound():
-    """A table's records are built in one place, from its rows, and never changed after.
-
-    Besides `corpus`, only `synth` builds records: the annotations of a planted corpus.
-    """
+    """A table's records are built in one place, `corpus`, from its rows, and never
+    changed after."""
     found = {path.name: _record_builds(path) for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert sorted(what for _, what in found.pop("corpus.py")) == [
         f"{name}()" for name in RECORD_TYPES
     ]
-    assert {what for _, what in found.pop("synth.py")} == {"RawAnnotation()"}
     offenders = [f"{name}:{line}: {what}" for name, hits in found.items() for line, what in hits]
     assert len(found) > 5 and not offenders, offenders
 
