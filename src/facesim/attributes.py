@@ -3,6 +3,7 @@ argmin-distance classifier with its precision/recall/accuracy/AUC report."""
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -24,6 +25,26 @@ TASK_CATEGORIES = {
 }
 
 Z_95 = 1.96
+
+
+def _t_975(df: int) -> float:
+    """The Student-t 0.975 quantile for integer df >= 1: where P(|T| < t), a finite sum in
+    theta = atan(t / sqrt(df)) (Abramowitz and Stegun 26.7.3-26.7.4), reaches 0.95, bisected."""
+    below = np.arange(2 + df % 2, df - 1, 2)
+    ratios = (below - 1.0) / below  # term k over term k - 1, less its cos(theta)**2
+
+    def two_sided(t: float) -> float:
+        cos2, sin = df / (df + t * t), t / math.sqrt(df + t * t)
+        series = sin * (1.0 + np.cumprod(ratios * cos2).sum())
+        if df % 2 == 0:
+            return series
+        return (math.atan(t / math.sqrt(df)) + (df > 1) * math.sqrt(cos2) * series) * 2 / math.pi
+
+    lo, hi = 0.0, 13.0
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if two_sided(mid) < 0.95 else (lo, mid)
+    return (lo + hi) / 2
 
 
 def group_label(age_group: str, gender: str) -> str:
@@ -210,10 +231,10 @@ def score_groups(
     sd = np.where(spread, np.sqrt(squares / np.maximum(n - 1, 1)), 0.0)
     crit = Z_95
     if use_t and spread.any():
-        from scipy import stats
-
         crit = np.full(n.shape, Z_95)
-        crit[spread] = stats.t.ppf(0.975, n[spread] - 1)
+        dfs = (n[spread] - 1).tolist()
+        quantile = {df: _t_975(df) for df in set(dfs)}
+        crit[spread] = [quantile[df] for df in dfs]
     upper = np.where(spread, mean + crit * sd / np.sqrt(np.maximum(n, 1)), mean)
 
     empty = np.argwhere(n == 0)

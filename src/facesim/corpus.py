@@ -478,13 +478,12 @@ _BLOCK_CELLS = 1 << 12
 # Others (whitespace, `_`, hex, `inf`, `nan`) are left to the per-cell parser.
 _NUMBER_BYTES = b"0123456789.eE+-"
 
-# `np.fromstring` reads `longdouble` with the C library's `strtold`, which
-# rounds correctly to the type's significand, and float64 with numpy's own
-# correctly rounded reader, which is slower. Where `longdouble` is x87 extended
-# precision (a 64-bit significand) it is read and then rounded to float64,
-# and `_round_to_float64` finds the cells where that second rounding can differ
-# from `float`; elsewhere float64 is read.
-_BLOCK_DTYPE = np.longdouble if np.finfo(np.longdouble).nmant == 63 else np.float64
+# `np.fromstring` reads `longdouble` with the C library's correctly rounded
+# `strtold`. Where that is x87 extended precision (a 64-bit significand) a block
+# is read so and rounded to float64, and `_round_to_float64` finds the cells
+# where that second rounding can differ from `float`. Elsewhere the per-cell
+# parser is faster than any block read.
+_X87 = np.finfo(np.longdouble).nmant == 63
 
 _SMALLEST_NORMAL = np.finfo(np.float64).smallest_normal
 
@@ -509,8 +508,6 @@ def _round_to_float64(values: np.ndarray, texts: List[bytes], dim: int) -> np.nd
     than one in a thousand of `repr` text. Overflow needs no check of its own:
     past the threshold both reads give inf, and the threshold is a midpoint.
     """
-    if values.dtype == np.float64:
-        return values
     with np.errstate(over="ignore"):  # to inf, as `float` reads it
         rounded = values.astype(np.float64)
     # x87 holds the 64-bit significand in the first 8 bytes of each value
@@ -539,7 +536,7 @@ def _vector_block(texts: List[bytes], dim: int) -> np.ndarray:
         raise ValueError("a byte other than 0-9 . e E + - ," if shape.translate(None, b",\n")
                          else "a row whose width is not the header's")
     try:
-        values = np.fromstring(block, dtype=_BLOCK_DTYPE, sep=",")
+        values = np.fromstring(block, dtype=np.longdouble, sep=",")
     except (DeprecationWarning, ValueError):
         values = None
     if values is None or values.size != len(texts) * dim:
@@ -859,18 +856,20 @@ def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
     threads. A file replaced at the path after it is opened is read as the one
     opened. A file this cannot take as it is gives None, and the reason is
     logged at debug level, the first failing block's before a later line's:
-    one that is not a regular file (so it is read once, by the per-cell
-    parser), is not UTF-8, has a bad header, a blank line, a last line with
-    no line end, a quote, a carriage return that does not end a line, a row
-    of fewer than seven fields, a field over `csv.field_size_limit()`, no
-    vector text, a byte that is not in a decimal number or a comma, a row
-    whose width is not the header's or whose last vector cell is empty, or
-    text numpy does not parse, or one whose lines changed in number while it
-    was read. Any other error is raised.
+    any file where `longdouble` is not x87, one that is not a regular file (so
+    it is read once, by the per-cell parser), is not UTF-8, has a bad header,
+    a blank line, a last line with no line end, a quote, a carriage return
+    that does not end a line, a row of fewer than seven fields, a field over
+    `csv.field_size_limit()`, no vector text, a byte that is not in a decimal
+    number or a comma, a row whose width is not the header's or whose last
+    vector cell is empty, or text numpy does not parse, or one whose lines
+    changed in number while it was read. Any other error is raised.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at the top: ~7 ms to import
 
     try:
+        if not _X87:
+            raise ValueError("longdouble is not x87 extended precision")
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise ValueError("not a regular file, so it is read only once")
         with open(path, "rb") as fh:
@@ -921,10 +920,10 @@ def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
 def load_embeddings(path) -> EmbeddingTable:
     """Parse an embedding CSV into a validated table.
 
-    The block parser opens the file once and parses its vector block a few
-    thousand cells at a time, on the calling thread and one more thread per
-    other CPU; a file it cannot take as it is goes through the per-cell
-    parser, which names the line of any error.
+    Where `longdouble` is x87, the block parser opens the file once and parses
+    its vector block a few thousand cells at a time, on the calling thread and
+    one more thread per other CPU; other hosts, and a file it cannot take as
+    it is, go through the per-cell parser, which names the line of any error.
     Labels are validated as columns; no record is built until one is asked for.
     """
     parsed = _parse_embedding_block(path)

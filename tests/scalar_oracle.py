@@ -1,14 +1,14 @@
 """The one-vector, one-pair and one-candidate definitions that facesim's block paths are
-tested against: projection, cosine distance and similarity, the triplet hinge, a
-group's distance summary, and a group's ranking for one query, built of one object
-per candidate."""
+tested against: projection, cosine distance and similarity, the triplet hinge, the
+Student-t quantile, a group's distance summary, and a group's ranking for one query,
+built of one object per candidate."""
 
 import math
 from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from facesim.attributes import Z_95, Scores
+from facesim.attributes import Z_95, Scores, _t_975
 from facesim.errors import DegenerateVectorError, ValidationError
 from facesim.metric import ProjectionModel, scale_rows, scaled_cosine
 from facesim.selector import RankedCandidate
@@ -85,6 +85,13 @@ def similarity_score(model: ProjectionModel, a, b) -> float:
     return float(rowwise_cosine(rows[:1], rows[1:])[0])
 
 
+def t_975(df: np.ndarray) -> np.ndarray:
+    """The Student-t 0.975 quantile of each df, as scipy computes it."""
+    from scipy import stats
+
+    return stats.t.ppf(0.975, df)
+
+
 def summarize_distances(
     name: str, ds: Sequence[float], use_t: bool = False
 ) -> GroupDistance:
@@ -97,12 +104,7 @@ def summarize_distances(
     if n >= 2 and any(d != ds[0] for d in ds):
         # a correctly rounded square; `** 2` goes through libm `pow`
         sd = math.sqrt(sum((d - mean) * (d - mean) for d in ds) / (n - 1))
-        if use_t:
-            from scipy import stats
-
-            crit = float(stats.t.ppf(0.975, n - 1))
-        else:
-            crit = Z_95
+        crit = _t_975(n - 1) if use_t else Z_95
         upper = mean + crit * sd / math.sqrt(n)
     else:
         sd = 0.0

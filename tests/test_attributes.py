@@ -24,6 +24,7 @@ from scalar_oracle import (
     rowwise_cosine,
     similarity_score,
     summarize_distances,
+    t_975,
 )
 
 
@@ -157,6 +158,12 @@ class TestGroupDistance:
         z = summarize_distances("g", ds)
         t = summarize_distances("g", ds, use_t=True)
         assert t.upper > z.upper
+
+    def test_t_quantile_matches_scipy(self):
+        """Within a relative error of 1e-12 of scipy, for df 1 to 3,000."""
+        dfs = np.arange(1, 3001)
+        ours = np.array([attributes._t_975(df) for df in dfs.tolist()])
+        np.testing.assert_allclose(ours, t_975(dfs), rtol=1e-12, atol=0)
 
     def test_query_excluded_from_own_group(self):
         query = labeled("shared", [1.0, 0.0], "male", "young")

@@ -375,24 +375,24 @@ class TestPipeline:
         )
         assert not report.exists()
 
-    def test_attribute_commands_leave_scipy_unimported(self, clustered_dir, tmp_path):
-        # importing scipy.stats costs ~1.2 s and ~69 MB; only --student-t needs it
-        model = tmp_path / "identity.json"
-        ProjectionModel.identity(8).save(model)
-        inputs = ["--model", str(model), "--candidates", str(clustered_dir / "candidates.csv")]
-        queries = str(clustered_dir / "queries.csv")
-        commands = [
-            ["eval-attributes", *inputs, "--queries", queries,
-             "--report", str(tmp_path / "attr.json"), "--distances", str(tmp_path / "d.csv")],
-            ["select", *inputs, "--query", queries, "--group-mode", "all",
-             "--out", str(tmp_path / "select.json"), "--ranking", str(tmp_path / "r.csv")],
-        ]
-        script = (
-            "import sys\nfrom facesim import cli\n"
-            f"codes = [cli.run(c) for c in {commands!r}]\n"
-            "print(codes, 'scipy' in sys.modules)"
-        )
-        assert run_fresh(script) == "[0, 0] False"
+    def test_student_t_runs_without_scipy(self, clustered_dir, tmp_path):
+        """With every scipy import failing, the same report and distances as in process."""
+        model = tmp_path / "model.json"
+        rng = np.random.default_rng(8)
+        ProjectionModel(np.eye(8) + 0.1 * rng.normal(size=(8, 8))).save(model)
+        outputs = [tmp_path / "attr.json", tmp_path / "d.csv"]
+        command = ["eval-attributes", "--model", str(model),
+                   "--candidates", str(clustered_dir / "candidates.csv"),
+                   "--queries", str(clustered_dir / "queries.csv"), "--student-t",
+                   "--report", str(outputs[0]), "--distances", str(outputs[1])]
+        script = ("import sys\nsys.modules['scipy'] = None\nfrom facesim import cli\n"
+                  f"print(cli.run({command!r}))")
+        assert run_fresh(script) == "0"
+        fresh = [path.read_bytes() for path in outputs]
+        for path in outputs:
+            path.unlink()
+        assert cli.run(command) == 0
+        assert [path.read_bytes() for path in outputs] == fresh
 
     def test_commands_import_only_their_modules(self, planted_dir, clustered_dir, tmp_path):
         # a process started per command compiles every module it imports

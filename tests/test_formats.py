@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import logging
+import math
 import os
 import platform
 import sys
@@ -87,6 +88,42 @@ def test_only_corpus_reads_and_writes_files():
         for path in modules if path.name != "corpus.py"
         for line, what in _file_access(path)
     ]
+    assert len(modules) > 5 and not offenders, offenders
+
+
+# what src/ may import beside the standard library and relative imports
+RUNTIME_PACKAGES = {"numpy", "facesim"}
+
+
+def _foreign_imports(path: Path):
+    """Imports in one module, at any depth, of anything but `RUNTIME_PACKAGES`, the
+    standard library and relative names, as (line, module)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in RUNTIME_PACKAGES | sys.stdlib_module_names]
+    return found
+
+
+def test_foreign_imports_finds_lazy_and_dotted_imports(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from __future__ import annotations\nimport os, numpy.linalg as la\n"
+                      "from . import corpus\nfrom facesim.errors import FormatError\n"
+                      "import scipy.stats\ndef f():\n    from scipy import stats\n",
+                      encoding="utf-8")
+    assert sorted(_foreign_imports(module)) == [(5, "scipy.stats"), (7, "scipy")]
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    offenders = [f"{path.name}:{line}: {name}"
+                 for path in modules for line, name in _foreign_imports(path)]
     assert len(modules) > 5 and not offenders, offenders
 
 
@@ -583,17 +620,29 @@ def test_block_parser_reads_hard_cells_as_float(hard_csv, monkeypatch):
     _assert_block_parser_reads_as_float(hard_csv, monkeypatch)
 
 
-def test_float64_block_reads_hard_cells_as_float(hard_csv, monkeypatch):
-    """The read where `longdouble` is not x87 extended precision, run on this host."""
-    monkeypatch.setattr(corpus, "_BLOCK_DTYPE", np.float64)
-    _assert_block_parser_reads_as_float(hard_csv, monkeypatch)
+def test_without_x87_loads_cell_by_cell(tmp_path, monkeypatch, caplog):
+    """Where `longdouble` is not x87 extended precision, run on this host: the block
+    reader is never entered, and the load of the finite hard cells is the per-cell
+    parser's."""
+    path = tmp_path / "emb.csv"
+    cells = [cell for cell in _hard_cells() if math.isfinite(float(cell))]
+    path.write_text(_embedding_csv_of(cells), encoding="utf-8")
+    monkeypatch.setattr(corpus, "_X87", False)
+    monkeypatch.setattr(corpus, "_vector_block", None)  # a call would raise TypeError
+    with caplog.at_level(logging.DEBUG, logger="facesim.corpus"):
+        table = corpus.load_embeddings(path)
+    assert caplog.messages == [f"{path}: parsing cell by cell: "
+                               "longdouble is not x87 extended precision"]
+    _, columns, matrix = corpus._parse_embeddings_per_cell(path)
+    assert table.image_ids == columns[0]
+    assert table.matrix.tobytes() == matrix.tobytes()
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64", "i686", "i386")
                     or sys.platform == "win32", reason="x87 extended precision is x86's")
 def test_x86_reads_blocks_in_x87_extended_precision(hard_csv):
     """On x86 the guard runs: a plain cast of the 64-bit reads would miss many hard cells."""
-    assert corpus._BLOCK_DTYPE is np.longdouble and np.finfo(np.longdouble).nmant == 63
+    assert corpus._X87
     texts = [line.split(",", 6)[6] for line in hard_csv.read_text().splitlines()[1:]]
     with np.errstate(over="ignore"):
         cast = np.fromstring(",".join(texts), dtype=np.longdouble, sep=",").astype(np.float64)
