@@ -108,6 +108,8 @@ def build_groups(
     """
     if per_intersection is not None and per_intersection < 1:
         raise ValidationError(f"per-group sample size must be >= 1, got {per_intersection}")
+    if seed < 0:  # `random.Random` would take it as its absolute value
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     table = candidates if isinstance(candidates, EmbeddingTable) else EmbeddingTable.of(candidates)
     pools: Dict[str, List[int]] = {name: [] for name in INTERSECTION_GROUPS}
     for row, (gender, age_group) in enumerate(zip(table.genders, table.age_groups)):

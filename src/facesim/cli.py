@@ -200,8 +200,8 @@ def cmd_eval_attributes(args) -> int:
                 [query_id for query_id in queries.image_ids for _ in names],
                 list(names) * len(queries),
                 scores.n.ravel().tolist(),
+                np.stack([scores.mean, scores.sd, scores.upper], axis=2).reshape(-1, 3),
             ],
-            np.stack([scores.mean, scores.sd, scores.upper], axis=2).reshape(-1, 3),
         )
     print(f"{args.task} accuracy {report.accuracy:.3f} over {len(queries)} queries")
     return EXIT_OK
@@ -233,8 +233,8 @@ def cmd_select(args) -> int:
                 [rec.selected_group for (rec, _), rank in zip(results, ranks) for _ in rank],
                 list(itertools.chain.from_iterable(ranks)),
                 list(itertools.chain.from_iterable(image_ids for _, (image_ids, _) in results)),
+                np.concatenate([np.empty(0), *(sims for _, (_, sims) in results)])[:, None],
             ],
-            np.concatenate([np.empty(0), *(sims for _, (_, sims) in results)])[:, None],
         )
     print(f"recommended {args.k} source candidates for {len(queries)} queries -> {args.out}")
     return EXIT_OK

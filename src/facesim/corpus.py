@@ -336,12 +336,8 @@ def read_csv(path) -> Tuple[List[str], List[int], List[List[str]]]:
     return header, linenos, rows
 
 
-# rows a CSV write holds as text at once
-_CSV_BLOCK_ROWS = 512
-
-
-def _csv_blocks(rows: Iterable[Sequence]) -> Iterator[List[str]]:
-    """The rows as CSV lines ending in "\\n", in blocks of up to `_CSV_BLOCK_ROWS`.
+def _csv_lines(rows: Iterable[Sequence]) -> List[str]:
+    """The rows as CSV lines ending in "\\n".
 
     `csv` quotes a field holding a character of its line terminator and no
     other line break, so rows are written with a CR LF end, which quotes a field
@@ -349,21 +345,8 @@ def _csv_blocks(rows: Iterable[Sequence]) -> Iterator[List[str]]:
     """
     lines: List[str] = []
     # the writer makes one `write` call per row
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
-    rows = iter(rows)
-    while True:
-        writer.writerows(itertools.islice(rows, _CSV_BLOCK_ROWS))
-        if not lines:
-            return
-        yield [line[:-2] + "\n" for line in lines]
-        lines.clear()
-
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Floats are written in shortest round-trip form; fields are quoted only when needed."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for block in _csv_blocks(itertools.chain([header], rows)):
-            fh.writelines(block)
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return [line[:-2] + "\n" for line in lines]
 
 
 def _quoted(column: Sequence) -> Iterator[str]:
@@ -372,25 +355,22 @@ def _quoted(column: Sequence) -> Iterator[str]:
     Each distinct value is quoted once, beside an empty field: `csv` writes a
     lone empty field as `""`. Only the texts that differ from their value are kept."""
     distinct = list(dict.fromkeys(column))
-    lines = itertools.chain.from_iterable(_csv_blocks([value, ""] for value in distinct))
+    lines = _csv_lines([value, ""] for value in distinct)
     text = {value: line[:-2] for value, line in zip(distinct, lines) if line[:-2] != value}
     return map(text.get, column, column)
 
 
-def write_table(path, header: Sequence[str], labels: Sequence[Sequence],
-                matrix: np.ndarray) -> None:
-    """Like `write_csv` of rows that hold one entry of each label column, then a row of `matrix`.
-
-    Labels are strings, ints or None, quoted by `csv` (`_quoted`). The floats
-    are formatted by `_repr_rows` in `repr`'s text.
-    """
-    prefixes = map(",".join, zip(*map(_quoted, labels)))
+def write_table(path, header: Sequence[str], columns: Sequence) -> None:
+    """A CSV file: `header`, then one row per entry, the entry of each column in turn;
+    columns of unequal length raise ValueError. A column is a sequence of labels, strings, ints or None (empty),
+    quoted by `csv` (`_quoted`), or a 2-D float64 array, one field per array column, in
+    `repr`'s text (`_repr_rows`). Floats go in arrays only: `_quoted` dedupes by value,
+    which merges `-0.0` with `0.0`."""
+    fields = [_repr_rows(path, column, b",") if isinstance(column, np.ndarray)
+              else _quoted(column) for column in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(next(_csv_blocks([header])))
-        fh.writelines(
-            f"{prefix},{cells}\n"  # the cells first: `_repr_rows` logs once exhausted
-            for cells, prefix in zip(_repr_rows(path, matrix, b","), prefixes)
-        )
+        fh.writelines(_csv_lines([header]))
+        fh.writelines(",".join(row) + "\n" for row in zip(*fields, strict=True))
 
 
 def read_json(path, kind: str, fields: Sequence[str]) -> dict:
@@ -947,7 +927,7 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
     """The table as an embedding CSV: its six label columns, then its vectors (`write_table`)."""
     header = EMBEDDING_FIXED_COLUMNS + [f"v{i}" for i in range(table.dim)]
     write_table(path, header, (table.image_ids, table.identity_ids, table.roles,
-                               table.target_ids, table.genders, table.age_groups), table.matrix)
+                               table.target_ids, table.genders, table.age_groups, table.matrix))
 
 
 # is_dummy texts, lower-cased, and the flags they stand for
@@ -981,10 +961,9 @@ def load_annotations(path) -> AnnotationTable:
 
 def save_annotations(table: AnnotationTable, path) -> None:
     """The table as an annotation CSV, `is_dummy` written as true or false."""
-    flags = map(("false", "true").__getitem__, table.is_dummy.tolist())
-    answers = (answer or "" for answer in table.dummy_answers)
-    write_csv(path, ANNOTATION_COLUMNS,
-              zip(table.annotator_ids, table.triplet_ids, table.choices, flags, answers))
+    flags = list(map(("false", "true").__getitem__, table.is_dummy.tolist()))
+    write_table(path, ANNOTATION_COLUMNS, (table.annotator_ids, table.triplet_ids, table.choices,
+                                           flags, table.dummy_answers))
 
 
 def load_manifest(path) -> Dict[str, Tuple[str, str, str]]:
@@ -1007,7 +986,7 @@ def load_manifest(path) -> Dict[str, Tuple[str, str, str]]:
 
 
 def save_manifest(manifest: Dict[str, Tuple[str, str, str]], path) -> None:
-    write_csv(path, MANIFEST_COLUMNS, ([t, *ids] for t, ids in manifest.items()))
+    write_table(path, MANIFEST_COLUMNS, (list(manifest), *zip(*manifest.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -1262,6 +1241,8 @@ def split_eval(
     """
     if mode not in ("i", "ii", "iii"):
         raise ValidationError(f"unknown split mode '{mode}'")
+    if seed < 0:  # `random.Random` would take it as its absolute value
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     # written to fail on NaN, which fails every comparison
     if len(ratios) != 3 or not abs(sum(ratios) - 1.0) <= 1e-9 or not all(r >= 0 for r in ratios):
         raise ValidationError(f"ratios must be three non-negatives summing to 1, got {ratios}")
@@ -1344,7 +1325,7 @@ def _split_mode_iii(targets, sources, ratios, rng) -> Tuple[List[int], ...]:
         )
     pool = list(range(len(targets)))
     quota = max(1, round(ratios[2] * len(pool)))
-    source_budget = max(3, round(ratios[2] * len(np.unique(sources))))
+    source_budget = max(3, round(ratios[2] * np.count_nonzero(np.bincount(sources.ravel()))))
     source_sets = [set(column) for column in sources.T.tolist()]
 
     for _ in range(20):

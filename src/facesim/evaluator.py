@@ -11,7 +11,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .corpus import TripletTable, write_csv
+from .corpus import TripletTable, write_table
 from .errors import EvaluationError
 from .metric import ProjectionModel, check_dimension, scale_rows, scaled_cosine
 
@@ -47,8 +47,6 @@ def export_scatter(pairs: Tuple[Sequence[str], np.ndarray, np.ndarray], path) ->
     triplet_ids, sim, dissim = pairs
     if not len(triplet_ids):
         raise EvaluationError("no pair scores to export")
-    rows = (
-        [t, a, b, "true" if a > b else "false"]
-        for t, a, b in zip(triplet_ids, sim.tolist(), dissim.tolist())
-    )
-    write_csv(path, ["triplet_id", "sim_pair_score", "dissim_pair_score", "correct"], rows)
+    correct = list(map(("false", "true").__getitem__, (sim > dissim).tolist()))
+    write_table(path, ["triplet_id", "sim_pair_score", "dissim_pair_score", "correct"],
+                [triplet_ids, np.stack([sim, dissim], axis=1), correct])

@@ -6,7 +6,6 @@ gap between the reference/minority cosine and the reference/majority cosine.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from . import evaluator
-from .corpus import TripletTable, write_csv
+from .corpus import TripletTable, write_table
 from .errors import DegenerateVectorError, DivergenceError, ValidationError
 from .metric import ProjectionModel, check_dimension
 
@@ -48,6 +47,8 @@ class TrainConfig:
         check_margin(self.margin)
         if self.epochs < 0:
             raise ValidationError("epochs must be >= 0")
+        if self.seed < 0:  # `random.Random` would take it as its absolute value
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def check_margin(margin: float) -> None:
@@ -69,11 +70,9 @@ class TrainHistory:
     active_fraction: List[float] = field(default_factory=list)
 
     def save_csv(self, path) -> None:
-        write_csv(
-            path,
-            ["epoch", "mean_loss", "val_accuracy", "active_fraction"],
-            zip(itertools.count(1), self.mean_loss, self.val_accuracy, self.active_fraction),
-        )
+        write_table(path, ["epoch", "mean_loss", "val_accuracy", "active_fraction"],
+                    [range(1, len(self.mean_loss) + 1),
+                     np.column_stack([self.mean_loss, self.val_accuracy, self.active_fraction])])
 
 
 def batch_loss_and_gradient(

@@ -115,11 +115,26 @@ class TestBasicCommands:
 
     @pytest.mark.parametrize("argv", [["synth", "--preset", "planted"],
                                       ["synth", "--preset", "clustered-attributes"],
-                                      ["gradcheck"]])
-    def test_negative_seed_is_3(self, tmp_path, capsys, argv):
-        # numpy's generators take no negative seed; random.Random, used by other commands, does
+                                      ["gradcheck"],
+                                      ["split", "--mode", "iii"],
+                                      ["train", "--epochs", "1"],
+                                      ["eval-attributes", "--per-group", "3"],
+                                      ["select", "--per-group", "3"]])
+    def test_negative_seed_is_3(self, planted_dir, clustered_dir, tmp_path, capsys, argv):
         out = tmp_path / "gen"
-        extra = ["--out-dir", str(out)] if argv[0] == "synth" else []
+        model = tmp_path / "identity.json"
+        ProjectionModel.identity(8).save(model)
+        attribute_inputs = ["--model", str(model),
+                            "--candidates", str(clustered_dir / "candidates.csv")]
+        extra = {
+            "synth": ["--out-dir", str(out)],
+            "split": [*corpus_args(planted_dir), "--out", str(out)],
+            "train": [*corpus_args(planted_dir), "--out", str(out)],
+            "eval-attributes": [*attribute_inputs, "--queries", str(clustered_dir / "queries.csv"),
+                                "--report", str(out)],
+            "select": [*attribute_inputs, "--query", str(clustered_dir / "queries.csv"),
+                       "--out", str(out)],
+        }.get(argv[0], [])
         assert cli.run([*argv, "--seed", "-1", *extra]) == 3
         captured = capsys.readouterr()
         assert not captured.out and not out.exists()
@@ -403,7 +418,8 @@ class TestPipeline:
         corpus_commands = [
             ["ingest", "--embeddings", str(planted_dir / "embeddings.csv")],
             ["validate", "--annotations", str(planted_dir / "annotations.csv")],
-            ["split", *corpus_args(planted_dir), "--mode", "i", "--out", str(tmp_path / "p.json")],
+            *(["split", *corpus_args(planted_dir), "--mode", mode,
+               "--out", str(tmp_path / "p.json")] for mode in ("i", "ii", "iii")),
         ]
         attribute_commands = [
             ["eval-attributes", *inputs, "--queries", queries, "--report", str(tmp_path / "a.json"),

@@ -584,7 +584,8 @@ def annotation_file(tmp_path_factory):
     st.sampled_from(["", "A", "B", "X"]),
 ), max_size=8))
 def test_load_annotations_agrees_with_the_record_loop(annotation_file, rows):
-    corpus.write_csv(annotation_file, corpus.ANNOTATION_COLUMNS, rows)
+    with open(annotation_file, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([corpus.ANNOTATION_COLUMNS, *rows])
     try:
         expected = oracle.load_annotations(annotation_file)
     except (FormatError, ValidationError) as exc:

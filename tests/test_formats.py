@@ -9,9 +9,9 @@ partition, model, candidate and query files and require `cli.run` to answer
 every mutation with a documented exit code instead of an exception. The embedding CSV's vector-block
 parser is checked bit for bit against the per-cell parser, on fuzzed files and
 on hard cells, on one to four parser threads, and its writer against the plain
-`csv` writer. The block float formatter behind the embedding writer and the
-model file is checked against `repr` cell for cell, and the model file against
-`json.dumps`.
+`csv` writer, as is `write_table`, the one CSV writer. The block float formatter
+behind every float `write_table` writes and the model file is checked against
+`repr` cell for cell, and the model file against `json.dumps`.
 """
 
 import ast
@@ -29,7 +29,6 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -970,10 +969,11 @@ def test_save_embeddings_writes_what_the_csv_module_writes(tmp_path, image_id):
 
 
 @pytest.mark.parametrize("field", AWKWARD_IDS + ["", "trailing\r", "\rleading"])
-def test_write_csv_reads_back(tmp_path, field):
+def test_write_table_reads_back(tmp_path, field):
     path = tmp_path / "rows.csv"
-    rows = [[field, "x", 0.1], ["y", field, -0.0]] * 300  # more rows than one write block
-    corpus.write_csv(path, ["a", "b", "c"], rows)
+    rows = [[field, "x", 0.1], ["y", field, -0.0]] * 300
+    a, b, c = zip(*rows)
+    corpus.write_table(path, ["a", "b", "c"], [a, b, np.array(c)[:, None]])
     assert path.read_bytes().decode("utf-8") == "".join(
         _csv_module_lines([["a", "b", "c"], *rows])
     )
@@ -1088,33 +1088,38 @@ AWKWARD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-4, float(np.nextafter(1e-4, 0))
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 4),
-    st.integers(1, 3),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.integers(0, 12),
     st.data(),
-    st.booleans(),
 )
 def test_write_table_writes_what_the_csv_writer_and_repr_write(
-    tmp_path_factory, n_labels, dim, data, small_blocks
+    tmp_path_factory, n_labels, widths, n_rows, data
 ):
-    """`write_table` and `save_embeddings` against `write_csv` and the csv module: labels
-    with a comma, a quote, CR, LF, non-ASCII text, a leading space and the empty
-    string; floats at signed zeros, subnormals, the 1e-4 and 1e16 boundaries and nan."""
+    """`write_table` and `save_embeddings` against the csv module: label columns
+    before, between and after float arrays; labels with a comma, a quote, CR, LF,
+    non-ASCII text, a leading space and the empty string; floats at signed zeros,
+    subnormals, the 1e-4 and 1e16 boundaries and nan."""
     label = st.sampled_from(AWKWARD_LABELS) | st.text(max_size=3)
     cell = st.sampled_from(AWKWARD_FLOATS) | st.floats(width=64)
-    rows = data.draw(st.lists(st.tuples(st.lists(label, min_size=n_labels, max_size=n_labels),
-                                        st.lists(cell, min_size=dim, max_size=dim)),
-                              max_size=12))
-    header = [f"l{i}" for i in range(n_labels)] + [f"v{i}" for i in range(dim)]
-    labels = [list(column) for column in zip(*(row for row, _ in rows))] or [[]] * n_labels
-    matrix = np.array([cells for _, cells in rows], dtype=np.float64).reshape(len(rows), dim)
+    # a label column is width 0, a float array its number of columns
+    order = data.draw(st.permutations([0] * n_labels + widths))
+    columns = [
+        np.array(data.draw(st.lists(cell, min_size=n_rows * width, max_size=n_rows * width)),
+                 np.float64).reshape(n_rows, width)
+        if width else data.draw(st.lists(label, min_size=n_rows, max_size=n_rows))
+        for width in order
+    ]
+    header = [f"c{i}" for i in range(n_labels + sum(widths))]
+    rows = [[field for column in columns
+             for field in (column[i].tolist() if isinstance(column, np.ndarray) else [column[i]])]
+            for i in range(n_rows)]
     work = tmp_path_factory.mktemp("table")
-    with mock.patch.object(corpus, "_CSV_BLOCK_ROWS", 2 if small_blocks else 512):
-        corpus.write_table(work / "got.csv", header, labels, matrix)
-    corpus.write_csv(work / "expected.csv", header, (row + cells for row, cells in rows))
-    expected = (work / "expected.csv").read_bytes()
-    assert (work / "got.csv").read_bytes() == expected
-    assert expected.decode("utf-8") == "".join(
-        _csv_module_lines([header, *(row + cells for row, cells in rows)])
+    corpus.write_table(work / "got.csv", header, columns)
+    assert (work / "got.csv").read_bytes().decode("utf-8") == "".join(
+        _csv_module_lines([header, *rows])
     )
+    labels = [column for column in columns if not isinstance(column, np.ndarray)]
+    matrix = np.hstack([column for column in columns if isinstance(column, np.ndarray)])
 
     # the embedding writer over the same cells and labels, rows that a table holds
     kept = np.flatnonzero(np.isfinite(matrix).all(axis=1) & matrix.any(axis=1)).tolist()
@@ -1128,6 +1133,13 @@ def test_write_table_writes_what_the_csv_writer_and_repr_write(
     corpus.save_embeddings(table, work / "got.csv")
     _csv_module_save_embeddings(table, work / "expected.csv")
     assert (work / "got.csv").read_bytes() == (work / "expected.csv").read_bytes()
+
+
+@pytest.mark.parametrize("labels, cells", [(["x", "y"], 3), (["x", "y", "z"], 2)],
+                         ids=["short-labels", "short-array"])
+def test_write_table_refuses_columns_of_unequal_length(tmp_path, labels, cells):
+    with pytest.raises(ValueError):
+        corpus.write_table(tmp_path / "t.csv", ["l", "v0"], [labels, np.zeros((cells, 1))])
 
 
 def test_save_embeddings_writes_cells_outside_the_fixed_range_with_repr(tmp_path, caplog):
