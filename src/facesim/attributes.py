@@ -53,16 +53,12 @@ def group_label(age_group: str, gender: str) -> str:
     return f"{age_group}_{gender}"
 
 
-@dataclass(frozen=True, eq=False)
-class AttributeGroup:
-    """An attribute group: rows of one candidates `EmbeddingTable`, in member order."""
+class AttributeGroups(NamedTuple):
+    """Attribute groups over one candidates `EmbeddingTable`: `rows[name]` holds the
+    table rows of group `name`'s members, in member order."""
 
-    name: str
     table: EmbeddingTable
-    rows: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.rows)
+    rows: Dict[str, np.ndarray]
 
 
 @dataclass
@@ -98,7 +94,7 @@ def build_groups(
     candidates: EmbeddingTable | Sequence[EmbeddingRecord],
     per_intersection: Optional[int] = None,
     seed: int = 0,
-) -> Dict[str, AttributeGroup]:
+) -> AttributeGroups:
     """The four age/gender intersection groups plus their four unions, as rows of one table.
 
     `candidates` is an `EmbeddingTable` or a sequence of records. Rows with
@@ -118,7 +114,7 @@ def build_groups(
 
     rng = random.Random(seed)
     by_id = table.image_ids.__getitem__
-    groups: Dict[str, AttributeGroup] = {}
+    rows: Dict[str, np.ndarray] = {}
     for name in INTERSECTION_GROUPS:
         members = sorted(pools[name], key=by_id)
         if per_intersection is not None:
@@ -130,7 +126,7 @@ def build_groups(
             members = sorted(rng.sample(members, per_intersection), key=by_id)
         if not members:
             raise ValidationError(f"attribute group '{name}' is empty")
-        groups[name] = AttributeGroup(name, table, np.array(members, dtype=np.intp))
+        rows[name] = np.array(members, dtype=np.intp)
 
     unions = {
         "male": ("young_male", "older_male"),
@@ -140,21 +136,19 @@ def build_groups(
     }
     for name in UNION_GROUPS:
         a, b = unions[name]
-        groups[name] = AttributeGroup(
-            name, table, np.concatenate([groups[a].rows, groups[b].rows])
-        )
-    return groups
+        rows[name] = np.concatenate([rows[a], rows[b]])
+    return AttributeGroups(table, rows)
 
 
 class Scores(NamedTuple):
     """Queries scored against attribute groups (see `score_groups`).
 
-    The gallery is the groups' distinct table rows, in table order:
+    The gallery is the scored groups' distinct table rows, in table order:
     `image_ids` and `identity_ids` (object arrays) label its rows,
-    `members[g]` holds the gallery positions of group g's members in member
-    order, and `sims[q, i]` is query q's cosine similarity to gallery row i.
-    `n`, `mean`, `sd` and `upper` are `(Q, G)`: the size, mean, SD and 95% CI
-    upper bound of each (query, group) pair's distances.
+    `members[g]` holds the gallery positions of group `names[g]`'s members in
+    member order, and `sims[q, i]` is query q's cosine similarity to gallery
+    row i. `n`, `mean`, `sd` and `upper` are `(Q, G)`: the size, mean, SD and
+    95% CI upper bound of each (query, group) pair's distances.
     """
 
     image_ids: np.ndarray
@@ -170,13 +164,14 @@ class Scores(NamedTuple):
 def score_groups(
     model: ProjectionModel,
     queries: EmbeddingTable,
-    groups: Sequence[AttributeGroup],
+    groups: AttributeGroups,
+    names: Sequence[str],
     use_t: bool = False,
 ) -> Scores:
-    """Each query's similarity to each group member and its distance to each group.
+    """Each query's similarity to each member and its distance to each of the named groups.
 
-    The groups must be rows of one table, none of them empty, and the model
-    must map vectors of both tables' width. The distinct group rows are
+    At least one group is named, none of them empty, and the model must map
+    vectors of both tables' width. The distinct rows of the named groups are
     projected first, then the queries, each once. Cosines are row-local, so an
     entry does not depend on the other queries, groups or rows in the call.
 
@@ -190,19 +185,18 @@ def score_groups(
     (query, group) pair, query-major, whose group holds only the query image
     raises `ValidationError`.
     """
-    table = groups[0].table if groups else None
-    if not groups or any(group.table is not table for group in groups):
-        raise ValidationError("scoring needs attribute groups, all rows of one table")
-    for group in groups:
-        if len(group) == 0:
-            raise ValidationError(f"attribute group '{group.name}' is empty")
+    if not names:
+        raise ValidationError("scoring needs attribute groups, none named")
+    table, group_rows = groups.table, [groups.rows[name] for name in names]
+    for name, member_rows in zip(names, group_rows):
+        if not len(member_rows):
+            raise ValidationError(f"attribute group '{name}' is empty")
     check_dimension(model, table)
     check_dimension(model, queries)
 
     # a mask, not `np.unique`, which imports `numpy.ma`
     in_gallery = np.zeros(len(table), dtype=bool)
-    for group in groups:
-        in_gallery[group.rows] = True
+    in_gallery[np.concatenate(group_rows)] = True
     rows = np.flatnonzero(in_gallery)
     position = np.cumsum(in_gallery) - 1  # each table row's place in the gallery
     image_ids = np.array(table.image_ids, dtype=object)[rows]
@@ -214,11 +208,11 @@ def score_groups(
     for i in range(len(queries)):
         q = projected[i : i + 1]
         sims[i] = scaled_cosine(q, scale_rows(q), gallery, scaled)
-    members = [position[group.rows] for group in groups]
+    members = [position[member_rows] for member_rows in group_rows]
 
     own = image_ids == np.array(queries.image_ids, dtype=object)[:, None]
     every_query = np.arange(len(queries))
-    n = np.zeros((len(queries), len(groups)), dtype=np.intp)
+    n = np.zeros((len(queries), len(names)), dtype=np.intp)
     spread = np.zeros(n.shape, dtype=bool)  # implies n >= 2
     mean, squares = np.zeros(n.shape), np.zeros(n.shape)
     for g, member in enumerate(members):
@@ -243,7 +237,7 @@ def score_groups(
     if empty.size:
         q, g = empty[0]
         raise ValidationError(
-            f"group '{groups[g].name}' holds only the query image '{queries.image_ids[q]}'"
+            f"group '{names[g]}' holds only the query image '{queries.image_ids[q]}'"
         )
     return Scores(image_ids, np.array(table.identity_ids, dtype=object)[rows], members, sims,
                   n, mean, sd, upper)

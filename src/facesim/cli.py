@@ -106,7 +106,6 @@ def cmd_validate(args) -> int:
 
 def cmd_split(args) -> int:
     triplets = _load_triplets(args)
-    corpus.verify_target_consistency(triplets.take(triplets.admitted))
     partition = corpus.split_eval(triplets, args.mode, ratios=tuple(args.ratios), seed=args.seed)
     partition.save(args.out)
     print(
@@ -187,9 +186,7 @@ def cmd_eval_attributes(args) -> int:
     model = ProjectionModel.load(args.model)
     groups = attributes.build_groups(candidates, per_intersection=args.per_group, seed=args.seed)
     names = attributes.ALL_GROUPS if args.distances else attributes.task_categories(args.task)
-    scores = attributes.score_groups(
-        model, queries, [groups[name] for name in names], use_t=args.student_t
-    )
+    scores = attributes.score_groups(model, queries, groups, names, use_t=args.student_t)
     report = attributes.classification_report(args.task, queries, names, scores.upper)
     _write_report(args.report, args, report.to_json())
     if args.distances:

@@ -62,6 +62,8 @@ def _label_error(
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingRecord:
+    """One row of an `EmbeddingTable`, unchecked: a table checks its rows (`EmbeddingTable.of`)."""
+
     image_id: str
     identity_id: str
     role: str
@@ -69,11 +71,6 @@ class EmbeddingRecord:
     gender: str
     age_group: str
     vector: np.ndarray
-
-    def __post_init__(self):
-        error = _label_error(self.image_id, self.role, self.target_id, self.gender, self.age_group)
-        if error is not None:
-            raise ValidationError(error)
 
 
 # The six label columns of a table, in `EMBEDDING_FIXED_COLUMNS` order
@@ -362,15 +359,18 @@ def _quoted(column: Sequence) -> Iterator[str]:
 
 def write_table(path, header: Sequence[str], columns: Sequence) -> None:
     """A CSV file: `header`, then one row per entry, the entry of each column in turn;
-    columns of unequal length raise ValueError. A column is a sequence of labels, strings, ints or None (empty),
-    quoted by `csv` (`_quoted`), or a 2-D float64 array, one field per array column, in
-    `repr`'s text (`_repr_rows`). Floats go in arrays only: `_quoted` dedupes by value,
-    which merges `-0.0` with `0.0`."""
+    columns of unequal length raise ValueError before the file is opened. A column is a
+    sequence of labels, strings, ints or None (empty), quoted by `csv` (`_quoted`), or a
+    2-D float64 array, one field per array column, in `repr`'s text (`_repr_rows`).
+    Floats go in arrays only: `_quoted` dedupes by value, which merges `-0.0` with `0.0`."""
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError(f"{path}: columns of unequal length")
     fields = [_repr_rows(path, column, b",") if isinstance(column, np.ndarray)
               else _quoted(column) for column in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(_csv_lines([header]))
-        fh.writelines(",".join(row) + "\n" for row in zip(*fields, strict=True))
+        # a lone empty field as `csv` writes it; `strict` runs `_repr_rows` on to its log
+        fh.writelines((",".join(row) or '""') + "\n" for row in zip(*fields, strict=True))
 
 
 def read_json(path, kind: str, fields: Sequence[str]) -> dict:
@@ -842,8 +842,9 @@ def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
     that does not end a line, a row of fewer than seven fields, a field over
     `csv.field_size_limit()`, no vector text, a byte that is not in a decimal
     number or a comma, a row whose width is not the header's or whose last
-    vector cell is empty, or text numpy does not parse, or one whose lines
-    changed in number while it was read. Any other error is raised.
+    vector cell is empty, text numpy does not parse, or a NUL in a label
+    (which `csv` rejects on Python 3.10 only), or one whose lines changed in
+    number while it was read. Any other error is raised.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at the top: ~7 ms to import
 
@@ -887,8 +888,11 @@ def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
                         future.result()
         if len(fields) != len(matrix):
             raise ValueError("the file changed while it was read")
+        labels = b",".join(fields)
+        if b"\0" in labels:
+            raise ValueError("a NUL in a label, which csv decides")
         # one decode checks every label's UTF-8; no label holds a comma
-        cells = b",".join(fields).decode().split(",") if fields else []
+        cells = labels.decode().split(",") if fields else []
         columns = tuple(tuple(cells[k::len(EMBEDDING_FIXED_COLUMNS)])
                         for k in range(len(EMBEDDING_FIXED_COLUMNS)))
     except (FormatError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
@@ -1180,8 +1184,9 @@ def aggregate_triplets(
     return samples
 
 
-def verify_target_consistency(triplets: TripletTable) -> None:
-    """Check that each triplet's three images are swaps onto one target."""
+def verify_target_consistency(triplets: TripletTable) -> Tuple[List[str], np.ndarray]:
+    """Check that each triplet's three images are swaps onto one target; then give each
+    triplet's target and the (3, n) identity codes (`_codes`) of its three images."""
     table = triplets.table
     # row -1, an unknown image, reads as not swapped
     swapped = np.append([role == "swapped" for role in table.roles], False)[triplets.rows]
@@ -1195,6 +1200,8 @@ def verify_target_consistency(triplets: TripletTable) -> None:
             f"triplet '{triplets.triplet_ids[i]}' must reference swapped records"
             f" sharing one target_id, got targets {sorted(str(t) for t in names)}"
         )
+    return (list(map(table.target_ids.__getitem__, triplets.rows[0].tolist())),
+            _codes(table.identity_ids)[triplets.rows])
 
 
 def build_datasets(samples):
@@ -1216,15 +1223,6 @@ def build_datasets(samples):
 # Evaluation splits
 
 
-def _triplet_keys(triplets: TripletTable) -> Tuple[List[str], np.ndarray]:
-    """Each triplet's target, its reference's `target_id` or else the reference's own id,
-    and the (3, n) identity codes (`_codes`) of its three images."""
-    rows, table = triplets.known_rows(), triplets.table
-    targets = [table.target_ids[row] or ref_id
-               for row, ref_id in zip(rows[0].tolist(), triplets.ref_ids)]
-    return targets, _codes(table.identity_ids)[rows]
-
-
 def split_eval(
     triplets: TripletTable,
     mode: str,
@@ -1233,7 +1231,7 @@ def split_eval(
 ) -> DatasetPartition:
     """Deterministic train/val/test split honoring a source/target knowledge mode.
 
-    Only admitted triplets are split.
+    Only admitted triplets are split, each swaps onto one target (`verify_target_consistency`).
 
     mode "i":   test shares no source identity and no target with train.
     mode "ii":  test shares no target with train; every test source is in train.
@@ -1250,7 +1248,7 @@ def split_eval(
     if not len(admitted):
         raise InfeasibleSplitError("no admitted samples to split")
 
-    targets, sources = _triplet_keys(admitted)
+    targets, sources = verify_target_consistency(admitted)
     rng = random.Random(seed)
 
     if mode in ("i", "ii"):

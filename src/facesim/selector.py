@@ -4,14 +4,14 @@ then recommend its least-similar members."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .attributes import (
     ALL_GROUPS,
     INTERSECTION_GROUPS,
-    AttributeGroup,
+    AttributeGroups,
     Scores,
     closest,
     score_groups,
@@ -47,14 +47,13 @@ class Recommendation:
         }
 
 
-def _mode_groups(groups: Dict[str, AttributeGroup], group_mode: str) -> List[AttributeGroup]:
+def _mode_groups(group_mode: str) -> Sequence[str]:
+    """The names of the groups a query is classified among."""
     if group_mode == "intersection":
-        names = INTERSECTION_GROUPS
-    elif group_mode == "all":
-        names = ALL_GROUPS
-    else:
-        raise ValidationError(f"unknown group mode '{group_mode}'")
-    return [groups[n] for n in names]
+        return INTERSECTION_GROUPS
+    if group_mode == "all":
+        return ALL_GROUPS
+    raise ValidationError(f"unknown group mode '{group_mode}'")
 
 
 def _ranking(
@@ -82,7 +81,7 @@ def _ranking(
 def recommend_batch(
     model: ProjectionModel,
     queries: EmbeddingTable,
-    groups: Dict[str, AttributeGroup],
+    groups: AttributeGroups,
     k: int = 5,
     group_mode: str = "intersection",
 ) -> List[Tuple[Recommendation, Tuple[np.ndarray, np.ndarray]]]:
@@ -96,9 +95,8 @@ def recommend_batch(
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    candidates = _mode_groups(groups, group_mode)
-    names = [g.name for g in candidates]
-    scores = score_groups(model, queries, candidates)
+    names = _mode_groups(group_mode)
+    scores = score_groups(model, queries, groups, names)
     id_rank = np.argsort(np.argsort(scores.image_ids))  # the ids are distinct
     results = []
     for query_id, identity_id, sims, g in zip(queries.image_ids, queries.identity_ids,
@@ -121,7 +119,7 @@ def recommend_batch(
 def recommend(
     model: ProjectionModel,
     query: EmbeddingRecord,
-    groups: Dict[str, AttributeGroup],
+    groups: AttributeGroups,
     k: int = 5,
     group_mode: str = "intersection",
 ) -> Recommendation:

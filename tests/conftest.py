@@ -3,7 +3,7 @@ import pytest
 
 from facesim import synth
 from facesim.attributes import (
-    AttributeGroup,
+    AttributeGroups,
     classification_report,
     score_groups,
     task_categories,
@@ -49,33 +49,32 @@ def make_groups(members):
         for record in group:
             assert distinct.setdefault(record.image_id, record) is record, record.image_id
     table = EmbeddingTable.of(list(distinct.values()))
-    return {
-        name: AttributeGroup(name, table, np.array([table.row(r.image_id) for r in group],
-                                                   dtype=np.intp))
+    return AttributeGroups(table, {
+        name: np.array([table.row(r.image_id) for r in group], dtype=np.intp)
         for name, group in members.items()
-    }
+    })
 
 
 def make_group(name, members):
-    """One attribute group of these records (see `make_groups`)."""
-    return make_groups({name: members})[name]
+    """The attribute groups of one group of these records (see `make_groups`)."""
+    return make_groups({name: members})
 
 
-def member_ids(group):
-    """A group's member image ids, in member order."""
-    return [group.table.image_ids[row] for row in group.rows.tolist()]
+def member_ids(groups, name):
+    """Group `name`'s member image ids, in member order."""
+    return [groups.table.image_ids[row] for row in groups.rows[name].tolist()]
 
 
-def member_records(group):
-    """A group's member records, in member order."""
-    return tuple(group.table[image_id] for image_id in member_ids(group))
+def member_records(groups, name):
+    """Group `name`'s member records, in member order."""
+    return tuple(groups.table[image_id] for image_id in member_ids(groups, name))
 
 
 def classify(model, queries, groups, task, use_t=False):
     """The report of an attribute task, composed as `eval-attributes` composes it: the
     queries scored against the task's groups, then classified by their CI upper bounds."""
     names = task_categories(task)
-    scores = score_groups(model, queries, [groups[name] for name in names], use_t=use_t)
+    scores = score_groups(model, queries, groups, names, use_t=use_t)
     return classification_report(task, queries, names, scores.upper)
 
 

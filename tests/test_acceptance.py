@@ -201,7 +201,7 @@ def test_criterion_08_attribute_classification():
 
     # brute-force nearest-centroid audit over the intersection groups
     centroids = {
-        name: np.mean([m.vector for m in member_records(groups[name])], axis=0)
+        name: np.mean([m.vector for m in member_records(groups, name)], axis=0)
         for name in attributes.INTERSECTION_GROUPS
     }
     agreement = 0

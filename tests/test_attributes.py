@@ -34,11 +34,11 @@ def labeled(image_id, vector, gender, age_group):
     )
 
 
-def group_distances(model, queries, groups, use_t=False):
+def group_distances(model, queries, groups, names, use_t=False):
     """`score_groups`' statistics of each (query, group) pair, as the oracle's results."""
-    scores = score_groups(model, EmbeddingTable.of(queries), groups, use_t=use_t)
+    scores = score_groups(model, EmbeddingTable.of(queries), groups, names, use_t=use_t)
     columns = (scores.n, scores.mean, scores.sd, scores.upper)
-    return [[GroupDistance(g.name, *stats) for g, *stats in zip(groups, *row)]
+    return [[GroupDistance(name, *stats) for name, *stats in zip(names, *row)]
             for row in zip(*(column.tolist() for column in columns))]
 
 
@@ -57,20 +57,20 @@ def labeled_pool():
 class TestBuildGroups:
     def test_eight_groups(self, labeled_pool):
         groups = build_groups(labeled_pool)
-        assert set(groups) == set(attributes.ALL_GROUPS)
-        assert all(len(groups[n]) == 5 for n in attributes.INTERSECTION_GROUPS)
-        assert all(len(groups[n]) == 10 for n in attributes.UNION_GROUPS)
+        assert set(groups.rows) == set(attributes.ALL_GROUPS)
+        assert all(len(groups.rows[n]) == 5 for n in attributes.INTERSECTION_GROUPS)
+        assert all(len(groups.rows[n]) == 10 for n in attributes.UNION_GROUPS)
 
     def test_membership_predicate(self, labeled_pool):
         groups = build_groups(labeled_pool)
         target = "young_male_0"
-        containing = {n for n, g in groups.items() if target in member_ids(g)}
+        containing = {n for n in groups.rows if target in member_ids(groups, n)}
         assert containing == {"young_male", "young", "male"}
 
     def test_union_is_concatenation_of_intersections(self, labeled_pool):
         groups = build_groups(labeled_pool)
-        assert set(member_ids(groups["male"])) == set(
-            member_ids(groups["young_male"]) + member_ids(groups["older_male"])
+        assert set(member_ids(groups, "male")) == set(
+            member_ids(groups, "young_male") + member_ids(groups, "older_male")
         )
 
     def test_unknown_labels_excluded(self, labeled_pool):
@@ -78,7 +78,7 @@ class TestBuildGroups:
             make_record("mystery", np.ones(6), role="source", target_id=None)
         ]
         groups = build_groups(extra)
-        assert all("mystery" not in member_ids(g) for g in groups.values())
+        assert all("mystery" not in member_ids(groups, n) for n in groups.rows)
 
     def test_empty_group_raises(self, labeled_pool):
         pool = [r for r in labeled_pool if not (r.age_group == "older" and r.gender == "female")]
@@ -89,19 +89,19 @@ class TestBuildGroups:
         g1 = build_groups(labeled_pool, per_intersection=3, seed=5)
         g2 = build_groups(labeled_pool, per_intersection=3, seed=5)
         g3 = build_groups(labeled_pool, per_intersection=3, seed=6)
-        assert member_ids(g1["young_male"]) == member_ids(g2["young_male"])
+        assert member_ids(g1, "young_male") == member_ids(g2, "young_male")
         assert any(
-            member_ids(g1[n]) != member_ids(g3[n]) for n in attributes.INTERSECTION_GROUPS
+            member_ids(g1, n) != member_ids(g3, n) for n in attributes.INTERSECTION_GROUPS
         )
 
     @pytest.mark.parametrize("per_intersection", [None, 3])
     def test_table_and_its_records_give_the_same_groups(self, clustered, per_intersection):
         from_table = build_groups(clustered.candidates, per_intersection, seed=4)
         from_records = build_groups(list(clustered.candidates), per_intersection, seed=4)
+        assert from_table.table is clustered.candidates
         for name in attributes.ALL_GROUPS:
-            assert from_table[name].table is clustered.candidates
-            assert member_ids(from_table[name]) == member_ids(from_records[name])
-            assert from_table[name].rows.tolist() == from_records[name].rows.tolist()
+            assert member_ids(from_table, name) == member_ids(from_records, name)
+            assert from_table.rows[name].tolist() == from_records.rows[name].tolist()
 
     def test_sampling_too_large_raises(self, labeled_pool):
         with pytest.raises(ValidationError):
@@ -117,7 +117,7 @@ class TestGroupDistance:
             for i, s in enumerate((1.0, -1.0))
         )
         res = group_distances(
-            ProjectionModel.identity(2), [query], [make_group("male", members)]
+            ProjectionModel.identity(2), [query], make_group("male", members), ["male"]
         )[0][0]
         assert res.sd_d == pytest.approx(0.0, abs=1e-12)
         assert res.upper == pytest.approx(res.mean_d, abs=1e-12)
@@ -170,18 +170,18 @@ class TestGroupDistance:
         group = make_group(
             "male", (query, labeled("other", [0.0, 1.0], "male", "young"))
         )
-        res = group_distances(ProjectionModel.identity(2), [query], [group])[0][0]
+        res = group_distances(ProjectionModel.identity(2), [query], group, ["male"])[0][0]
         assert res.n == 1 and res.mean_d == pytest.approx(1.0)
 
     def test_union_distance_equals_concatenation(self, labeled_pool):
         groups = build_groups(labeled_pool)
         query = labeled("q", np.arange(1.0, 7.0), "male", "young")
         model = ProjectionModel.identity(6)
-        direct = group_distances(model, [query], [groups["male"]])[0][0]
+        direct = group_distances(model, [query], groups, ["male"])[0][0]
         concat = make_group(
-            "male", member_records(groups["young_male"]) + member_records(groups["older_male"])
+            "male", member_records(groups, "young_male") + member_records(groups, "older_male")
         )
-        via_parts = group_distances(model, [query], [concat])[0][0]
+        via_parts = group_distances(model, [query], concat, ["male"])[0][0]
         assert direct == via_parts
 
 
@@ -207,7 +207,7 @@ class TestGroupDistance:
                     if m.image_id != query.image_id
                 ],
             )
-            res = group_distances(model, [query], [make_group("male", members)])[0][0]
+            res = group_distances(model, [query], make_group("male", members), ["male"])[0][0]
             assert res.n == oracle.n
             for field in ("mean_d", "sd_d", "upper"):
                 assert getattr(res, field) == pytest.approx(
@@ -234,29 +234,29 @@ class TestGroupDistance:
                 ]
         groups = build_groups(pool)
         names = [str(n) for n in rng.permutation(attributes.ALL_GROUPS)]
-        chosen = [groups[n] for n in names[: int(rng.integers(1, 9))]]
+        chosen = names[: int(rng.integers(1, 9))]
         # a member as query leaves its own entry out; a singleton's member empties it
         queries = [labeled("q", rng.normal(size=3), "male", "young"), pool[-1]]
-        queries += [member_records(groups[n])[0] for n in names if len(groups[n]) == 1]
+        queries += [member_records(groups, n)[0] for n in names if len(groups.rows[n]) == 1]
         queries = list({q.image_id: q for q in queries}.values())  # a table's ids are distinct
         expected, empty = [], None
         for query in queries:
             results = []
             for g in chosen:
                 ds = [1.0 - similarity_score(model, query, m)
-                      for m in member_records(g) if m.image_id != query.image_id]
+                      for m in member_records(groups, g) if m.image_id != query.image_id]
                 if not ds:
-                    empty = empty or f"group '{g.name}' holds only the query image '{query.image_id}'"
+                    empty = empty or f"group '{g}' holds only the query image '{query.image_id}'"
                     continue
-                results.append(summarize_distances(g.name, ds, use_t=use_t))
+                results.append(summarize_distances(g, ds, use_t=use_t))
             expected.append(results)
         if empty is not None:
             with pytest.raises(ValidationError) as info:
-                group_distances(model, queries, chosen, use_t=use_t)
+                group_distances(model, queries, groups, chosen, use_t=use_t)
             assert str(info.value) == empty
         else:
             # tuple equality: == on group, n, mean_d, sd_d and upper
-            assert group_distances(model, queries, chosen, use_t=use_t) == expected
+            assert group_distances(model, queries, groups, chosen, use_t=use_t) == expected
 
     def test_zero_projection_member_is_named(self):
         model = ProjectionModel(np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -267,7 +267,7 @@ class TestGroupDistance:
         )
         query = labeled("q", [1.0, 0.0], "male", "young")
         with pytest.raises(DegenerateVectorError, match="flat"):
-            group_distances(model, [query], [group])
+            group_distances(model, [query], group, ["male"])
 
 
 def _pool(rng, dim, per_intersection):
@@ -295,35 +295,31 @@ class TestGallery:
         names = {"intersection": attributes.INTERSECTION_GROUPS,
                  "all": attributes.ALL_GROUPS,
                  "unions": attributes.UNION_GROUPS}[mode]
-        chosen = [groups[n] for n in names]
         # a member equal to the query scores exactly 1.0
         twin = labeled("twin", pool[-1].vector, "male", "young")
         queries = [labeled("q", rng.normal(size=dim), "male", "young"), twin]
-        scores = score_groups(model, EmbeddingTable.of(queries), chosen)
-        rows = np.concatenate([g.rows for g in chosen])
+        scores = score_groups(model, EmbeddingTable.of(queries), groups, names)
+        rows = np.concatenate([groups.rows[n] for n in names])
         assert scores.image_ids.tolist() == [pool[r].image_id for r in sorted(set(rows))]
         for q, row in zip(queries, scores.sims):
-            for g, members in zip(chosen, scores.members):
-                oracle = rowwise_cosine(project_rows(model, [q]), project_rows(model, member_records(g)))
+            for g, members in zip(names, scores.members):
+                oracle = rowwise_cosine(project_rows(model, [q]),
+                                        project_rows(model, member_records(groups, g)))
                 assert np.array_equal(row[members], oracle)
-                assert scores.image_ids[members].tolist() == member_ids(g)
+                assert scores.image_ids[members].tolist() == member_ids(groups, g)
         assert scores.sims[1][scores.image_ids == pool[-1].image_id].tolist() == [1.0]
 
-    def test_scoring_needs_groups_of_one_table(self, labeled_pool):
-        one, other = build_groups(labeled_pool), build_groups(labeled_pool)
+    def test_scoring_needs_named_groups(self, labeled_pool):
         query = labeled("q", np.arange(1.0, 7.0), "male", "young")
         queries = EmbeddingTable.of([query])
-        with pytest.raises(ValidationError, match="one table"):
-            score_groups(ProjectionModel.identity(6), queries,
-                         [one["young_male"], other["older_male"]])
         with pytest.raises(ValidationError, match="needs attribute groups"):
-            score_groups(ProjectionModel.identity(6), queries, [])
+            score_groups(ProjectionModel.identity(6), queries, build_groups(labeled_pool), [])
 
     def test_union_rows_are_its_intersections_rows(self, labeled_pool):
         groups = build_groups(labeled_pool)
-        chosen = [groups[n] for n in attributes.ALL_GROUPS]
         query = labeled("q", np.arange(1.0, 7.0), "male", "young")
-        scores = score_groups(ProjectionModel.identity(6), EmbeddingTable.of([query]), chosen)
+        scores = score_groups(ProjectionModel.identity(6), EmbeddingTable.of([query]), groups,
+                              attributes.ALL_GROUPS)
         sims = scores.sims
         assert len(scores.image_ids) == len(labeled_pool)
         rows = dict(zip(attributes.ALL_GROUPS, scores.members))
@@ -350,18 +346,19 @@ class TestGallery:
         )
         model = ProjectionModel.identity(2)
         # equal vectors: image_id alone orders the ranking
-        scores = score_groups(model, EmbeddingTable.of([query]), [group])
+        scores = score_groups(model, EmbeddingTable.of([query]), group, ["male"])
         id_rank = np.argsort(np.argsort(scores.image_ids))
-        image_ids, _ = selector._ranking(group.name, query.image_id, query.identity_id,
+        image_ids, _ = selector._ranking("male", query.image_id, query.identity_id,
                                          scores.sims[0], scores, scores.members[0], id_rank)
-        assert image_ids.tolist() == sorted(member_ids(group))
+        assert image_ids.tolist() == sorted(member_ids(group, "male"))
         assert len(image_ids) == len(members)
         # given similarities, signed zeros among them: -0.0 and 0.0 tie
         sims = np.array([sim for _, sim in members])
-        image_ids, similarities = selector._ranking(group.name, query.image_id,
+        image_ids, similarities = selector._ranking("male", query.image_id,
                                                     query.identity_id, sims, scores,
                                                     scores.members[0], id_rank)
-        oracle = sorted(zip(sims.tolist(), member_ids(group)), key=lambda p: (-p[0], p[1]))
+        oracle = sorted(zip(sims.tolist(), member_ids(group, "male")),
+                        key=lambda p: (-p[0], p[1]))
         assert list(zip(similarities.tolist(), image_ids.tolist())) == oracle
 
     @settings(max_examples=25, deadline=None)
@@ -381,17 +378,17 @@ class TestGallery:
             for i, r in enumerate(pool)
         ]
         groups = build_groups(pool)
-        chosen = [groups[n] for n in names[:n_groups]]
+        chosen = names[:n_groups]
         # the gallery holds the chosen groups' rows in table (pool) order
-        in_chosen = set(np.concatenate([g.rows for g in chosen]).tolist())
+        in_chosen = set(np.concatenate([groups.rows[n] for n in chosen]).tolist())
         flat = [r.image_id for i, r in enumerate(pool)
                 if i in in_chosen and not project(model, r.vector).any()]
         queries = EmbeddingTable.of([labeled("q", np.ones(4), "male", "young")])
         if not flat:  # no chosen group holds a zero row
-            score_groups(model, queries, chosen)
+            score_groups(model, queries, groups, chosen)
         else:
             with pytest.raises(DegenerateVectorError) as info:
-                score_groups(model, queries, chosen)
+                score_groups(model, queries, groups, chosen)
             assert str(info.value) == f"projection of record '{flat[0]}' has zero norm"
 
 
@@ -409,14 +406,13 @@ class TestClassifyQuery:
 
     def test_tie_breaks_lexicographically(self):
         members = tuple(labeled(f"m{i}", [1.0, float(i)], "male", "young") for i in range(3))
-        # four groups of the same members, "alpha" neither first nor last
-        names = ("bravo", "alpha", "delta", "charlie")
-        built = make_groups({name: members for name in names})
-        groups = {key: built[name] for key, name in zip(attributes.INTERSECTION_GROUPS, names)}
+        # eight groups of the same members, "female" neither first nor last in ALL_GROUPS
+        groups = make_groups({name: members for name in attributes.ALL_GROUPS})
         query = labeled("q", [1.0, 1.0], "male", "young")
         [(rec, _)] = selector.recommend_batch(ProjectionModel.identity(2),
-                                              EmbeddingTable.of([query]), groups)
-        assert rec.selected_group == "alpha"
+                                              EmbeddingTable.of([query]), groups,
+                                              group_mode="all")
+        assert rec.selected_group == "female"
 
     @settings(max_examples=50, deadline=None)
     @given(st.permutations(attributes.ALL_GROUPS), st.integers(0, 2**32 - 1))
@@ -433,7 +429,7 @@ class TestClassifyQuery:
         scaled_groups = make_groups({
             n: tuple(
                 labeled(m.image_id, 3.5 * m.vector, m.gender, m.age_group)
-                for m in member_records(groups[n])
+                for m in member_records(groups, n)
             )
             for n in attributes.INTERSECTION_GROUPS
         })
@@ -546,7 +542,7 @@ class TestEvaluateClassification:
     def test_report_needs_each_task_group_in_the_table(self, clustered):
         groups = build_groups(list(clustered.candidates))
         queries = clustered.queries
-        scores = score_groups(ProjectionModel.identity(16), queries, [groups["female"]])
+        scores = score_groups(ProjectionModel.identity(16), queries, groups, ["female"])
         with pytest.raises(ValidationError, match="gender"):
             attributes.classification_report("gender", queries, ["female"], scores.upper)
 

@@ -178,13 +178,13 @@ class TestPipeline:
         """synth, split, train, eval-triplets and ingest read or fill the table's columns and
         matrix only."""
         built = []
-        post_init = corpus.EmbeddingRecord.__post_init__
+        init = corpus.EmbeddingRecord.__init__
 
-        def counting(record):
+        def counting(record, *args, **kwargs):
+            init(record, *args, **kwargs)
             built.append(record.image_id)
-            post_init(record)
 
-        monkeypatch.setattr(corpus.EmbeddingRecord, "__post_init__", counting)
+        monkeypatch.setattr(corpus.EmbeddingRecord, "__init__", counting)
         part, model = str(tmp_path / "p.json"), str(tmp_path / "m.json")
         for argv in (
             ["split", *corpus_args(planted_dir), "--mode", "i", "--out", part],
@@ -300,7 +300,7 @@ class TestPipeline:
         for row in rows:
             # the pair scored on its own: one query, one group
             one = queries.take([queries.row(row["query_id"])])
-            r = attributes.score_groups(model, one, [groups[row["group"]]], use_t=use_t)
+            r = attributes.score_groups(model, one, groups, [row["group"]], use_t=use_t)
             assert (int(row["n"]), float(row["mean_d"]), float(row["sd_d"]),
                     float(row["upper"])) == (r.n[0, 0], r.mean[0, 0], r.sd[0, 0], r.upper[0, 0])
 
@@ -341,13 +341,13 @@ class TestPipeline:
         """eval-attributes and select work on the rows of the candidates' and the
         queries' tables, and build no records."""
         built = []
-        post_init = corpus.EmbeddingRecord.__post_init__
+        init = corpus.EmbeddingRecord.__init__
 
-        def counting(record):
+        def counting(record, *args, **kwargs):
+            init(record, *args, **kwargs)
             built.append(record.image_id)
-            post_init(record)
 
-        monkeypatch.setattr(corpus.EmbeddingRecord, "__post_init__", counting)
+        monkeypatch.setattr(corpus.EmbeddingRecord, "__init__", counting)
         model = tmp_path / "identity.json"
         ProjectionModel.identity(8).save(model)
         inputs = ["--model", str(model), "--candidates", str(clustered_dir / "candidates.csv")]
@@ -817,6 +817,54 @@ class TestExitCodes:
                         "--epochs", "1", "--out", str(tmp_path / "m.json")])
         assert code == 3
         assert "dimension" in capsys.readouterr().err
+
+    def test_split_of_no_admitted_triplet_is_5(self, planted_dir, tmp_path, capsys):
+        # three annotators vote on each planted triplet, so none reaches four votes
+        code = cli.run(["split", *corpus_args(planted_dir), "--mode", "i", "--min-votes", "4",
+                        "--out", str(tmp_path / "p.json")])
+        assert (code, capsys.readouterr().err) == (5, "error: no admitted samples to split\n")
+
+    def test_unknown_query_id_is_3(self, clustered_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        ProjectionModel.identity(8).save(model)
+        queries = clustered_dir / "queries.csv"
+        code = cli.run(["select", "--model", str(model),
+                        "--candidates", str(clustered_dir / "candidates.csv"),
+                        "--query", str(queries), "--query-id", "nope",
+                        "--out", str(tmp_path / "s.json")])
+        assert (code, capsys.readouterr().err) == (
+            3, f"error: query_id 'nope' not found in {queries}\n"
+        )
+
+    def test_model_weight_beyond_float_range_is_3(self, clustered_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        ProjectionModel.identity(8).save(model)
+        payload = json.loads(model.read_text())
+        payload["weight"][0] = 10 ** 400  # JSON holds it; float64 cannot
+        model.write_text(json.dumps(payload))
+        code = cli.run(["eval-attributes", "--model", str(model),
+                        "--candidates", str(clustered_dir / "candidates.csv"),
+                        "--queries", str(clustered_dir / "queries.csv"),
+                        "--report", str(tmp_path / "r.json")])
+        assert (code, capsys.readouterr().err) == (
+            3, f"error: model file {model}: weight must be a list of numbers"
+               " (int too large to convert to float)\n"
+        )
+
+    def test_four_way_query_of_unknown_gender_is_3(self, clustered_dir, tmp_path, capsys):
+        model, queries = tmp_path / "model.json", tmp_path / "queries.csv"
+        ProjectionModel.identity(8).save(model)
+        lines = (clustered_dir / "queries.csv").read_text().splitlines(keepends=True)
+        assert lines[1].startswith("query_0000,qid_0000,target,,male,young,")
+        lines[1] = lines[1].replace(",male,young,", ",,young,", 1)
+        queries.write_text("".join(lines))
+        code = cli.run(["eval-attributes", "--model", str(model),
+                        "--candidates", str(clustered_dir / "candidates.csv"),
+                        "--queries", str(queries), "--task", "four-way",
+                        "--report", str(tmp_path / "r.json")])
+        assert (code, capsys.readouterr().err) == (
+            3, "error: cannot derive group from (young, unknown)\n"
+        )
 
     def test_infeasible_split_is_5(self, tmp_path, capsys):
         # a single distinct target makes source-knowledge splitting impossible

@@ -157,6 +157,18 @@ class TestLoadEmbeddings:
         record = table[first]
         assert record == record and table[first] != table[first] != table[second]
 
+    @pytest.mark.parametrize("labels, message", [
+        ({"role": "bogus"}, "record 'r1': unknown role 'bogus'"),
+        ({"gender": "other"}, "record 'r1': unknown gender 'other'"),
+        ({"target_id": None}, "swapped record 'r1' is missing target_id"),
+    ])
+    def test_an_invalid_record_is_refused_where_it_enters_a_table(self, labels, message):
+        record = make_record("r0", [1.0, 0.0])
+        bad = dataclasses.replace(make_record("r1", [0.0, 1.0]), **labels)
+        with pytest.raises(ValidationError) as info:
+            corpus.EmbeddingTable.of([record, bad])
+        assert (str(info.value), info.value.row) == (message, 1)
+
 
 LABELS = {"role": ("target", "source", "swapped"), "gender": ("male", "female", "unknown", ""),
           "age_group": ("young", "older", "unknown", "")}
@@ -455,6 +467,37 @@ class TestSplitEval:
             test=partition.test + [partition.train[0]],
         )
         assert corpus.audit_partition(triplets, triplets.table, bad) != []
+
+
+def _two_target_triplets():
+    """Triplets x1 (target t1, sources s1-s3) and x2 (target t2, sources s4-s6)."""
+    rng = np.random.default_rng(3)
+    records = [make_record(f"{image}{x}", rng.normal(size=3), identity_id=f"s{3 * x - 3 + k}",
+                           target_id=f"t{x}")
+               for x in (1, 2) for k, image in enumerate("abc", start=1)]
+    manifest = {f"x{x}": (f"a{x}", f"b{x}", f"c{x}") for x in (1, 2)}
+    return make_triplets(corpus.EmbeddingTable.of(records), manifest, {"x1": "AAA", "x2": "AAA"})
+
+
+@pytest.mark.parametrize("mode, violation", [
+    ("ii", "test triplet 'x2' has sources unseen in train"),
+    ("iii", "test triplet 'x2' target 't2' not in train"),
+    ("iv", "unknown mode 'iv'"),
+])
+def test_audit_names_each_mode_rule_a_partition_breaks(mode, violation):
+    triplets = _two_target_triplets()
+    partition = corpus.DatasetPartition(mode, 0, (0.5, 0.0, 0.5), ["x1"], [], ["x2"])
+    assert corpus.audit_partition(triplets, triplets.table, partition) == [violation]
+
+
+def test_split_refuses_triplets_that_are_not_swaps_onto_one_target():
+    triplets = _two_target_triplets()
+    crossed = make_triplets(triplets.table, {"x1": ("a1", "b1", "c2"), "x2": ("a2", "b2", "c2")},
+                            {"x1": "AAA", "x2": "AAA"})
+    with pytest.raises(IntegrityError) as info:
+        corpus.split_eval(crossed, "i")
+    assert str(info.value) == ("triplet 'x1' must reference swapped records sharing one"
+                               " target_id, got targets ['t1', 't2']")
 
 
 @pytest.mark.parametrize("seed", [1, 7919])

@@ -669,6 +669,26 @@ def test_block_parser_logs_why_it_defers(tmp_path, caplog, text, reason):
     assert [(str(path) in m and reason in m) for m in caplog.messages] == [True]
 
 
+def test_a_nul_in_a_label_is_left_to_the_csv_module(tmp_path, caplog):
+    """`csv` refuses a NUL on Python 3.10 and takes it on later versions; the block
+    parser defers, so the load is the per-cell parser's on every version."""
+    path = tmp_path / "emb.csv"
+    path.write_text(f"{_HEADER},v0\ns\0t,i,source,,,,1\nu,i,source,,,,2\n", encoding="utf-8")
+    with caplog.at_level(logging.DEBUG, logger="facesim.corpus"):
+        assert corpus._parse_embedding_block(path) is None
+    assert caplog.messages == [f"{path}: parsing cell by cell: a NUL in a label, which csv decides"]
+    try:
+        _, columns, matrix = corpus._parse_embeddings_per_cell(path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as info:
+            corpus.load_embeddings(path)
+        assert str(info.value) == str(exc)
+        return
+    table = corpus.load_embeddings(path)
+    assert table.image_ids == columns[0] == ("s\0t", "u")
+    assert table.matrix.tobytes() == matrix.tobytes()
+
+
 def _rows_csv(cells, newline="\n"):
     """An embedding CSV of one row per entry of `cells`, each that row's vector text."""
     header = ",".join(corpus.EMBEDDING_FIXED_COLUMNS + ["v0", "v1"])
@@ -1140,6 +1160,25 @@ def test_write_table_writes_what_the_csv_writer_and_repr_write(
 def test_write_table_refuses_columns_of_unequal_length(tmp_path, labels, cells):
     with pytest.raises(ValueError):
         corpus.write_table(tmp_path / "t.csv", ["l", "v0"], [labels, np.zeros((cells, 1))])
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("columns", [
+    [["x", "", None, "y", 0]],
+    [[""]],
+    [["x", "", None, "y", 0], ["", "", "b", None, ""]],
+], ids=["one-column", "one-empty-field", "two-columns"])
+def test_write_table_of_labels_only_keeps_its_empty_fields(tmp_path, columns):
+    """A row of one empty field is `""`, as `csv` writes it, and not a blank line, which
+    `read_csv` skips."""
+    path = tmp_path / "t.csv"
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = [list(row) for row in zip(*columns)]
+    corpus.write_table(path, header, columns)
+    assert path.read_bytes().decode("utf-8") == "".join(_csv_module_lines([header, *rows]))
+    assert corpus.read_csv(path)[::2] == (
+        header, [["" if field is None else str(field) for field in row] for row in rows]
+    )
 
 
 def test_save_embeddings_writes_cells_outside_the_fixed_range_with_repr(tmp_path, caplog):

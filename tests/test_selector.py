@@ -20,6 +20,10 @@ def candidate(image_id, vector, identity_id=None, gender="male", age_group="youn
     )
 
 
+# the name of every group a test here builds on its own
+GROUP = "young_male"
+
+
 @pytest.fixture()
 def simple_group():
     # similarities to query [1, 0]: 0.9-ish ordering by construction
@@ -28,19 +32,19 @@ def simple_group():
         candidate("mid", [1.0, 1.0]),
         candidate("low", [-0.5, 1.0]),
     )
-    return make_group("young_male", members)
+    return make_group(GROUP, members)
 
 
 QUERY = make_record("query", [1.0, 0.0], identity_id="query_identity", role="target",
                     target_id=None, gender="male", age_group="young")
 
 
-def rank(model, query, group):
-    """The group's full ranking for the query, as `recommend_batch` ranks a selected group:
-    (image_id, similarity) pairs, most similar first."""
-    scores = score_groups(model, EmbeddingTable.of([query]), [group])
+def rank(model, query, groups):
+    """Group `GROUP`'s full ranking for the query, as `recommend_batch` ranks a selected
+    group: (image_id, similarity) pairs, most similar first."""
+    scores = score_groups(model, EmbeddingTable.of([query]), groups, [GROUP])
     image_ids, similarities = selector._ranking(
-        group.name, query.image_id, query.identity_id, scores.sims[0], scores,
+        GROUP, query.image_id, query.identity_id, scores.sims[0], scores,
         scores.members[0], np.argsort(np.argsort(scores.image_ids)),
     )
     return list(zip(image_ids.tolist(), similarities.tolist()))
@@ -50,10 +54,10 @@ def ids(ranking):
     return [image_id for image_id, _ in ranking]
 
 
-def oracle_rank(model, query, group):
-    """The group's full ranking for the query, by the per-candidate oracle."""
-    scores = score_groups(model, EmbeddingTable.of([query]), [group])
-    return scalar_oracle.rank(group.name, query, scores.sims[0], scores, scores.members[0])
+def oracle_rank(model, query, groups, name):
+    """Group `name`'s full ranking for the query, by the per-candidate oracle."""
+    scores = score_groups(model, EmbeddingTable.of([query]), groups, [name])
+    return scalar_oracle.rank(name, query, scores.sims[0], scores, scores.members[0])
 
 
 def as_arrays(ranking):
@@ -68,7 +72,7 @@ class TestRankCandidates:
 
     def test_equal_similarity_ordered_by_image_id(self):
         group = make_group(
-            "young_male",
+            GROUP,
             (candidate("zeta", [0.0, 1.0]), candidate("alpha", [0.0, 2.0])),
         )
         ranking = rank(ProjectionModel.identity(2), QUERY, group)
@@ -80,7 +84,7 @@ class TestRankCandidates:
         members = tuple(
             candidate(f"m{i:03d}", rng.normal(size=8)) for i in range(100)
         )
-        group = make_group("young_male", members)
+        group = make_group(GROUP, members)
         query = make_record("q", rng.normal(size=8), role="target", target_id=None)
         ranking = rank(model, query, group)
         oracle = sorted(
@@ -101,7 +105,7 @@ class TestRankCandidates:
             query = make_record("q", rng.normal(size=dim), role="target", target_id=None)
             q = project(model, query.vector)
             oracle = {m.image_id: cosine(q, project(model, m.vector)) for m in members}
-            ranking = rank(model, query, make_group("young_male", members))
+            ranking = rank(model, query, make_group(GROUP, members))
             assert len(ranking) == len(members)
             for image_id, similarity in ranking:
                 assert similarity == pytest.approx(oracle[image_id], abs=1e-12)
@@ -109,14 +113,14 @@ class TestRankCandidates:
     def test_zero_projection_member_is_named(self):
         model = ProjectionModel(np.array([[1.0, 0.0], [0.0, 0.0]]))
         group = make_group(
-            "young_male", (candidate("fine", [1.0, 1.0]), candidate("flat", [0.0, 2.0]))
+            GROUP, (candidate("fine", [1.0, 1.0]), candidate("flat", [0.0, 2.0]))
         )
         with pytest.raises(DegenerateVectorError, match="flat"):
             rank(model, QUERY, group)
 
     def test_query_and_identity_excluded(self):
         group = make_group(
-            "young_male",
+            GROUP,
             (
                 candidate("query", [1.0, 0.0]),
                 candidate("twin", [1.0, 0.0], identity_id="query_identity"),
@@ -127,16 +131,16 @@ class TestRankCandidates:
         assert ids(ranking) == ["ok"]
 
     def test_all_excluded_raises(self):
-        group = make_group("young_male", (candidate("query", [1.0, 0.0]),))
+        group = make_group(GROUP, (candidate("query", [1.0, 0.0]),))
         with pytest.raises(ValidationError):
             rank(ProjectionModel.identity(2), QUERY, group)
 
     def test_scale_invariant(self, simple_group):
         scaled = make_group(
-            simple_group.name,
+            GROUP,
             tuple(
                 candidate(m.image_id, 7.0 * m.vector, identity_id=m.identity_id)
-                for m in member_records(simple_group)
+                for m in member_records(simple_group, GROUP)
             ),
         )
         model = ProjectionModel.identity(2)
@@ -179,9 +183,8 @@ class TestRecommend:
         sims = [c.similarity for c in rec.candidates]
         assert sims == sorted(sims)
         # exhaustive-scan check of the minimum
-        group = groups[rec.selected_group]
         eligible = [
-            m for m in member_records(group)
+            m for m in member_records(groups, rec.selected_group)
             if m.image_id != q.image_id and m.identity_id != q.identity_id
         ]
         best = min(similarity_score(model, q, m) for m in eligible)
@@ -191,7 +194,7 @@ class TestRecommend:
     def _groups_with(simple_group):
         far = (candidate("far_a", [-1.0, 0.1]), candidate("far_b", [-1.0, -0.1]))
         members = {name: far for name in attributes.INTERSECTION_GROUPS}
-        members[simple_group.name] = member_records(simple_group)
+        members[GROUP] = member_records(simple_group, GROUP)
         return make_groups(members)
 
     def test_k_clamps_to_group_size(self, simple_group):
@@ -215,7 +218,7 @@ class TestRecommend:
             assert rec == selector.recommend(model, q, groups, k=3, group_mode="all")
             image_ids, sims = ranking
             assert (image_ids.tolist(), sims.tolist()) == as_arrays(
-                oracle_rank(model, q, groups[rec.selected_group])
+                oracle_rank(model, q, groups, rec.selected_group)
             )
 
     def test_all_groups_tied_select_first_name(self):
@@ -241,7 +244,7 @@ class TestRecommend:
             # the scalar oracle: least CI upper bound over the intersections, ties by name
             closest = min(
                 (summarize_distances(name, [1.0 - similarity_score(model, q, m)
-                                            for m in member_records(groups[name])
+                                            for m in member_records(groups, name)
                                             if m.image_id != q.image_id]).upper, name)
                 for name in attributes.INTERSECTION_GROUPS
             )
@@ -288,8 +291,8 @@ def test_array_ranking_equals_the_per_candidate_oracle(members, query_in_group):
         candidate(image_id, [1.0, 0.5], identity_id="query_identity" if twin else None)
         for image_id, twin, _ in members
     ] + ([candidate("query", [1.0, 0.0])] if query_in_group else [])
-    group = make_group("young_male", records)
-    scores = score_groups(ProjectionModel.identity(2), EmbeddingTable.of([QUERY]), [group])
+    group = make_group(GROUP, records)
+    scores = score_groups(ProjectionModel.identity(2), EmbeddingTable.of([QUERY]), group, [GROUP])
     rows = scores.members[0]
     sims = np.zeros(len(scores.image_ids))
     sims[rows] = [sim for _, _, sim in members] + [0.5] * query_in_group
