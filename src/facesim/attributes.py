@@ -170,10 +170,11 @@ def score_groups(
 ) -> Scores:
     """Each query's similarity to each member and its distance to each of the named groups.
 
-    At least one group is named, none of them empty, and the model must map
-    vectors of both tables' width. The distinct rows of the named groups are
-    projected first, then the queries, each once. Cosines are row-local, so an
-    entry does not depend on the other queries, groups or rows in the call.
+    At least one group is named, each in `groups` and none of them empty, and
+    the model must map vectors of both tables' width. The distinct rows of the
+    named groups are projected first, then the queries, each once. Cosines are
+    row-local, so an entry does not depend on the other queries, groups or rows
+    in the call.
 
     A distance is the mean member distance plus a 95% CI upper bound on that
     mean; a query never measures its own image. The statistics are
@@ -187,10 +188,12 @@ def score_groups(
     """
     if not names:
         raise ValidationError("scoring needs attribute groups, none named")
-    table, group_rows = groups.table, [groups.rows[name] for name in names]
-    for name, member_rows in zip(names, group_rows):
-        if not len(member_rows):
+    for name in names:
+        if name not in groups.rows:
+            raise ValidationError(f"unknown attribute group '{name}'")
+        if not len(groups.rows[name]):
             raise ValidationError(f"attribute group '{name}' is empty")
+    table, group_rows = groups.table, [groups.rows[name] for name in names]
     check_dimension(model, table)
     check_dimension(model, queries)
 

@@ -15,7 +15,6 @@ import logging
 import os
 import random
 import stat
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -505,8 +504,6 @@ def _vector_block(texts: List[bytes], dim: int) -> np.ndarray:
     """The (len(texts), dim) float64 matrix of vector texts, as `float` reads each cell.
 
     Raises ValueError, saying why, for a block this does not take as it is.
-    Text numpy does not parse raises a ValueError, or, in numpy before 2.0,
-    the DeprecationWarning that `_parse_embedding_block` makes an error.
     """
     # `fromstring` skips whitespace before a separator, so "\n" may mark where
     # each row ends, and one pass checks every row's bytes and commas
@@ -517,7 +514,7 @@ def _vector_block(texts: List[bytes], dim: int) -> np.ndarray:
                          else "a row whose width is not the header's")
     try:
         values = np.fromstring(block, dtype=np.longdouble, sep=",")
-    except (DeprecationWarning, ValueError):
+    except ValueError:
         values = None
     if values is None or values.size != len(texts) * dim:
         raise ValueError("text numpy does not parse")
@@ -842,9 +839,8 @@ def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
     that does not end a line, a row of fewer than seven fields, a field over
     `csv.field_size_limit()`, no vector text, a byte that is not in a decimal
     number or a comma, a row whose width is not the header's or whose last
-    vector cell is empty, text numpy does not parse, or a NUL in a label
-    (which `csv` rejects on Python 3.10 only), or one whose lines changed in
-    number while it was read. Any other error is raised.
+    vector cell is empty, text numpy does not parse, or one whose lines
+    changed in number while it was read. Any other error is raised.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at the top: ~7 ms to import
 
@@ -866,10 +862,7 @@ def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
             def parse(row: int, texts: List[bytes]) -> None:
                 matrix[row:row + len(texts)] = _vector_block(texts, dim)
 
-            with warnings.catch_warnings(), ThreadPoolExecutor(max(1, _CPUS - 1)) as pool:
-                # older numpy warns on unparsable text and returns what it read; the
-                # filters are the process's, so this holds in every thread
-                warnings.simplefilter("error", DeprecationWarning)
+            with ThreadPoolExecutor(max(1, _CPUS - 1)) as pool:
                 parsing = deque()  # the pool's blocks, in file order
                 try:
                     for texts in _vector_texts(fh, dim, fields):
@@ -888,11 +881,8 @@ def _parse_embedding_block(path) -> Optional[ParsedEmbeddings]:
                         future.result()
         if len(fields) != len(matrix):
             raise ValueError("the file changed while it was read")
-        labels = b",".join(fields)
-        if b"\0" in labels:
-            raise ValueError("a NUL in a label, which csv decides")
         # one decode checks every label's UTF-8; no label holds a comma
-        cells = labels.decode().split(",") if fields else []
+        cells = b",".join(fields).decode().split(",") if fields else []
         columns = tuple(tuple(cells[k::len(EMBEDDING_FIXED_COLUMNS)])
                         for k in range(len(EMBEDDING_FIXED_COLUMNS)))
     except (FormatError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
@@ -1006,10 +996,10 @@ def _codes(values: Sequence) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
 
-def _known(rows: np.ndarray, ids: Sequence[Sequence[str]], by_role: bool) -> np.ndarray:
+def _known(rows: np.ndarray, ids: Sequence[Sequence[str]]) -> np.ndarray:
     """`rows`, a (3, n) array of table rows, if none is -1; else IntegrityError naming
-    the first unknown image of `ids`, the three roles' ids, role or triplet first."""
-    unknown = np.argwhere(rows < 0) if by_role else np.argwhere(rows.T < 0)[:, ::-1]
+    the first unknown image of `ids`, the three roles' ids, role by role."""
+    unknown = np.argwhere(rows < 0)
     if unknown.size:
         raise IntegrityError(f"unknown image_id '{ids[unknown[0, 0]][unknown[0, 1]]}'")
     return rows
@@ -1064,12 +1054,11 @@ class TripletTable:
         ref, a, b = self.rows
         won_a = self.majority == 1
         return _known(np.stack([ref, np.where(won_a, a, b), np.where(won_a, b, a)]),
-                      self.role_ids(), by_role=True)
+                      self.role_ids())
 
     def known_rows(self) -> np.ndarray:
-        """`rows`, or IntegrityError naming the first unknown image, triplet by triplet."""
-        return _known(self.rows, (self.ref_ids, self.option_a_ids, self.option_b_ids),
-                      by_role=False)
+        """`rows`, or IntegrityError naming the first unknown image, role by role."""
+        return _known(self.rows, (self.ref_ids, self.option_a_ids, self.option_b_ids))
 
     def gather(self) -> np.ndarray:
         """The (3, n, d) reference, chosen and other vectors, with one index."""

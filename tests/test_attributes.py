@@ -315,6 +315,13 @@ class TestGallery:
         with pytest.raises(ValidationError, match="needs attribute groups"):
             score_groups(ProjectionModel.identity(6), queries, build_groups(labeled_pool), [])
 
+    def test_scoring_refuses_a_group_name_its_groups_lack(self, labeled_pool):
+        queries = EmbeddingTable.of([labeled("q", np.arange(1.0, 7.0), "male", "young")])
+        with pytest.raises(ValidationError) as info:
+            score_groups(ProjectionModel.identity(6), queries, build_groups(labeled_pool),
+                         ["male", "men"])
+        assert str(info.value) == "unknown attribute group 'men'"
+
     def test_union_rows_are_its_intersections_rows(self, labeled_pool):
         groups = build_groups(labeled_pool)
         query = labeled("q", np.arange(1.0, 7.0), "male", "young")

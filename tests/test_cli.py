@@ -851,31 +851,62 @@ class TestExitCodes:
                " (int too large to convert to float)\n"
         )
 
-    def test_four_way_query_of_unknown_gender_is_3(self, clustered_dir, tmp_path, capsys):
+    @staticmethod
+    def _eval_attributes_of_a_query_of_unknown_gender(clustered_dir, tmp_path, task):
+        """`eval-attributes --task task` where the first query's gender is empty; the
+        exit code."""
         model, queries = tmp_path / "model.json", tmp_path / "queries.csv"
         ProjectionModel.identity(8).save(model)
         lines = (clustered_dir / "queries.csv").read_text().splitlines(keepends=True)
         assert lines[1].startswith("query_0000,qid_0000,target,,male,young,")
         lines[1] = lines[1].replace(",male,young,", ",,young,", 1)
         queries.write_text("".join(lines))
-        code = cli.run(["eval-attributes", "--model", str(model),
+        return cli.run(["eval-attributes", "--model", str(model),
                         "--candidates", str(clustered_dir / "candidates.csv"),
-                        "--queries", str(queries), "--task", "four-way",
+                        "--queries", str(queries), "--task", task,
                         "--report", str(tmp_path / "r.json")])
+
+    def test_four_way_query_of_unknown_gender_is_3(self, clustered_dir, tmp_path, capsys):
+        code = self._eval_attributes_of_a_query_of_unknown_gender(clustered_dir, tmp_path,
+                                                                  "four-way")
         assert (code, capsys.readouterr().err) == (
             3, "error: cannot derive group from (young, unknown)\n"
         )
 
-    def test_infeasible_split_is_5(self, tmp_path, capsys):
+    def test_gender_query_of_unknown_gender_is_3(self, clustered_dir, tmp_path, capsys):
+        code = self._eval_attributes_of_a_query_of_unknown_gender(clustered_dir, tmp_path,
+                                                                  "gender")
+        assert (code, capsys.readouterr().err) == (
+            3, "error: query 'query_0000' has no gender label\n"
+        )
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("annotator,triplet_id,choice,is_dummy,dummy_answer\n",
+         "header must be annotator_id,triplet_id,choice,is_dummy,dummy_answer"),
+    ], ids=["empty", "wrong-header"])
+    def test_validate_of_an_annotations_file_without_its_header_is_3(self, tmp_path, capsys,
+                                                                      text, message):
+        path = tmp_path / "annotations.csv"
+        path.write_text(text, encoding="utf-8")
+        code = cli.run(["validate", "--annotations", str(path)])
+        assert (code, capsys.readouterr().err) == (3, f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("mode, message", [
+        ("i", "mode [i]: not enough distinct targets to populate a train split"),
+        ("ii", "mode [ii]: not enough distinct targets to populate a train split"),
+        ("iii", "mode [iii]: corpus has a single target; the sole target cannot be both"
+                " held out and present in training"),
+    ])
+    def test_infeasible_split_is_5(self, tmp_path, capsys, mode, message):
         # a single distinct target makes source-knowledge splitting impossible
         single = tmp_path / "single"
         c = synth.planted(seed=2, n_triplets=20, dim=8, data_subspace=6,
                           truth_rank=2, n_targets=1)
         c.write(single)
-        code = cli.run(["split", *corpus_args(single), "--mode", "iii",
+        code = cli.run(["split", *corpus_args(single), "--mode", mode,
                         "--out", str(tmp_path / "p.json")])
-        assert code == 5
-        assert "error:" in capsys.readouterr().err
+        assert (code, capsys.readouterr().err) == (5, f"error: {message}\n")
 
 
 @pytest.fixture(scope="module")

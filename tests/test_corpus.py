@@ -169,6 +169,12 @@ class TestLoadEmbeddings:
             corpus.EmbeddingTable.of([record, bad])
         assert (str(info.value), info.value.row) == (message, 1)
 
+    def test_records_of_two_widths_are_refused(self):
+        records = [make_record("r0", [1.0, 0.0]), make_record("r1", [1.0, 0.0, 0.0])]
+        with pytest.raises(ValidationError) as info:
+            corpus.EmbeddingTable.of(records)
+        assert str(info.value) == "record vectors must all have one dimension"
+
 
 LABELS = {"role": ("target", "source", "swapped"), "gender": ("male", "female", "unknown", ""),
           "age_group": ("young", "older", "unknown", "")}

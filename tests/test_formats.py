@@ -669,24 +669,15 @@ def test_block_parser_logs_why_it_defers(tmp_path, caplog, text, reason):
     assert [(str(path) in m and reason in m) for m in caplog.messages] == [True]
 
 
-def test_a_nul_in_a_label_is_left_to_the_csv_module(tmp_path, caplog):
-    """`csv` refuses a NUL on Python 3.10 and takes it on later versions; the block
-    parser defers, so the load is the per-cell parser's on every version."""
+def test_a_nul_in_a_label_is_read_as_the_csv_module_reads_it(tmp_path, caplog):
+    """`csv` reads a NUL as any other byte, and so does the block parser: it defers
+    nothing, and gives the per-cell parser's columns and matrix."""
     path = tmp_path / "emb.csv"
     path.write_text(f"{_HEADER},v0\ns\0t,i,source,,,,1\nu,i,source,,,,2\n", encoding="utf-8")
     with caplog.at_level(logging.DEBUG, logger="facesim.corpus"):
-        assert corpus._parse_embedding_block(path) is None
-    assert caplog.messages == [f"{path}: parsing cell by cell: a NUL in a label, which csv decides"]
-    try:
-        _, columns, matrix = corpus._parse_embeddings_per_cell(path)
-    except FormatError as exc:
-        with pytest.raises(FormatError) as info:
-            corpus.load_embeddings(path)
-        assert str(info.value) == str(exc)
-        return
-    table = corpus.load_embeddings(path)
-    assert table.image_ids == columns[0] == ("s\0t", "u")
-    assert table.matrix.tobytes() == matrix.tobytes()
+        block = corpus._parse_embedding_block(path)
+    assert caplog.messages == [] and block[1][0] == ("s\0t", "u")
+    _assert_same_parse(block, corpus._parse_embeddings_per_cell(path))
 
 
 def _rows_csv(cells, newline="\n"):
@@ -799,24 +790,35 @@ def test_other_errors_of_a_range_thread_reach_the_caller(tmp_path, monkeypatch, 
     assert raised.value is error and threading.active_count() == threads
 
 
-def test_numpy_deprecation_warnings_are_errors_in_range_threads(tmp_path, monkeypatch, caplog):
-    """numpy before 2.0 warns on text it does not parse and returns what it read: the
-    filter that makes that warning an error holds in the parser threads too."""
+def test_a_load_leaves_the_warning_filters_of_other_threads_alone(tmp_path, monkeypatch):
+    """A load changes no process-wide state: a thread that warns under an `ignore` filter
+    all through threaded loads raises nothing, and the filters are the same list after."""
     path = tmp_path / "emb.csv"
-    path.write_bytes(_rows_csv([f"{i}.5,1" for i in range(40)]))
+    path.write_bytes(_rows_csv([f"{i}.5,1" for i in range(400)]))
     _in_threads(monkeypatch, 4, block_cells=4)
-    fromstring = np.fromstring
+    raised, loaded = [], threading.Event()
 
-    def warning_off_the_main_thread(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            warnings.warn("string or file could not be read to its end", DeprecationWarning)
-        return fromstring(*args, **kwargs)
+    def warn_until_loaded():
+        while not loaded.is_set():
+            try:
+                warnings.warn("a warning of another thread", DeprecationWarning)
+            except DeprecationWarning as exc:
+                raised.append(exc)
+                return
 
-    monkeypatch.setattr(np, "fromstring", warning_off_the_main_thread)
-    with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="facesim.corpus"):
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)
-        assert corpus._parse_embedding_block(path) is None
-    assert ["does not parse" in m for m in caplog.messages] == [True]
+        filters = list(warnings.filters)
+        warner = threading.Thread(target=warn_until_loaded)
+        warner.start()
+        try:
+            for _ in range(5):
+                corpus.load_embeddings(path)
+        finally:
+            loaded.set()
+            warner.join()
+        assert warnings.filters == filters
+    assert raised == []
 
 
 def test_a_load_starts_at_most_one_thread_per_cpu(tmp_path, monkeypatch):

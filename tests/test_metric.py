@@ -198,6 +198,12 @@ def test_model_load_rejects_unknown_version(tmp_path, version):
         ProjectionModel.load(path)
 
 
+def test_model_rejects_a_weight_that_is_not_square():
+    with pytest.raises(ValidationError) as info:
+        ProjectionModel(np.zeros((2, 3)))
+    assert str(info.value) == "projection weight must be square, got shape (2, 3)"
+
+
 def test_model_rejects_nonfinite_weight():
     with pytest.raises(ValidationError):
         ProjectionModel(np.array([[1.0, float("nan")], [0.0, 1.0]]))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from facesim import corpus, evaluator, trainer
-from facesim.errors import DivergenceError, ValidationError
+from facesim.errors import DegenerateVectorError, DivergenceError, ValidationError
 from facesim.metric import ProjectionModel
 
 from conftest import make_record, make_triplets, vectors
@@ -159,6 +159,14 @@ class TestGradients:
         losses, grad = trainer.batch_loss_and_gradient(np.eye(2), triplets.gather(), 0.1)
         assert losses.mean() == 0.0
         np.testing.assert_array_equal(grad, np.zeros((2, 2)))
+
+    def test_a_zero_weight_is_refused(self):
+        triplets = build_triplet_corpus(
+            [([1.0, 0.0], [1.0, 0.1], [0.0, 1.0])], ["A"], dim=2
+        )
+        with pytest.raises(DegenerateVectorError) as info:
+            trainer.batch_loss_and_gradient(np.zeros((2, 2)), triplets.gather(), 0.1)
+        assert str(info.value) == "projected vector has zero norm"
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -392,6 +400,13 @@ class TestTrain:
         assert history.active_fraction == oracle.active_fraction
         # repr, so that the nan of a run without validation compares equal
         assert list(map(repr, history.val_accuracy)) == list(map(repr, oracle.val_accuracy))
+
+    def test_a_tied_triplet_is_refused(self):
+        tied = build_triplet_corpus([([1.0, 0.0], [1.0, 0.1], [0.0, 1.0])] * 2, ["A", "AB"],
+                                    dim=2)
+        with pytest.raises(ValidationError) as info:
+            trainer.train(ProjectionModel.identity(2), tied, tied, trainer.TrainConfig(epochs=1))
+        assert str(info.value) == "triplet 't1' has no majority"
 
     def test_empty_training_set_rejected(self):
         empty = self._corpus(n=5).take([])
