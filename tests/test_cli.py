@@ -892,21 +892,28 @@ class TestExitCodes:
         code = cli.run(["validate", "--annotations", str(path)])
         assert (code, capsys.readouterr().err) == (3, f"error: {path}: {message}\n")
 
-    @pytest.mark.parametrize("mode, message", [
-        ("i", "mode [i]: not enough distinct targets to populate a train split"),
-        ("ii", "mode [ii]: not enough distinct targets to populate a train split"),
-        ("iii", "mode [iii]: corpus has a single target; the sole target cannot be both"
-                " held out and present in training"),
-    ])
-    def test_infeasible_split_is_5(self, tmp_path, capsys, mode, message):
-        # a single distinct target makes source-knowledge splitting impossible
+    @staticmethod
+    def _split_single_target(tmp_path, mode):
+        """Exit code of splitting a one-target corpus in the given mode."""
         single = tmp_path / "single"
         c = synth.planted(seed=2, n_triplets=20, dim=8, data_subspace=6,
                           truth_rank=2, n_targets=1)
         c.write(single)
-        code = cli.run(["split", *corpus_args(single), "--mode", mode,
+        return cli.run(["split", *corpus_args(single), "--mode", mode,
                         "--out", str(tmp_path / "p.json")])
-        assert (code, capsys.readouterr().err) == (5, f"error: {message}\n")
+
+    def test_infeasible_split_is_5(self, tmp_path, capsys):
+        # a single distinct target makes source-knowledge splitting impossible
+        code = self._split_single_target(tmp_path, "iii")
+        assert (code, capsys.readouterr().err) == (
+            5, "error: mode [iii]: corpus has a single target; the sole target cannot be"
+               " both held out and present in training\n")
+
+    @pytest.mark.parametrize("mode", ["i", "ii"])
+    def test_too_few_targets_for_a_train_split_is_5(self, tmp_path, capsys, mode):
+        code = self._split_single_target(tmp_path, mode)
+        assert (code, capsys.readouterr().err) == (
+            5, f"error: mode [{mode}]: not enough distinct targets to populate a train split\n")
 
 
 @pytest.fixture(scope="module")
