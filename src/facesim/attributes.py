@@ -4,14 +4,13 @@ argmin-distance classifier with its precision/recall/accuracy/AUC report."""
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import EmbeddingRecord, EmbeddingTable
+from .corpus import EmbeddingRecord, EmbeddingTable, check_seed
 from .errors import EvaluationError, IntegrityError, ValidationError
 from .metric import ProjectionModel, check_dimension, scale_rows, scaled_cosine
 
@@ -104,15 +103,14 @@ def build_groups(
     """
     if per_intersection is not None and per_intersection < 1:
         raise ValidationError(f"per-group sample size must be >= 1, got {per_intersection}")
-    if seed < 0:  # `random.Random` would take it as its absolute value
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     table = candidates if isinstance(candidates, EmbeddingTable) else EmbeddingTable.of(candidates)
     pools: Dict[str, List[int]] = {name: [] for name in INTERSECTION_GROUPS}
     for row, (gender, age_group) in enumerate(zip(table.genders, table.age_groups)):
         if gender != "unknown" and age_group != "unknown":
             pools[group_label(age_group, gender)].append(row)
 
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     by_id = table.image_ids.__getitem__
     rows: Dict[str, np.ndarray] = {}
     for name in INTERSECTION_GROUPS:
@@ -123,7 +121,7 @@ def build_groups(
                     f"group '{name}' has {len(members)} candidates,"
                     f" {per_intersection} requested"
                 )
-            members = sorted(rng.sample(members, per_intersection), key=by_id)
+            members = sorted(rng.choice(members, per_intersection, replace=False), key=by_id)
         if not members:
             raise ValidationError(f"attribute group '{name}' is empty")
         rows[name] = np.array(members, dtype=np.intp)

@@ -139,9 +139,9 @@ def cmd_train(args) -> int:
     trained.save(args.out)
     if args.history:
         history.save_csv(args.history)
-    final_loss = history.mean_loss[-1] if history.mean_loss else float("nan")
-    print(f"trained on {len(train_samples)} {args.dataset} triplets,"
-          f" final mean loss {final_loss:.6f} -> {args.out}")
+    done = (f"final mean loss {history.mean_loss[-1]:.6f}" if history.mean_loss
+            else "no epoch run, initial model kept")
+    print(f"trained on {len(train_samples)} {args.dataset} triplets, {done} -> {args.out}")
     return EXIT_OK
 
 
@@ -249,8 +249,7 @@ def cmd_gradcheck(args) -> int:
         raise ValidationError(
             f"gradcheck needs --dim and --probes >= 1, got {args.dim} and {args.probes}"
         )
-    if args.seed < 0:
-        raise ValidationError(f"gradcheck needs --seed >= 0, got {args.seed}")
+    corpus.check_seed(args.seed)
     trainer.check_margin(args.margin)
     trainer.check_step(args.step)
     rng = np.random.default_rng(args.seed)

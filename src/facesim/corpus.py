@@ -13,7 +13,6 @@ import itertools
 import json
 import logging
 import os
-import random
 import stat
 from collections import deque
 from dataclasses import dataclass, field
@@ -42,6 +41,12 @@ MANIFEST_COLUMNS = ["triplet_id", "ref_id", "option_a_id", "option_b_id"]
 
 DEFAULT_SPLIT_RATIOS = (0.7, 0.1, 0.2)
 MIN_VALID_VOTES = 3
+
+
+def check_seed(seed: int) -> None:
+    """A seed is >= 0; every seeded draw comes from `np.random.default_rng(seed)`."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
 def _label_error(
@@ -1228,8 +1233,7 @@ def split_eval(
     """
     if mode not in ("i", "ii", "iii"):
         raise ValidationError(f"unknown split mode '{mode}'")
-    if seed < 0:  # `random.Random` would take it as its absolute value
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     # written to fail on NaN, which fails every comparison
     if len(ratios) != 3 or not abs(sum(ratios) - 1.0) <= 1e-9 or not all(r >= 0 for r in ratios):
         raise ValidationError(f"ratios must be three non-negatives summing to 1, got {ratios}")
@@ -1238,7 +1242,7 @@ def split_eval(
         raise InfeasibleSplitError("no admitted samples to split")
 
     targets, sources = verify_target_consistency(admitted)
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
 
     if mode in ("i", "ii"):
         splits = _split_by_target(targets, sources, mode, ratios, rng)

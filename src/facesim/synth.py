@@ -17,6 +17,7 @@ import numpy as np
 from .corpus import (
     AnnotationTable,
     EmbeddingTable,
+    check_seed,
     save_annotations,
     save_embeddings,
     save_manifest,
@@ -83,8 +84,7 @@ def planted(
         raise ValidationError("invalid planted-corpus sizes")
     if not 0.0 <= noise_fraction <= 1.0:
         raise ValidationError("noise_fraction must be in [0, 1]")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
 
     basis, _ = np.linalg.qr(rng.normal(size=(dim, data_subspace)))
@@ -166,8 +166,7 @@ def clustered_attributes(
     """Four well-separated Gaussian clusters, one per intersection attribute."""
     if per_cluster < 1 or n_queries < 4 or dim < 4:
         raise ValidationError("invalid clustered-attributes sizes")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.normal(size=(dim, 4)))
     means = basis.T  # 4 orthonormal mean directions

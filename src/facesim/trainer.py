@@ -7,14 +7,13 @@ gap between the reference/minority cosine and the reference/majority cosine.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
 
 from . import evaluator
-from .corpus import TripletTable, write_table
+from .corpus import TripletTable, check_seed, write_table
 from .errors import DegenerateVectorError, DivergenceError, ValidationError
 from .metric import ProjectionModel, check_dimension
 
@@ -47,8 +46,7 @@ class TrainConfig:
         check_margin(self.margin)
         if self.epochs < 0:
             raise ValidationError("epochs must be >= 0")
-        if self.seed < 0:  # `random.Random` would take it as its absolute value
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
 
 def check_margin(margin: float) -> None:
@@ -159,8 +157,8 @@ def train(
     check_dimension(model, train.table)
     stack = train.gather()
     validate = bool((val.admitted & val.consistent).any())
-    order = list(range(stack.shape[1]))
-    rng = random.Random(config.seed)
+    n = stack.shape[1]
+    rng = np.random.default_rng(config.seed)
     weight = model.weight.copy()
     velocity = np.zeros_like(weight)
     step = np.empty_like(weight)
@@ -168,13 +166,11 @@ def train(
     last_finite = None  # (gradient, hinges) of the last batch that left the weights finite
 
     for epoch in range(config.epochs):
-        if config.shuffle:
-            rng.shuffle(order)
-        perm = np.array(order)
+        perm = rng.permutation(n) if config.shuffle else np.arange(n)
         epoch_loss = 0.0
         active = 0
         with np.errstate(all="ignore"):  # overflow surfaces as non-finite values, checked below
-            for batch, start in enumerate(range(0, len(order), config.batch_size), start=1):
+            for batch, start in enumerate(range(0, n, config.batch_size), start=1):
                 block = stack[:, perm[start : start + config.batch_size]]
                 losses, grad = batch_loss_and_gradient(weight, block, config.margin)
                 # velocity = momentum * velocity - lr * (grad + decay * weight), in place
@@ -196,8 +192,8 @@ def train(
                 last_finite = grad, losses
                 epoch_loss += float(losses.sum())
                 active += int(np.count_nonzero(losses))
-        history.mean_loss.append(epoch_loss / len(order))
-        history.active_fraction.append(active / len(order))
+        history.mean_loss.append(epoch_loss / n)
+        history.active_fraction.append(active / n)
         if validate:
             acc, _ = evaluator.eval_triplets(ProjectionModel(weight), val)
             history.val_accuracy.append(acc)

@@ -15,6 +15,7 @@ from facesim import attributes, cli, corpus, synth, trainer
 from facesim.metric import ProjectionModel
 
 import annotation_oracle
+from blas_core import blas_core
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,17 @@ class TestBasicCommands:
         payload = json.loads(report.read_text())
         assert payload["valid_annotators"] == sorted(synth.ANNOTATORS)
 
+    def test_train_with_no_epoch_says_so(self, planted_dir, tmp_path, capsys):
+        # the identity baseline: the initial model, and no loss to report
+        model, history = tmp_path / "model.json", tmp_path / "history.csv"
+        assert cli.run(["train", *corpus_args(planted_dir), "--epochs", "0",
+                        "--out", str(model), "--history", str(history)]) == 0
+        assert capsys.readouterr().out == (
+            f"trained on 120 D2 triplets, no epoch run, initial model kept -> {model}\n")
+        ProjectionModel.identity(8).save(tmp_path / "identity.json")
+        assert model.read_bytes() == (tmp_path / "identity.json").read_bytes()
+        assert history.read_text() == "epoch,mean_loss,val_accuracy,active_fraction\n"
+
     def test_gradcheck(self, capsys):
         assert cli.run(["gradcheck", "--dim", "4", "--probes", "5"]) == 0
         out = capsys.readouterr().out
@@ -91,6 +103,10 @@ class TestBasicCommands:
         assert cli.run(["gradcheck", flag, value]) == 3
         captured = capsys.readouterr()
         assert not captured.out and f"got {value}" in captured.err
+
+    def test_gradcheck_states_the_one_seed_rule(self, capsys):
+        assert cli.run(["gradcheck", "--seed", "-2"]) == 3
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -2\n")
 
     def test_gradcheck_counts_only_active_probes(self, monkeypatch, capsys):
         checked = []
@@ -777,6 +793,14 @@ class TestExitCodes:
         assert (f"partition file {partition}: id '{payload['train'][0]}'"
                 f" is in both train and test") in captured.err
 
+    def test_partition_ratios_that_are_not_a_list_are_3(self, planted_dir, tmp_path, capsys):
+        partition = tmp_path / "p.json"
+        partition.write_text(json.dumps({"mode": "i", "seed": 0, "ratios": "0.7,0.1,0.2",
+                                         "train": [], "val": [], "test": []}))
+        code = cli.run(self._partition_argv("train", planted_dir, tmp_path, partition))
+        assert (code, capsys.readouterr().err) == (
+            3, f"error: partition file {partition}: 'ratios' must be a list\n")
+
     def test_unknown_model_version_is_3(self, planted_dir, tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(
@@ -914,6 +938,31 @@ class TestExitCodes:
         code = self._split_single_target(tmp_path, mode)
         assert (code, capsys.readouterr().err) == (
             5, f"error: mode [{mode}]: not enough distinct targets to populate a train split\n")
+
+    @pytest.mark.parametrize("mode, identity, message", [
+        ("i", "shared", "mode [i]: every candidate test triplet shares a source identity"
+                        " with train"),
+        ("ii", "own", "mode [ii]: no candidate test triplet has all its source identities"
+                      " in train"),
+        ("iii", "shared", "mode [iii]: no source hold-out yields test triplets whose targets"
+                          " also appear in training"),
+    ], ids=["i", "ii", "iii"])
+    def test_a_split_with_no_valid_test_set_is_5(self, tmp_path, capsys, tiny_files,
+                                                 mode, identity, message):
+        # infeasible under any shuffle: one source identity for every record leaves mode i
+        # no test triplet and mode iii no train triplet; an identity of its own for every
+        # record leaves mode ii no test triplet whose sources train holds
+        lines = tiny_files["embeddings"].splitlines(keepends=True)
+        for i, line in enumerate(lines[1:], start=1):
+            image_id, _, rest = line.split(",", 2)
+            source = "shared" if identity == "shared" else f"own_{image_id}"
+            lines[i] = f"{image_id},{source},{rest}"
+        (tmp_path / "embeddings.csv").write_text("".join(lines), encoding="utf-8")
+        for name in ("manifest", "annotations"):
+            (tmp_path / f"{name}.csv").write_text(tiny_files[name], encoding="utf-8")
+        code = cli.run(["split", *corpus_args(tmp_path), "--mode", mode,
+                        "--out", str(tmp_path / "p.json")])
+        assert (code, capsys.readouterr().err) == (5, f"error: {message}\n")
 
 
 @pytest.fixture(scope="module")
@@ -1079,61 +1128,219 @@ class TestAnnotationErrorParity:
         )
 
 
+# The byte goldens below hold per host and BLAS kernel: the last bits of every
+# matrix product and QR depend on the kernels OpenBLAS picks for the CPU. Each table
+# holds one set per OpenBLAS core name (`blas_core.py`), recorded on x86-64 with
+# `OPENBLAS_CORETYPE` set to SkylakeX, Haswell, Sandybridge, Nehalem and Prescott
+# (which reports Katmai). A core with no recorded set fails; record its set.
+BLAS_CORE = blas_core()
+
+
+def recorded(golden):
+    """The set of `golden` recorded for this process's OpenBLAS core."""
+    if BLAS_CORE not in golden:
+        pytest.fail(f"no golden hashes recorded for OpenBLAS core '{BLAS_CORE}'", pytrace=False)
+    return golden[BLAS_CORE]
+
+
 # sha256 of every file `facesim synth` writes, per preset, for the arguments in
 # SYNTH_ARGS: a 40-triplet planted corpus with 10% noisy votes and a small
-# clustered corpus. Recorded on x86-64 with numpy's seeded generator.
+# clustered corpus.
 SYNTH_ARGS = {
     "planted": ["--seed", "5", "--triplets", "40", "--dim", "8", "--noise-fraction", "0.1"],
     "clustered-attributes": ["--seed", "4", "--per-cluster", "10", "--queries", "8",
                              "--dim", "8"],
 }
 SYNTH_GOLDEN = {
-    "planted": {
-        "annotations.csv": "01f599b2ad75a1f4fca554c22c3b91255ef9effb5b5291505ae2592c9e617ebc",
-        "embeddings.csv": "b5d590efc37819da1419b87444cda6009b99ab92e4cdc3af352342f40ad9a7e3",
-        "manifest.csv": "ee4b4ddd7e9538c969c79dc21db9874c568e78d9fa0e3ad9548b807d613211d3",
-        "truth_model.json": "2542dac7fdcb50eb6ca763214e028fedcb17ef4af07a24f52fcdabb9d070a169",
+    "SkylakeX": {
+        "planted": {
+            "annotations.csv": "01f599b2ad75a1f4fca554c22c3b91255ef9effb5b5291505ae2592c9e617ebc",
+            "embeddings.csv": "b5d590efc37819da1419b87444cda6009b99ab92e4cdc3af352342f40ad9a7e3",
+            "manifest.csv": "ee4b4ddd7e9538c969c79dc21db9874c568e78d9fa0e3ad9548b807d613211d3",
+            "truth_model.json": "2542dac7fdcb50eb6ca763214e028fedcb17ef4af07a24f52fcdabb9d070a169",
+        },
+        "clustered-attributes": {
+            "candidates.csv": "faebf64da5f9c2e5d0d1a7145b99aa6e2a5d229d0af71106ef86d33387eaf50e",
+            "queries.csv": "c9db424c683ca445a6c96b58e0056fac2652e45e0f5c57852610387e097f56e7",
+        },
     },
-    "clustered-attributes": {
-        "candidates.csv": "faebf64da5f9c2e5d0d1a7145b99aa6e2a5d229d0af71106ef86d33387eaf50e",
-        "queries.csv": "c9db424c683ca445a6c96b58e0056fac2652e45e0f5c57852610387e097f56e7",
+    "Haswell": {
+        "planted": {
+            "annotations.csv": "01f599b2ad75a1f4fca554c22c3b91255ef9effb5b5291505ae2592c9e617ebc",
+            "embeddings.csv": "f753600ef5a56206f1a9276a553e2fe3764e1562497fdf781ded05070928c797",
+            "manifest.csv": "ee4b4ddd7e9538c969c79dc21db9874c568e78d9fa0e3ad9548b807d613211d3",
+            "truth_model.json": "319d20b33f64bead95e6a5fb79213296b448f6528a63126ccbced887b3ea27b2",
+        },
+        "clustered-attributes": {
+            "candidates.csv": "1a2e1986cfa4d3d52c67b7b385b41e91ff7fdec285a98019243abcf55afe957f",
+            "queries.csv": "f1606b2aa323ac9cf075f7cc81e0bfab3b28ecd855d3627e5477c846a2ec85cb",
+        },
+    },
+    "Sandybridge": {
+        "planted": {
+            "annotations.csv": "01f599b2ad75a1f4fca554c22c3b91255ef9effb5b5291505ae2592c9e617ebc",
+            "embeddings.csv": "55681e52701dad979fc53a66cc76313edd08345dfdd6ab5ae11ee9ea3110905c",
+            "manifest.csv": "ee4b4ddd7e9538c969c79dc21db9874c568e78d9fa0e3ad9548b807d613211d3",
+            "truth_model.json": "fc23ffaddc586c349e4062edb11083e67495039fe91d948c8e2027cf8517b140",
+        },
+        "clustered-attributes": {
+            "candidates.csv": "9a1dce95e048a689c4e70c3416001cfbc26b6a2f003b259d334dbf09b1e350c9",
+            "queries.csv": "f8467a4ee5f0b5c9b4c778627830d5f72c89bceea25b7ab73c829c9d95ac5d97",
+        },
+    },
+    "Nehalem": {
+        "planted": {
+            "annotations.csv": "01f599b2ad75a1f4fca554c22c3b91255ef9effb5b5291505ae2592c9e617ebc",
+            "embeddings.csv": "55681e52701dad979fc53a66cc76313edd08345dfdd6ab5ae11ee9ea3110905c",
+            "manifest.csv": "ee4b4ddd7e9538c969c79dc21db9874c568e78d9fa0e3ad9548b807d613211d3",
+            "truth_model.json": "6cbd0c08e2cb6783ddbc492831c7fcad79ebb4346796c65ba4305aa500940015",
+        },
+        "clustered-attributes": {
+            "candidates.csv": "9a1dce95e048a689c4e70c3416001cfbc26b6a2f003b259d334dbf09b1e350c9",
+            "queries.csv": "f8467a4ee5f0b5c9b4c778627830d5f72c89bceea25b7ab73c829c9d95ac5d97",
+        },
+    },
+    "Katmai": {
+        "planted": {
+            "annotations.csv": "01f599b2ad75a1f4fca554c22c3b91255ef9effb5b5291505ae2592c9e617ebc",
+            "embeddings.csv": "55681e52701dad979fc53a66cc76313edd08345dfdd6ab5ae11ee9ea3110905c",
+            "manifest.csv": "ee4b4ddd7e9538c969c79dc21db9874c568e78d9fa0e3ad9548b807d613211d3",
+            "truth_model.json": "fc23ffaddc586c349e4062edb11083e67495039fe91d948c8e2027cf8517b140",
+        },
+        "clustered-attributes": {
+            "candidates.csv": "9a1dce95e048a689c4e70c3416001cfbc26b6a2f003b259d334dbf09b1e350c9",
+            "queries.csv": "f8467a4ee5f0b5c9b4c778627830d5f72c89bceea25b7ab73c829c9d95ac5d97",
+        },
     },
 }
 
 
-@pytest.mark.parametrize("preset", sorted(SYNTH_GOLDEN))
+@pytest.mark.parametrize("preset", sorted(SYNTH_ARGS))
 def test_synth_files_keep_their_bytes(tmp_path, capsys, preset):
     assert cli.run(["synth", "--preset", preset, *SYNTH_ARGS[preset],
                     "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in tmp_path.iterdir()} == SYNTH_GOLDEN[preset]
+            for path in tmp_path.iterdir()} == recorded(SYNTH_GOLDEN)[preset]
 
 
 # sha256 of each output of split -> train -> eval-triplets on a 120-triplet planted
 # corpus with 10% noisy votes, per split mode; the eval report less its "funnel".
-# Recorded on x86-64 with OpenBLAS; the models' last bits depend on the BLAS kernels.
 GOLDEN_OUTPUTS = {
-    "i": {
-        "partition.json": "71d217cd8333170064cc6fb9b0f8934dc337792cdc51523a2d40ffa81e8a3b6a",
-        "model.json": "2d763de0c25bb9282aa6b66a837468445813e366d9cd8093e27be8b5966d0377",
-        "history.csv": "e9c741e5f6121a4c84e49abe56d9d72328a16325b8eb5bbef1498eec7f3d6479",
-        "scatter.csv": "f7309e8d75fb5fa05b6eba004b094bd12e72570231f889fc07b3d8c8ddb9faf5",
-        "eval.json": "3bd84efad9c0cacb6dfb5ae139bc8cbb891606578d97f5fe6a75df1bc7699681",
+    "SkylakeX": {
+        "i": {
+            "partition.json": "981f020d160de2e57b30f323878bbdf9bfa313b7462ca1c2ad7b5bfff07a2891",
+            "model.json": "226ccdc24d9174d5a0a2c8f13adb47a9dcc84eb8e4e3b210cf11f9ffc89d4606",
+            "history.csv": "48e13dc2bb9f62d21c117a89e70c21110638bc05b3a389f07bcc34837dfc7bce",
+            "scatter.csv": "a8837f9baa8dfd91e41635f479c05750fd0d642931376c1fa3aeff73aab1d746",
+            "eval.json": "3bd84efad9c0cacb6dfb5ae139bc8cbb891606578d97f5fe6a75df1bc7699681",
+        },
+        "ii": {
+            "partition.json": "3d858f8b0e0f92824dac3699e8c4e0f0b2b44849c536a439a9668819442e4727",
+            "model.json": "226ccdc24d9174d5a0a2c8f13adb47a9dcc84eb8e4e3b210cf11f9ffc89d4606",
+            "history.csv": "48e13dc2bb9f62d21c117a89e70c21110638bc05b3a389f07bcc34837dfc7bce",
+            "scatter.csv": "d818c28498164cb605748a3ceff9fb5a33c306e9d99379f234bf97d210a9cf93",
+            "eval.json": "d22a9351deea8b7eedfa520adbf34db7901d8ef0438a54b8be8b2508735d1130",
+        },
+        "iii": {
+            "partition.json": "d7865188d91727e378abd665f083cc58b7b1e586b8d07a55921fb4469b3fe289",
+            "model.json": "d451f5471761860e0a2bc76e772318e35ab24e4746e5701e10894577f1089b4e",
+            "history.csv": "6b1a1b061e21175c2b659d0a3f387c0988786a62d32206368641a7096740f754",
+            "scatter.csv": "11661e7774aa29f6afb74e341bcf348e4334af82207752bb47d3a86b460300ac",
+            "eval.json": "956feba1c801380905e53c4e46ef188740b7456e662925045d90b22cd549e418",
+        },
     },
-    "ii": {
-        "partition.json": "01fd014ccd12e71160f0909db637f276ee92cd15fc8deba105014e1370de3672",
-        "model.json": "2d763de0c25bb9282aa6b66a837468445813e366d9cd8093e27be8b5966d0377",
-        "history.csv": "e9c741e5f6121a4c84e49abe56d9d72328a16325b8eb5bbef1498eec7f3d6479",
-        "scatter.csv": "de88700eda26ef72c1ae2c0cdf45d10fb4bc271bbfb5fd213b850fa0cdcc5043",
-        "eval.json": "3b763e13e6b6de13313b325ea8d059a5a814692e260f6624d129234cb71b6268",
+    "Haswell": {
+        "i": {
+            "partition.json": "981f020d160de2e57b30f323878bbdf9bfa313b7462ca1c2ad7b5bfff07a2891",
+            "model.json": "f7cf33a2c32d0a84f28ac61589e98960c524763c9964f53f09dcc2123957f657",
+            "history.csv": "9227d35b6721a75530effee58c557fb4872001b9328ed892eec18c983ab8af59",
+            "scatter.csv": "85a94d9c75c70ba43f1d6f494e8bf7262f061c16925061dbfca5834966ddefe0",
+            "eval.json": "3bd84efad9c0cacb6dfb5ae139bc8cbb891606578d97f5fe6a75df1bc7699681",
+        },
+        "ii": {
+            "partition.json": "3d858f8b0e0f92824dac3699e8c4e0f0b2b44849c536a439a9668819442e4727",
+            "model.json": "f7cf33a2c32d0a84f28ac61589e98960c524763c9964f53f09dcc2123957f657",
+            "history.csv": "9227d35b6721a75530effee58c557fb4872001b9328ed892eec18c983ab8af59",
+            "scatter.csv": "94712f5f682065ee973a6e0016e00f94869c81ffcfc02f0470221c28184db939",
+            "eval.json": "d22a9351deea8b7eedfa520adbf34db7901d8ef0438a54b8be8b2508735d1130",
+        },
+        "iii": {
+            "partition.json": "d7865188d91727e378abd665f083cc58b7b1e586b8d07a55921fb4469b3fe289",
+            "model.json": "f4cad7c8838695f65e977c5dd12ee7b06c94b712cfa35b9643e2537c074a31ef",
+            "history.csv": "bc315ee35693e1bf9a9adfd045bd857186aaeddb0a293f3f064bbed5c2509a39",
+            "scatter.csv": "8696d74c1ed55ff178042753765f3f98027dab22892a48fd105eaef1715c316f",
+            "eval.json": "956feba1c801380905e53c4e46ef188740b7456e662925045d90b22cd549e418",
+        },
     },
-    "iii": {
-        "partition.json": "8e8e350abdd24cd113d1000e4b6394b934d14f37cc6a720013afc003678b8908",
-        "model.json": "4ce833865bc27a1828d70b918eae0321dbc0dfffe1a732cbc6401875427ed710",
-        "history.csv": "8342a23f3c4ba7242ea320ebc9f4f6b8a7104f3b90461f1829f67d5a5f651e08",
-        "scatter.csv": "b8cc740e5f6325ce72c4480aabbb7a808430fdb45106c6b8fcc962bf934d95a5",
-        "eval.json": "e4baef1351c6030a258ee58cabddf5b569e2829d854a169e9434d54598f1f982",
+    "Sandybridge": {
+        "i": {
+            "partition.json": "981f020d160de2e57b30f323878bbdf9bfa313b7462ca1c2ad7b5bfff07a2891",
+            "model.json": "1d7ca280efd10c396fd5cc8da9e661e4913630797a8d921ecafe78efbd6aa117",
+            "history.csv": "35a4b4d69ec8c9b979b21f3be8db30c48d9a4167aebb415a0e1fc177dfa5b744",
+            "scatter.csv": "b22f5e18c7d5cd93f8e8b8f4adfccf76b54924e66cbdee474c485b7dce1ce82f",
+            "eval.json": "3bd84efad9c0cacb6dfb5ae139bc8cbb891606578d97f5fe6a75df1bc7699681",
+        },
+        "ii": {
+            "partition.json": "3d858f8b0e0f92824dac3699e8c4e0f0b2b44849c536a439a9668819442e4727",
+            "model.json": "1d7ca280efd10c396fd5cc8da9e661e4913630797a8d921ecafe78efbd6aa117",
+            "history.csv": "35a4b4d69ec8c9b979b21f3be8db30c48d9a4167aebb415a0e1fc177dfa5b744",
+            "scatter.csv": "ebbcf58fc1b11a74cd5916922538af08dead25fb56b9ff2103367e044a666a88",
+            "eval.json": "d22a9351deea8b7eedfa520adbf34db7901d8ef0438a54b8be8b2508735d1130",
+        },
+        "iii": {
+            "partition.json": "d7865188d91727e378abd665f083cc58b7b1e586b8d07a55921fb4469b3fe289",
+            "model.json": "18a073d2ca4950d513688c9ead7985773be3a9a1dd2a26e53150e66e07844088",
+            "history.csv": "a72faaabfed53e6d7b5bbee430f4c7be2edf521efb177dddea19f09276ce32da",
+            "scatter.csv": "4d17e12116a6fe482f63caf7d596c36409b8e82048f256807a67e501c4b36c59",
+            "eval.json": "956feba1c801380905e53c4e46ef188740b7456e662925045d90b22cd549e418",
+        },
+    },
+    "Nehalem": {
+        "i": {
+            "partition.json": "981f020d160de2e57b30f323878bbdf9bfa313b7462ca1c2ad7b5bfff07a2891",
+            "model.json": "d1b8a8f8ccc2afb91fdc0e7934fd435b9b6bd675f193721e64806c014b38b284",
+            "history.csv": "35a4b4d69ec8c9b979b21f3be8db30c48d9a4167aebb415a0e1fc177dfa5b744",
+            "scatter.csv": "eb185be223e37f3885824f959d4433098e2478b3041969b4a8518b8eee55278c",
+            "eval.json": "3bd84efad9c0cacb6dfb5ae139bc8cbb891606578d97f5fe6a75df1bc7699681",
+        },
+        "ii": {
+            "partition.json": "3d858f8b0e0f92824dac3699e8c4e0f0b2b44849c536a439a9668819442e4727",
+            "model.json": "d1b8a8f8ccc2afb91fdc0e7934fd435b9b6bd675f193721e64806c014b38b284",
+            "history.csv": "35a4b4d69ec8c9b979b21f3be8db30c48d9a4167aebb415a0e1fc177dfa5b744",
+            "scatter.csv": "d025c5f8a8362ebaf04d4f737adb144d3e5b70e245bf647b385517c433a41b30",
+            "eval.json": "d22a9351deea8b7eedfa520adbf34db7901d8ef0438a54b8be8b2508735d1130",
+        },
+        "iii": {
+            "partition.json": "d7865188d91727e378abd665f083cc58b7b1e586b8d07a55921fb4469b3fe289",
+            "model.json": "8f351681ced7a330a13d4404aa2ee6c13ee1433c39793ee54de5dde6444375fc",
+            "history.csv": "ed534886a917cb10f658ecdaee439ca6b8a1c166d1c4484966a25aa6416e484a",
+            "scatter.csv": "ba3be4cd43bbac633a72036e9d50cb5e4a77a9cbbdad524816b7565f1b07a961",
+            "eval.json": "956feba1c801380905e53c4e46ef188740b7456e662925045d90b22cd549e418",
+        },
+    },
+    "Katmai": {
+        "i": {
+            "partition.json": "981f020d160de2e57b30f323878bbdf9bfa313b7462ca1c2ad7b5bfff07a2891",
+            "model.json": "a3ee66cc8a04fc76a3e52caf0edab353e154c0651f590dec30402f62e67d4881",
+            "history.csv": "35a4b4d69ec8c9b979b21f3be8db30c48d9a4167aebb415a0e1fc177dfa5b744",
+            "scatter.csv": "b22f5e18c7d5cd93f8e8b8f4adfccf76b54924e66cbdee474c485b7dce1ce82f",
+            "eval.json": "3bd84efad9c0cacb6dfb5ae139bc8cbb891606578d97f5fe6a75df1bc7699681",
+        },
+        "ii": {
+            "partition.json": "3d858f8b0e0f92824dac3699e8c4e0f0b2b44849c536a439a9668819442e4727",
+            "model.json": "a3ee66cc8a04fc76a3e52caf0edab353e154c0651f590dec30402f62e67d4881",
+            "history.csv": "35a4b4d69ec8c9b979b21f3be8db30c48d9a4167aebb415a0e1fc177dfa5b744",
+            "scatter.csv": "ebbcf58fc1b11a74cd5916922538af08dead25fb56b9ff2103367e044a666a88",
+            "eval.json": "d22a9351deea8b7eedfa520adbf34db7901d8ef0438a54b8be8b2508735d1130",
+        },
+        "iii": {
+            "partition.json": "d7865188d91727e378abd665f083cc58b7b1e586b8d07a55921fb4469b3fe289",
+            "model.json": "18a073d2ca4950d513688c9ead7985773be3a9a1dd2a26e53150e66e07844088",
+            "history.csv": "a72faaabfed53e6d7b5bbee430f4c7be2edf521efb177dddea19f09276ce32da",
+            "scatter.csv": "4d17e12116a6fe482f63caf7d596c36409b8e82048f256807a67e501c4b36c59",
+            "eval.json": "956feba1c801380905e53c4e46ef188740b7456e662925045d90b22cd549e418",
+        },
     },
 }
 
@@ -1160,23 +1367,77 @@ def _golden_hashes(work, mode):
     return {name: hashlib.sha256(text).hexdigest() for name, text in texts.items()}
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN_OUTPUTS))
+@pytest.mark.parametrize("mode", ["i", "ii", "iii"])
 def test_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys, mode):
     monkeypatch.chdir(tmp_path)
-    assert _golden_hashes(tmp_path, mode) == GOLDEN_OUTPUTS[mode]
+    assert _golden_hashes(tmp_path, mode) == recorded(GOLDEN_OUTPUTS)[mode]
     capsys.readouterr()
 
 
+ATTRIBUTE_OUTPUTS = ("attributes.json", "distances.csv", "recommendations.json", "ranking.csv",
+                     "recommendations_all.json", "ranking_all.csv",
+                     "recommendations_sampled.json", "ranking_sampled.csv")
 ATTRIBUTE_GOLDEN_OUTPUTS = {
-    "attributes.json": "0c5bc3786ad254dab772e981326e49b8b5158dc34a2a53ff81bca6772029ff1c",
-    "distances.csv": "828ff51c790a9d3eafedb73de44c044e49eee3e93824a398337f26c888db71e6",
-    "recommendations.json": "ae662f17dee50a410ad3b4234f8568640c12a4d433111c2e2bd5a2ea0b3e8175",
-    "ranking.csv": "4a9a9c19d57ebfe1005bf02dab851eac2b38cfff44ddaf249bb78c93bb58faca",
-    "recommendations_all.json": "4ccae83d3f022b9bade23700c23b2f5cc46c4225b3ccfbb40afd1698d33dbe93",
-    "ranking_all.csv": "4a9a9c19d57ebfe1005bf02dab851eac2b38cfff44ddaf249bb78c93bb58faca",
-    "recommendations_sampled.json":
-        "916874afd21d58318f7cb753642664fdcfb902efa41e8b90b378a00e9918f7c2",
-    "ranking_sampled.csv": "c4a5d6fa2c9d0aee2e8fcd411b76a9d16838a49b48a3327f6a56b75a7048582c",
+    "SkylakeX": {
+        "attributes.json": "0c5bc3786ad254dab772e981326e49b8b5158dc34a2a53ff81bca6772029ff1c",
+        "distances.csv": "828ff51c790a9d3eafedb73de44c044e49eee3e93824a398337f26c888db71e6",
+        "recommendations.json": "ae662f17dee50a410ad3b4234f8568640c12a4d433111c2e2bd5a2ea0b3e8175",
+        "ranking.csv": "4a9a9c19d57ebfe1005bf02dab851eac2b38cfff44ddaf249bb78c93bb58faca",
+        "recommendations_all.json":
+            "4ccae83d3f022b9bade23700c23b2f5cc46c4225b3ccfbb40afd1698d33dbe93",
+        "ranking_all.csv": "4a9a9c19d57ebfe1005bf02dab851eac2b38cfff44ddaf249bb78c93bb58faca",
+        "recommendations_sampled.json":
+            "07f2a32e7cc903a337ae53da529c8107415f973e66616acdba81b6c858c0fb47",
+        "ranking_sampled.csv": "a0befbc3ed7c55a011a97018084ccf90888f9934842bbab8d1d0a53026199152",
+    },
+    "Haswell": {
+        "attributes.json": "0c5bc3786ad254dab772e981326e49b8b5158dc34a2a53ff81bca6772029ff1c",
+        "distances.csv": "849d8b87f095ee138aadac662446609f824fea231bd3184df8e27008f261222e",
+        "recommendations.json": "b47e6c9226bfbb328da496daf5adb1b5773f5d2cd56f0c3dab38629143b928b8",
+        "ranking.csv": "423f2f4288dbb1f73293f4844e6fc0f751c1b42458fd2235a6ad6c3e50d021ae",
+        "recommendations_all.json":
+            "59dbd850d5b3ee111c93cb1660f19116745bb7b160c578354b7e07d2688bb3d9",
+        "ranking_all.csv": "423f2f4288dbb1f73293f4844e6fc0f751c1b42458fd2235a6ad6c3e50d021ae",
+        "recommendations_sampled.json":
+            "8bdcae815b09a4a35c6ff6a5f54e141092ea081a4788ea49fd4f4dfd1b03b4c8",
+        "ranking_sampled.csv": "6dc8156e969a87736429481d28d75005a9f9eafebe90cbdfb56d2a299d36b65f",
+    },
+    "Sandybridge": {
+        "attributes.json": "0c5bc3786ad254dab772e981326e49b8b5158dc34a2a53ff81bca6772029ff1c",
+        "distances.csv": "5acc4074ccfe0223fcfa4daf92bbb65fa2f476657a8fc1981bbada5774beaaf1",
+        "recommendations.json": "ca80a5a531e4139fb58e5f1e69ee82dc802e07b2cb56b2cf793db75a83de03da",
+        "ranking.csv": "24044b2afe30069ff8c95f0ea3badb0ec2697af845a716e4d4a98426862b52ec",
+        "recommendations_all.json":
+            "6c177342fb89aa72ebb84b88e566cd13d8ee8e05fc49a927d09993af333a272c",
+        "ranking_all.csv": "24044b2afe30069ff8c95f0ea3badb0ec2697af845a716e4d4a98426862b52ec",
+        "recommendations_sampled.json":
+            "7e899e94f561c1ab1cf9729d23ee6f0c1abfac8045442ed73254c725ed30d752",
+        "ranking_sampled.csv": "9f69b3d45632a1f47d92e4b0862e4baefe2d6ad69c7e8a1f5977f1ab49515fb0",
+    },
+    "Nehalem": {
+        "attributes.json": "0c5bc3786ad254dab772e981326e49b8b5158dc34a2a53ff81bca6772029ff1c",
+        "distances.csv": "5acc4074ccfe0223fcfa4daf92bbb65fa2f476657a8fc1981bbada5774beaaf1",
+        "recommendations.json": "ca80a5a531e4139fb58e5f1e69ee82dc802e07b2cb56b2cf793db75a83de03da",
+        "ranking.csv": "24044b2afe30069ff8c95f0ea3badb0ec2697af845a716e4d4a98426862b52ec",
+        "recommendations_all.json":
+            "6c177342fb89aa72ebb84b88e566cd13d8ee8e05fc49a927d09993af333a272c",
+        "ranking_all.csv": "24044b2afe30069ff8c95f0ea3badb0ec2697af845a716e4d4a98426862b52ec",
+        "recommendations_sampled.json":
+            "7e899e94f561c1ab1cf9729d23ee6f0c1abfac8045442ed73254c725ed30d752",
+        "ranking_sampled.csv": "9f69b3d45632a1f47d92e4b0862e4baefe2d6ad69c7e8a1f5977f1ab49515fb0",
+    },
+    "Katmai": {
+        "attributes.json": "0c5bc3786ad254dab772e981326e49b8b5158dc34a2a53ff81bca6772029ff1c",
+        "distances.csv": "5acc4074ccfe0223fcfa4daf92bbb65fa2f476657a8fc1981bbada5774beaaf1",
+        "recommendations.json": "ca80a5a531e4139fb58e5f1e69ee82dc802e07b2cb56b2cf793db75a83de03da",
+        "ranking.csv": "24044b2afe30069ff8c95f0ea3badb0ec2697af845a716e4d4a98426862b52ec",
+        "recommendations_all.json":
+            "6c177342fb89aa72ebb84b88e566cd13d8ee8e05fc49a927d09993af333a272c",
+        "ranking_all.csv": "24044b2afe30069ff8c95f0ea3badb0ec2697af845a716e4d4a98426862b52ec",
+        "recommendations_sampled.json":
+            "7e899e94f561c1ab1cf9729d23ee6f0c1abfac8045442ed73254c725ed30d752",
+        "ranking_sampled.csv": "9f69b3d45632a1f47d92e4b0862e4baefe2d6ad69c7e8a1f5977f1ab49515fb0",
+    },
 }
 
 
@@ -1207,12 +1468,12 @@ def _attribute_golden_hashes(work):
     ):
         assert cli.run(argv) == 0
     return {name: hashlib.sha256((work / name).read_bytes()).hexdigest()
-            for name in ATTRIBUTE_GOLDEN_OUTPUTS}
+            for name in ATTRIBUTE_OUTPUTS}
 
 
 def test_attribute_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert _attribute_golden_hashes(tmp_path) == ATTRIBUTE_GOLDEN_OUTPUTS
+    assert _attribute_golden_hashes(tmp_path) == recorded(ATTRIBUTE_GOLDEN_OUTPUTS)
     capsys.readouterr()
 
 

@@ -92,11 +92,13 @@ def test_only_corpus_reads_and_writes_files():
 
 # what src/ may import beside the standard library and relative imports
 RUNTIME_PACKAGES = {"numpy", "facesim"}
+# standard modules src/ may not import: every seeded draw comes from one numpy Generator
+BANNED_MODULES = {"random"}
 
 
 def _foreign_imports(path: Path):
     """Imports in one module, at any depth, of anything but `RUNTIME_PACKAGES`, the
-    standard library and relative names, as (line, module)."""
+    standard library less `BANNED_MODULES` and relative names, as (line, module)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.Import):
@@ -105,8 +107,8 @@ def _foreign_imports(path: Path):
             names = [node.module]
         else:
             continue
-        found += [(node.lineno, name) for name in names
-                  if name.split(".")[0] not in RUNTIME_PACKAGES | sys.stdlib_module_names]
+        allowed = (RUNTIME_PACKAGES | sys.stdlib_module_names) - BANNED_MODULES
+        found += [(node.lineno, name) for name in names if name.split(".")[0] not in allowed]
     return found
 
 
@@ -117,6 +119,13 @@ def test_foreign_imports_finds_lazy_and_dotted_imports(tmp_path):
                       "import scipy.stats\ndef f():\n    from scipy import stats\n",
                       encoding="utf-8")
     assert sorted(_foreign_imports(module)) == [(5, "scipy.stats"), (7, "scipy")]
+
+
+def test_foreign_imports_finds_the_random_module(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import random\nfrom random import shuffle\nimport numpy.random\n",
+                      encoding="utf-8")
+    assert _foreign_imports(module) == [(1, "random"), (2, "random")]
 
 
 def test_src_imports_only_numpy_and_the_standard_library():

@@ -1,4 +1,3 @@
-import random
 import warnings
 
 import numpy as np
@@ -52,13 +51,13 @@ def per_batch_gather_train(model, train, val, config):
     ref, pos, neg = (vectors(train.table, role) for role in train.role_ids())
     consistent_val = val.take(val.admitted & val.consistent)
     order = list(range(len(train)))
-    rng = random.Random(config.seed)
+    rng = np.random.default_rng(config.seed)
     weight = model.weight.copy()
     velocity = np.zeros_like(weight)
     history = trainer.TrainHistory()
     for _ in range(config.epochs):
         if config.shuffle:
-            rng.shuffle(order)
+            order = rng.permutation(len(train)).tolist()
         epoch_loss = 0.0
         active = 0
         for start in range(0, len(order), config.batch_size):
